@@ -5,6 +5,9 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
+# The repository benchmark's own unit tests (metric set, units, ladder
+# monotonicity, argument parsing); it is a workspace of its own.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # Observability subsystem: tracing/metrics units (idbox-obs),
 # histogram/audit-ring units, and the e2e suite covering the
 # stats/audit/metrics/slowops RPCs and the trace-id join.
@@ -23,6 +26,15 @@ cargo test -q -p idbox-sync
 # rulings agree under random mutation interleavings).
 cargo test -q -p idbox-vfs --test props
 cargo test -q -p idbox-core --test cache_equivalence
+# Path-resolution oracle: the borrowed, one-guard-per-step walk must
+# agree with a reference worklist walker on random trees (symlink
+# chains and loops, unsearchable directories, files used as
+# directories, over-long components), pinned seed.
+IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_matches_reference_walker
+# Allocation budgets (a core-count-independent gate): a warm two-
+# component Vfs::stat allocates nothing, and a warm boxed stat stays
+# within its budget.
+cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings
 # (copy-on-write aliasing included), pinned seed.

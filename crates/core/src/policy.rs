@@ -8,6 +8,7 @@ use idbox_kernel::{Kernel, Pid, Syscall, SysRet};
 use idbox_types::{Errno, Identity, SysResult, ACL_FILE_NAME};
 use idbox_vfs::{Access, Cred, Ino};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -292,13 +293,13 @@ impl IdentityBoxPolicy {
 
     /// Resolve a path to (containing dir, final name, target inode),
     /// following symlinks to where the object really lives.
-    fn locate(
+    fn locate<'p>(
         &self,
         kernel: &Kernel,
         pid: Pid,
-        path: &str,
-    ) -> SysResult<(Ino, String, Option<Ino>)> {
-        let cwd = kernel.process(pid)?.cwd;
+        path: &'p str,
+    ) -> SysResult<(Ino, Cow<'p, str>, Option<Ino>)> {
+        let cwd = kernel.cwd(pid)?;
         kernel.vfs().resolve_entry(cwd, path, &self.sup_cred)
     }
 
@@ -364,10 +365,9 @@ impl IdentityBoxPolicy {
         unix_want: Access,
         unix_dir_want: Option<Access>,
     ) -> bool {
-        let Ok(proc_entry) = kernel.process(pid) else {
+        let Ok(cwd) = kernel.cwd(pid) else {
             return false;
         };
-        let cwd = proc_entry.cwd;
         let vfs = kernel.vfs();
         let nobody = aclfs::nobody_cred();
         match vfs.resolve(cwd, path, true, &nobody) {
@@ -775,7 +775,7 @@ impl SyscallPolicy for IdentityBoxPolicy {
                     // The unlink bumps the change generation, so the
                     // caches drop the directory's ACL on their own.
                     let _ = vfs.unlink(dir, ACL_FILE_NAME, &self.sup_cred);
-                    *result = kernel.syscall_shared(pid, call.clone());
+                    *result = kernel.syscall_shared(pid, call);
                 }
             }
         }

@@ -253,7 +253,7 @@ impl Supervisor {
     /// the kernel's internal shard locks provide the mutual exclusion.
     fn dispatch_plain(&mut self, pid: Pid, call: &Syscall) -> SysResult<SysRet> {
         let t0 = Instant::now();
-        let result = self.kernel.read().syscall_shared(pid, call.clone());
+        let result = self.kernel.read().syscall_shared(pid, call);
         let nanos = t0.elapsed().as_nanos() as u64;
         self.latency.record(call, nanos);
         self.observe_dispatch(call, &result, nanos);
@@ -344,14 +344,15 @@ impl Supervisor {
         nullify: bool,
     ) -> SysResult<SysRet> {
         let kernel = self.kernel.read();
-        let p0 = Instant::now();
+        // The policy span is timed only when there is somewhere to put it.
+        let p0 = self.obs.as_ref().map(|_| Instant::now());
         let decision = self.policy.check(&kernel, pid, call);
-        if let Some(obs) = &self.obs {
+        if let (Some(obs), Some(p0)) = (&self.obs, p0) {
             Self::observe_span(obs, Phase::Policy, call.name(), p0.elapsed().as_nanos() as u64);
         }
         let mut result = match decision {
-            PolicyDecision::Allow => kernel.syscall_shared(pid, call.clone()),
-            PolicyDecision::Rewrite(replacement) => kernel.syscall_shared(pid, replacement),
+            PolicyDecision::Allow => kernel.syscall_shared(pid, call),
+            PolicyDecision::Rewrite(replacement) => kernel.syscall_shared(pid, &replacement),
             PolicyDecision::Deny(errno) => Err(errno),
         };
         self.policy.post(&kernel, pid, call, &mut result);
@@ -477,10 +478,7 @@ impl ReplyWriter for DirectData {
     }
 
     fn write_words(&mut self, vm: &mut TraceeVm, addr: u64, words: &[u64]) -> SysResult<()> {
-        for (i, &w) in words.iter().enumerate() {
-            vm.poke_word(addr + (i * 8) as u64, w)?;
-        }
-        Ok(())
+        vm.poke_words(addr, words)
     }
 }
 
@@ -518,11 +516,7 @@ impl ReplyWriter for ChannelOrPoke<'_> {
     }
 
     fn write_words(&mut self, vm: &mut TraceeVm, addr: u64, words: &[u64]) -> SysResult<()> {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        vm.poke_bytes(addr, &bytes)?;
+        vm.poke_words(addr, words)?;
         self.engine.count_pokes(words.len() as u64);
         Ok(())
     }

@@ -96,20 +96,12 @@ impl<'a> GuestCtx<'a> {
     }
 
     /// Ensure the data buffer can hold `len` bytes, growing the VM if
-    /// needed (a real program would mmap; we keep it simple).
+    /// needed (a real program would mmap). A VM starts at the scratch
+    /// layout plus a small data window and grows in powers of two.
     fn ensure_data_capacity(&mut self, len: usize) {
         let need = DATA as usize + len;
         if need > self.vm.mem_len() {
-            let mut bigger = TraceeVm::with_memory(need.next_power_of_two());
-            // Carry over the low memory (scratch areas).
-            let low = self
-                .vm
-                .guest_slice(0, DATA as usize)
-                .expect("low memory present")
-                .to_vec();
-            bigger.guest_write(0, &low).expect("fits");
-            bigger.regs = self.vm.regs;
-            self.vm = bigger;
+            self.vm.grow(need.next_power_of_two());
         }
     }
 

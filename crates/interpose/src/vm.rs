@@ -29,8 +29,12 @@ pub mod reg {
     pub const RET: usize = 7;
 }
 
-/// Default guest memory size (1 MiB).
-pub const DEFAULT_MEM: usize = 1 << 20;
+/// Default guest memory size: the guest's fixed scratch layout (64 KiB
+/// of argument, stat and text-output areas) plus a 32 KiB window of bulk
+/// data buffer. Larger transfers grow the memory on demand
+/// (`TraceeVm::grow`), so a short-lived process — every forked child
+/// of a build — never pays for a megabyte it does not touch.
+pub const DEFAULT_MEM: usize = 96 << 10;
 
 /// A simulated traced process: a register file and a flat byte memory.
 ///
@@ -69,6 +73,15 @@ impl TraceeVm {
     /// Memory size in bytes.
     pub fn mem_len(&self) -> usize {
         self.mem.len()
+    }
+
+    /// Grow the memory to at least `bytes` (rounded up to 8 bytes),
+    /// keeping its contents; the new tail is zeroed. Never shrinks.
+    pub(crate) fn grow(&mut self, bytes: usize) {
+        let want = bytes.div_ceil(8) * 8;
+        if want > self.mem.len() {
+            self.mem.resize(want, 0);
+        }
     }
 
     /// Supervisor-side: read one aligned-enough word (8 bytes) of tracee
@@ -137,6 +150,21 @@ impl TraceeVm {
         }
         let a = self.word_span(addr, data.len())?;
         self.mem[a..a + data.len()].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Supervisor-side: write a word array (stat records, signal lists)
+    /// in one ranged transfer, with the bounds of [`TraceeVm::poke_bytes`]
+    /// and no staging buffer.
+    pub(crate) fn poke_words(&mut self, addr: u64, words: &[u64]) -> SysResult<()> {
+        if words.is_empty() {
+            return Ok(());
+        }
+        let len = words.len().checked_mul(8).ok_or(Errno::EFAULT)?;
+        let a = self.word_span(addr, len)?;
+        for (dst, w) in self.mem[a..a + len].chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
         Ok(())
     }
 
@@ -264,6 +292,32 @@ mod tests {
         // Overflowing spans fault instead of wrapping.
         assert_eq!(vm.peek_bytes(u64::MAX, 9), Err(Errno::EFAULT));
         assert_eq!(vm.peek_bytes(0, usize::MAX), Err(Errno::EFAULT));
+    }
+
+    #[test]
+    fn poke_words_matches_the_word_loop() {
+        let mut ranged = TraceeVm::with_memory(64);
+        let mut looped = TraceeVm::with_memory(64);
+        let words = [1, u64::MAX, 0xDEAD_BEEF];
+        ranged.poke_words(5, &words).unwrap();
+        for (i, &w) in words.iter().enumerate() {
+            looped.poke_word(5 + (i * 8) as u64, w).unwrap();
+        }
+        assert_eq!(ranged.guest_slice(0, 64), looped.guest_slice(0, 64));
+        assert_eq!(ranged.poke_words(48, &words), Err(Errno::EFAULT));
+        assert!(ranged.poke_words(u64::MAX, &[]).is_ok());
+    }
+
+    #[test]
+    fn grow_keeps_contents_and_zeroes_the_tail() {
+        let mut vm = TraceeVm::with_memory(16);
+        vm.guest_write(0, &[7; 16]).unwrap();
+        vm.grow(30);
+        assert_eq!(vm.mem_len(), 32);
+        assert_eq!(vm.guest_slice(0, 16).unwrap(), &[7; 16]);
+        assert_eq!(vm.guest_slice(16, 16).unwrap(), &[0; 16]);
+        vm.grow(8);
+        assert_eq!(vm.mem_len(), 32);
     }
 
     #[test]

@@ -155,6 +155,9 @@ struct PipeTable {
 pub struct Kernel {
     vfs: Vfs,
     mounts: ProfiledMutex<MountTable>,
+    /// Whether any driver is mounted. Mounting takes `&mut self` and
+    /// nothing unmounts, so path calls read this without the mount lock.
+    mounted: bool,
     procs: ProcTable,
     accounts: ProfiledRwLock<AccountDb>,
     pipes: PipeTable,
@@ -310,6 +313,7 @@ impl Kernel {
         Kernel {
             vfs,
             mounts: ProfiledMutex::new("mounts", MountTable::default()),
+            mounted: false,
             procs,
             accounts: ProfiledRwLock::new("accounts", accounts),
             pipes: PipeTable {
@@ -415,6 +419,7 @@ impl Kernel {
     /// Mount a filesystem driver under a path prefix. Returns the mount
     /// index.
     pub fn mount(&mut self, prefix: impl Into<String>, driver: Box<dyn FsDriver>) -> usize {
+        self.mounted = true;
         self.mounts.get_mut().mount(prefix, driver)
     }
 
@@ -527,6 +532,12 @@ impl Kernel {
         self.with_proc(pid, |p| p.clone())
     }
 
+    /// A process's working directory: what a path resolution on its
+    /// behalf starts from, read without copying the process entry.
+    pub fn cwd(&self, pid: Pid) -> SysResult<Ino> {
+        self.with_proc(pid, |p| p.cwd)
+    }
+
     /// All live pids, ascending.
     pub fn pids(&self) -> Vec<Pid> {
         let mut out: Vec<Pid> = self
@@ -610,7 +621,7 @@ impl Kernel {
     /// Route a path: `Some((mount, rel))` for mounted prefixes, `None`
     /// for the local filesystem.
     fn route(&self, pid: Pid, p: &str) -> SysResult<Option<(usize, String)>> {
-        if self.mounts.lock().is_empty() {
+        if !self.mounted {
             return Ok(None);
         }
         let abs = vpath::normalize_lexical(&self.absolutize(pid, p)?);
@@ -627,31 +638,21 @@ impl Kernel {
     /// is dispatched through the shared-borrow path, so the two entry
     /// points are byte-identical in behavior.
     pub fn syscall(&mut self, pid: Pid, call: Syscall) -> SysResult<SysRet> {
-        self.syscall_shared(pid, call)
+        self.syscall_shared(pid, &call)
     }
 
     /// Dispatch one system call on behalf of `pid` through a **shared**
-    /// borrow. This is the concurrent path: each syscall locks only the
-    /// domains (and shards) it touches, so supervisors on different
-    /// threads proceed in parallel whenever their state is disjoint.
-    pub fn syscall_shared(&self, pid: Pid, call: Syscall) -> SysResult<SysRet> {
-        self.stats.bump(&call);
+    /// borrow, by reference. This is the concurrent path: each syscall
+    /// locks only the domains (and shards) it touches, so supervisors on
+    /// different threads proceed in parallel whenever their state is
+    /// disjoint. Nothing here clones the call or its payload.
+    pub fn syscall_shared(&self, pid: Pid, call: &Syscall) -> SysResult<SysRet> {
+        self.stats.bump(call);
         self.dispatch(pid, call)
     }
 
-    /// Dispatch a call through a shared borrow, by reference.
-    ///
-    /// Always `Some`: since the kernel went sharded, *every* call —
-    /// mutating ones included — is servable without `&mut self`. The
-    /// `Option` return survives for callers written against the old
-    /// read-path contract (where `None` meant "take the exclusive
-    /// path").
-    pub fn syscall_read(&self, pid: Pid, call: &Syscall) -> Option<SysResult<SysRet>> {
-        Some(self.syscall_shared(pid, call.clone()))
-    }
-
     /// The single dispatcher: every call through `&self`.
-    fn dispatch(&self, pid: Pid, call: Syscall) -> SysResult<SysRet> {
+    fn dispatch(&self, pid: Pid, call: &Syscall) -> SysResult<SysRet> {
         use Syscall::*;
         match call {
             Getpid => Ok(SysRet::Num(pid.0 as i64)),
@@ -659,32 +660,32 @@ impl Kernel {
             Getuid => self.with_proc(pid, |p| SysRet::Num(p.cred.uid as i64)),
             Getcwd => self.with_proc(pid, |p| SysRet::Text(p.cwd_path.clone())),
             GetUserName => self.read_user_name(pid),
-            Getenv(name) => self.read_env(pid, &name),
-            Stat(p) => self.do_stat(pid, &p, true),
-            Lstat(p) => self.do_stat(pid, &p, false),
-            Fstat(fd) => self.do_fstat(pid, fd),
-            Open(p, flags, mode) => self.do_open(pid, &p, flags, mode),
-            Close(fd) => self.do_close(pid, fd),
-            Read(fd, len) => self.do_read(pid, fd, len, None),
-            Pread(fd, len, off) => self.do_read(pid, fd, len, Some(off)),
-            Preadx(fd, len, off) => self.do_read_extents(pid, fd, len, off),
-            Write(fd, data) => self.do_write(pid, fd, &data, None),
-            Pwrite(fd, data, off) => self.do_write(pid, fd, &data, Some(off)),
-            Lseek(fd, off, whence) => self.do_lseek(pid, fd, off, whence),
-            Dup(fd) => self.do_dup(pid, fd),
-            Mkdir(p, mode) => self.do_mkdir(pid, &p, mode),
-            Rmdir(p) => self.do_rmdir(pid, &p),
-            Unlink(p) => self.do_unlink(pid, &p),
-            Link(old, new) => self.do_link(pid, &old, &new),
-            Symlink(target, linkp) => self.do_symlink(pid, &target, &linkp),
-            Readlink(p) => self.do_readlink(pid, &p),
-            Rename(old, new) => self.do_rename(pid, &old, &new),
-            Truncate(p, len) => self.do_truncate(pid, &p, len),
-            AccessCheck(p, want) => self.do_access(pid, &p, want),
-            Readdir(p) => self.do_readdir(pid, &p),
-            Chmod(p, mode) => self.do_chmod(pid, &p, mode),
-            Chown(p, uid, gid) => self.do_chown(pid, &p, uid, gid),
-            Chdir(p) => self.do_chdir(pid, &p),
+            Getenv(name) => self.read_env(pid, name),
+            Stat(p) => self.do_stat(pid, p, true),
+            Lstat(p) => self.do_stat(pid, p, false),
+            Fstat(fd) => self.do_fstat(pid, *fd),
+            Open(p, flags, mode) => self.do_open(pid, p, *flags, *mode),
+            Close(fd) => self.do_close(pid, *fd),
+            Read(fd, len) => self.do_read(pid, *fd, *len, None),
+            Pread(fd, len, off) => self.do_read(pid, *fd, *len, Some(*off)),
+            Preadx(fd, len, off) => self.do_read_extents(pid, *fd, *len, *off),
+            Write(fd, data) => self.do_write(pid, *fd, data, None),
+            Pwrite(fd, data, off) => self.do_write(pid, *fd, data, Some(*off)),
+            Lseek(fd, off, whence) => self.do_lseek(pid, *fd, *off, *whence),
+            Dup(fd) => self.do_dup(pid, *fd),
+            Mkdir(p, mode) => self.do_mkdir(pid, p, *mode),
+            Rmdir(p) => self.do_rmdir(pid, p),
+            Unlink(p) => self.do_unlink(pid, p),
+            Link(old, new) => self.do_link(pid, old, new),
+            Symlink(target, linkp) => self.do_symlink(pid, target, linkp),
+            Readlink(p) => self.do_readlink(pid, p),
+            Rename(old, new) => self.do_rename(pid, old, new),
+            Truncate(p, len) => self.do_truncate(pid, p, *len),
+            AccessCheck(p, want) => self.do_access(pid, p, *want),
+            Readdir(p) => self.do_readdir(pid, p),
+            Chmod(p, mode) => self.do_chmod(pid, p, *mode),
+            Chown(p, uid, gid) => self.do_chown(pid, p, *uid, *gid),
+            Chdir(p) => self.do_chdir(pid, p),
             Umask(mask) => self.with_proc_mut(pid, |p| {
                 let old = p.umask;
                 p.umask = mask & 0o777;
@@ -692,9 +693,9 @@ impl Kernel {
             }),
             Fork => self.do_fork(pid),
             Exec(name) => self.do_exec(pid, name),
-            Exit(code) => self.do_exit(pid, code),
+            Exit(code) => self.do_exit(pid, *code),
             Wait => self.do_wait(pid),
-            Kill(target, sig) => self.do_kill(pid, target, sig),
+            Kill(target, sig) => self.do_kill(pid, *target, *sig),
             SigPending => self.with_proc_mut(pid, |p| {
                 SysRet::Signals(std::mem::take(&mut p.pending))
             }),
@@ -1416,21 +1417,21 @@ impl Kernel {
     /// as the process's program. (The simulation does not load code —
     /// guest programs are host functions — but the permission semantics
     /// are real.)
-    fn do_exec(&self, pid: Pid, name: String) -> SysResult<SysRet> {
-        if let Some((m, rel)) = self.route(pid, &name)? {
+    fn do_exec(&self, pid: Pid, name: &str) -> SysResult<SysRet> {
+        if let Some((m, rel)) = self.route(pid, name)? {
             let id = self.driver_identity(pid)?;
             let mut mounts = self.mounts.lock();
             let d = mounts.driver_mut(m).ok_or(Errno::EIO)?;
             d.stat(&rel, &id)?; // existence; rights are the remote's call
         } else {
             let (cred, cwd) = self.live_cred(pid)?;
-            let ino = self.vfs.resolve(cwd, &name, true, &cred)?;
+            let ino = self.vfs.resolve(cwd, name, true, &cred)?;
             if self.vfs.fstat(ino)?.kind != FileKind::File {
                 return Err(Errno::EACCES);
             }
             self.vfs.check_access(ino, &cred, Access::X)?;
         }
-        self.with_proc_mut(pid, |p| p.comm = name)?;
+        self.with_proc_mut(pid, |p| p.comm = name.to_string())?;
         Ok(SysRet::Unit)
     }
 
@@ -1861,7 +1862,7 @@ mod tests {
 
     #[test]
     fn read_path_matches_exclusive_path() {
-        // Every call must produce the same result through `syscall_read`
+        // Every call must produce the same result through `syscall_shared`
         // (shared borrow) as through `syscall` (exclusive borrow) against
         // identical kernel state.
         let build = || {
@@ -1907,9 +1908,7 @@ mod tests {
         let (k_shared, pid_b, fd_b) = build();
         for (a, b) in calls(fd_a).into_iter().zip(calls(fd_b)) {
             let via_mut = k_mut.syscall(pid_a, a.clone());
-            let via_read = k_shared
-                .syscall_read(pid_b, &b)
-                .expect("every call is served on the shared path");
+            let via_read = k_shared.syscall_shared(pid_b, &b);
             assert_eq!(via_mut, via_read, "diverged on {}", a.name());
         }
         assert_eq!(k_mut.total_syscalls(), k_shared.total_syscalls());
@@ -1919,39 +1918,34 @@ mod tests {
     fn shared_path_serves_every_call() {
         // Since the kernel went sharded, the shared-borrow path serves
         // everything — mutating calls included — and counts each exactly
-        // once. (Before the shard split, `syscall_read` declined mutating
-        // calls with `None` and callers fell back to the exclusive lock.)
+        // once. (Before the shard split, the shared path declined mutating
+        // calls and callers fell back to the exclusive lock.)
         let (mut k, pid, _) = kernel_with_user("u");
         let before = k.total_syscalls();
         let child = Pid(
-            k.syscall_read(pid, &Syscall::Fork)
-                .expect("served")
+            k.syscall_shared(pid, &Syscall::Fork)
                 .unwrap()
                 .num() as u32,
         );
         let fd = k
-            .syscall_read(
+            .syscall_shared(
                 pid,
                 &Syscall::Open("/tmp/x".into(), OpenFlags::rdwr_create(), 0o644),
             )
-            .expect("served")
             .unwrap()
             .num() as usize;
-        k.syscall_read(pid, &Syscall::Write(fd, b"hi".to_vec()))
-            .expect("served")
+        k.syscall_shared(pid, &Syscall::Write(fd, b"hi".to_vec()))
             .unwrap();
-        assert!(k.syscall_read(pid, &Syscall::Umask(0o022)).expect("served").is_ok());
-        assert!(k.syscall_read(pid, &Syscall::SigPending).expect("served").is_ok());
-        let (rfd, wfd) = match k.syscall_read(pid, &Syscall::Pipe).expect("served").unwrap() {
+        assert!(k.syscall_shared(pid, &Syscall::Umask(0o022)).is_ok());
+        assert!(k.syscall_shared(pid, &Syscall::SigPending).is_ok());
+        let (rfd, wfd) = match k.syscall_shared(pid, &Syscall::Pipe).unwrap() {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
-        k.syscall_read(pid, &Syscall::Write(wfd, b"x".to_vec()))
-            .expect("served")
+        k.syscall_shared(pid, &Syscall::Write(wfd, b"x".to_vec()))
             .unwrap();
         assert_eq!(
-            k.syscall_read(pid, &Syscall::Read(rfd, 1))
-                .expect("served")
+            k.syscall_shared(pid, &Syscall::Read(rfd, 1))
                 .unwrap()
                 .data(),
             b"x"
@@ -1977,9 +1971,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..250 {
                         let g = k.read().unwrap();
-                        let r = g
-                            .syscall_read(pid, &Syscall::Stat("/tmp/f".into()))
-                            .expect("stat is shared-servable");
+                        let r = g.syscall_shared(pid, &Syscall::Stat("/tmp/f".into()));
                         assert!(r.is_ok());
                     }
                 })
@@ -2257,43 +2249,43 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..100 {
                         let child = Pid(
-                            k.syscall_shared(pid, Syscall::Fork).unwrap().num() as u32
+                            k.syscall_shared(pid, &Syscall::Fork).unwrap().num() as u32
                         );
-                        k.syscall_shared(child, Syscall::Exec("/bin/sh".into()))
+                        k.syscall_shared(child, &Syscall::Exec("/bin/sh".into()))
                             .unwrap();
                         let f = format!("f{round}");
                         let fd = k
                             .syscall_shared(
                                 child,
-                                Syscall::Open(f.clone(), OpenFlags::rdwr_create(), 0o644),
+                                &Syscall::Open(f.clone(), OpenFlags::rdwr_create(), 0o644),
                             )
                             .unwrap()
                             .num() as usize;
-                        k.syscall_shared(child, Syscall::Write(fd, vec![b'x'; 64]))
+                        k.syscall_shared(child, &Syscall::Write(fd, vec![b'x'; 64]))
                             .unwrap();
-                        k.syscall_shared(child, Syscall::Close(fd)).unwrap();
+                        k.syscall_shared(child, &Syscall::Close(fd)).unwrap();
                         // Rename into the *next* worker's directory: the
                         // source and destination parents live on
                         // different vfs shards.
                         let other = format!("/tmp/w{}/g{round}-{i}", (i + 1) % workers);
-                        k.syscall_shared(child, Syscall::Rename(f, other.clone()))
+                        k.syscall_shared(child, &Syscall::Rename(f, other.clone()))
                             .unwrap();
-                        k.syscall_shared(pid, Syscall::Unlink(other)).unwrap();
+                        k.syscall_shared(pid, &Syscall::Unlink(other)).unwrap();
                         let (rfd, wfd) =
-                            match k.syscall_shared(pid, Syscall::Pipe).unwrap() {
+                            match k.syscall_shared(pid, &Syscall::Pipe).unwrap() {
                                 SysRet::PipeFds(r, w) => (r, w),
                                 other => panic!("unexpected {other:?}"),
                             };
-                        k.syscall_shared(pid, Syscall::Write(wfd, b"ping".to_vec()))
+                        k.syscall_shared(pid, &Syscall::Write(wfd, b"ping".to_vec()))
                             .unwrap();
                         assert_eq!(
-                            k.syscall_shared(pid, Syscall::Read(rfd, 4)).unwrap().data(),
+                            k.syscall_shared(pid, &Syscall::Read(rfd, 4)).unwrap().data(),
                             b"ping"
                         );
-                        k.syscall_shared(pid, Syscall::Close(rfd)).unwrap();
-                        k.syscall_shared(pid, Syscall::Close(wfd)).unwrap();
-                        k.syscall_shared(child, Syscall::Exit(0)).unwrap();
-                        match k.syscall_shared(pid, Syscall::Wait) {
+                        k.syscall_shared(pid, &Syscall::Close(rfd)).unwrap();
+                        k.syscall_shared(pid, &Syscall::Close(wfd)).unwrap();
+                        k.syscall_shared(child, &Syscall::Exit(0)).unwrap();
+                        match k.syscall_shared(pid, &Syscall::Wait) {
                             Ok(SysRet::Reaped(c, 0)) => assert_eq!(c, child),
                             other => panic!("unexpected wait result {other:?}"),
                         }

@@ -222,10 +222,10 @@ impl Syscall {
     ///   atomic so it can advance under the shared lock.
     ///
     /// Everything else — including `sigpending` (drains the queue),
-    /// `umask` (swaps the mask), and pipe reads (consume bytes) — takes
-    /// the exclusive path. Note that a *classified* call can still fall
-    /// back to the exclusive path at dispatch time, e.g. when the path
-    /// routes to a mounted driver; see `Kernel::syscall_read`.
+    /// `umask` (swaps the mask), and pipe reads (consume bytes) —
+    /// mutates shared state. Since the kernel went sharded, both kinds
+    /// dispatch through `Kernel::syscall_shared`; the classification
+    /// only describes what a call may touch.
     pub fn is_read_only(&self) -> bool {
         use Syscall::*;
         matches!(

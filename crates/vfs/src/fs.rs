@@ -51,6 +51,7 @@ use crate::wal::{self, Wal, WalRecord, WalRecordRef};
 use crate::{Access, ExtentList, FileKind, Ino, StatBuf};
 use idbox_types::{Errno, SysResult};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -87,6 +88,34 @@ pub struct DirEntry {
 
 /// Maximum symlink traversals in one resolution (Linux uses 40).
 const SYMLOOP_MAX: u32 = 40;
+
+/// What a path walk learns about an inode it has reached.
+enum Hop {
+    /// A symlink the walk follows: its target, the walk's only copy.
+    Link(String),
+    /// A directory, with the caller's search permission on it.
+    Dir(SysResult<()>),
+    /// Anything else, including a final symlink the walk stops at.
+    Leaf,
+}
+
+impl Hop {
+    /// Walking on through this inode needs a directory the caller may
+    /// search.
+    fn search(self) -> SysResult<()> {
+        match self {
+            Hop::Dir(search) => search,
+            _ => Err(Errno::ENOTDIR),
+        }
+    }
+}
+
+/// A final entry located by [`Vfs::resolve_entry`]'s inner step, or the
+/// symlink that step must follow next.
+enum EntryStep<'p> {
+    Found(Ino, &'p str, Option<Ino>),
+    Link(Ino, String),
+}
 
 /// Bound on cached dentries across the whole filesystem; each shard's
 /// cache gets an equal slice (at least 64 entries). On overflow a
@@ -601,11 +630,14 @@ impl Vfs {
         self.with_inode(ino, |i| i.payload.kind())
     }
 
-    /// The symlink target, or `None` when the inode is not a symlink.
-    fn symlink_target(&self, ino: Ino) -> SysResult<Option<String>> {
+    /// Everything one step of a walk needs to know about the inode it
+    /// just reached, read under a single shard guard. The symlink target
+    /// is cloned only when `follow` says the walk follows it.
+    fn hop(&self, ino: Ino, cred: &Cred, follow: bool) -> SysResult<Hop> {
         self.with_inode(ino, |i| match &i.payload {
-            Payload::Symlink(t) => Some(t.clone()),
-            _ => None,
+            Payload::Symlink(t) if follow => Hop::Link(t.clone()),
+            Payload::Dir(_) => Hop::Dir(Self::access_ok(i, cred, Access::X)),
+            _ => Hop::Leaf,
         })
     }
 
@@ -776,6 +808,16 @@ impl Vfs {
         self.resolve_inner(start, p, follow_last, cred, &mut budget)
     }
 
+    /// The walk behind [`Vfs::resolve`]. Components are borrowed from `p`;
+    /// each step takes one shard read guard, on the inode it reaches, and
+    /// that guard answers both "is this a symlink to follow?" and "may
+    /// the walk go on through it?" (directory kind and search
+    /// permission). The second answer is acted on only at the next
+    /// component, after that component's length check, so errors surface
+    /// in the same order as a walk that re-reads each directory. A
+    /// followed symlink's target is resolved recursively from the
+    /// directory holding the link, sharing `budget`; the target's last
+    /// component is always followed, since the link itself was.
     fn resolve_inner(
         &self,
         start: Ino,
@@ -785,59 +827,65 @@ impl Vfs {
         budget: &mut u32,
     ) -> SysResult<Ino> {
         let mut cur = if path::is_absolute(p) { self.root } else { start };
-        // Worklist of components still to walk, in order.
-        let mut work: Vec<String> = path::components(p).map(str::to_string).collect();
-        let mut i = 0;
-        while i < work.len() {
-            let comp = work[i].clone();
-            i += 1;
+        let mut comps = path::components(p).peekable();
+        if comps.peek().is_none() {
+            return Ok(cur);
+        }
+        let mut here = self.hop(cur, cred, false);
+        while let Some(comp) = comps.next() {
             if comp.len() > NAME_MAX {
                 return Err(Errno::ENAMETOOLONG);
             }
-            // Traversal requires the current node to be a searchable dir.
-            if self.kind(cur)? != FileKind::Dir {
-                return Err(Errno::ENOTDIR);
-            }
-            self.check_access(cur, cred, Access::X)?;
-            let next = self.lookup_entry(cur, &comp)?.ok_or(Errno::ENOENT)?;
-            let is_last = i == work.len();
-            if let Some(target) = self.symlink_target(next)? {
-                if !is_last || follow_last {
+            here?.search()?;
+            let next = self.lookup_entry(cur, comp)?.ok_or(Errno::ENOENT)?;
+            let more = comps.peek().is_some();
+            here = match self.hop(next, cred, more || follow_last)? {
+                Hop::Link(target) => {
                     if *budget == 0 {
                         return Err(Errno::ELOOP);
                     }
                     *budget -= 1;
-                    // Splice the target's components in place of the link.
-                    let mut rest: Vec<String> =
-                        path::components(&target).map(str::to_string).collect();
-                    rest.extend(work.drain(i..));
-                    work = rest;
-                    i = 0;
-                    if path::is_absolute(&target) {
-                        cur = self.root;
+                    cur = self.resolve_inner(cur, &target, true, cred, budget)?;
+                    if !more {
+                        break;
                     }
-                    continue;
+                    self.hop(cur, cred, false)
                 }
-            }
-            cur = next;
+                hop => {
+                    cur = next;
+                    Ok(hop)
+                }
+            };
         }
         Ok(cur)
     }
 
-    /// Resolve everything but the final component (following symlinks),
-    /// returning the parent directory and the final name. Fails with
-    /// `EINVAL` when the path names the root.
-    pub fn resolve_parent(&self, start: Ino, p: &str, cred: &Cred) -> SysResult<(Ino, String)> {
+    /// Split off the final component and resolve the rest (following
+    /// symlinks). Returns the parent, not yet checked to be a directory,
+    /// and the final name, borrowed from `p`.
+    fn parent_of<'p>(&self, start: Ino, p: &'p str, cred: &Cred) -> SysResult<(Ino, &'p str)> {
         Self::check_path(p)?;
         let (parent, name) = path::split_parent(p).ok_or(Errno::EINVAL)?;
         if name.len() > NAME_MAX {
             return Err(Errno::ENAMETOOLONG);
         }
-        let dir = self.resolve(start, parent, true, cred)?;
+        Ok((self.resolve(start, parent, true, cred)?, name))
+    }
+
+    /// Resolve everything but the final component (following symlinks),
+    /// returning the parent directory and the final name. Fails with
+    /// `EINVAL` when the path names the root.
+    pub fn resolve_parent<'p>(
+        &self,
+        start: Ino,
+        p: &'p str,
+        cred: &Cred,
+    ) -> SysResult<(Ino, &'p str)> {
+        let (dir, name) = self.parent_of(start, p, cred)?;
         if self.kind(dir)? != FileKind::Dir {
             return Err(Errno::ENOTDIR);
         }
-        Ok((dir, name.to_string()))
+        Ok((dir, name))
     }
 
     /// Resolve a path to the directory that *really* contains the final
@@ -847,43 +895,55 @@ impl Vfs {
     /// paths" pitfall: the ACL consulted must be the one in the directory
     /// where the target actually lives, not where the link does. Returns
     /// `(containing_dir, entry_name, Some(target_ino))`, or `None` as the
-    /// third element when the entry does not exist (creation case).
-    pub fn resolve_entry(
+    /// third element when the entry does not exist (creation case). The
+    /// name is borrowed from `p` unless a final symlink was followed.
+    pub fn resolve_entry<'p>(
         &self,
         start: Ino,
-        p: &str,
+        p: &'p str,
         cred: &Cred,
-    ) -> SysResult<(Ino, String, Option<Ino>)> {
-        Self::check_path(p)?;
+    ) -> SysResult<(Ino, Cow<'p, str>, Option<Ino>)> {
+        let (mut dir, mut target) = match self.entry_step(start, p, cred)? {
+            EntryStep::Found(dir, name, ino) => return Ok((dir, Cow::Borrowed(name), ino)),
+            EntryStep::Link(dir, target) => (dir, target),
+        };
+        // Each final-component link followed costs one unit of this
+        // budget; every parent walk gets a fresh one, as in `resolve`.
         let mut budget = SYMLOOP_MAX;
-        let mut cur_start = start;
-        let mut cur_path = p.to_string();
         loop {
-            let (dir, name) = self.resolve_parent(cur_start, &cur_path, cred)?;
-            // Looking up the final entry is a search of `dir`: the caller
-            // needs execute permission on it, same as mid-path traversal.
-            self.check_access(dir, cred, Access::X)?;
-            if name == "." || name == ".." {
-                // Resolve fully; the entry certainly exists.
-                let ino = self.resolve(cur_start, &cur_path, true, cred)?;
-                return Ok((dir, name, Some(ino)));
+            if budget == 0 {
+                return Err(Errno::ELOOP);
             }
-            match self.lookup_entry(dir, &name)? {
-                None => return Ok((dir, name, None)),
-                Some(ino) => {
-                    if let Some(target) = self.symlink_target(ino)? {
-                        if budget == 0 {
-                            return Err(Errno::ELOOP);
-                        }
-                        budget -= 1;
-                        cur_path = target;
-                        cur_start = dir;
-                        continue;
-                    }
-                    return Ok((dir, name, Some(ino)));
+            budget -= 1;
+            match self.entry_step(dir, &target, cred)? {
+                EntryStep::Found(d, name, ino) => {
+                    return Ok((d, Cow::Owned(name.to_string()), ino))
                 }
+                EntryStep::Link(d, t) => (dir, target) = (d, t),
             }
         }
+    }
+
+    /// One round of [`Vfs::resolve_entry`]: locate `p`'s parent, search
+    /// it for the final name, and report either the entry or the
+    /// symlink target it names.
+    fn entry_step<'p>(&self, start: Ino, p: &'p str, cred: &Cred) -> SysResult<EntryStep<'p>> {
+        let (dir, name) = self.parent_of(start, p, cred)?;
+        // Looking up the final entry is a search of `dir`: the caller
+        // needs execute permission on it, same as mid-path traversal.
+        self.hop(dir, cred, false)?.search()?;
+        if name == "." || name == ".." {
+            // Resolve fully; the entry certainly exists.
+            let ino = self.resolve(start, p, true, cred)?;
+            return Ok(EntryStep::Found(dir, name, Some(ino)));
+        }
+        let Some(ino) = self.lookup_entry(dir, name)? else {
+            return Ok(EntryStep::Found(dir, name, None));
+        };
+        Ok(match self.hop(ino, cred, true)? {
+            Hop::Link(target) => EntryStep::Link(dir, target),
+            _ => EntryStep::Found(dir, name, Some(ino)),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -898,7 +958,7 @@ impl Vfs {
                 return Err(Errno::EEXIST);
             }
             self.check_access(dir, cred, Access::W.and(Access::X))?;
-            if self.entry_get(dir, &name)?.is_some() {
+            if self.entry_get(dir, name)?.is_some() {
                 return Err(Errno::EEXIST);
             }
             let ino = self.reserve_ino();
@@ -907,12 +967,12 @@ impl Vfs {
             {
                 let mut pair = PairGuard::lock(&self.shards, sd, sc);
                 let ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                    .is_some_and(|e| !e.contains_key(&name));
+                    .is_some_and(|e| !e.contains_key(name));
                 if ok {
                     let now = self.tick();
                     self.log(|| WalRecordRef::Create {
                         dir: dir.0,
-                        name: &name,
+                        name,
                         ino: ino.0,
                         mode: mode & 0o7777,
                         uid: cred.uid,
@@ -936,7 +996,7 @@ impl Vfs {
                     let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
                     dinode.mtime = now;
                     if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.insert(name, ino);
+                        entries.insert(name.to_string(), ino);
                     }
                     self.dcaches[sd].bump();
                     return Ok(ino);
@@ -1058,7 +1118,7 @@ impl Vfs {
                 return Err(Errno::EEXIST);
             }
             self.check_access(dir, cred, Access::W.and(Access::X))?;
-            if self.entry_get(dir, &name)?.is_some() {
+            if self.entry_get(dir, name)?.is_some() {
                 return Err(Errno::EEXIST);
             }
             let ino = self.reserve_ino();
@@ -1067,12 +1127,12 @@ impl Vfs {
             {
                 let mut pair = PairGuard::lock(&self.shards, sd, sc);
                 let ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                    .is_some_and(|e| !e.contains_key(&name));
+                    .is_some_and(|e| !e.contains_key(name));
                 if ok {
                     let now = self.tick();
                     self.log(|| WalRecordRef::Mkdir {
                         dir: dir.0,
-                        name: &name,
+                        name,
                         ino: ino.0,
                         mode: mode & 0o7777,
                         uid: cred.uid,
@@ -1100,7 +1160,7 @@ impl Vfs {
                     dinode.nlink += 1; // the new child's ".."
                     dinode.mtime = now;
                     if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.insert(name, ino);
+                        entries.insert(name.to_string(), ino);
                     }
                     self.dcaches[sd].bump();
                     return Ok(ino);
@@ -1118,7 +1178,7 @@ impl Vfs {
                 return Err(Errno::EINVAL);
             }
             self.check_access(dir, cred, Access::W.and(Access::X))?;
-            let target = self.entry_get(dir, &name)?.ok_or(Errno::ENOENT)?;
+            let target = self.entry_get(dir, name)?.ok_or(Errno::ENOENT)?;
             if self.dir_has_real_entries(target)? {
                 return Err(Errno::ENOTEMPTY);
             }
@@ -1126,7 +1186,7 @@ impl Vfs {
             let st = self.shards.shard_of(target.0);
             let mut pair = PairGuard::lock(&self.shards, sd, st);
             let dir_ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                .is_some_and(|e| e.get(&name) == Some(&target));
+                .is_some_and(|e| e.get(name) == Some(&target));
             let tgt_ok = pair
                 .map_ref(st)
                 .get(&target.0)
@@ -1138,13 +1198,13 @@ impl Vfs {
                 let now = self.tick();
                 self.log(|| WalRecordRef::Rmdir {
                     dir: dir.0,
-                    name: &name,
+                    name,
                     target: target.0,
                     now,
                 });
                 let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
                 if let Payload::Dir(entries) = &mut dinode.payload {
-                    entries.remove(&name);
+                    entries.remove(name);
                 }
                 dinode.nlink -= 1;
                 dinode.mtime = now;
@@ -1165,7 +1225,7 @@ impl Vfs {
                 return Err(Errno::EINVAL);
             }
             self.check_access(dir, cred, Access::W.and(Access::X))?;
-            let target = self.entry_get(dir, &name)?.ok_or(Errno::ENOENT)?;
+            let target = self.entry_get(dir, name)?.ok_or(Errno::ENOENT)?;
             if self.kind(target)? == FileKind::Dir {
                 return Err(Errno::EISDIR);
             }
@@ -1173,7 +1233,7 @@ impl Vfs {
             let st = self.shards.shard_of(target.0);
             let mut pair = PairGuard::lock(&self.shards, sd, st);
             let dir_ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                .is_some_and(|e| e.get(&name) == Some(&target));
+                .is_some_and(|e| e.get(name) == Some(&target));
             let tgt_ok = pair
                 .map_ref(st)
                 .get(&target.0)
@@ -1182,13 +1242,13 @@ impl Vfs {
                 let now = self.tick();
                 self.log(|| WalRecordRef::Unlink {
                     dir: dir.0,
-                    name: &name,
+                    name,
                     target: target.0,
                     now,
                 });
                 let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
                 if let Payload::Dir(entries) = &mut dinode.payload {
-                    entries.remove(&name);
+                    entries.remove(name);
                 }
                 dinode.mtime = now;
                 let t = pair.map(st).get_mut(&target.0).expect("revalidated");
@@ -1214,14 +1274,14 @@ impl Vfs {
                 return Err(Errno::EEXIST);
             }
             self.check_access(dir, cred, Access::W.and(Access::X))?;
-            if self.entry_get(dir, &name)?.is_some() {
+            if self.entry_get(dir, name)?.is_some() {
                 return Err(Errno::EEXIST);
             }
             let sd = self.shards.shard_of(dir.0);
             let st = self.shards.shard_of(target.0);
             let mut pair = PairGuard::lock(&self.shards, sd, st);
             let dir_ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                .is_some_and(|e| !e.contains_key(&name));
+                .is_some_and(|e| !e.contains_key(name));
             let tgt_ok = pair
                 .map_ref(st)
                 .get(&target.0)
@@ -1230,14 +1290,14 @@ impl Vfs {
                 let now = self.tick();
                 self.log(|| WalRecordRef::Link {
                     dir: dir.0,
-                    name: &name,
+                    name,
                     target: target.0,
                     now,
                 });
                 let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
                 dinode.mtime = now;
                 if let Payload::Dir(entries) = &mut dinode.payload {
-                    entries.insert(name, target);
+                    entries.insert(name.to_string(), target);
                 }
                 let t = pair.map(st).get_mut(&target.0).expect("revalidated");
                 t.nlink += 1;
@@ -1260,7 +1320,7 @@ impl Vfs {
                 return Err(Errno::EEXIST);
             }
             self.check_access(dir, cred, Access::W.and(Access::X))?;
-            if self.entry_get(dir, &name)?.is_some() {
+            if self.entry_get(dir, name)?.is_some() {
                 return Err(Errno::EEXIST);
             }
             let ino = self.reserve_ino();
@@ -1269,12 +1329,12 @@ impl Vfs {
             {
                 let mut pair = PairGuard::lock(&self.shards, sd, sc);
                 let ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                    .is_some_and(|e| !e.contains_key(&name));
+                    .is_some_and(|e| !e.contains_key(name));
                 if ok {
                     let now = self.tick();
                     self.log(|| WalRecordRef::Symlink {
                         dir: dir.0,
-                        name: &name,
+                        name,
                         ino: ino.0,
                         target,
                         uid: cred.uid,
@@ -1298,7 +1358,7 @@ impl Vfs {
                     let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
                     dinode.mtime = now;
                     if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.insert(name, ino);
+                        entries.insert(name.to_string(), ino);
                     }
                     self.dcaches[sd].bump();
                     return Ok(ino);
@@ -1336,13 +1396,13 @@ impl Vfs {
             }
             self.check_access(odir, cred, Access::W.and(Access::X))?;
             self.check_access(ndir, cred, Access::W.and(Access::X))?;
-            let src = self.entry_get(odir, &oname)?.ok_or(Errno::ENOENT)?;
+            let src = self.entry_get(odir, oname)?.ok_or(Errno::ENOENT)?;
             let src_is_dir = self.kind(src)? == FileKind::Dir;
             if src_is_dir && self.is_same_or_ancestor(src, ndir)? {
                 return Err(Errno::EINVAL);
             }
             // Phase-1 look at the destination slot.
-            let dst_slot = self.entry_get(ndir, &nname)?;
+            let dst_slot = self.entry_get(ndir, nname)?;
             if dst_slot == Some(src) {
                 return Ok(()); // rename to itself is a no-op
             }
@@ -1373,11 +1433,11 @@ impl Vfs {
             // Re-validate everything phase 1 concluded.
             let still_valid = (|| {
                 let oe = Self::revalidate_dir(mg.get(so), odir, cred)?;
-                if oe.get(&oname) != Some(&src) {
+                if oe.get(oname) != Some(&src) {
                     return None;
                 }
                 let ne = Self::revalidate_dir(mg.get(sn), ndir, cred)?;
-                if ne.get(&nname).copied() != dst_slot {
+                if ne.get(nname).copied() != dst_slot {
                     return None;
                 }
                 let sk = mg.get(ss).get(&src.0)?.payload.kind();
@@ -1407,7 +1467,7 @@ impl Vfs {
                 let sdst = self.shards.shard_of(dst.0);
                 let nd = mg.get_mut(sn).get_mut(&ndir.0).expect("revalidated");
                 if let Payload::Dir(entries) = &mut nd.payload {
-                    entries.remove(&nname);
+                    entries.remove(nname);
                 }
                 if dst_is_dir {
                     nd.nlink -= 1;
@@ -1424,9 +1484,9 @@ impl Vfs {
             let now = self.tick();
             self.log(|| WalRecordRef::Rename {
                 odir: odir.0,
-                oname: &oname,
+                oname,
                 ndir: ndir.0,
-                nname: &nname,
+                nname,
                 src: src.0,
                 replaced: dst_plan.map_or(0, |(d, _)| d.0),
                 replaced_is_dir: dst_plan.is_some_and(|(_, is_dir)| is_dir),
@@ -1435,11 +1495,11 @@ impl Vfs {
             });
             let od = mg.get_mut(so).get_mut(&odir.0).expect("revalidated");
             if let Payload::Dir(entries) = &mut od.payload {
-                entries.remove(&oname);
+                entries.remove(oname);
             }
             let nd = mg.get_mut(sn).get_mut(&ndir.0).expect("revalidated");
             if let Payload::Dir(entries) = &mut nd.payload {
-                entries.insert(nname, src);
+                entries.insert(nname.to_string(), src);
             }
             if src_is_dir && odir != ndir {
                 // Fix the moved directory's ".." and the parents' link counts.
