@@ -33,7 +33,9 @@ cargo test -q -p idbox-core --test cache_equivalence
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_matches_reference_walker
 # Allocation budgets (a core-count-independent gate): a warm two-
 # component Vfs::stat allocates nothing, and a warm boxed stat stays
-# within its budget.
+# within its budget. Byte budgets for the durable path: snapshotting
+# 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB,
+# and a snapshot whose file length claims 4 GiB costs no more.
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings
@@ -60,6 +62,12 @@ cargo test -q -p idbox-kernel --release concurrent_syscalls_across_shards_do_not
 # prefix state with zero fail-open ACLs; the pinned seed makes a CI
 # failure reproduce exactly.
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test wal_props
+# Snapshot streaming: the streamed snapshot file must be byte-identical
+# to the whole-blob reference encoder on random namespaces, and the
+# 4 GiB length limit must refuse (and purge nothing) at the boundary,
+# pinned seed. The round-trip, isolation and damaged-file properties
+# run in wal_props above.
+IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --lib snapshot
 # Durability smoke (~6 s): the WAL tax A/B must run end to end and
 # emit results/BENCH_durability.tsv. Group commit at the server
 # defaults must hold >= 0.90x of the volatile metadata-mix rate. The

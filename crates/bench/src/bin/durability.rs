@@ -268,19 +268,7 @@ fn main() {
             .vfs()
             .wal()
             .map(|w| w.stats())
-            .unwrap_or_else(|| WalStats {
-                appends: 0,
-                append_bytes: 0,
-                fsyncs: 0,
-                snapshots: 0,
-                errors: 0,
-                log_bytes: 0,
-                since_snapshot: 0,
-                replayed: 0,
-                torn_tail: false,
-                corrupt_frame: false,
-                snapshot_loaded: false,
-            });
+            .unwrap_or_default();
         println!(
             "{:>14}: {rate:>10.0} syscalls/s  ({relative:.2}x of wal-off)  \
              {} appends, {} fsyncs, {} KiB logged",

@@ -1291,6 +1291,10 @@ pub struct HealthRow {
     pub workers: u64,
     /// Loop-stall watchdog trips since the server started.
     pub stalls: u64,
+    /// Failed WAL snapshot attempts since the server started (always 0
+    /// on a volatile server). Nonzero means the log keeps growing and
+    /// restarts replay more of it; the log itself is still healthy.
+    pub snap_failures: u64,
 }
 
 /// One line of the `audit` RPC: a policy decision the server recorded.
@@ -1371,6 +1375,7 @@ fn parse_health_row(words: &[String]) -> SysResult<HealthRow> {
         conns: 0,
         workers: 0,
         stalls: 0,
+        snap_failures: 0,
     };
     for w in words {
         let Some((key, val)) = w.split_once('=') else {
@@ -1391,6 +1396,7 @@ fn parse_health_row(words: &[String]) -> SysResult<HealthRow> {
             "conns" => row.conns = num()?,
             "workers" => row.workers = num()?,
             "stalls" => row.stalls = num()?,
+            "snap_failures" => row.snap_failures = num()?,
             _ => {}
         }
     }
@@ -1476,7 +1482,7 @@ mod tests {
     #[test]
     fn health_row_parses_dashes_and_ignores_unknown_keys() {
         let words: Vec<String> = "loop_p99_us=120 shard_wait_p99_us=- inflight=3 shed=1 \
-             conns=2 workers=4 stalls=0 future_key=9"
+             conns=2 workers=4 stalls=0 snap_failures=2 future_key=9"
             .split_whitespace()
             .map(String::from)
             .collect();
@@ -1484,7 +1490,7 @@ mod tests {
         assert_eq!(row.loop_p99_us, Some(120));
         assert_eq!(row.shard_wait_p99_us, None);
         assert_eq!((row.inflight, row.shed, row.conns), (3, 1, 2));
-        assert_eq!((row.workers, row.stalls), (4, 0));
+        assert_eq!((row.workers, row.stalls, row.snap_failures), (4, 0, 2));
         assert_eq!(
             parse_health_row(&["nokey".to_string()]),
             Err(Errno::EPROTO)

@@ -392,16 +392,25 @@ impl ChirpServer {
         // truncates the log whenever enough records accumulate. Taking
         // the snapshot under the shared kernel lock lets RPCs proceed;
         // the vfs shard read locks inside `snapshot_cut` provide the
-        // consistency point.
+        // consistency point. A failed attempt (counted in
+        // `WalStats::snapshot_failures`) is retried only after another
+        // `every` records: each attempt rotates and syncs the log under
+        // every shard lock, so retrying on the poll tick would stall
+        // mutations for nothing while the cause persists.
         let wal = self.kernel.read().vfs().wal().cloned();
         if let (Some(wal), every) = (wal, self.wal_snapshot_every) {
             if every > 0 {
                 let kernel = Arc::clone(&self.kernel);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    let mut due = every;
                     while !stop.load(Ordering::Relaxed) {
-                        if wal.since_snapshot() >= every {
-                            let _ = kernel.read().wal_snapshot();
+                        let logged = wal.since_snapshot();
+                        if logged >= due {
+                            due = match kernel.read().wal_snapshot() {
+                                Ok(_) => every,
+                                Err(_) => logged + every,
+                            };
                         }
                         std::thread::sleep(Duration::from_millis(20));
                     }
@@ -1135,8 +1144,15 @@ pub(crate) fn dispatch(
                 inflight += c.inflight();
                 shed += c.rpcs_shed();
             }
+            let snap_failures = ctl
+                .kernel
+                .read()
+                .vfs()
+                .wal()
+                .map_or(0, |w| w.stats().snapshot_failures);
             Ok(Reply::Line(format!(
-                "ok loop_p99_us={} shard_wait_p99_us={} inflight={} shed={} conns={} workers={} stalls={}",
+                "ok loop_p99_us={} shard_wait_p99_us={} inflight={} shed={} conns={} \
+                 workers={} stalls={} snap_failures={}",
                 loop_p99,
                 shard_p99,
                 inflight,
@@ -1144,6 +1160,7 @@ pub(crate) fn dispatch(
                 ctl.loop_stats.conns_total(),
                 ctl.loop_stats.workers().len(),
                 ctl.loop_stats.stalls_total(),
+                snap_failures,
             )))
         }
         "slowops" => {

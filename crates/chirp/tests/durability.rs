@@ -6,7 +6,8 @@
 //! see the data *and* keep enforcing the operator's live ACL (recovery
 //! must never fail open), then cuts a snapshot over the wire; the
 //! third boots from snapshot + log suffix and must see every lifetime's
-//! writes. A volatile control server answers `walsnap` with `ENOSYS`.
+//! writes. A volatile control server answers `walsnap` with `ENOSYS`,
+//! and a server whose snapshots keep failing retries once per cadence.
 
 use idbox_acl::{Acl, Rights};
 use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
@@ -133,6 +134,84 @@ fn export_space_survives_restarts_and_acls_stay_closed() {
         assert_eq!(helen.get("/work/data").unwrap_err(), Errno::EACCES);
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records the server's log has appended (`idbox_wal_appends_total`).
+fn wal_appends(admin: &mut ChirpClient) -> u64 {
+    let metrics = admin.metrics().unwrap();
+    let line = metrics
+        .lines()
+        .find(|l| l.starts_with("idbox_wal_appends_total "))
+        .expect("a durable server exports its append count");
+    line.rsplit(' ').next().unwrap().parse().unwrap()
+}
+
+/// A failing auto-snapshot is retried once per cadence, not on every
+/// poll tick. A directory squatting on `snapshot.tmp` makes every
+/// install fail (`EISDIR`); with cadence N, the first attempt fails at
+/// N records, no second attempt happens before N more, and exactly one
+/// happens after them. `health` counts each failure.
+#[test]
+fn failed_auto_snapshot_retries_once_per_cadence() {
+    const EVERY: u64 = 56;
+    let dir = tmpdir("snapretry");
+    std::fs::create_dir_all(dir.join("snapshot.tmp")).unwrap();
+    let (ca, _) = gsi_setup();
+    let handle = ChirpServer::new(ServerConfig {
+        wal_snapshot_ops: Some(EVERY),
+        ..durable_config(&dir)
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let mut fred = ChirpClient::connect(handle.addr(), &creds(&ca, "Fred")).unwrap();
+    let mut admin = ChirpClient::connect(handle.addr(), &creds(&ca, "Admin")).unwrap();
+    fred.mkdir("/r", 0o755).unwrap();
+    fred.put("/r/a", b"x").unwrap();
+    assert!(
+        wal_appends(&mut admin) < EVERY,
+        "boot and set-up must stay below the cadence"
+    );
+    // One rename — exactly one record — at a time until the log holds
+    // `target` records, so the snapshot thread only ever sees a count
+    // the test also saw.
+    let mut flip = false;
+    let mut log_until = |admin: &mut ChirpClient, target: u64, settle: bool| loop {
+        let appended = wal_appends(admin);
+        if appended >= target {
+            return appended;
+        }
+        let (from, to) = if flip { ("/r/b", "/r/a") } else { ("/r/a", "/r/b") };
+        fred.rename(from, to).unwrap();
+        flip = !flip;
+        assert_eq!(wal_appends(admin), appended + 1, "a rename logs one record");
+        if settle && appended + 1 < target {
+            // Give the 20 ms poll a few ticks before the next op.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let failures = admin.health().unwrap().snap_failures;
+            assert_eq!(failures, 1, "retried at {} records, before {target}", appended + 1);
+        }
+    };
+    let wait_failures = |admin: &mut ChirpClient, want: u64| {
+        for _ in 0..250 {
+            if admin.health().unwrap().snap_failures >= want {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        admin.health().unwrap().snap_failures
+    };
+    let first = log_until(&mut admin, EVERY, false);
+    assert_eq!(wait_failures(&mut admin, 1), 1, "the first attempt must fail");
+    // The attempt saw `first` records (nothing was logged since).
+    log_until(&mut admin, first + EVERY, true);
+    assert_eq!(wait_failures(&mut admin, 2), 2, "one retry after {EVERY} more records");
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let failures = admin.health().unwrap().snap_failures;
+    assert_eq!(failures, 2, "exactly one retry, not one per tick");
+    assert!(admin.metrics().unwrap().contains("idbox_wal_snapshots_total 0\n"));
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -409,6 +409,7 @@ fn health_rolls_up_runtime_counters() {
     assert!(h.workers >= 2, "at least two event loops: {h:?}");
     assert!(h.conns >= 2, "both clients registered: {h:?}");
     assert_eq!(h.stalls, 0);
+    assert_eq!(h.snap_failures, 0, "a volatile server never snapshots");
     assert!(
         h.loop_p99_us.is_some(),
         "traffic ran, so loop lag must have samples: {h:?}"

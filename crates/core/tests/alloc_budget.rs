@@ -11,11 +11,21 @@
 //!   within a fixed budget: the path argument copied out of the tracee
 //!   is the one allocation the Syscall itself needs; policy, dispatch
 //!   and reply add no more than a few on top.
+//!
+//! The allocator also counts bytes, which gates the durable path's
+//! memory rather than its call count:
+//!
+//! * Snapshotting a namespace holding 16 MiB of file data allocates
+//!   under 1 MiB: the cut shares file chunks and the writer streams them
+//!   through bounded buffers.
+//! * Booting from that snapshot allocates under the file data plus
+//!   1 MiB: each file byte lands once, in its new chunk. A snapshot whose
+//!   file length field claims 4 GiB costs no more before it is refused.
 
 use idbox_core::IdentityBox;
 use idbox_interpose::{share, GuestCtx};
 use idbox_kernel::{Account, Kernel};
-use idbox_vfs::{Cred, Vfs};
+use idbox_vfs::{Cred, Vfs, Wal, WalConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -23,24 +33,28 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count one allocation of `size` bytes (a `realloc` counts its new
+/// size: a growing buffer is charged for every copy it makes).
+fn bump(size: usize) {
     // `try_with`: allocations during thread teardown are not counted.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every call delegates to `System` with the caller's arguments
 // unchanged; the counter never affects what is allocated.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: forwarded verbatim, as above.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -51,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: forwarded verbatim; `ptr` came from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,6 +79,13 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Bytes this thread allocates while running `f`, and its result.
+fn bytes_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 /// The supervising Unix user of the box.
@@ -108,4 +129,76 @@ fn warm_boxed_stat_stays_within_budget() {
         assert_eq!(ctx.stat("src/main.c"), Ok(st));
     });
     assert!(n <= 8, "warm boxed stat allocated {n} times (budget 8)");
+}
+
+const MIB: u64 = 1 << 20;
+/// File data in the snapshot gates: 16 files of 1 MiB.
+const FILES: u64 = 16;
+
+/// A durable kernel in a fresh directory under the system temp dir,
+/// holding `FILES` MiB of file data, each file tagged `FILEnn` at its
+/// head.
+fn durable_kernel(tag: &str) -> (std::path::PathBuf, Kernel) {
+    let dir = std::env::temp_dir().join(format!("idbox-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (k, _) = Kernel::with_durability(WalConfig::new(&dir).sync_every_op()).unwrap();
+    let v = k.vfs();
+    v.mkdir(v.root(), "/data", 0o755, &Cred::ROOT).unwrap();
+    for i in 0..FILES {
+        let mut data = vec![i as u8; MIB as usize];
+        data[..6].copy_from_slice(format!("FILE{i:02}").as_bytes());
+        v.write_file(v.root(), &format!("/data/f{i:02}"), &data, &Cred::ROOT)
+            .unwrap();
+    }
+    (dir, k)
+}
+
+#[test]
+fn snapshot_and_boot_move_each_file_byte_once() {
+    let (dir, k) = durable_kernel("snap");
+    let live = k.vfs().namespace_fingerprint();
+    let (snap_bytes, watermark) = bytes_in(|| k.wal_snapshot().unwrap());
+    assert!(watermark.is_some());
+    assert!(
+        snap_bytes < MIB,
+        "snapshot of {FILES} MiB of file data allocated {snap_bytes} bytes (budget 1 MiB)"
+    );
+    drop(k);
+    let (boot_bytes, opened) = bytes_in(|| Wal::open(WalConfig::new(&dir)).unwrap());
+    let vfs = opened.1.vfs.expect("the snapshot restores the namespace");
+    assert_eq!(vfs.namespace_fingerprint(), live);
+    assert!(
+        boot_bytes < (FILES + 1) * MIB,
+        "booting {FILES} MiB of file data allocated {boot_bytes} bytes (budget data + 1 MiB)"
+    );
+    drop(vfs);
+    drop(opened.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_snapshot_length_allocates_only_what_is_present() {
+    let (dir, k) = durable_kernel("damaged");
+    k.wal_snapshot().unwrap();
+    drop(k);
+    // The first data file's length field (1 MiB, little-endian) sits
+    // right before its tagged content; claim 4 GiB - 1 instead.
+    let snap = dir.join("snapshot.bin");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let mut field = (MIB as u32).to_le_bytes().to_vec();
+    field.extend_from_slice(b"FILE00");
+    let at = bytes
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("the first file's length field");
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&snap, &bytes).unwrap();
+    let (boot_bytes, opened) = bytes_in(|| Wal::open(WalConfig::new(&dir)));
+    let err = opened.expect_err("a damaged snapshot must not boot");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        boot_bytes < (FILES + 1) * MIB,
+        "a 4 GiB length claim allocated {boot_bytes} bytes before refusal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

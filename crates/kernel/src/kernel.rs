@@ -399,21 +399,22 @@ impl Kernel {
     /// the log. `Ok(None)` when no WAL is attached; otherwise the
     /// snapshot's LSN watermark.
     ///
-    /// Safe against concurrent syscalls: the namespace is serialized
-    /// under every vfs shard read lock, at a log rotation point captured
-    /// under those same locks. The account blob is captured just before
-    /// — account *mutations* go through `&mut self`
-    /// ([`Kernel::account_add`] / [`Kernel::account_remove`]), so a
-    /// shared borrow cannot race one, and reads of the blob stay
+    /// Safe against concurrent syscalls: the namespace is captured
+    /// under every vfs shard read lock, at a log rotation point taken
+    /// under those same locks, and streamed to disk after they are
+    /// released (see [`Vfs::snapshot_cut`]). The account blob is
+    /// captured just before — account *mutations* go through `&mut
+    /// self` ([`Kernel::account_add`] / [`Kernel::account_remove`]), so
+    /// a shared borrow cannot race one, and reads of the blob stay
     /// consistent with the rotation.
     pub fn wal_snapshot(&self) -> std::io::Result<Option<u64>> {
         let Some(wal) = self.vfs.wal().cloned() else {
             return Ok(None);
         };
         let accounts_blob = self.accounts.read().to_blob();
-        let (vfs_blob, watermark) = self.vfs.snapshot_cut()?;
-        wal.install_snapshot(watermark, &vfs_blob, &accounts_blob)?;
-        Ok(Some(watermark))
+        let cut = self.vfs.snapshot_cut()?;
+        wal.install_snapshot(&cut, &accounts_blob)?;
+        Ok(Some(cut.watermark()))
     }
 
     /// Mount a filesystem driver under a path prefix. Returns the mount

@@ -205,6 +205,42 @@ impl FileContent {
         ExtentList { total: n, parts }
     }
 
+    /// The chunks, in file order; their concatenation is the content.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().map(|c| &c[..])
+    }
+
+    /// Read a `len`-byte file from `r` straight into fresh chunks, one
+    /// chunk allocated per chunk read: a `len` that the stream cannot
+    /// back fails at the first short read having allocated at most one
+    /// chunk past the bytes actually present.
+    pub(crate) fn read_from(
+        chunk_size: usize,
+        len: usize,
+        r: &mut impl std::io::Read,
+    ) -> std::io::Result<FileContent> {
+        let mut f = FileContent::new(chunk_size);
+        while f.len < len {
+            let take = (len - f.len).min(f.chunk);
+            let mut chunk: Arc<[u8]> = std::iter::repeat_n(0u8, take).collect();
+            r.read_exact(Arc::get_mut(&mut chunk).expect("a fresh chunk is unshared"))?;
+            f.chunks.push(chunk);
+            f.len += take;
+        }
+        Ok(f)
+    }
+
+    /// A file of `n` copies of one full chunk, sharing it: a many-GiB
+    /// file for length-limit tests that costs one chunk of memory.
+    #[cfg(test)]
+    pub(crate) fn repeated(chunk: Arc<[u8]>, n: usize) -> FileContent {
+        FileContent {
+            chunk: chunk.len(),
+            len: chunk.len() * n,
+            chunks: vec![chunk; n],
+        }
+    }
+
     /// Flatten into one contiguous buffer (compat for `file_data`).
     pub(crate) fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);

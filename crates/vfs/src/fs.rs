@@ -53,6 +53,7 @@ use idbox_types::{Errno, SysResult};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -1692,31 +1693,134 @@ impl Vfs {
     // Durability plumbing (see crate::wal)
     // ------------------------------------------------------------------
 
-    /// Serialize the whole namespace and cut the log at a consistent
+    /// Capture the whole namespace and cut the log at a consistent
     /// point. With every shard read-locked (so no mutation — and hence
     /// no WAL append — can be in flight), the WAL rotates to a fresh
-    /// segment whose first LSN becomes the snapshot *watermark*, then
-    /// the inode table is serialized under those same locks. Every
-    /// record below the watermark is reflected in the returned blob;
-    /// every record at or above it is replayed on top at boot. Returns
-    /// `(blob, watermark)`; the caller commits the pair with
-    /// [`Wal::install_snapshot`]. Errors when no WAL is attached.
-    pub fn snapshot_cut(&self) -> std::io::Result<(Vec<u8>, u64)> {
+    /// segment whose first LSN becomes the snapshot *watermark*, and
+    /// each live inode is copied under those same locks: metadata, dir
+    /// entries and symlink targets by value, file contents as `Arc`
+    /// chunk clones (no file byte is copied; copy-on-write keeps the
+    /// captured chunks immutable while writers continue). The locks are
+    /// dropped before a single byte is encoded. Every record below the
+    /// watermark is reflected in the returned cut; every record at or
+    /// above it is replayed on top at boot. The caller commits the cut
+    /// with [`Wal::install_snapshot`]. Errors when no WAL is attached.
+    pub fn snapshot_cut(&self) -> std::io::Result<SnapshotCut> {
         let wal = self
             .wal
             .as_ref()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "no WAL attached"))?;
         let guards = self.shards.read_all();
         let alloc = self.alloc.lock();
-        let watermark = wal.rotate()?;
+        let watermark = wal.rotate().inspect_err(|_| wal.snapshot_failed())?;
+        // Unlinked-but-pinned inodes are skipped — open handles do not
+        // survive a restart, so the recovered namespace must not
+        // contain them.
+        let mut inodes: Vec<(u64, Inode)> = guards
+            .iter()
+            .flat_map(|g| g.iter())
+            .filter(|(_, inode)| inode.nlink > 0)
+            .map(|(ino, inode)| (*ino, inode.clone()))
+            .collect();
+        let meta = [
+            self.root.0,
+            self.clock.load(Ordering::Relaxed),
+            self.change_gen.load(Ordering::Relaxed),
+            alloc.next,
+        ];
+        drop(alloc);
+        drop(guards);
+        // Sorted for a deterministic file.
+        inodes.sort_unstable_by_key(|(ino, _)| *ino);
+        Ok(SnapshotCut {
+            watermark,
+            meta,
+            inodes,
+        })
+    }
+
+    /// Rebuild a filesystem from the namespace section of a snapshot
+    /// (see [`SnapshotCut`] for the layout), streamed from `r`. File
+    /// bytes are read straight into fresh chunks, one chunk at a time,
+    /// so a damaged length can cost at most the bytes actually present
+    /// plus one chunk — never an allocation of the claimed size. Any
+    /// decode failure is an error; the caller also checks that the
+    /// section was consumed exactly and the CRC matched before using
+    /// the result. Chunk sizes are not preserved: file contents are
+    /// rehydrated at the current default granularity, a performance
+    /// detail with no namespace-visible effect.
+    pub(crate) fn read_snapshot(r: &mut impl Read) -> std::io::Result<Vfs> {
+        let root = wal::get_u64(r)?;
+        let clock = wal::get_u64(r)?;
+        let change_gen = wal::get_u64(r)?;
+        let _alloc_next = wal::get_u64(r)?;
+        let count = wal::get_u64(r)?;
+        let vfs = Vfs::new();
+        // The constructor seeds a root inode; the snapshot carries the
+        // real one (same number, restored attributes).
+        vfs.shards
+            .write(vfs.shards.shard_of(root))
+            .remove(&root);
+        vfs.clock.store(clock, Ordering::Relaxed);
+        vfs.change_gen.store(change_gen, Ordering::Relaxed);
+        for _ in 0..count {
+            let ino = wal::get_u64(r)?;
+            let [tag] = wal::get::<1>(r)?;
+            let mode = u16::from_le_bytes(wal::get(r)?);
+            let uid = wal::get_u32(r)?;
+            let gid = wal::get_u32(r)?;
+            let nlink = wal::get_u32(r)?;
+            let atime = wal::get_u64(r)?;
+            let mtime = wal::get_u64(r)?;
+            let ctime = wal::get_u64(r)?;
+            let payload = match tag {
+                0 => {
+                    let len = wal::get_u32(r)? as usize;
+                    Payload::File(FileContent::read_from(vfs.chunk_size, len, r)?)
+                }
+                1 => {
+                    let n = wal::get_u64(r)?;
+                    let mut entries = BTreeMap::new();
+                    for _ in 0..n {
+                        let name = wal::get_string(r)?;
+                        entries.insert(name, Ino(wal::get_u64(r)?));
+                    }
+                    Payload::Dir(entries)
+                }
+                2 => Payload::Symlink(wal::get_string(r)?),
+                _ => return Err(wal::corrupt_snapshot()),
+            };
+            vfs.shards.write(vfs.shards.shard_of(ino)).insert(
+                ino,
+                Inode {
+                    payload,
+                    mode,
+                    uid,
+                    gid,
+                    nlink,
+                    pins: 0,
+                    atime,
+                    mtime,
+                    ctime,
+                },
+            );
+        }
+        Ok(vfs)
+    }
+
+    /// Today's blob encoder, kept as the oracle the streamed snapshot
+    /// file is compared against byte for byte: the namespace section
+    /// exactly as [`SnapshotCut::write_to`] must produce it, built in
+    /// one buffer under the shard locks.
+    #[cfg(test)]
+    pub(crate) fn snapshot_blob_oracle(&self) -> Vec<u8> {
+        let guards = self.shards.read_all();
+        let alloc = self.alloc.lock();
         let mut blob = Vec::new();
         wal::put_u64(&mut blob, self.root.0);
         wal::put_u64(&mut blob, self.clock.load(Ordering::Relaxed));
         wal::put_u64(&mut blob, self.change_gen.load(Ordering::Relaxed));
         wal::put_u64(&mut blob, alloc.next);
-        // Sorted for a deterministic blob; unlinked-but-pinned inodes
-        // are skipped — open handles do not survive a restart, so the
-        // recovered namespace must not contain them.
         let mut inodes: Vec<(u64, &Inode)> = guards
             .iter()
             .flat_map(|g| g.iter().map(|(k, v)| (*k, v)))
@@ -1750,75 +1854,7 @@ impl Vfs {
                 Payload::Symlink(t) => wal::put_str(&mut blob, t),
             }
         }
-        Ok((blob, watermark))
-    }
-
-    /// Rebuild a filesystem from a [`Vfs::snapshot_cut`] blob. `None`
-    /// on any decode failure (the caller treats that as a corrupt
-    /// snapshot). Chunk sizes are not preserved: file contents are
-    /// rehydrated at the current default granularity, a performance
-    /// detail with no namespace-visible effect.
-    pub(crate) fn from_snapshot(blob: &[u8]) -> Option<Vfs> {
-        let mut c = wal::Cursor::new(blob);
-        let root = c.u64()?;
-        let clock = c.u64()?;
-        let change_gen = c.u64()?;
-        let _alloc_next = c.u64()?;
-        let count = c.u64()?;
-        let vfs = Vfs::new();
-        // The constructor seeds a root inode; the blob carries the
-        // real one (same number, restored attributes).
-        vfs.shards
-            .write(vfs.shards.shard_of(root))
-            .remove(&root);
-        vfs.clock.store(clock, Ordering::Relaxed);
-        vfs.change_gen.store(change_gen, Ordering::Relaxed);
-        for _ in 0..count {
-            let ino = c.u64()?;
-            let tag = c.u8()?;
-            let mode = c.u16()?;
-            let uid = c.u32()?;
-            let gid = c.u32()?;
-            let nlink = c.u32()?;
-            let atime = c.u64()?;
-            let mtime = c.u64()?;
-            let ctime = c.u64()?;
-            let payload = match tag {
-                0 => {
-                    let data = c.bytes()?;
-                    let mut f = FileContent::new(vfs.chunk_size);
-                    f.write_at(0, &data);
-                    Payload::File(f)
-                }
-                1 => {
-                    let n = c.u64()?;
-                    let mut entries = BTreeMap::new();
-                    for _ in 0..n {
-                        let name = c.str()?;
-                        let child = c.u64()?;
-                        entries.insert(name, Ino(child));
-                    }
-                    Payload::Dir(entries)
-                }
-                2 => Payload::Symlink(c.str()?),
-                _ => return None,
-            };
-            vfs.shards.write(vfs.shards.shard_of(ino)).insert(
-                ino,
-                Inode {
-                    payload,
-                    mode,
-                    uid,
-                    gid,
-                    nlink,
-                    pins: 0,
-                    atime,
-                    mtime,
-                    ctime,
-                },
-            );
-        }
-        c.done().then_some(vfs)
+        blob
     }
 
     /// Redo one logged mutation during replay. Records are *physical*:
@@ -2216,6 +2252,118 @@ fn record_now(rec: &WalRecord) -> Option<u64> {
         | WalRecord::Chmod { now, .. }
         | WalRecord::Chown { now, .. } => Some(*now),
         WalRecord::AccountAdd { .. } | WalRecord::AccountRemove { .. } => None,
+    }
+}
+
+/// A namespace captured at a log cut by [`Vfs::snapshot_cut`], ready to
+/// be streamed into a snapshot file by [`Wal::install_snapshot`].
+///
+/// Holds every live inode by value except file bytes, which stay
+/// shared `Arc` chunks — so a cut costs metadata, not data, and holding
+/// one never doubles the namespace. The encoded namespace section (the
+/// snapshot format's `vfs` part, unchanged since it was introduced) is,
+/// all integers little-endian:
+///
+/// ```text
+/// root u64 | clock u64 | change_gen u64 | alloc_next u64 | count u64
+/// count × { ino u64 | tag u8 (0 file, 1 dir, 2 symlink) | mode u16
+///           | uid u32 | gid u32 | nlink u32 | atime u64 | mtime u64
+///           | ctime u64 | payload }
+/// file:    len u32 | bytes
+/// dir:     n u64 | n × { name_len u32 | name | child u64 }
+/// symlink: len u32 | target
+/// ```
+#[derive(Debug)]
+pub struct SnapshotCut {
+    watermark: u64,
+    /// `root`, `clock`, `change_gen`, `alloc_next`, in encoding order.
+    meta: [u64; 4],
+    /// Live inodes, ascending by number.
+    pub(crate) inodes: Vec<(u64, Inode)>,
+}
+
+/// Fixed bytes per inode record: number, tag, mode, uid, gid, nlink and
+/// three timestamps.
+const SNAP_INODE_FIXED: u64 = 8 + 1 + 2 + 4 + 4 + 4 + 8 + 8 + 8;
+
+impl SnapshotCut {
+    /// The first LSN *not* covered by this cut: boot replays records
+    /// from here on top of the snapshot.
+    pub fn watermark(&self) -> u64 {
+        self.watermark
+    }
+
+    /// Length of the encoded namespace section, computed without
+    /// encoding it (so an oversized snapshot is refused before any
+    /// byte is written).
+    pub(crate) fn encoded_len(&self) -> u64 {
+        let payload = |p: &Payload| match p {
+            Payload::File(f) => 4 + f.len() as u64,
+            Payload::Dir(e) => 8 + e.keys().map(|n| 4 + n.len() as u64 + 8).sum::<u64>(),
+            Payload::Symlink(t) => 4 + t.len() as u64,
+        };
+        let inodes: u64 = self
+            .inodes
+            .iter()
+            .map(|(_, i)| SNAP_INODE_FIXED + payload(&i.payload))
+            .sum();
+        5 * 8 + inodes
+    }
+
+    /// Stream the namespace section into `w`. Metadata is staged in a
+    /// small reused buffer; file chunks go to `w` directly, so no file
+    /// byte is copied on its way to the writer. Lengths are written as
+    /// `u32`: the caller must have refused a cut whose
+    /// [`encoded_len`](Self::encoded_len) does not fit one.
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        const FLUSH_AT: usize = 32 * 1024;
+        let mut buf = Vec::with_capacity(FLUSH_AT + 512);
+        for v in self.meta {
+            wal::put_u64(&mut buf, v);
+        }
+        wal::put_u64(&mut buf, self.inodes.len() as u64);
+        for (ino, inode) in &self.inodes {
+            wal::put_u64(&mut buf, *ino);
+            buf.push(match inode.payload {
+                Payload::File(_) => 0,
+                Payload::Dir(_) => 1,
+                Payload::Symlink(_) => 2,
+            });
+            wal::put_u16(&mut buf, inode.mode);
+            wal::put_u32(&mut buf, inode.uid);
+            wal::put_u32(&mut buf, inode.gid);
+            wal::put_u32(&mut buf, inode.nlink);
+            wal::put_u64(&mut buf, inode.atime);
+            wal::put_u64(&mut buf, inode.mtime);
+            wal::put_u64(&mut buf, inode.ctime);
+            match &inode.payload {
+                Payload::File(f) => {
+                    wal::put_u32(&mut buf, f.len() as u32);
+                    w.write_all(&buf)?;
+                    buf.clear();
+                    for chunk in f.chunks() {
+                        w.write_all(chunk)?;
+                    }
+                }
+                Payload::Dir(e) => {
+                    wal::put_u64(&mut buf, e.len() as u64);
+                    for (name, child) in e {
+                        wal::put_str(&mut buf, name);
+                        wal::put_u64(&mut buf, child.0);
+                        if buf.len() >= FLUSH_AT {
+                            w.write_all(&buf)?;
+                            buf.clear();
+                        }
+                    }
+                }
+                Payload::Symlink(t) => wal::put_str(&mut buf, t),
+            }
+            if buf.len() >= FLUSH_AT {
+                w.write_all(&buf)?;
+                buf.clear();
+            }
+        }
+        w.write_all(&buf)
     }
 }
 

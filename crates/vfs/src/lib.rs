@@ -28,7 +28,7 @@ pub mod path;
 pub mod wal;
 
 pub use extent::{ByteExtent, ExtentList};
-pub use fs::{Cred, DirEntry, FaultHook, Vfs};
+pub use fs::{Cred, DirEntry, FaultHook, SnapshotCut, Vfs};
 pub use inode::{FileKind, Ino, StatBuf};
 pub use wal::{AccountOp, Recovered, RecoveryReport, Wal, WalConfig, WalRecord, WalRecordRef, WalStats};
 

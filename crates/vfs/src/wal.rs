@@ -21,11 +21,12 @@
 //!   milliseconds, or inline once [`WalConfig::sync_ops`] appends
 //!   accumulate. `sync_ops == 0` degenerates to sync-every-op (no loss
 //!   window, every append pays the fsync).
-//! * A **snapshot** serializes the whole namespace under all shard read
-//!   locks, rotates the log at an LSN watermark captured under those
-//!   same locks, and purges segments older than the watermark. Boot
-//!   restores the snapshot, then replays the suffix (`lsn >=
-//!   watermark`) on top.
+//! * A **snapshot** captures the whole namespace under all shard read
+//!   locks (file contents as shared chunk references, no bytes copied),
+//!   rotates the log at an LSN watermark taken under those same locks,
+//!   then — locks released — streams the capture to disk and purges
+//!   segments older than the watermark. Boot streams the snapshot back
+//!   in, then replays the suffix (`lsn >= watermark`) on top.
 //!
 //! Records are *physical redo* records: they carry the inode number the
 //! live operation assigned and the logical timestamp it ticked, so
@@ -42,10 +43,10 @@
 //! `idbox_wal_errors_total` Prometheus family so an operator sees the
 //! durability loss instead of a silent lie.
 
-use crate::fs::Vfs;
+use crate::fs::{SnapshotCut, Vfs};
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -613,19 +614,26 @@ fn crc32_tables() -> &'static [[u32; 256]; 8] {
 /// computes this once per namespace mutation under a shard write lock,
 /// so the per-byte cost shows up directly in metadata throughput.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// Continue a CRC-32C: `crc32_extend(crc32(a), b) == crc32(a ++ b)`,
+/// and `crc32_extend(0, b) == crc32(b)`. Lets a streamed snapshot fold
+/// its bytes in as they pass instead of holding them all at once.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: the required CPU feature was just detected.
-        return unsafe { crc32_hw(data) };
+        return unsafe { crc32_hw(crc, data) };
     }
-    crc32_sw(data)
+    crc32_sw(crc, data)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32_hw(data: &[u8]) -> u32 {
+unsafe fn crc32_hw(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut c = u64::from(!0u32);
+    let mut c = u64::from(!crc);
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
         c = _mm_crc32_u64(c, u64::from_le_bytes(ch.try_into().unwrap()));
@@ -637,9 +645,9 @@ unsafe fn crc32_hw(data: &[u8]) -> u32 {
     !c
 }
 
-fn crc32_sw(data: &[u8]) -> u32 {
+fn crc32_sw(crc: u32, data: &[u8]) -> u32 {
     let t = crc32_tables();
-    let mut c = !0u32;
+    let mut c = !crc;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -707,6 +715,44 @@ pub(crate) fn put_vstr(out: &mut Vec<u8>, v: &str) {
     put_vbytes(out, v.as_bytes());
 }
 
+/// The error every undecodable snapshot surfaces as.
+pub(crate) fn corrupt_snapshot() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt WAL snapshot")
+}
+
+/// Read exactly `N` bytes: the snapshot decoder's fixed-width field.
+pub(crate) fn get<const N: usize>(r: &mut impl Read) -> std::io::Result<[u8; N]> {
+    let mut b = [0u8; N];
+    r.read_exact(&mut b)?;
+    Ok(b)
+}
+
+pub(crate) fn get_u32(r: &mut impl Read) -> std::io::Result<u32> {
+    get(r).map(u32::from_le_bytes)
+}
+
+pub(crate) fn get_u64(r: &mut impl Read) -> std::io::Result<u64> {
+    get(r).map(u64::from_le_bytes)
+}
+
+/// A `u32`-length-prefixed byte string (the [`put_bytes`] form). The
+/// buffer grows only as bytes actually arrive, in steps of at most
+/// 64 KiB, so a damaged length cannot allocate its claimed size.
+pub(crate) fn get_bytes(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    let n = get_u32(r)? as usize;
+    let mut v = Vec::new();
+    while v.len() < n {
+        let at = v.len();
+        v.resize(at + (n - at).min(64 * 1024), 0);
+        r.read_exact(&mut v[at..])?;
+    }
+    Ok(v)
+}
+
+pub(crate) fn get_string(r: &mut impl Read) -> std::io::Result<String> {
+    String::from_utf8(get_bytes(r)?).map_err(|_| corrupt_snapshot())
+}
+
 /// A bounds-checked little-endian reader over a byte slice; every `get`
 /// returns `None` past the end, so a truncated payload surfaces as a
 /// decode failure instead of a panic.
@@ -732,23 +778,6 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.u32()? as usize;
-        self.take(n).map(|s| s.to_vec())
     }
 
     /// LEB128 varint: the record codec's integer form (records are
@@ -785,10 +814,6 @@ impl<'a> Cursor<'a> {
     /// Bytes consumed so far.
     pub(crate) fn consumed(&self) -> usize {
         self.pos
-    }
-
-    pub(crate) fn str(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
     }
 
     pub(crate) fn done(&self) -> bool {
@@ -1031,6 +1056,11 @@ pub struct WalStats {
     pub fsyncs: u64,
     /// Snapshots installed.
     pub snapshots: u64,
+    /// Snapshot attempts that failed (log rotation, write, sync or
+    /// rename error, or a namespace too large for the format). The log
+    /// itself stays healthy; the previous snapshot and the full log
+    /// suffix remain authoritative.
+    pub snapshot_failures: u64,
     /// Append/sync failures after which the log went fail-stop.
     pub errors: u64,
     /// Bytes in the active segment.
@@ -1134,6 +1164,7 @@ pub struct Wal {
     inner: Mutex<WalInner>,
     fsyncs: AtomicU64,
     snapshots: AtomicU64,
+    snapshot_failures: AtomicU64,
     errors: AtomicU64,
     report: RecoveryReport,
     /// Serializes flushers (the flusher thread, `rotate`, manual
@@ -1230,6 +1261,7 @@ impl Wal {
             }),
             fsyncs: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
+            snapshot_failures: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             report: report.public,
             flush_lock: Mutex::new(Vec::new()),
@@ -1289,6 +1321,7 @@ impl Wal {
             append_bytes: inner.append_bytes,
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
+            snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             log_bytes: inner.seg_bytes,
             since_snapshot: inner.since_snapshot,
@@ -1486,31 +1519,38 @@ impl Wal {
         Ok(watermark)
     }
 
-    /// Commit a snapshot: write it to `snapshot.tmp`, fsync, rename
+    /// Count one failed snapshot attempt (see
+    /// [`WalStats::snapshot_failures`]).
+    pub(crate) fn snapshot_failed(&self) {
+        self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Commit a snapshot: stream it to `snapshot.tmp`, fsync, rename
     /// over `snapshot.bin`, then purge every segment older than the
     /// watermark (their records are all below it). Called by the kernel
-    /// after [`Vfs::snapshot_cut`] produced the blob and watermark.
+    /// after [`Vfs::snapshot_cut`] captured the namespace.
+    ///
+    /// The file is written in one pass through a bounded buffer, file
+    /// chunks straight from the cut, with the CRC folded in as the
+    /// bytes go and back-filled into the header with one seek. A
+    /// snapshot whose payload would not fit the format's `u32` length
+    /// is refused before anything is written, so the segments it would
+    /// have replaced are never purged. Any failure is counted in
+    /// [`WalStats::snapshot_failures`] and leaves the previous snapshot
+    /// and the log authoritative.
     pub fn install_snapshot(
         &self,
-        watermark: u64,
-        vfs_blob: &[u8],
+        cut: &SnapshotCut,
         accounts_blob: &[u8],
     ) -> std::io::Result<()> {
-        let mut payload = Vec::with_capacity(vfs_blob.len() + accounts_blob.len() + 32);
-        put_u32(&mut payload, 1); // version
-        put_u64(&mut payload, watermark);
-        put_bytes(&mut payload, vfs_blob);
-        put_bytes(&mut payload, accounts_blob);
         let tmp = self.cfg.dir.join("snapshot.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(SNAP_MAGIC)?;
-            f.write_all(&(payload.len() as u32).to_le_bytes())?;
-            f.write_all(&crc32(&payload).to_le_bytes())?;
-            f.write_all(&payload)?;
-            f.sync_data()?;
+        if let Err(e) = self.write_snapshot(&tmp, cut, accounts_blob) {
+            // Never leave a partial file behind (a directory squatting
+            // on the name is not ours to remove, and fails harmlessly).
+            let _ = fs::remove_file(&tmp);
+            self.snapshot_failed();
+            return Err(e);
         }
-        fs::rename(&tmp, self.cfg.dir.join(SNAP_NAME))?;
         sync_dir(&self.cfg.dir);
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().since_snapshot = 0;
@@ -1519,7 +1559,7 @@ impl Wal {
         if let Ok(entries) = fs::read_dir(&self.cfg.dir) {
             for e in entries.flatten() {
                 if let Some(start) = e.file_name().to_str().and_then(parse_seg_name) {
-                    if start < watermark {
+                    if start < cut.watermark() {
                         let _ = fs::remove_file(e.path());
                     }
                 }
@@ -1527,6 +1567,102 @@ impl Wal {
         }
         sync_dir(&self.cfg.dir);
         Ok(())
+    }
+
+    /// Write, sync and rename the snapshot file: everything in
+    /// [`Wal::install_snapshot`] that can fail.
+    fn write_snapshot(
+        &self,
+        tmp: &Path,
+        cut: &SnapshotCut,
+        accounts_blob: &[u8],
+    ) -> std::io::Result<()> {
+        let vfs_len = cut.encoded_len();
+        let len = snapshot_payload_len(vfs_len, accounts_blob.len() as u64)?;
+        let mut w = CrcWriter {
+            inner: BufWriter::with_capacity(SNAP_BUF, File::create(tmp)?),
+            crc: 0,
+            written: 0,
+        };
+        w.inner.write_all(SNAP_MAGIC)?;
+        w.inner.write_all(&len.to_le_bytes())?;
+        w.inner.write_all(&[0; 4])?; // CRC, back-filled below
+        w.write_all(&1u32.to_le_bytes())?; // version
+        w.write_all(&cut.watermark().to_le_bytes())?;
+        w.write_all(&(vfs_len as u32).to_le_bytes())?;
+        cut.write_to(&mut w)?;
+        w.write_all(&(accounts_blob.len() as u32).to_le_bytes())?;
+        w.write_all(accounts_blob)?;
+        if w.written != u64::from(len) {
+            // An encoder that disagrees with its own length would commit
+            // a snapshot the next boot rejects; refuse it here instead.
+            return Err(std::io::Error::other("snapshot encoder length mismatch"));
+        }
+        let crc = w.crc;
+        let mut f = w.inner.into_inner().map_err(|e| e.into_error())?;
+        f.seek(SeekFrom::Start(SNAP_MAGIC.len() as u64 + 4))?;
+        f.write_all(&crc.to_le_bytes())?;
+        f.sync_data()?;
+        fs::rename(tmp, self.cfg.dir.join(SNAP_NAME))
+    }
+}
+
+/// Buffer size for streaming a snapshot file in or out.
+const SNAP_BUF: usize = 64 * 1024;
+
+/// The snapshot payload length (version, watermark, then the namespace
+/// and account sections, each `u32`-length-prefixed) as the header's
+/// `u32` — or an error when it does not fit. Every nested length (the
+/// namespace section, each file, each name) is no larger than the
+/// payload, so this one check keeps all of them from wrapping.
+fn snapshot_payload_len(vfs_len: u64, accounts_len: u64) -> std::io::Result<u32> {
+    let len = (4 + 8 + 4 + 4u64)
+        .checked_add(vfs_len)
+        .and_then(|n| n.checked_add(accounts_len));
+    len.and_then(|n| u32::try_from(n).ok()).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::FileTooLarge,
+            "namespace too large for a snapshot (payload over 4 GiB)",
+        )
+    })
+}
+
+/// A writer that folds every byte it passes into a running CRC-32C.
+struct CrcWriter<W> {
+    inner: W,
+    crc: u32,
+    written: u64,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc = crc32_extend(self.crc, &buf[..n]);
+        self.written += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// A reader over the snapshot payload: it yields at most the declared
+/// payload length and folds every byte it yields into a running
+/// CRC-32C, so the decoder can consume the file in one bounded pass.
+struct CrcReader<R> {
+    inner: R,
+    left: u64,
+    crc: u32,
+}
+
+impl<R: Read> Read for CrcReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = buf.len().min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        let n = self.inner.read(&mut buf[..want])?;
+        self.crc = crc32_extend(self.crc, &buf[..n]);
+        self.left -= n as u64;
+        Ok(n)
     }
 }
 
@@ -1568,35 +1704,58 @@ struct DirRecovery {
     report: ReplayOutcome,
 }
 
-/// A parsed `snapshot.bin`: `(watermark, vfs_blob, accounts_blob)`.
-type SnapshotParts = (u64, Vec<u8>, Vec<u8>);
+/// A restored `snapshot.bin`: `(watermark, namespace, accounts_blob)`.
+type SnapshotParts = (u64, Vfs, Vec<u8>);
 
-/// Parse `snapshot.bin`.
+/// Restore `snapshot.bin` in one bounded pass: the header is checked,
+/// then the payload streams through a [`CrcReader`] limited to the
+/// declared length into the decoder, which builds the namespace
+/// directly. The namespace is returned only when the payload was
+/// consumed exactly and its CRC matches; on any mismatch, short read or
+/// decode failure the partly built namespace is dropped and the caller
+/// gets `InvalidData` — replay fails closed.
 fn read_snapshot(path: &Path) -> std::io::Result<Option<SnapshotParts>> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
+    let file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt WAL snapshot");
-    if bytes.len() < 16 || &bytes[..8] != SNAP_MAGIC {
-        return Err(bad());
+    // Truncation and garbage both surface as a corrupt snapshot; a real
+    // I/O error keeps its own kind.
+    let bad = |e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::InvalidData => corrupt_snapshot(),
+        _ => e,
+    };
+    let mut r = BufReader::with_capacity(SNAP_BUF, file);
+    let head: [u8; 16] = get(&mut r).map_err(bad)?;
+    if &head[..8] != SNAP_MAGIC {
+        return Err(corrupt_snapshot());
     }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let payload = bytes.get(16..16 + len).ok_or_else(bad)?;
-    if crc32(payload) != crc {
-        return Err(bad());
+    let mut p = CrcReader {
+        inner: r,
+        left: u64::from(u32::from_le_bytes(head[8..12].try_into().unwrap())),
+        crc: 0,
+    };
+    let crc = u32::from_le_bytes(head[12..16].try_into().unwrap());
+    let parts = (|| {
+        if get_u32(&mut p)? != 1 {
+            return Err(corrupt_snapshot()); // unknown version
+        }
+        let watermark = get_u64(&mut p)?;
+        let vfs_len = get_u32(&mut p)?;
+        let mut section = (&mut p).take(u64::from(vfs_len));
+        let vfs = Vfs::read_snapshot(&mut section)?;
+        if section.limit() != 0 {
+            return Err(corrupt_snapshot());
+        }
+        let accounts = get_bytes(&mut p)?;
+        Ok((watermark, vfs, accounts))
+    })()
+    .map_err(bad)?;
+    if p.left != 0 || p.crc != crc {
+        return Err(corrupt_snapshot());
     }
-    let mut c = Cursor::new(payload);
-    let version = c.u32().ok_or_else(bad)?;
-    if version != 1 {
-        return Err(bad());
-    }
-    let watermark = c.u64().ok_or_else(bad)?;
-    let vfs_blob = c.bytes().ok_or_else(bad)?;
-    let accounts_blob = c.bytes().ok_or_else(bad)?;
-    Ok(Some((watermark, vfs_blob, accounts_blob)))
+    Ok(Some(parts))
 }
 
 /// Restore everything durable in `dir`: snapshot first, then every log
@@ -1608,10 +1767,7 @@ fn replay_dir(dir: &Path) -> std::io::Result<DirRecovery> {
     let mut report = RecoveryReport::default();
     let mut accounts = None;
     let mut vfs = match snap {
-        Some((watermark, vfs_blob, accounts_blob)) => {
-            let v = Vfs::from_snapshot(&vfs_blob).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt WAL snapshot body")
-            })?;
+        Some((watermark, v, accounts_blob)) => {
             report.snapshot_loaded = true;
             report.restored = true;
             report.watermark = watermark;
@@ -1825,7 +1981,14 @@ mod tests {
         for len in [1usize, 7, 8, 9, 63, 64, 65, 255] {
             let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             assert_eq!(crc32(&data), bytewise(&data), "dispatch, len {len}");
-            assert_eq!(crc32_sw(&data), bytewise(&data), "software, len {len}");
+            assert_eq!(crc32_sw(0, &data), bytewise(&data), "software, len {len}");
+            // Streaming: any split point folds to the one-shot value,
+            // on both the dispatched and the table path.
+            for cut in [0, len / 3, len] {
+                let (a, b) = data.split_at(cut);
+                assert_eq!(crc32_extend(crc32(a), b), crc32(&data), "extend, len {len}");
+                assert_eq!(crc32_sw(crc32_sw(0, a), b), crc32(&data), "sw extend, len {len}");
+            }
         }
     }
 
@@ -2064,8 +2227,9 @@ mod tests {
         let dir = tmpdir("snaponly");
         let (vfs, wal) = fresh(&dir);
         let fps = scripted_ops(&vfs);
-        let (blob, watermark) = vfs.snapshot_cut().unwrap();
-        wal.install_snapshot(watermark, &blob, b"accounts-opaque").unwrap();
+        let cut = vfs.snapshot_cut().unwrap();
+        let watermark = cut.watermark();
+        wal.install_snapshot(&cut, b"accounts-opaque").unwrap();
         let live = vfs.namespace_fingerprint();
         assert_eq!(&live, fps.last().unwrap());
         drop(vfs);
@@ -2084,8 +2248,8 @@ mod tests {
         let dir = tmpdir("snapsuffix");
         let (vfs, wal) = fresh(&dir);
         scripted_ops(&vfs);
-        let (blob, watermark) = vfs.snapshot_cut().unwrap();
-        wal.install_snapshot(watermark, &blob, b"").unwrap();
+        let cut = vfs.snapshot_cut().unwrap();
+        wal.install_snapshot(&cut, b"").unwrap();
         // Mutations after the snapshot land in the post-watermark segment.
         vfs.mkdir(vfs.root(), "/post", 0o755, &ROOT).unwrap();
         vfs.write_file(vfs.root(), "/post/extra", b"suffix bytes", &ROOT)
@@ -2136,8 +2300,8 @@ mod tests {
             let wal2 = Arc::clone(&wal);
             s.spawn(move || {
                 for _ in 0..5 {
-                    let (blob, watermark) = vfs.snapshot_cut().unwrap();
-                    wal2.install_snapshot(watermark, &blob, b"").unwrap();
+                    let cut = vfs.snapshot_cut().unwrap();
+                    wal2.install_snapshot(&cut, b"").unwrap();
                     std::thread::sleep(Duration::from_millis(2));
                 }
             });
@@ -2153,6 +2317,100 @@ mod tests {
             live,
             "snapshots cut mid-storm must still compose with the suffix"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Today's snapshot file framing around the oracle blob: the bytes
+    /// the streamed writer must reproduce exactly.
+    fn snapshot_file_oracle(watermark: u64, vfs_blob: &[u8], accounts_blob: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 1); // version
+        put_u64(&mut payload, watermark);
+        put_bytes(&mut payload, vfs_blob);
+        put_bytes(&mut payload, accounts_blob);
+        let mut file = SNAP_MAGIC.to_vec();
+        put_u32(&mut file, payload.len() as u32);
+        put_u32(&mut file, crc32(&payload));
+        file.extend_from_slice(&payload);
+        file
+    }
+
+    #[test]
+    fn streamed_snapshot_matches_the_blob_encoder() {
+        proptest::run_cases(
+            proptest::ProptestConfig::with_cases(16),
+            "wal::streamed_snapshot_oracle",
+            |rng| {
+                let dir = tmpdir("oracle");
+                let (mut vfs, wal) = fresh(&dir);
+                vfs.set_chunk_size(512);
+                let root = vfs.root();
+                scripted_ops(&vfs);
+                for i in 0..rng.in_range(1, 12) {
+                    let dir = format!("/d{}", rng.below(3));
+                    let _ = vfs.mkdir(root, &dir, 0o755, &ROOT);
+                    let path = format!("{dir}/f{i}");
+                    let len = [0, 511, 512, 513, rng.below(3000)][rng.below(5) as usize];
+                    let _ = vfs.write_file(root, &path, &vec![i as u8; len as usize], &ROOT);
+                    match rng.below(3) {
+                        0 => drop(vfs.link(root, &path, &format!("/h{i}"), &ROOT)),
+                        1 => drop(vfs.symlink(root, &path, &format!("/s{i}"), &ROOT)),
+                        _ => drop(vfs.rename(root, &path, &format!("/d0/r{i}"), &ROOT)),
+                    }
+                }
+                let accounts = vec![b'a'; rng.below(100) as usize];
+                let cut = vfs.snapshot_cut().unwrap();
+                let blob = vfs.snapshot_blob_oracle();
+                let want = snapshot_file_oracle(cut.watermark(), &blob, &accounts);
+                // Header 16 bytes, version + watermark + two length prefixes 20.
+                assert_eq!(cut.encoded_len(), want.len() as u64 - 36 - accounts.len() as u64);
+                wal.install_snapshot(&cut, &accounts).unwrap();
+                let got = fs::read(dir.join(SNAP_NAME)).unwrap();
+                assert!(got == want, "streamed snapshot differs from the blob encoder");
+                let _ = fs::remove_dir_all(&dir);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn snapshot_length_limit_is_the_u32_header() {
+        // Version, watermark and two length prefixes: 20 bytes of frame.
+        let max = u64::from(u32::MAX);
+        assert_eq!(snapshot_payload_len(max - 20, 0).unwrap(), u32::MAX);
+        assert_eq!(snapshot_payload_len(max - 30, 10).unwrap(), u32::MAX);
+        for (vfs_len, accounts_len) in [(max - 19, 0), (max - 20, 1), (u64::MAX, 1)] {
+            let e = snapshot_payload_len(vfs_len, accounts_len).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::FileTooLarge);
+        }
+    }
+
+    #[test]
+    fn oversized_snapshot_is_refused_and_purges_nothing() {
+        let dir = tmpdir("oversized");
+        let (vfs, wal) = fresh(&dir);
+        let fps = scripted_ops(&vfs);
+        let segs_before = fs::read_dir(&dir).unwrap().count();
+        let mut cut = vfs.snapshot_cut().unwrap();
+        // A 4 GiB file made of one shared 1 MiB chunk: its length alone
+        // overflows the format, at the cost of one chunk of memory.
+        let chunk: Arc<[u8]> = vec![7u8; 1 << 20].into();
+        let mut inode = cut.inodes[0].1.clone();
+        let huge = crate::extent::FileContent::repeated(chunk, 4096);
+        inode.payload = crate::inode::Payload::File(huge);
+        cut.inodes.push((u64::MAX, inode));
+        let e = wal.install_snapshot(&cut, b"").unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::FileTooLarge);
+        let stats = wal.stats();
+        assert_eq!((stats.snapshots, stats.snapshot_failures), (0, 1));
+        assert!(!dir.join(SNAP_NAME).exists() && !dir.join("snapshot.tmp").exists());
+        // Rotation added a segment; none was purged.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), segs_before + 1);
+        drop(vfs);
+        drop(wal);
+        let rec = reopen(&dir);
+        assert!(!rec.report.snapshot_loaded);
+        assert_eq!(&rec.vfs.unwrap().namespace_fingerprint(), fps.last().unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 

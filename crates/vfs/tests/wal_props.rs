@@ -16,6 +16,10 @@
 //! at most one WAL record, so the fingerprint after each op enumerates
 //! every legal recovery target.
 //!
+//! The snapshot properties check the same contract for the snapshot
+//! file: a round trip and a cut isolated from later writes preserve
+//! the namespace exactly, and any damage to the file fails the boot.
+//!
 //! Uses the `idbox-testkit` runner, so `IDBOX_PROP_SEED` (pinned in
 //! `ci.sh`) reproduces a failing case exactly.
 
@@ -299,8 +303,8 @@ fn snapshot_mid_stream_keeps_prefix_equivalence() {
                     // Snapshot + truncate mid-stream, like the server's
                     // auto-snapshot thread (empty account blob: this
                     // test lives below the kernel).
-                    let (blob, watermark) = vfs.snapshot_cut().unwrap();
-                    wal.install_snapshot(watermark, &blob, &[]).unwrap();
+                    let cut = vfs.snapshot_cut().unwrap();
+                    wal.install_snapshot(&cut, &[]).unwrap();
                     snap_index = states.len() - 1;
                 }
             }
@@ -326,6 +330,224 @@ fn snapshot_mid_stream_keeps_prefix_equivalence() {
                 };
                 assert_no_fail_open(&got, matched)?;
                 std::fs::remove_dir_all(&cut_dir).ok();
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            Ok(())
+        },
+    );
+}
+
+/// Chunk size for the snapshot properties: small, so multi-chunk files
+/// and sizes off the chunk boundary cost a few KiB.
+const CHUNK: usize = 512;
+
+/// Populate `vfs` with every shape a snapshot must carry: empty files,
+/// sizes just off and on the chunk boundary, a write past EOF (a
+/// zero-filled gap), a hard link, a symlink, a directory renamed under
+/// a higher-numbered directory, an `.__acl` file, an unlinked-but-pinned
+/// file, then a tail of random ops. Returns the multi-chunk file.
+fn build_namespace(vfs: &Vfs, rng: &mut TestRng) -> idbox_vfs::Ino {
+    let root = vfs.root();
+    vfs.mkdir(root, "/a", 0o755, &ROOT).unwrap();
+    vfs.mkdir(root, "/a/sub", 0o750, &ROOT).unwrap();
+    vfs.create(root, "/a/empty", 0o644, &ROOT).unwrap();
+    for (i, len) in [CHUNK - 1, CHUNK, CHUNK + 1, rng.in_range(1, 4 * CHUNK as u64) as usize]
+        .into_iter()
+        .enumerate()
+    {
+        let byte = rng.below(256) as u8;
+        vfs.write_file(root, &format!("/a/f{i}"), &vec![byte; len], &ROOT).unwrap();
+    }
+    let big = vfs.create(root, "/a/sub/big", 0o644, &ROOT).unwrap();
+    let gap = rng.in_range(1, 3 * CHUNK as u64);
+    vfs.write_at(big, gap, &vec![0xB1; 2 * CHUNK + 7]).unwrap();
+    vfs.link(root, "/a/f0", "/a/sub/hard", &ROOT).unwrap();
+    vfs.symlink(root, "/a/f1", "/a/ln", &ROOT).unwrap();
+    vfs.write_file(root, "/a/sub/.__acl", b"globus:/CN=User0 rwl\n", &ROOT)
+        .unwrap();
+    // `/z` gets a higher inode number than `/a/sub`, so the moved
+    // directory's parent follows it in the snapshot's inode order.
+    vfs.mkdir(root, "/z", 0o755, &ROOT).unwrap();
+    vfs.rename(root, "/a/sub", "/z/sub", &ROOT).unwrap();
+    let pinned = vfs.write_file(root, "/a/pinned", b"open but gone", &ROOT).unwrap();
+    vfs.pin(pinned).unwrap();
+    vfs.unlink(root, "/a/pinned", &ROOT).unwrap();
+    for _ in 0..12 {
+        random_op(vfs, rng);
+    }
+    vfs.resolve(root, "/z/sub/big", true, &ROOT).unwrap()
+}
+
+/// The inode numbers a fingerprint names.
+fn fingerprint_inos(fp: &str) -> Vec<u64> {
+    fp.lines()
+        .filter_map(|l| l.split('|').nth(1)?.strip_prefix("ino ")?.parse().ok())
+        .collect()
+}
+
+/// A fresh directory holding only `src`'s snapshot file.
+fn snapshot_only(src: &Path) -> PathBuf {
+    let dst = tmpdir("snaponly");
+    std::fs::copy(src.join("snapshot.bin"), dst.join("snapshot.bin")).unwrap();
+    dst
+}
+
+#[test]
+fn snapshot_round_trip_preserves_the_namespace() {
+    run_cases(
+        ProptestConfig::with_cases(12),
+        "wal_props::snapshot_round_trip",
+        |rng| {
+            let dir = tmpdir("roundtrip");
+            let (wal, mut vfs) = fresh(&dir);
+            vfs.set_chunk_size(CHUNK);
+            build_namespace(&vfs, rng);
+            let cut = vfs.snapshot_cut().unwrap();
+            wal.install_snapshot(&cut, b"").unwrap();
+            let live = vfs.namespace_fingerprint();
+            drop(vfs);
+            drop(wal);
+            for boot_dir in [dir.clone(), snapshot_only(&dir)] {
+                let (wal, recovered) = Wal::open(WalConfig::new(&boot_dir)).unwrap();
+                assert!(recovered.report.snapshot_loaded);
+                let mut vfs = recovered.vfs.expect("the snapshot restores a namespace");
+                assert_eq!(vfs.namespace_fingerprint(), live, "round trip changed the namespace");
+                // Allocation resumes past every number the snapshot uses.
+                vfs.set_wal(Some(Arc::new(wal)));
+                let fresh_ino = vfs.create(vfs.root(), "/after-boot", 0o644, &ROOT).unwrap();
+                assert!(
+                    !fingerprint_inos(&live).contains(&fresh_ino.0),
+                    "create after boot reused inode {fresh_ino}"
+                );
+                drop(vfs);
+                std::fs::remove_dir_all(&boot_dir).ok();
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn snapshot_is_isolated_from_mutations_after_the_cut() {
+    run_cases(
+        ProptestConfig::with_cases(12),
+        "wal_props::snapshot_isolation",
+        |rng| {
+            let dir = tmpdir("isolation");
+            let (wal, mut vfs) = fresh(&dir);
+            vfs.set_chunk_size(CHUNK);
+            let big = build_namespace(&vfs, rng);
+            let root = vfs.root();
+            let cut = vfs.snapshot_cut().unwrap();
+            let at_cut = vfs.namespace_fingerprint();
+            // Between the cut and the install: overwrite a captured chunk
+            // in place, truncate, unlink, rename, and rewrite an ACL.
+            let off = rng.below(3 * CHUNK as u64);
+            vfs.write_at(big, off, &vec![0x5A; rng.in_range(1, CHUNK as u64) as usize])
+                .unwrap();
+            let f3 = vfs.resolve(root, "/a/f3", true, &ROOT);
+            if let Ok(f3) = f3 {
+                vfs.truncate(f3, rng.below(CHUNK as u64)).unwrap();
+            }
+            let _ = vfs.unlink(root, "/a/f2", &ROOT);
+            let _ = vfs.rename(root, "/a/f1", "/z/moved", &ROOT);
+            let acl = vfs.resolve(root, "/z/sub/.__acl", true, &ROOT).unwrap();
+            vfs.truncate(acl, 0).unwrap();
+            vfs.write_at(acl, 0, b"globus:/CN=User3 l\n").unwrap();
+            let final_state = vfs.namespace_fingerprint();
+            assert_ne!(at_cut, final_state);
+            wal.install_snapshot(&cut, b"").unwrap();
+            drop(cut);
+            drop(vfs);
+            drop(wal);
+            let alone = snapshot_only(&dir);
+            assert_eq!(recover_fingerprint(&alone), at_cut, "the snapshot alone is the cut");
+            assert_eq!(recover_fingerprint(&dir), final_state, "snapshot + suffix is final");
+            std::fs::remove_dir_all(&alone).ok();
+            std::fs::remove_dir_all(&dir).ok();
+            Ok(())
+        },
+    );
+}
+
+/// Byte offsets of the snapshot's length and count fields: the inode
+/// count, then every directory's entry count and every file's length
+/// (the layout is documented on `SnapshotCut`).
+fn snapshot_count_fields(bytes: &[u8]) -> Vec<usize> {
+    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap()) as usize;
+    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
+    // Header 16, version 4, watermark 8, section length 4, then four
+    // u64 namespace fields before the inode count.
+    let count_at = 16 + 4 + 8 + 4 + 32;
+    let mut fields = vec![count_at];
+    let mut pos = count_at + 8;
+    for _ in 0..u64_at(count_at) {
+        let tag = bytes[pos + 8];
+        pos += 47;
+        fields.push(pos);
+        match tag {
+            0 | 2 => pos += 4 + u32_at(pos),
+            _ => {
+                let n = u64_at(pos);
+                pos += 8;
+                for _ in 0..n {
+                    pos += 4 + u32_at(pos) + 8;
+                }
+            }
+        }
+    }
+    fields
+}
+
+#[test]
+fn damaged_snapshot_fails_closed() {
+    run_cases(
+        ProptestConfig::with_cases(6),
+        "wal_props::damaged_snapshot",
+        |rng| {
+            let dir = tmpdir("damaged");
+            let (wal, mut vfs) = fresh(&dir);
+            vfs.set_chunk_size(CHUNK);
+            build_namespace(&vfs, rng);
+            let cut = vfs.snapshot_cut().unwrap();
+            wal.install_snapshot(&cut, b"accounts").unwrap();
+            drop(vfs);
+            drop(wal);
+            let good = std::fs::read(dir.join("snapshot.bin")).unwrap();
+            let fields = snapshot_count_fields(&good);
+            let boot = |bytes: &[u8]| {
+                let d = tmpdir("damaged-boot");
+                std::fs::write(d.join("snapshot.bin"), bytes).unwrap();
+                let outcome = Wal::open(WalConfig::new(&d)).map(|(_, r)| r.vfs.is_some());
+                std::fs::remove_dir_all(&d).ok();
+                outcome
+            };
+            assert!(boot(&good).unwrap(), "the undamaged snapshot boots");
+            let mut damaged: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..16 {
+                damaged.push(good[..rng.below(good.len() as u64) as usize].to_vec());
+                let mut b = good.clone();
+                let at = rng.below(good.len() as u64) as usize;
+                b[at] ^= 1 << rng.below(8);
+                damaged.push(b);
+            }
+            // Length and count fields: a claimed size far beyond the
+            // file (top byte) and one just off (low byte).
+            for &f in &fields {
+                let width = if f == fields[0] { 8 } else { 4 };
+                for at in [f, f + width - 1] {
+                    let mut b = good.clone();
+                    b[at] ^= 0xFF;
+                    damaged.push(b);
+                }
+            }
+            for b in &damaged {
+                if let Ok(restored) = boot(b) {
+                    std::fs::remove_dir_all(&dir).ok();
+                    return Err(PropError::fail(format!(
+                        "a damaged snapshot booted (restored a namespace: {restored})"
+                    )));
+                }
             }
             std::fs::remove_dir_all(&dir).ok();
             Ok(())
