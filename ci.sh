@@ -35,7 +35,8 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # component Vfs::stat allocates nothing, and a warm boxed stat stays
 # within its budget. Byte budgets for the durable path: snapshotting
 # 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB,
-# and a snapshot whose file length claims 4 GiB costs no more.
+# a snapshot whose file length claims 4 GiB costs no more, and booting
+# the same data from the log alone < 2 x data + 1 MiB.
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings
@@ -60,7 +61,11 @@ cargo test -q -p idbox-kernel --release concurrent_syscalls_across_shards_do_not
 # (truncation at any byte, write-side crash budgets with torn final
 # records, snapshots cut mid-stream). Replay must always land on a
 # prefix state with zero fail-open ACLs; the pinned seed makes a CI
-# failure reproduce exactly.
+# failure reproduce exactly. The same step runs the record-codec
+# properties (`codec_*`: every record type round-trips; every strict
+# prefix, one-byte extension, out-of-range field, over-long varint,
+# unknown tag and invalid UTF-8 string is rejected; random bytes never
+# panic the decoder).
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test wal_props
 # Snapshot streaming: the streamed snapshot file must be byte-identical
 # to the whole-blob reference encoder on random namespaces, and the

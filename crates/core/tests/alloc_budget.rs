@@ -21,6 +21,10 @@
 //! * Booting from that snapshot allocates under the file data plus
 //!   1 MiB: each file byte lands once, in its new chunk. A snapshot whose
 //!   file length field claims 4 GiB costs no more before it is refused.
+//! * Booting the same data from the log alone (no snapshot) allocates
+//!   under twice the file data plus 1 MiB: the segment is read into
+//!   memory once, and each logged write is decoded in place and copied
+//!   once, into its chunk.
 
 use idbox_core::IdentityBox;
 use idbox_interpose::{share, GuestCtx};
@@ -170,6 +174,24 @@ fn snapshot_and_boot_move_each_file_byte_once() {
     assert!(
         boot_bytes < (FILES + 1) * MIB,
         "booting {FILES} MiB of file data allocated {boot_bytes} bytes (budget data + 1 MiB)"
+    );
+    drop(vfs);
+    drop(opened.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn log_only_boot_copies_each_file_byte_once() {
+    let (dir, k) = durable_kernel("logonly");
+    let live = k.vfs().namespace_fingerprint();
+    drop(k);
+    let (boot_bytes, opened) = bytes_in(|| Wal::open(WalConfig::new(&dir)).unwrap());
+    let vfs = opened.1.vfs.expect("the log restores the namespace");
+    assert_eq!(vfs.namespace_fingerprint(), live);
+    assert!(
+        boot_bytes < (2 * FILES + 1) * MIB,
+        "replaying {FILES} MiB of logged writes allocated {boot_bytes} bytes \
+         (budget 2 x data + 1 MiB)"
     );
     drop(vfs);
     drop(opened.0);

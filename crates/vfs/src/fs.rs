@@ -47,7 +47,7 @@
 use crate::extent::{FileContent, DEFAULT_CHUNK_SIZE, MAX_CHUNK_SIZE, MIN_CHUNK_SIZE};
 use crate::inode::{Inode, Payload};
 use crate::path::{self, NAME_MAX, PATH_MAX};
-use crate::wal::{self, Wal, WalRecord, WalRecordRef};
+use crate::wal::{self, Wal, WalRecordRef};
 use crate::{Access, ExtentList, FileKind, Ino, StatBuf};
 use idbox_types::{Errno, SysResult};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
@@ -1865,9 +1865,9 @@ impl Vfs {
     /// skipped silently: the only way that happens is a write to an
     /// unlinked-but-pinned file, which was already invisible in the
     /// namespace the log describes.
-    pub(crate) fn apply_record(&self, rec: &WalRecord) {
+    pub(crate) fn apply_record(&self, rec: WalRecordRef<'_>) {
         match rec {
-            WalRecord::Create {
+            WalRecordRef::Create {
                 dir,
                 name,
                 ino,
@@ -1876,18 +1876,18 @@ impl Vfs {
                 gid,
                 now,
             } => self.apply_new_inode(
-                *dir,
+                dir,
                 name,
-                *ino,
+                ino,
                 Payload::File(FileContent::new(self.chunk_size)),
-                *mode,
-                *uid,
-                *gid,
-                *now,
+                mode,
+                uid,
+                gid,
+                now,
                 1,
                 false,
             ),
-            WalRecord::Mkdir {
+            WalRecordRef::Mkdir {
                 dir,
                 name,
                 ino,
@@ -1897,22 +1897,22 @@ impl Vfs {
                 now,
             } => {
                 let mut entries = BTreeMap::new();
-                entries.insert(".".to_string(), Ino(*ino));
-                entries.insert("..".to_string(), Ino(*dir));
+                entries.insert(".".to_string(), Ino(ino));
+                entries.insert("..".to_string(), Ino(dir));
                 self.apply_new_inode(
-                    *dir,
+                    dir,
                     name,
-                    *ino,
+                    ino,
                     Payload::Dir(entries),
-                    *mode,
-                    *uid,
-                    *gid,
-                    *now,
+                    mode,
+                    uid,
+                    gid,
+                    now,
                     2,
                     true,
                 );
             }
-            WalRecord::Symlink {
+            WalRecordRef::Symlink {
                 dir,
                 name,
                 ino,
@@ -1921,81 +1921,81 @@ impl Vfs {
                 gid,
                 now,
             } => self.apply_new_inode(
-                *dir,
+                dir,
                 name,
-                *ino,
-                Payload::Symlink(target.clone()),
+                ino,
+                Payload::Symlink(target.to_string()),
                 0o777,
-                *uid,
-                *gid,
-                *now,
+                uid,
+                gid,
+                now,
                 1,
                 false,
             ),
-            WalRecord::Link {
+            WalRecordRef::Link {
                 dir,
                 name,
                 target,
                 now,
             } => {
-                let sd = self.shards.shard_of(*dir);
-                let st = self.shards.shard_of(*target);
+                let sd = self.shards.shard_of(dir);
+                let st = self.shards.shard_of(target);
                 let mut pair = PairGuard::lock(&self.shards, sd, st);
-                if pair.map_ref(st).contains_key(target) {
-                    if let Some(dinode) = pair.map(sd).get_mut(dir) {
-                        dinode.mtime = *now;
+                if pair.map_ref(st).contains_key(&target) {
+                    if let Some(dinode) = pair.map(sd).get_mut(&dir) {
+                        dinode.mtime = now;
                         if let Payload::Dir(entries) = &mut dinode.payload {
-                            entries.insert(name.clone(), Ino(*target));
+                            entries.insert(name.to_string(), Ino(target));
                         }
-                        let t = pair.map(st).get_mut(target).expect("checked");
+                        let t = pair.map(st).get_mut(&target).expect("checked");
                         t.nlink += 1;
-                        t.ctime = *now;
+                        t.ctime = now;
                     }
                 }
             }
-            WalRecord::Unlink {
+            WalRecordRef::Unlink {
                 dir,
                 name,
                 target,
                 now,
             } => {
-                let sd = self.shards.shard_of(*dir);
-                let st = self.shards.shard_of(*target);
+                let sd = self.shards.shard_of(dir);
+                let st = self.shards.shard_of(target);
                 let mut pair = PairGuard::lock(&self.shards, sd, st);
-                if let Some(dinode) = pair.map(sd).get_mut(dir) {
+                if let Some(dinode) = pair.map(sd).get_mut(&dir) {
                     if let Payload::Dir(entries) = &mut dinode.payload {
                         entries.remove(name);
                     }
-                    dinode.mtime = *now;
+                    dinode.mtime = now;
                 }
-                if let Some(t) = pair.map(st).get_mut(target) {
+                if let Some(t) = pair.map(st).get_mut(&target) {
                     t.nlink = t.nlink.saturating_sub(1);
-                    t.ctime = *now;
-                    self.maybe_free_locked(st, pair.map(st), Ino(*target));
+                    t.ctime = now;
+                    self.maybe_free_locked(st, pair.map(st), Ino(target));
                 }
             }
-            WalRecord::Rmdir {
+            WalRecordRef::Rmdir {
                 dir,
                 name,
                 target,
                 now,
             } => {
-                let sd = self.shards.shard_of(*dir);
-                let st = self.shards.shard_of(*target);
+                let sd = self.shards.shard_of(dir);
+                let st = self.shards.shard_of(target);
                 let mut pair = PairGuard::lock(&self.shards, sd, st);
-                if let Some(dinode) = pair.map(sd).get_mut(dir) {
+                if let Some(dinode) = pair.map(sd).get_mut(&dir) {
                     if let Payload::Dir(entries) = &mut dinode.payload {
                         entries.remove(name);
                     }
                     dinode.nlink = dinode.nlink.saturating_sub(1);
-                    dinode.mtime = *now;
+                    dinode.mtime = now;
                 }
-                if let Some(t) = pair.map(st).get_mut(target) {
+                if let Some(t) = pair.map(st).get_mut(&target) {
                     t.nlink = 0;
-                    self.maybe_free_locked(st, pair.map(st), Ino(*target));
+                    self.maybe_free_locked(st, pair.map(st), Ino(target));
                 }
             }
-            WalRecord::Rename {
+            WalRecordRef::Rename {
                 odir,
                 oname,
                 ndir,
@@ -2006,104 +2006,99 @@ impl Vfs {
                 src_is_dir,
                 now,
             } => {
-                let so = self.shards.shard_of(*odir);
-                let sn = self.shards.shard_of(*ndir);
-                let ss = self.shards.shard_of(*src);
+                let so = self.shards.shard_of(odir);
+                let sn = self.shards.shard_of(ndir);
+                let ss = self.shards.shard_of(src);
                 let mut idxs = vec![so, sn, ss];
-                if *replaced != 0 {
-                    idxs.push(self.shards.shard_of(*replaced));
+                if replaced != 0 {
+                    idxs.push(self.shards.shard_of(replaced));
                 }
                 let mut mg = self.shards.write_many(&idxs);
-                if mg.get(so).get(odir).is_none()
-                    || mg.get(sn).get(ndir).is_none()
-                    || mg.get(ss).get(src).is_none()
+                if mg.get(so).get(&odir).is_none()
+                    || mg.get(sn).get(&ndir).is_none()
+                    || mg.get(ss).get(&src).is_none()
                 {
                     return;
                 }
-                if *replaced != 0 {
-                    let sdst = self.shards.shard_of(*replaced);
-                    let nd = mg.get_mut(sn).get_mut(ndir).expect("checked");
+                if replaced != 0 {
+                    let sdst = self.shards.shard_of(replaced);
+                    let nd = mg.get_mut(sn).get_mut(&ndir).expect("checked");
                     if let Payload::Dir(entries) = &mut nd.payload {
                         entries.remove(nname);
                     }
-                    if *replaced_is_dir {
+                    if replaced_is_dir {
                         nd.nlink = nd.nlink.saturating_sub(1);
                     }
-                    if let Some(d) = mg.get_mut(sdst).get_mut(replaced) {
-                        if *replaced_is_dir {
+                    if let Some(d) = mg.get_mut(sdst).get_mut(&replaced) {
+                        if replaced_is_dir {
                             d.nlink = 0;
                         } else {
                             d.nlink = d.nlink.saturating_sub(1);
                         }
-                        self.maybe_free_locked(sdst, mg.get_mut(sdst), Ino(*replaced));
+                        self.maybe_free_locked(sdst, mg.get_mut(sdst), Ino(replaced));
                     }
                 }
-                let od = mg.get_mut(so).get_mut(odir).expect("checked");
+                let od = mg.get_mut(so).get_mut(&odir).expect("checked");
                 if let Payload::Dir(entries) = &mut od.payload {
                     entries.remove(oname);
                 }
-                let nd = mg.get_mut(sn).get_mut(ndir).expect("checked");
+                let nd = mg.get_mut(sn).get_mut(&ndir).expect("checked");
                 if let Payload::Dir(entries) = &mut nd.payload {
-                    entries.insert(nname.clone(), Ino(*src));
+                    entries.insert(nname.to_string(), Ino(src));
                 }
-                if *src_is_dir && odir != ndir {
-                    let s = mg.get_mut(ss).get_mut(src).expect("checked");
+                if src_is_dir && odir != ndir {
+                    let s = mg.get_mut(ss).get_mut(&src).expect("checked");
                     if let Payload::Dir(entries) = &mut s.payload {
-                        entries.insert("..".to_string(), Ino(*ndir));
+                        entries.insert("..".to_string(), Ino(ndir));
                     }
-                    let od = mg.get_mut(so).get_mut(odir).expect("checked");
+                    let od = mg.get_mut(so).get_mut(&odir).expect("checked");
                     od.nlink = od.nlink.saturating_sub(1);
-                    mg.get_mut(sn).get_mut(ndir).expect("checked").nlink += 1;
+                    mg.get_mut(sn).get_mut(&ndir).expect("checked").nlink += 1;
                 }
-                mg.get_mut(so).get_mut(odir).expect("checked").mtime = *now;
-                mg.get_mut(sn).get_mut(ndir).expect("checked").mtime = *now;
+                mg.get_mut(so).get_mut(&odir).expect("checked").mtime = now;
+                mg.get_mut(sn).get_mut(&ndir).expect("checked").mtime = now;
             }
-            WalRecord::Write {
+            WalRecordRef::Write {
                 ino,
                 off,
                 data,
                 now,
             } => {
-                let mut g = self.shards.write(self.shards.shard_of(*ino));
-                if let Some(inode) = g.get_mut(ino) {
+                let mut g = self.shards.write(self.shards.shard_of(ino));
+                if let Some(inode) = g.get_mut(&ino) {
                     if let Payload::File(file) = &mut inode.payload {
-                        file.write_at(*off as usize, data);
-                        inode.mtime = *now;
+                        file.write_at(off as usize, data);
+                        inode.mtime = now;
                     }
                 }
             }
-            WalRecord::Truncate { ino, len, now } => {
-                let mut g = self.shards.write(self.shards.shard_of(*ino));
-                if let Some(inode) = g.get_mut(ino) {
+            WalRecordRef::Truncate { ino, len, now } => {
+                let mut g = self.shards.write(self.shards.shard_of(ino));
+                if let Some(inode) = g.get_mut(&ino) {
                     if let Payload::File(file) = &mut inode.payload {
-                        file.resize(*len as usize);
-                        inode.mtime = *now;
+                        file.resize(len as usize);
+                        inode.mtime = now;
                     }
                 }
             }
-            WalRecord::Chmod { ino, mode, now } => {
-                let mut g = self.shards.write(self.shards.shard_of(*ino));
-                if let Some(inode) = g.get_mut(ino) {
+            WalRecordRef::Chmod { ino, mode, now } => {
+                let mut g = self.shards.write(self.shards.shard_of(ino));
+                if let Some(inode) = g.get_mut(&ino) {
                     inode.mode = mode & 0o7777;
-                    inode.ctime = *now;
+                    inode.ctime = now;
                 }
             }
-            WalRecord::Chown {
-                ino,
-                uid,
-                gid,
-                now,
-            } => {
-                let mut g = self.shards.write(self.shards.shard_of(*ino));
-                if let Some(inode) = g.get_mut(ino) {
-                    inode.uid = *uid;
-                    inode.gid = *gid;
-                    inode.ctime = *now;
+            WalRecordRef::Chown { ino, uid, gid, now } => {
+                let mut g = self.shards.write(self.shards.shard_of(ino));
+                if let Some(inode) = g.get_mut(&ino) {
+                    inode.uid = uid;
+                    inode.gid = gid;
+                    inode.ctime = now;
                 }
             }
             // Account records are interpreted by the kernel crate, not
             // the filesystem.
-            WalRecord::AccountAdd { .. } | WalRecord::AccountRemove { .. } => {}
+            WalRecordRef::AccountAdd { .. } | WalRecordRef::AccountRemove { .. } => {}
         }
         // Advance the logical clock past the record's timestamp so
         // post-recovery mutations stamp strictly later times. (The live
@@ -2238,20 +2233,20 @@ impl Vfs {
 
 /// The logical timestamp a record carries (`None` for account records,
 /// which do not touch the filesystem clock).
-fn record_now(rec: &WalRecord) -> Option<u64> {
+fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
     match rec {
-        WalRecord::Create { now, .. }
-        | WalRecord::Mkdir { now, .. }
-        | WalRecord::Symlink { now, .. }
-        | WalRecord::Link { now, .. }
-        | WalRecord::Unlink { now, .. }
-        | WalRecord::Rmdir { now, .. }
-        | WalRecord::Rename { now, .. }
-        | WalRecord::Write { now, .. }
-        | WalRecord::Truncate { now, .. }
-        | WalRecord::Chmod { now, .. }
-        | WalRecord::Chown { now, .. } => Some(*now),
-        WalRecord::AccountAdd { .. } | WalRecord::AccountRemove { .. } => None,
+        WalRecordRef::Create { now, .. }
+        | WalRecordRef::Mkdir { now, .. }
+        | WalRecordRef::Symlink { now, .. }
+        | WalRecordRef::Link { now, .. }
+        | WalRecordRef::Unlink { now, .. }
+        | WalRecordRef::Rmdir { now, .. }
+        | WalRecordRef::Rename { now, .. }
+        | WalRecordRef::Write { now, .. }
+        | WalRecordRef::Truncate { now, .. }
+        | WalRecordRef::Chmod { now, .. }
+        | WalRecordRef::Chown { now, .. } => Some(now),
+        WalRecordRef::AccountAdd { .. } | WalRecordRef::AccountRemove { .. } => None,
     }
 }
 

@@ -6,7 +6,7 @@
 //! layered *under* it:
 //!
 //! * Every mutating namespace operation appends one compact binary
-//!   [`WalRecord`] to the log **while still holding the shard write
+//!   [`WalRecordRef`] to the log **while still holding the shard write
 //!   locks that applied it**. The WAL mutex is a leaf lock below the
 //!   shard locks, so the global append order is a valid serialization
 //!   of the sharded execution: two operations that do not commute always
@@ -104,14 +104,20 @@ impl WalConfig {
 /// it. Field meanings mirror the corresponding [`Vfs`] operations; all
 /// inode numbers are the raw `u64` the live operation assigned, and
 /// `now` is the logical timestamp it ticked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+///
+/// The record borrows its names and data, so neither direction copies
+/// them: the vfs mutation paths build one on the stack out of the
+/// caller's own strings and buffers and hand it to [`Wal::append`], and
+/// replay [decodes](WalRecordRef::decode) one in place over the segment
+/// bytes and applies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalRecordRef<'a> {
     /// `create`: a regular file `name` in directory `dir`.
     Create {
         /// Parent directory inode.
         dir: u64,
         /// Entry name.
-        name: String,
+        name: &'a str,
         /// Assigned inode number.
         ino: u64,
         /// Permission bits.
@@ -128,7 +134,7 @@ pub enum WalRecord {
         /// Parent directory inode.
         dir: u64,
         /// Entry name.
-        name: String,
+        name: &'a str,
         /// Assigned inode number.
         ino: u64,
         /// Permission bits.
@@ -145,11 +151,11 @@ pub enum WalRecord {
         /// Parent directory inode.
         dir: u64,
         /// Entry name.
-        name: String,
+        name: &'a str,
         /// Assigned inode number.
         ino: u64,
         /// Link target text.
-        target: String,
+        target: &'a str,
         /// Owner uid.
         uid: u32,
         /// Owner gid.
@@ -162,7 +168,7 @@ pub enum WalRecord {
         /// Parent directory inode.
         dir: u64,
         /// Entry name.
-        name: String,
+        name: &'a str,
         /// Linked inode number.
         target: u64,
         /// Logical timestamp.
@@ -173,7 +179,7 @@ pub enum WalRecord {
         /// Parent directory inode.
         dir: u64,
         /// Entry name.
-        name: String,
+        name: &'a str,
         /// Unlinked inode number.
         target: u64,
         /// Logical timestamp.
@@ -184,7 +190,7 @@ pub enum WalRecord {
         /// Parent directory inode.
         dir: u64,
         /// Entry name.
-        name: String,
+        name: &'a str,
         /// Removed directory inode.
         target: u64,
         /// Logical timestamp.
@@ -196,11 +202,11 @@ pub enum WalRecord {
         /// Old parent directory inode.
         odir: u64,
         /// Old entry name.
-        oname: String,
+        oname: &'a str,
         /// New parent directory inode.
         ndir: u64,
         /// New entry name.
-        nname: String,
+        nname: &'a str,
         /// Moved inode number.
         src: u64,
         /// Replaced destination inode (0 when the destination was
@@ -220,7 +226,7 @@ pub enum WalRecord {
         /// Byte offset.
         off: u64,
         /// Bytes written.
-        data: Vec<u8>,
+        data: &'a [u8],
         /// Logical timestamp.
         now: u64,
     },
@@ -257,175 +263,9 @@ pub enum WalRecord {
     /// line (the vfs does not interpret it; the kernel replays it).
     AccountAdd {
         /// The account's `/etc/passwd` line.
-        line: String,
-    },
-    /// An account removed from the kernel's account database.
-    AccountRemove {
-        /// The removed account's name.
-        name: String,
-    },
-}
-
-/// Borrowed view of a [`WalRecord`], for allocation-free logging: the
-/// vfs mutation paths build one of these on the stack out of the
-/// caller's own strings and buffers and hand it to [`Wal::append`], so
-/// the hot path never clones a name or a data slice. Variants and
-/// field meanings mirror [`WalRecord`] exactly; the owned form exists
-/// for decode/replay and delegates its encoding here.
-#[derive(Debug, Clone, Copy)]
-pub enum WalRecordRef<'a> {
-    /// See [`WalRecord::Create`].
-    Create {
-        /// Parent directory inode.
-        dir: u64,
-        /// Entry name.
-        name: &'a str,
-        /// Assigned inode number.
-        ino: u64,
-        /// Permission bits.
-        mode: u16,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Mkdir`].
-    Mkdir {
-        /// Parent directory inode.
-        dir: u64,
-        /// Entry name.
-        name: &'a str,
-        /// Assigned inode number.
-        ino: u64,
-        /// Permission bits.
-        mode: u16,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Symlink`].
-    Symlink {
-        /// Parent directory inode.
-        dir: u64,
-        /// Entry name.
-        name: &'a str,
-        /// Assigned inode number.
-        ino: u64,
-        /// Link target text.
-        target: &'a str,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Link`].
-    Link {
-        /// Parent directory inode.
-        dir: u64,
-        /// Entry name.
-        name: &'a str,
-        /// Linked inode number.
-        target: u64,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Unlink`].
-    Unlink {
-        /// Parent directory inode.
-        dir: u64,
-        /// Entry name.
-        name: &'a str,
-        /// Unlinked inode number.
-        target: u64,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Rmdir`].
-    Rmdir {
-        /// Parent directory inode.
-        dir: u64,
-        /// Entry name.
-        name: &'a str,
-        /// Removed directory inode.
-        target: u64,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Rename`].
-    Rename {
-        /// Old parent directory inode.
-        odir: u64,
-        /// Old entry name.
-        oname: &'a str,
-        /// New parent directory inode.
-        ndir: u64,
-        /// New entry name.
-        nname: &'a str,
-        /// Moved inode number.
-        src: u64,
-        /// Replaced destination inode (0 when the destination was
-        /// empty).
-        replaced: u64,
-        /// Whether the replaced destination was a directory.
-        replaced_is_dir: bool,
-        /// Whether the moved inode is a directory.
-        src_is_dir: bool,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Write`].
-    Write {
-        /// Target file inode.
-        ino: u64,
-        /// Byte offset.
-        off: u64,
-        /// Bytes written.
-        data: &'a [u8],
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Truncate`].
-    Truncate {
-        /// Target file inode.
-        ino: u64,
-        /// New length.
-        len: u64,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Chmod`].
-    Chmod {
-        /// Target inode.
-        ino: u64,
-        /// New permission bits.
-        mode: u16,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::Chown`].
-    Chown {
-        /// Target inode.
-        ino: u64,
-        /// New owner uid.
-        uid: u32,
-        /// New owner gid.
-        gid: u32,
-        /// Logical timestamp.
-        now: u64,
-    },
-    /// See [`WalRecord::AccountAdd`].
-    AccountAdd {
-        /// The account's `/etc/passwd` line.
         line: &'a str,
     },
-    /// See [`WalRecord::AccountRemove`].
+    /// An account removed from the kernel's account database.
     AccountRemove {
         /// The removed account's name.
         name: &'a str,
@@ -802,13 +642,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub(crate) fn vbytes(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn vbytes(&mut self) -> Option<&'a [u8]> {
         let n = usize::try_from(self.vu64()?).ok()?;
-        self.take(n).map(|s| s.to_vec())
+        self.take(n)
     }
 
-    pub(crate) fn vstr(&mut self) -> Option<String> {
-        String::from_utf8(self.vbytes()?).ok()
+    pub(crate) fn vstr(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.vbytes()?).ok()
     }
 
     /// Bytes consumed so far.
@@ -821,114 +661,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-impl WalRecord {
-    /// Borrowed view of this record, for allocation-free encoding.
-    pub fn as_ref(&self) -> WalRecordRef<'_> {
-        match self {
-            WalRecord::Create { dir, name, ino, mode, uid, gid, now } => WalRecordRef::Create {
-                dir: *dir,
-                name,
-                ino: *ino,
-                mode: *mode,
-                uid: *uid,
-                gid: *gid,
-                now: *now,
-            },
-            WalRecord::Mkdir { dir, name, ino, mode, uid, gid, now } => WalRecordRef::Mkdir {
-                dir: *dir,
-                name,
-                ino: *ino,
-                mode: *mode,
-                uid: *uid,
-                gid: *gid,
-                now: *now,
-            },
-            WalRecord::Symlink { dir, name, ino, target, uid, gid, now } => {
-                WalRecordRef::Symlink {
-                    dir: *dir,
-                    name,
-                    ino: *ino,
-                    target,
-                    uid: *uid,
-                    gid: *gid,
-                    now: *now,
-                }
-            }
-            WalRecord::Link { dir, name, target, now } => WalRecordRef::Link {
-                dir: *dir,
-                name,
-                target: *target,
-                now: *now,
-            },
-            WalRecord::Unlink { dir, name, target, now } => WalRecordRef::Unlink {
-                dir: *dir,
-                name,
-                target: *target,
-                now: *now,
-            },
-            WalRecord::Rmdir { dir, name, target, now } => WalRecordRef::Rmdir {
-                dir: *dir,
-                name,
-                target: *target,
-                now: *now,
-            },
-            WalRecord::Rename {
-                odir,
-                oname,
-                ndir,
-                nname,
-                src,
-                replaced,
-                replaced_is_dir,
-                src_is_dir,
-                now,
-            } => WalRecordRef::Rename {
-                odir: *odir,
-                oname,
-                ndir: *ndir,
-                nname,
-                src: *src,
-                replaced: *replaced,
-                replaced_is_dir: *replaced_is_dir,
-                src_is_dir: *src_is_dir,
-                now: *now,
-            },
-            WalRecord::Write { ino, off, data, now } => WalRecordRef::Write {
-                ino: *ino,
-                off: *off,
-                data,
-                now: *now,
-            },
-            WalRecord::Truncate { ino, len, now } => WalRecordRef::Truncate {
-                ino: *ino,
-                len: *len,
-                now: *now,
-            },
-            WalRecord::Chmod { ino, mode, now } => WalRecordRef::Chmod {
-                ino: *ino,
-                mode: *mode,
-                now: *now,
-            },
-            WalRecord::Chown { ino, uid, gid, now } => WalRecordRef::Chown {
-                ino: *ino,
-                uid: *uid,
-                gid: *gid,
-                now: *now,
-            },
-            WalRecord::AccountAdd { line } => WalRecordRef::AccountAdd { line },
-            WalRecord::AccountRemove { name } => WalRecordRef::AccountRemove { name },
-        }
-    }
-
-    /// Append the record's binary form (tag + fields) to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.as_ref().encode(out)
-    }
-
+impl<'a> WalRecordRef<'a> {
     /// Decode one record from `buf` (which must contain exactly one
-    /// record). `None` on any truncation, unknown tag, or trailing
-    /// garbage.
-    pub fn decode(buf: &[u8]) -> Option<WalRecord> {
+    /// record), borrowing its names and data from `buf`. `None` on any
+    /// truncation, unknown tag, trailing garbage, over-long varint,
+    /// integer out of its field's range, or invalid UTF-8.
+    pub fn decode(buf: &'a [u8]) -> Option<WalRecordRef<'a>> {
         let mut c = Cursor::new(buf);
         let tag = c.u8()?;
         let rec = match tag {
@@ -941,7 +679,7 @@ impl WalRecord {
                 let gid = u32::try_from(c.vu64()?).ok()?;
                 let now = c.vu64()?;
                 if tag == 1 {
-                    WalRecord::Create {
+                    WalRecordRef::Create {
                         dir,
                         name,
                         ino,
@@ -951,7 +689,7 @@ impl WalRecord {
                         now,
                     }
                 } else {
-                    WalRecord::Mkdir {
+                    WalRecordRef::Mkdir {
                         dir,
                         name,
                         ino,
@@ -962,7 +700,7 @@ impl WalRecord {
                     }
                 }
             }
-            3 => WalRecord::Symlink {
+            3 => WalRecordRef::Symlink {
                 dir: c.vu64()?,
                 name: c.vstr()?,
                 ino: c.vu64()?,
@@ -977,19 +715,19 @@ impl WalRecord {
                 let target = c.vu64()?;
                 let now = c.vu64()?;
                 match tag {
-                    4 => WalRecord::Link {
+                    4 => WalRecordRef::Link {
                         dir,
                         name,
                         target,
                         now,
                     },
-                    5 => WalRecord::Unlink {
+                    5 => WalRecordRef::Unlink {
                         dir,
                         name,
                         target,
                         now,
                     },
-                    _ => WalRecord::Rmdir {
+                    _ => WalRecordRef::Rmdir {
                         dir,
                         name,
                         target,
@@ -997,7 +735,7 @@ impl WalRecord {
                     },
                 }
             }
-            7 => WalRecord::Rename {
+            7 => WalRecordRef::Rename {
                 odir: c.vu64()?,
                 oname: c.vstr()?,
                 ndir: c.vu64()?,
@@ -1008,30 +746,30 @@ impl WalRecord {
                 src_is_dir: c.u8()? != 0,
                 now: c.vu64()?,
             },
-            8 => WalRecord::Write {
+            8 => WalRecordRef::Write {
                 ino: c.vu64()?,
                 off: c.vu64()?,
                 data: c.vbytes()?,
                 now: c.vu64()?,
             },
-            9 => WalRecord::Truncate {
+            9 => WalRecordRef::Truncate {
                 ino: c.vu64()?,
                 len: c.vu64()?,
                 now: c.vu64()?,
             },
-            10 => WalRecord::Chmod {
+            10 => WalRecordRef::Chmod {
                 ino: c.vu64()?,
                 mode: u16::try_from(c.vu64()?).ok()?,
                 now: c.vu64()?,
             },
-            11 => WalRecord::Chown {
+            11 => WalRecordRef::Chown {
                 ino: c.vu64()?,
                 uid: u32::try_from(c.vu64()?).ok()?,
                 gid: u32::try_from(c.vu64()?).ok()?,
                 now: c.vu64()?,
             },
-            12 => WalRecord::AccountAdd { line: c.vstr()? },
-            13 => WalRecord::AccountRemove { name: c.vstr()? },
+            12 => WalRecordRef::AccountAdd { line: c.vstr()? },
+            13 => WalRecordRef::AccountRemove { name: c.vstr()? },
             _ => return None,
         };
         c.done().then_some(rec)
@@ -1065,7 +803,8 @@ pub struct WalStats {
     pub errors: u64,
     /// Bytes in the active segment.
     pub log_bytes: u64,
-    /// Records appended since the last snapshot (drives auto-snapshot).
+    /// Records at or after the last snapshot's watermark, including a
+    /// replayed suffix (drives auto-snapshot).
     pub since_snapshot: u64,
     /// Records replayed at open.
     pub replayed: u64,
@@ -1145,8 +884,11 @@ struct WalInner {
     appends: u64,
     /// Lifetime appended frame bytes.
     append_bytes: u64,
-    /// Appends since the last snapshot (auto-snapshot cadence input).
-    since_snapshot: u64,
+    /// Watermark of the last installed snapshot (at open, the restored
+    /// one's, else 0). `next_lsn - snap_watermark` is the
+    /// auto-snapshot cadence input: derived, so records logged between
+    /// a cut and its install still count toward the next snapshot.
+    snap_watermark: u64,
     /// Remaining byte budget before a simulated crash (testing knob):
     /// writes beyond the budget are silently dropped, exactly like
     /// power loss mid-write. `None` = disabled.
@@ -1255,7 +997,7 @@ impl Wal {
                 seg_bytes,
                 appends: 0,
                 append_bytes: 0,
-                since_snapshot: 0,
+                snap_watermark: report.watermark,
                 crash_after: None,
                 dead: false,
             }),
@@ -1324,7 +1066,7 @@ impl Wal {
             snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             log_bytes: inner.seg_bytes,
-            since_snapshot: inner.since_snapshot,
+            since_snapshot: inner.next_lsn - inner.snap_watermark,
             replayed: self.report.replayed,
             torn_tail: self.report.torn_tail,
             corrupt_frame: self.report.corrupt_frame,
@@ -1332,10 +1074,11 @@ impl Wal {
         }
     }
 
-    /// Records appended since the last snapshot (drives the server's
-    /// auto-snapshot cadence).
+    /// Records at or after the last snapshot's watermark, including a
+    /// replayed suffix (drives the server's auto-snapshot cadence).
     pub fn since_snapshot(&self) -> u64 {
-        self.inner.lock().since_snapshot
+        let inner = self.inner.lock();
+        inner.next_lsn - inner.snap_watermark
     }
 
     /// Testing knob: silently drop every byte written after `budget`
@@ -1376,7 +1119,6 @@ impl Wal {
         i.seg_bytes += frame_len;
         i.appends += 1;
         i.append_bytes += frame_len;
-        i.since_snapshot += 1;
         if self.cfg.sync_ops == 0 {
             // Sync-every-op: the record is on disk before the mutation
             // returns.
@@ -1553,7 +1295,7 @@ impl Wal {
         }
         sync_dir(&self.cfg.dir);
         self.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().since_snapshot = 0;
+        self.inner.lock().snap_watermark = cut.watermark();
         // Older segments are now redundant; losing one early is safe
         // (the snapshot covers it), so purge failures are ignored.
         if let Ok(entries) = fs::read_dir(&self.cfg.dir) {
@@ -1837,9 +1579,10 @@ fn replay_dir(dir: &Path) -> std::io::Result<DirRecovery> {
             };
             let payload = &bytes[pos + 8..frame_end];
             let mut c = Cursor::new(payload);
-            let (lsn, rec) = match c.vu64().and_then(|lsn| {
-                WalRecord::decode(&payload[c.consumed()..]).map(|r| (lsn, r))
-            }) {
+            let (lsn, rec) = match c
+                .vu64()
+                .and_then(|lsn| WalRecordRef::decode(&payload[c.consumed()..]).map(|r| (lsn, r)))
+            {
                 Some(x) => x,
                 None => {
                     report.corrupt_frame = true;
@@ -1856,9 +1599,11 @@ fn replay_dir(dir: &Path) -> std::io::Result<DirRecovery> {
             }
             let v = vfs.get_or_insert_with(Vfs::new);
             match rec {
-                WalRecord::AccountAdd { line } => account_ops.push(AccountOp::Add(line)),
-                WalRecord::AccountRemove { name } => account_ops.push(AccountOp::Remove(name)),
-                other => v.apply_record(&other),
+                WalRecordRef::AccountAdd { line } => account_ops.push(AccountOp::Add(line.into())),
+                WalRecordRef::AccountRemove { name } => {
+                    account_ops.push(AccountOp::Remove(name.into()))
+                }
+                other => v.apply_record(other),
             }
             report.replayed += 1;
             report.restored = true;
@@ -2043,109 +1788,107 @@ mod tests {
     #[test]
     fn record_codec_roundtrip() {
         let records = vec![
-            WalRecord::Create {
+            WalRecordRef::Create {
                 dir: 1,
-                name: "f".into(),
+                name: "f",
                 ino: 2,
                 mode: 0o644,
                 uid: 10,
                 gid: 20,
                 now: 7,
             },
-            WalRecord::Mkdir {
+            WalRecordRef::Mkdir {
                 dir: 1,
-                name: "d".into(),
+                name: "d",
                 ino: 3,
                 mode: 0o755,
                 uid: 0,
                 gid: 0,
                 now: 8,
             },
-            WalRecord::Symlink {
+            WalRecordRef::Symlink {
                 dir: 3,
-                name: "s".into(),
+                name: "s",
                 ino: 4,
-                target: "/elsewhere".into(),
+                target: "/elsewhere",
                 uid: 1,
                 gid: 2,
                 now: 9,
             },
-            WalRecord::Link {
+            WalRecordRef::Link {
                 dir: 1,
-                name: "h".into(),
+                name: "h",
                 target: 2,
                 now: 10,
             },
-            WalRecord::Unlink {
+            WalRecordRef::Unlink {
                 dir: 1,
-                name: "h".into(),
+                name: "h",
                 target: 2,
                 now: 11,
             },
-            WalRecord::Rmdir {
+            WalRecordRef::Rmdir {
                 dir: 1,
-                name: "d".into(),
+                name: "d",
                 target: 3,
                 now: 12,
             },
-            WalRecord::Rename {
+            WalRecordRef::Rename {
                 odir: 1,
-                oname: "a".into(),
+                oname: "a",
                 ndir: 3,
-                nname: "b".into(),
+                nname: "b",
                 src: 2,
                 replaced: 5,
                 replaced_is_dir: false,
                 src_is_dir: true,
                 now: 13,
             },
-            WalRecord::Write {
+            WalRecordRef::Write {
                 ino: 2,
                 off: 4096,
-                data: vec![0, 1, 2, 255],
+                data: &[0, 1, 2, 255],
                 now: 14,
             },
-            WalRecord::Truncate {
+            WalRecordRef::Truncate {
                 ino: 2,
                 len: 12,
                 now: 15,
             },
-            WalRecord::Chmod {
+            WalRecordRef::Chmod {
                 ino: 2,
                 mode: 0o4755,
                 now: 16,
             },
-            WalRecord::Chown {
+            WalRecordRef::Chown {
                 ino: 2,
                 uid: 1000,
                 gid: 1000,
                 now: 17,
             },
-            WalRecord::AccountAdd {
-                line: "fred:x:1000:1000::/home/fred:/bin/sh".into(),
+            WalRecordRef::AccountAdd {
+                line: "fred:x:1000:1000::/home/fred:/bin/sh",
             },
-            WalRecord::AccountRemove {
-                name: "fred".into(),
-            },
+            WalRecordRef::AccountRemove { name: "fred" },
         ];
         for rec in records {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
-            assert_eq!(WalRecord::decode(&buf).as_ref(), Some(&rec), "{rec:?}");
+            assert_eq!(WalRecordRef::decode(&buf), Some(rec), "{rec:?}");
         }
         // Truncated payloads and unknown tags must decode to None, never panic.
         let mut buf = Vec::new();
-        WalRecord::Write {
+        WalRecordRef::Write {
             ino: 1,
             off: 0,
-            data: vec![7; 32],
+            data: &[7; 32],
             now: 1,
         }
         .encode(&mut buf);
         for cut in 0..buf.len() {
-            assert_eq!(WalRecord::decode(&buf[..cut]), None, "cut at {cut}");
+            assert_eq!(WalRecordRef::decode(&buf[..cut]), None, "cut at {cut}");
         }
-        assert_eq!(WalRecord::decode(&[200]), None);
+        assert_eq!(WalRecordRef::decode(&[200]), None);
     }
 
     #[test]
@@ -2262,6 +2005,29 @@ mod tests {
         assert!(rec.report.snapshot_loaded);
         assert!(rec.report.replayed > 0, "the suffix must replay on top");
         assert_eq!(rec.vfs.unwrap().namespace_fingerprint(), live);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn since_snapshot_counts_records_logged_during_a_snapshot() {
+        let dir = tmpdir("since");
+        let (vfs, wal) = fresh(&dir);
+        scripted_ops(&vfs);
+        let cut = vfs.snapshot_cut().unwrap();
+        // Logged after the cut fixed the watermark, before the install.
+        for i in 0..3 {
+            vfs.mkdir(vfs.root(), &format!("/during{i}"), 0o755, &ROOT).unwrap();
+        }
+        wal.install_snapshot(&cut, b"").unwrap();
+        assert_eq!(wal.since_snapshot(), 3);
+        vfs.mkdir(vfs.root(), "/after", 0o755, &ROOT).unwrap();
+        assert_eq!(wal.stats().since_snapshot, 4);
+        drop(vfs);
+        drop(wal);
+        // After a reopen the count is the replayed suffix.
+        let (wal, rec) = Wal::open(WalConfig::new(&dir)).unwrap();
+        assert_eq!(rec.report.replayed, 4);
+        assert_eq!(wal.since_snapshot(), 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

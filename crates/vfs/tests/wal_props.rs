@@ -20,10 +20,16 @@
 //! file: a round trip and a cut isolated from later writes preserve
 //! the namespace exactly, and any damage to the file fails the boot.
 //!
+//! The codec properties check the record encoding itself: every record
+//! type round-trips through `WalRecordRef::encode`/`decode`, and every
+//! strict prefix, one-byte extension, out-of-range integer, over-long
+//! varint, unknown tag or invalid UTF-8 string decodes to `None` —
+//! replay's signal to truncate the frame as corrupt.
+//!
 //! Uses the `idbox-testkit` runner, so `IDBOX_PROP_SEED` (pinned in
 //! `ci.sh`) reproduces a failing case exactly.
 
-use idbox_vfs::{Cred, Vfs, Wal, WalConfig};
+use idbox_vfs::{Cred, Vfs, Wal, WalConfig, WalRecordRef};
 use proptest::{run_cases, PropError, ProptestConfig, TestRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -550,6 +556,290 @@ fn damaged_snapshot_fails_closed() {
                 }
             }
             std::fs::remove_dir_all(&dir).ok();
+            Ok(())
+        },
+    );
+}
+
+/// A random name, target or passwd line: empty, ASCII, or multi-byte
+/// UTF-8 (two-, three- and four-byte sequences).
+fn random_text(rng: &mut TestRng) -> String {
+    const PIECES: [&str; 6] = ["", "f", ".__acl", "é", "名前", "🦀"];
+    (0..rng.below(5))
+        .map(|_| PIECES[rng.below(6) as usize])
+        .collect()
+}
+
+/// A random integer no larger than `max` (of the form 2^k − 1), biased
+/// toward the edges of its range.
+fn random_int(rng: &mut TestRng, max: u64) -> u64 {
+    match rng.below(4) {
+        0 => 0,
+        1 => max,
+        2 => rng.below(128),
+        _ => rng.next_u64() & max,
+    }
+}
+
+fn any_u64(rng: &mut TestRng) -> u64 {
+    random_int(rng, u64::MAX)
+}
+
+fn any_u32(rng: &mut TestRng) -> u32 {
+    random_int(rng, u32::MAX.into()) as u32
+}
+
+fn any_u16(rng: &mut TestRng) -> u16 {
+    random_int(rng, u16::MAX.into()) as u16
+}
+
+/// A random record of `variant` (0..13, one per record type), borrowing
+/// its names from `text` and its bytes from `data`.
+fn random_record<'a>(
+    rng: &mut TestRng,
+    variant: u64,
+    text: &'a [String; 2],
+    data: &'a [u8],
+) -> WalRecordRef<'a> {
+    let (a, b) = (text[0].as_str(), text[1].as_str());
+    match variant {
+        0 => WalRecordRef::Create {
+            dir: any_u64(rng),
+            name: a,
+            ino: any_u64(rng),
+            mode: any_u16(rng),
+            uid: any_u32(rng),
+            gid: any_u32(rng),
+            now: any_u64(rng),
+        },
+        1 => WalRecordRef::Mkdir {
+            dir: any_u64(rng),
+            name: a,
+            ino: any_u64(rng),
+            mode: any_u16(rng),
+            uid: any_u32(rng),
+            gid: any_u32(rng),
+            now: any_u64(rng),
+        },
+        2 => WalRecordRef::Symlink {
+            dir: any_u64(rng),
+            name: a,
+            ino: any_u64(rng),
+            target: b,
+            uid: any_u32(rng),
+            gid: any_u32(rng),
+            now: any_u64(rng),
+        },
+        3 => WalRecordRef::Link {
+            dir: any_u64(rng),
+            name: a,
+            target: any_u64(rng),
+            now: any_u64(rng),
+        },
+        4 => WalRecordRef::Unlink {
+            dir: any_u64(rng),
+            name: a,
+            target: any_u64(rng),
+            now: any_u64(rng),
+        },
+        5 => WalRecordRef::Rmdir {
+            dir: any_u64(rng),
+            name: a,
+            target: any_u64(rng),
+            now: any_u64(rng),
+        },
+        6 => WalRecordRef::Rename {
+            odir: any_u64(rng),
+            oname: a,
+            ndir: any_u64(rng),
+            nname: b,
+            src: any_u64(rng),
+            replaced: any_u64(rng),
+            replaced_is_dir: rng.bool(),
+            src_is_dir: rng.bool(),
+            now: any_u64(rng),
+        },
+        7 => WalRecordRef::Write {
+            ino: any_u64(rng),
+            off: any_u64(rng),
+            data,
+            now: any_u64(rng),
+        },
+        8 => WalRecordRef::Truncate {
+            ino: any_u64(rng),
+            len: any_u64(rng),
+            now: any_u64(rng),
+        },
+        9 => WalRecordRef::Chmod {
+            ino: any_u64(rng),
+            mode: any_u16(rng),
+            now: any_u64(rng),
+        },
+        10 => WalRecordRef::Chown {
+            ino: any_u64(rng),
+            uid: any_u32(rng),
+            gid: any_u32(rng),
+            now: any_u64(rng),
+        },
+        11 => WalRecordRef::AccountAdd { line: a },
+        _ => WalRecordRef::AccountRemove { name: a },
+    }
+}
+
+fn encoded(rec: WalRecordRef<'_>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    rec.encode(&mut buf);
+    buf
+}
+
+#[test]
+fn codec_round_trips_and_rejects_prefixes_and_extensions() {
+    run_cases(
+        ProptestConfig::with_cases(48),
+        "wal_props::codec_round_trip",
+        |rng| {
+            let text = [random_text(rng), random_text(rng)];
+            let data: Vec<u8> = match rng.below(3) {
+                0 => Vec::new(),
+                _ => (0..rng.below(300)).map(|_| rng.next_u64() as u8).collect(),
+            };
+            for variant in 0..13 {
+                let rec = random_record(rng, variant, &text, &data);
+                let buf = encoded(rec);
+                if WalRecordRef::decode(&buf) != Some(rec) {
+                    return Err(PropError::fail(format!("{rec:?} did not round-trip")));
+                }
+                for cut in 0..buf.len() {
+                    if WalRecordRef::decode(&buf[..cut]).is_some() {
+                        return Err(PropError::fail(format!("{rec:?}: prefix {cut} decoded")));
+                    }
+                }
+                let mut longer = buf.clone();
+                for extra in 0..=u8::MAX {
+                    longer.push(extra);
+                    if WalRecordRef::decode(&longer).is_some() {
+                        return Err(PropError::fail(format!(
+                            "{rec:?}: extension {extra} decoded"
+                        )));
+                    }
+                    longer.pop();
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// LEB128, the record codec's integer form, written by hand so the
+/// malformed cases below can say exactly which bytes they hold.
+fn leb(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// `bytes` with the first occurrence of `from` replaced by `to` (same
+/// length, so every length prefix stays valid).
+fn splice(mut bytes: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
+    assert_eq!(from.len(), to.len());
+    let at = bytes.windows(from.len()).position(|w| w == from).unwrap();
+    bytes[at..at + to.len()].copy_from_slice(to);
+    bytes
+}
+
+#[test]
+fn codec_rejects_malformed_fields() {
+    const BAD_UTF8: &[u8] = b"N\xFFME";
+    let create = WalRecordRef::Create {
+        dir: 1,
+        name: "NAME",
+        ino: 2,
+        mode: 0o644,
+        uid: 3,
+        gid: 4,
+        now: 5,
+    };
+    let symlink = WalRecordRef::Symlink {
+        dir: 1,
+        name: "s",
+        ino: 2,
+        target: "NAME",
+        uid: 3,
+        gid: 4,
+        now: 5,
+    };
+    let account = WalRecordRef::AccountAdd {
+        line: "NAME:x:1000:1000::/home/fred:/bin/sh",
+    };
+    for rec in [create, symlink, account] {
+        let bad = splice(encoded(rec), b"NAME", BAD_UTF8);
+        assert_eq!(WalRecordRef::decode(&bad), None, "invalid UTF-8 in {rec:?}");
+    }
+    // Integer ranges: the largest value of each field decodes, one more
+    // does not.
+    let chmod = |mode: u64| {
+        let mut b = vec![10, 1];
+        leb(&mut b, mode);
+        b.push(1);
+        b
+    };
+    assert!(WalRecordRef::decode(&chmod(u16::MAX.into())).is_some());
+    assert_eq!(WalRecordRef::decode(&chmod(1 << 16)), None, "mode 2^16");
+    let chown = |uid: u64| {
+        let mut b = vec![11, 1];
+        leb(&mut b, uid);
+        b.extend_from_slice(&[0, 1]);
+        b
+    };
+    assert!(WalRecordRef::decode(&chown(u32::MAX.into())).is_some());
+    assert_eq!(WalRecordRef::decode(&chown(1 << 32)), None, "uid 2^32");
+    // u64::MAX is the longest canonical varint (10 bytes); an 11-byte
+    // one is refused, as is a tenth byte carrying bits past 2^64.
+    let truncate = |ino: &[u8]| [&[9][..], ino, &[0, 1]].concat();
+    let mut max = Vec::new();
+    leb(&mut max, u64::MAX);
+    assert_eq!(max.len(), 10);
+    assert!(WalRecordRef::decode(&truncate(&max)).is_some());
+    let eleven = [[0x80; 10].as_slice(), &[0]].concat();
+    assert_eq!(
+        WalRecordRef::decode(&truncate(&eleven)),
+        None,
+        "11-byte varint"
+    );
+    let overflow = [[0xFF; 9].as_slice(), &[0x02]].concat();
+    assert_eq!(
+        WalRecordRef::decode(&truncate(&overflow)),
+        None,
+        "varint past 2^64"
+    );
+    // Unknown tags, followed by bytes any known tag would accept.
+    for tag in [0, 14, 200, 255] {
+        assert_eq!(WalRecordRef::decode(&[tag, 1, 1, 1]), None, "tag {tag}");
+    }
+    assert_eq!(WalRecordRef::decode(&[]), None);
+}
+
+#[test]
+fn codec_survives_random_bytes() {
+    run_cases(
+        ProptestConfig::with_cases(2000),
+        "wal_props::codec_random_bytes",
+        |rng| {
+            // Mostly a known tag first, so decoding gets past the tag.
+            let mut bytes: Vec<u8> = (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect();
+            if let Some(tag) = bytes.first_mut() {
+                if rng.below(4) != 0 {
+                    *tag = rng.in_range(1, 14) as u8;
+                }
+            }
+            // Whatever decodes must survive its own round trip.
+            if let Some(rec) = WalRecordRef::decode(&bytes) {
+                if WalRecordRef::decode(&encoded(rec)) != Some(rec) {
+                    return Err(PropError::fail(format!("{rec:?} from {bytes:?}")));
+                }
+            }
             Ok(())
         },
     );
