@@ -36,7 +36,9 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # within its budget. Byte budgets for the durable path: snapshotting
 # 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB,
 # a snapshot whose file length claims 4 GiB costs no more, and booting
-# the same data from the log alone < 2 x data + 1 MiB.
+# the same data from the log alone < 2 x data + 1 MiB. The inbound data
+# plane: a boxed 1 MiB put_file allocates < data + 128 KiB (the file
+# chunks only; the guest-memory write_file_mode path takes ~2 x data).
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings
@@ -107,9 +109,10 @@ IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_PIPELINE=1 \
 # scaling assertion self-skips on hosts with fewer than 4 cores.
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_SCALING=1 \
   cargo run --release -q -p idbox-bench --bin contention
-# Data-plane smoke (~2 s): the zero-copy vs copying A/B must run end
-# to end and emit results/BENCH_dataplane.tsv. The >= 2x floor on
-# 1 MiB+ get self-skips on single-core hosts.
+# Data-plane smoke (~2 s): the zero-copy vs copying A/B (get and put)
+# must run end to end and emit target/BENCH_dataplane.tsv; its short
+# windows never overwrite the committed full run in results/. The >= 2x
+# floor on 1 MiB+ get self-skips on single-core hosts.
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_DATAPLANE_SIZES=4096,1048576,16777216 \
   IDBOX_BENCH_ASSERT_DATAPLANE=1 \
   cargo run --release -q -p idbox-bench --bin dataplane

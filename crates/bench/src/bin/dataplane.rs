@@ -1,22 +1,25 @@
 //! Data-plane throughput: the zero-copy extent pipeline vs the copying
 //! read path, across payload sizes from 4 KiB to 64 MiB.
 //!
-//! PR "zero-copy data plane" rebuilt the byte-moving path: `get` (and
-//! `pread`) replies carry `Arc`-backed extents borrowed straight from
-//! the Vfs chunk store, queued as scatter-gather segments and flushed
-//! with vectored writes — the file bytes are never copied into guest
-//! memory or a flat connection buffer. This bench drives two servers,
-//! one with the pipeline on (default) and one ablated to the old
-//! copying path (`copy_data_plane`), and reports MiB/s plus process-
-//! wide allocations per operation for each transfer size, into
-//! `results/BENCH_dataplane.tsv`.
+//! Outbound, `get` (and `pread`) replies carry `Arc`-backed extents
+//! borrowed straight from the Vfs chunk store, queued as scatter-gather
+//! segments and flushed with vectored writes — the file bytes are never
+//! copied into guest memory or a flat connection buffer. Inbound, a
+//! `put` payload is read off the socket into one exact-size buffer that
+//! moves into the kernel's write call. This bench drives two servers,
+//! one with the data plane on (default) and one ablated to the copying
+//! paths (`copy_data_plane`), and reports MiB/s plus process-wide
+//! allocations per operation for each transfer size and direction,
+//! into `results/BENCH_dataplane.tsv`.
 //!
 //! ```text
 //! cargo run --release -p idbox-bench --bin dataplane
 //! ```
 //!
 //! Knobs: `IDBOX_BENCH_WINDOW_MS` shrinks the per-mode measurement
-//! window (CI smoke); `IDBOX_DATAPLANE_SIZES` (comma-separated bytes)
+//! window (CI smoke; a window under the full 800 ms writes
+//! `target/BENCH_dataplane.tsv` instead, so only a full run updates
+//! `results/`); `IDBOX_DATAPLANE_SIZES` (comma-separated bytes)
 //! picks the sizes to sweep. With `IDBOX_BENCH_ASSERT_DATAPLANE` set,
 //! the run fails unless zero-copy `get` clears 2x the copying path's
 //! MiB/s at some size >= 1 MiB — skipped on single-core hosts, where
@@ -189,12 +192,21 @@ fn main() {
             "get-pipelined\tzerocopy\t{size}\t{pipe_rate:.1}\t{allocs:.0}\t{speedup:.2}\t{cores}"
         ));
 
-        // Inbound: `put` through the pooled payload buffers.
+        // Inbound: `put` copied through guest memory and the I/O
+        // channel (ablated baseline), then moved into the kernel.
+        timed(warmup, || cp.put(&path, &data).unwrap());
+        let (ops, allocs) = timed(window, || cp.put(&path, &data).unwrap());
+        let put_copy_rate = ops * mib;
+        println!("{size:>10}  {:<14} {put_copy_rate:>10.1}  {allocs:>10.0}  baseline", "put/copy");
+        rows.push(format!("put\tcopy\t{size}\t{put_copy_rate:.1}\t{allocs:.0}\t1.00\t{cores}"));
         timed(warmup, || zc.put(&path, &data).unwrap());
         let (ops, allocs) = timed(window, || zc.put(&path, &data).unwrap());
         let put_rate = ops * mib;
-        println!("{size:>10}  {:<14} {put_rate:>10.1}  {allocs:>10.0}", "put");
-        rows.push(format!("put\tzerocopy\t{size}\t{put_rate:.1}\t{allocs:.0}\t-\t{cores}"));
+        let speedup = put_rate / put_copy_rate;
+        println!("{size:>10}  {:<14} {put_rate:>10.1}  {allocs:>10.0}  {speedup:.2}x copy", "put/owned");
+        rows.push(format!(
+            "put\tzerocopy\t{size}\t{put_rate:.1}\t{allocs:.0}\t{speedup:.2}\t{cores}"
+        ));
     }
 
     if cores < 2 {
@@ -216,8 +228,13 @@ fn main() {
         }
     }
 
-    idbox_bench::write_tsv(
-        "BENCH_dataplane.tsv",
+    let out = if window < Duration::from_millis(WINDOW_MS) {
+        idbox_bench::smoke_path("BENCH_dataplane.tsv")
+    } else {
+        idbox_bench::results_path("BENCH_dataplane.tsv")
+    };
+    idbox_bench::write_tsv_at(
+        &out,
         "op\tmode\tsize_bytes\tmib_per_sec\tallocs_per_op\tspeedup_vs_copy\thost_cores",
         &rows,
     );

@@ -171,21 +171,37 @@ pub fn measure_fig5a_ablation(model: CostModel, iters: u64) -> Vec<MicroAblation
         .collect()
 }
 
-/// Where measured rows are recorded (workspace `results/`).
-pub fn results_path(name: &str) -> PathBuf {
+/// `name` in the workspace directory `dir`, which is created if needed.
+fn workspace_file(dir: &str, name: &str) -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
     p.pop();
-    p.push("results");
+    p.push(dir);
     let _ = std::fs::create_dir_all(&p);
     p.push(name);
     p
 }
 
-/// Write a TSV result file (header + rows).
+/// Where measured rows are recorded (workspace `results/`).
+pub fn results_path(name: &str) -> PathBuf {
+    workspace_file("results", name)
+}
+
+/// Where a smoke run (shortened windows) records its rows instead:
+/// workspace `target/`, so it never overwrites a committed full-run
+/// file in `results/`.
+pub fn smoke_path(name: &str) -> PathBuf {
+    workspace_file("target", name)
+}
+
+/// Write a TSV result file (header + rows) into `results/`.
 pub fn write_tsv(name: &str, header: &str, rows: &[String]) {
-    let path = results_path(name);
-    if let Ok(mut f) = std::fs::File::create(&path) {
+    write_tsv_at(&results_path(name), header, rows);
+}
+
+/// Write a TSV file (header + rows) at `path`.
+pub fn write_tsv_at(path: &std::path::Path, header: &str, rows: &[String]) {
+    if let Ok(mut f) = std::fs::File::create(path) {
         let _ = writeln!(f, "{header}");
         for r in rows {
             let _ = writeln!(f, "{r}");

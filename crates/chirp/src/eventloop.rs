@@ -5,8 +5,9 @@
 //! connection moves through two phases — authentication (driven by the
 //! incremental [`ServerAuthMachine`]) and the session proper, where a
 //! framer slices the read buffer into wire-protocol frames (a command
-//! line plus, for the payload-bearing verbs, its announced payload) and
-//! hands each complete frame to the dispatcher.
+//! line plus, for the payload-bearing verbs, its announced payload, read
+//! into a buffer of its own) and hands each complete frame to the
+//! dispatcher.
 //!
 //! Wire-protocol generation 2 rides on this structure: a pipelining
 //! client may send many frames before reading replies; every frame that
@@ -35,7 +36,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum bytes pulled off one socket per readiness cycle, so a
@@ -61,25 +62,6 @@ const COALESCE_MAX: usize = 16 * 1024;
 /// counts (IOV_MAX is 1024 on Linux); staying far below it also bounds
 /// the per-flush stack work.
 const FLUSH_IOVEC_MAX: usize = 64;
-
-/// Maximum inbound payload buffers a connection keeps pooled between
-/// frames.
-const POOL_MAX_BUFS: usize = 4;
-
-/// Largest buffer capacity the inbound payload pool retains, resolved
-/// once per process from `IDBOX_PAYLOAD_POOL_KIB` (0 disables pooling;
-/// default 256 KiB). Oversized buffers are freed after dispatch so one
-/// huge `put` cannot pin its high-water allocation forever.
-fn payload_pool_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("IDBOX_PAYLOAD_POOL_KIB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|kib| kib.saturating_mul(1024))
-            .unwrap_or(256 * 1024)
-    })
-}
 
 /// Maximum sub-operations accepted in one `batch` frame.
 pub(crate) const BATCH_MAX_OPS: usize = 4096;
@@ -305,14 +287,47 @@ enum ConnPhase {
     Session(Box<Session>),
 }
 
-/// A frame whose command line has been read but whose announced payload
-/// has not fully arrived yet.
+/// A frame whose command line has been read, with its announced payload
+/// (complete, or still arriving).
 struct PendingFrame {
     words: Vec<String>,
     id: Option<u64>,
     retry: Option<u32>,
     trace: Option<TraceId>,
-    payload_len: u64,
+    payload_len: usize,
+    /// Reserved at `payload_len` when the line is parsed; the socket
+    /// reads the bytes straight into it.
+    payload: Vec<u8>,
+}
+
+/// How a read from the socket ended.
+enum ReadEnd {
+    /// The read limit was reached; the socket may hold more.
+    Limit,
+    /// The socket has nothing more right now.
+    Drained,
+    /// The peer closed its side.
+    Eof,
+    /// A hard socket error.
+    Failed,
+}
+
+/// Read at most `limit` bytes from `stream` into `buf`'s spare capacity:
+/// no scratch buffer, no zeroing. `Read::take(..).read_to_end` keeps the
+/// bytes it got when a nonblocking socket runs dry, so the count is exact
+/// whatever the outcome.
+fn read_into(stream: &TcpStream, buf: &mut Vec<u8>, limit: usize) -> (usize, ReadEnd) {
+    let before = buf.len();
+    let res = stream.take(limit as u64).read_to_end(buf);
+    let n = buf.len() - before;
+    let end = match res {
+        // `take` ends early only on the peer's EOF.
+        Ok(_) if n < limit => ReadEnd::Eof,
+        Ok(_) => ReadEnd::Limit,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => ReadEnd::Drained,
+        Err(_) => ReadEnd::Failed,
+    };
+    (n, end)
 }
 
 /// Why `pump` stopped consuming frames.
@@ -481,9 +496,6 @@ struct Conn {
     last_activity: Instant,
     phase: ConnPhase,
     pending: Option<PendingFrame>,
-    /// Pooled inbound payload buffers, reused across frames so every
-    /// `put` body does not cost a fresh allocation.
-    payload_pool: Vec<Vec<u8>>,
     /// The session identity's counters, set once authentication
     /// completes; wire-byte totals before that have no identity to
     /// charge and are not counted.
@@ -509,7 +521,6 @@ impl Conn {
             last_activity: Instant::now(),
             phase: ConnPhase::Auth(ServerAuthMachine::new(reg.verifier)),
             pending: None,
-            payload_pool: Vec::new(),
             counters: None,
             pump_paused: false,
             saw_eof: false,
@@ -518,33 +529,28 @@ impl Conn {
         }
     }
 
-    /// Pull whatever the socket has (bounded by [`READ_BUDGET`]).
+    /// Pull whatever the socket has (bounded by [`READ_BUDGET`]). A
+    /// frame whose payload is still arriving takes the bytes first,
+    /// straight into its own buffer, so each payload byte is copied out
+    /// of the socket once; anything past it lands in `inbuf`.
     fn fill(&mut self) {
-        let mut scratch = [0u8; 16 * 1024];
-        let mut total = 0;
-        loop {
-            match (&self.stream).read(&mut scratch) {
-                Ok(0) => {
-                    self.saw_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&scratch[..n]);
-                    self.last_activity = Instant::now();
-                    total += n;
-                    if total >= READ_BUDGET {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
+        let (mut total, mut end) = (0, ReadEnd::Limit);
+        if let Some(pf) = &mut self.pending {
+            let want = pf.payload_len - pf.payload.len();
+            (total, end) = read_into(&self.stream, &mut pf.payload, want.min(READ_BUDGET));
+        }
+        if matches!(end, ReadEnd::Limit) && total < READ_BUDGET {
+            let (n, e) = read_into(&self.stream, &mut self.inbuf, READ_BUDGET - total);
+            total += n;
+            end = e;
+        }
+        match end {
+            ReadEnd::Eof => self.saw_eof = true,
+            ReadEnd::Failed => self.dead = true,
+            ReadEnd::Limit | ReadEnd::Drained => {}
         }
         if total > 0 {
+            self.last_activity = Instant::now();
             if let Some(c) = &self.counters {
                 c.add_bytes_in(total as u64);
             }
@@ -749,12 +755,11 @@ impl Conn {
         // A frame waiting on its payload blocks the stream (frames are
         // strictly ordered), so nothing else can be parsed before it.
         if let Some(pf) = &self.pending {
-            if (self.avail() as u64) < pf.payload_len {
+            if pf.payload.len() < pf.payload_len {
                 return None;
             }
             let pf = self.pending.take().expect("pending frame present");
-            let payload = self.extract_payload(pf.payload_len as usize);
-            self.dispatch_frame(pf, payload, lc);
+            self.dispatch_frame(pf, lc);
             return Some(());
         }
         let raw = match self.take_line() {
@@ -778,13 +783,26 @@ impl Conn {
             }
         };
         let pf = match announced_payload(&words) {
-            Ok(len) => PendingFrame {
-                words,
-                id,
-                retry,
-                trace,
-                payload_len: len.unwrap_or(0),
-            },
+            Ok(len) => {
+                // One exact-size buffer per payload, whatever its size:
+                // the announce is already bounded by `PAYLOAD_MAX`, and
+                // the reservation stays virtual until bytes land in it.
+                // Whatever part of the payload came in with its line
+                // moves over now; `fill` reads the rest straight in.
+                let payload_len = len.unwrap_or(0) as usize;
+                let mut payload = Vec::with_capacity(payload_len);
+                let have = self.avail().min(payload_len);
+                payload.extend_from_slice(&self.inbuf[self.inpos..self.inpos + have]);
+                self.consume(have);
+                PendingFrame {
+                    words,
+                    id,
+                    retry,
+                    trace,
+                    payload_len,
+                    payload,
+                }
+            }
             // A bad or oversized announce is answered without waiting
             // for (or allocating) any payload. The peer may still send
             // the bytes, which will fail to parse as a command line —
@@ -795,46 +813,23 @@ impl Conn {
                 return Some(());
             }
         };
-        if (self.avail() as u64) < pf.payload_len {
+        if pf.payload.len() < pf.payload_len {
             self.pending = Some(pf);
-            return Some(());
+            return None;
         }
-        let payload = self.extract_payload(pf.payload_len as usize);
-        self.dispatch_frame(pf, payload, lc);
+        self.dispatch_frame(pf, lc);
         Some(())
     }
 
-    /// Slice a frame's announced payload off the input buffer into a
-    /// pooled buffer (reused across frames instead of allocated fresh).
-    fn extract_payload(&mut self, len: usize) -> Vec<u8> {
-        let start = self.inpos;
-        let mut payload = self.payload_pool.pop().unwrap_or_default();
-        payload.extend_from_slice(&self.inbuf[start..start + len]);
-        self.consume(len);
-        payload
-    }
-
-    /// Return a payload buffer to the pool. A dispatch that consumed
-    /// the buffer by value (`setacl`) leaves an empty, capacity-less
-    /// vec behind, which is dropped here; so are buffers a huge `put`
-    /// grew past the pool cap.
-    fn recycle_payload(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        let cap = payload_pool_cap();
-        if self.payload_pool.len() < POOL_MAX_BUFS && buf.capacity() > 0 && buf.capacity() <= cap
-        {
-            self.payload_pool.push(buf);
-        }
-    }
-
     /// Dispatch one complete frame through the session and queue its
-    /// reply (stamped with the frame's id when it carried one).
-    fn dispatch_frame(&mut self, pf: PendingFrame, mut payload: Vec<u8>, lc: &LoopCtx) {
+    /// reply (stamped with the frame's id when it carried one). The
+    /// payload moves into the dispatch by value.
+    fn dispatch_frame(&mut self, mut pf: PendingFrame, lc: &LoopCtx) {
         let ConnPhase::Session(session) = &mut self.phase else {
             unreachable!("frames only exist in session phase")
         };
-        let (reply, close) = session.handle_frame(&pf, &mut payload, lc);
-        self.recycle_payload(payload);
+        let payload = std::mem::take(&mut pf.payload);
+        let (reply, close) = session.handle_frame(&pf, payload, lc);
         // The frame's trace was parked on this thread for the duration
         // of the dispatch; clear it so events from the next frame (or
         // idle work) are not mis-tagged.
@@ -952,7 +947,7 @@ impl Session {
     fn handle_frame(
         &mut self,
         pf: &PendingFrame,
-        payload: &mut Vec<u8>,
+        payload: Vec<u8>,
         lc: &LoopCtx,
     ) -> (Option<Result<Reply, Errno>>, bool) {
         let ctl = &lc.ctl;

@@ -91,10 +91,12 @@ pub struct ServerConfig {
     /// Ablation switch for the zero-copy data plane: when set, `get`
     /// and `pread` fall back to the copying read path (flat buffer
     /// materialized under the shard lock, then copied into the
-    /// connection's write buffer), so the extent pipeline can be A/B
-    /// benchmarked against the pre-extent behaviour. `false` (the
-    /// default) also consults `IDBOX_DATAPLANE_COPY` (set to 1 to force
-    /// the copying path at startup).
+    /// connection's write buffer), and `put` and `pwrite` to the
+    /// guest-memory write path (payload copied into the guest image and
+    /// through the I/O channel in 64 KiB writes), so both halves of the
+    /// data plane can be A/B benchmarked against the copying behaviour.
+    /// `false` (the default) also consults `IDBOX_DATAPLANE_COPY` (set
+    /// to 1 to force the copying path at startup).
     pub copy_data_plane: bool,
     /// Directory for the write-ahead log. When set (or when
     /// `IDBOX_WAL_DIR` names a directory), every namespace and account
@@ -247,6 +249,13 @@ pub struct ChirpServer {
 /// registry sizes and labels its per-syscall counters with.
 const SYSCALL_NAMES: &[&str] = &Syscall::NAMES;
 
+/// Log bytes that count as one record toward the auto-snapshot cadence.
+/// A large write is one record however many bytes it logs, so a cadence
+/// in records alone would let a put-heavy log grow without bound in
+/// bytes between snapshots. 64 KiB is the size of the write records a
+/// `put` logged while it went through guest memory.
+const SNAPSHOT_BYTES_PER_RECORD: u64 = 64 * 1024;
+
 impl ChirpServer {
     /// Build a server with its own simulated kernel: the export space
     /// lives at [`crate::EXPORT_ROOT`] and carries `config.root_acl`.
@@ -389,10 +398,13 @@ impl ChirpServer {
             .collect::<std::io::Result<_>>()?;
         // Auto-snapshot: when the kernel is durable and a cadence is
         // configured, a background thread snapshots the namespace and
-        // truncates the log whenever enough records accumulate. Taking
-        // the snapshot under the shared kernel lock lets RPCs proceed;
-        // the vfs shard read locks inside `snapshot_cut` provide the
-        // consistency point. A failed attempt (counted in
+        // truncates the log whenever enough records accumulate, or
+        // their bytes in the active segment (which each snapshot's
+        // rotation starts afresh) amount to as many records of
+        // `SNAPSHOT_BYTES_PER_RECORD`. Taking the snapshot under the
+        // shared kernel lock lets RPCs proceed; the vfs shard read
+        // locks inside `snapshot_cut` provide the consistency point.
+        // A failed attempt (counted in
         // `WalStats::snapshot_failures`) is retried only after another
         // `every` records: each attempt rotates and syncs the log under
         // every shard lock, so retrying on the poll tick would stall
@@ -405,7 +417,9 @@ impl ChirpServer {
                 std::thread::spawn(move || {
                     let mut due = every;
                     while !stop.load(Ordering::Relaxed) {
-                        let logged = wal.since_snapshot();
+                        let s = wal.stats();
+                        let logged =
+                            s.since_snapshot.max(s.log_bytes / SNAPSHOT_BYTES_PER_RECORD);
                         if logged >= due {
                             due = match kernel.read().wal_snapshot() {
                                 Ok(_) => every,
@@ -677,7 +691,9 @@ pub(crate) struct SessionCtl {
     pub(crate) busy_watermark: Option<usize>,
     pub(crate) max_inflight_per_identity: Option<usize>,
     /// When set, `get`/`pread` use the copying read path instead of
-    /// streamed extents (the data-plane ablation switch).
+    /// streamed extents, and `put`/`pwrite` copy through guest memory
+    /// instead of moving the payload into the kernel (the data-plane
+    /// ablation switch).
     pub(crate) copy_data_plane: bool,
 }
 
@@ -837,14 +853,15 @@ fn data_read_span<T>(obs: &SessionObs, f: impl FnOnce() -> SysResult<T>) -> SysR
 }
 
 /// Dispatch one framed request. `payload` is the request's announced
-/// payload, already sliced off the wire by the framer (empty for
+/// payload, already read off the wire by the framer (empty for
 /// payload-less verbs), so dispatch never touches the socket. It is
-/// passed as an owned buffer so verbs that keep the bytes (`setacl`)
-/// can take them without another copy; the framer recycles whatever is
-/// left behind.
+/// passed by value so verbs that keep the bytes take them without
+/// another copy: `setacl` as its text, `put` and `pwrite` by moving the
+/// buffer into the kernel call (unless `copy_data_plane` ablates them
+/// to the guest-memory path).
 pub(crate) fn dispatch(
     words: &[String],
-    payload: &mut Vec<u8>,
+    payload: Vec<u8>,
     ctx: &mut GuestCtx<'_>,
     principal: &idbox_types::Principal,
     programs: &BTreeMap<String, GuestFn>,
@@ -897,7 +914,11 @@ pub(crate) fn dispatch(
         "pwrite" => {
             let fd: i64 = parse_num(words.get(1))?;
             let off: u64 = parse_num(words.get(2))?;
-            let n = ctx.pwrite(fd, payload, off)?;
+            let n = if ctl.copy_data_plane {
+                ctx.pwrite(fd, &payload, off)?
+            } else {
+                ctx.pwrite_owned(fd, payload, off)?
+            };
             Ok(Reply::Line(ok_num(n as i64)))
         }
         "fstat" => {
@@ -949,8 +970,7 @@ pub(crate) fn dispatch(
             // Validate before installing: a bad ACL must not brick the
             // directory. The payload buffer is taken by value — no
             // intermediate copy on the way to the UTF-8 check.
-            let text =
-                String::from_utf8(std::mem::take(payload)).map_err(|_| Errno::EINVAL)?;
+            let text = String::from_utf8(payload).map_err(|_| Errno::EINVAL)?;
             Acl::parse(&text).map_err(|_| Errno::EINVAL)?;
             let acl_path = format!("{dir}/{}", idbox_types::ACL_FILE_NAME);
             ctx.write_file(&acl_path, text.as_bytes())?;
@@ -962,7 +982,11 @@ pub(crate) fn dispatch(
                 Some(w) => w.parse().map_err(|_| Errno::EPROTO)?,
                 None => 0o644,
             };
-            ctx.write_file_mode(&path, payload, mode)?;
+            if ctl.copy_data_plane {
+                ctx.write_file_mode(&path, &payload, mode)?;
+            } else {
+                ctx.put_file(&path, payload, mode)?;
+            }
             Ok(Reply::Line("ok".to_string()))
         }
         "get" => {
@@ -984,7 +1008,7 @@ pub(crate) fn dispatch(
         // cover the whole frame — that is the point: cross the
         // expensive boundary once per batch, not once per call.
         "batch" => {
-            let text = std::str::from_utf8(payload).map_err(|_| Errno::EINVAL)?;
+            let text = std::str::from_utf8(&payload).map_err(|_| Errno::EINVAL)?;
             let lines: Vec<&str> = text
                 .split('\n')
                 .filter(|l| !l.trim().is_empty())
@@ -1214,7 +1238,7 @@ fn batch_sub_op(
     if !BATCH_VERBS.contains(&words[0].as_str()) {
         return error_line(Errno::ENOSYS);
     }
-    match dispatch(&words, &mut Vec::new(), ctx, principal, programs, ctl, obs) {
+    match dispatch(&words, Vec::new(), ctx, principal, programs, ctl, obs) {
         Ok(Reply::Line(l)) => l,
         Ok(Reply::Payload(_, data)) => match String::from_utf8(data) {
             Ok(text) => format!("ok {}", codec::encode_word(&text)),

@@ -215,6 +215,53 @@ fn failed_auto_snapshot_retries_once_per_cadence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The auto-snapshot cadence counts a large write by its bytes, not as
+/// one record: a `put` moves its whole payload into one write record,
+/// and a cadence in records alone would let a put-heavy log grow
+/// without bound between snapshots. With a cadence of N, one put of
+/// N × 64 KiB (a handful of records) is due for a snapshot.
+#[test]
+fn auto_snapshot_cadence_counts_large_writes_by_bytes() {
+    const EVERY: u64 = 64;
+    let dir = tmpdir("snapbytes");
+    let (ca, _) = gsi_setup();
+    let handle = ChirpServer::new(ServerConfig {
+        wal_snapshot_ops: Some(EVERY),
+        ..durable_config(&dir)
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let mut fred = ChirpClient::connect(handle.addr(), &creds(&ca, "Fred")).unwrap();
+    let mut admin = ChirpClient::connect(handle.addr(), &creds(&ca, "Admin")).unwrap();
+    let snapshots = |admin: &mut ChirpClient| {
+        admin
+            .metrics()
+            .unwrap()
+            .lines()
+            .find_map(|l| l.strip_prefix("idbox_wal_snapshots_total "))
+            .expect("a durable server exports its snapshot count")
+            .parse::<u64>()
+            .unwrap()
+    };
+    fred.mkdir("/r", 0o755).unwrap();
+    let big = vec![0x5Au8; EVERY as usize * 64 * 1024];
+    fred.put("/r/big", &big).unwrap();
+    assert!(wal_appends(&mut admin) < EVERY, "the put must stay below the cadence in records");
+    let mut taken = snapshots(&mut admin);
+    for _ in 0..250 {
+        if taken > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        taken = snapshots(&mut admin);
+    }
+    assert_eq!(taken, 1, "{} bytes logged in a few records must trigger a snapshot", big.len());
+    assert_eq!(fred.get("/r/big").unwrap(), big);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn volatile_server_reports_walsnap_unsupported() {
     let (ca, verifier) = gsi_setup();

@@ -1057,20 +1057,143 @@ fn oversized_replies_stream_without_deadlock_or_teardown() {
 /// one owned segment).
 #[test]
 fn ablated_copy_path_serves_oversized_replies_identically() {
-    let (ca, verifier) = gsi_setup();
-    let server = ChirpServer::new(ServerConfig {
-        name: "ablated".to_string(),
-        verifier,
-        root_acl: figure3_root_acl(),
-        copy_data_plane: true,
-        ..Default::default()
-    })
-    .unwrap();
-    let handle = server.spawn().unwrap();
+    let (handle, ca) = spawn_data_plane_server(true);
     let mut fred = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
     fred.mkdir("/work", 0o755).unwrap();
     let big = vec![0xA7u8; 2 * 1024 * 1024];
     fred.put("/work/big.dat", &big).unwrap();
     assert_eq!(fred.get("/work/big.dat").unwrap(), big);
     handle.shutdown();
+}
+
+/// A raw, authenticated socket for tests that control exactly how a
+/// request's bytes arrive.
+struct RawConn {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    writer: std::net::TcpStream,
+}
+
+impl idbox_auth::AuthTransport for RawConn {
+    fn send_line(&mut self, line: &str) -> Result<(), String> {
+        use std::io::Write;
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| e.to_string())
+    }
+    fn recv_line(&mut self) -> Result<String, String> {
+        use std::io::BufRead;
+        let mut line = String::new();
+        self.reader.read_line(&mut line).map_err(|e| e.to_string())?;
+        Ok(line.trim_end_matches(['\r', '\n']).to_string())
+    }
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr, ca: &CertificateAuthority) -> RawConn {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut c = RawConn {
+            reader: std::io::BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        };
+        idbox_auth::authenticate_client(&mut c, &fred_creds(ca)).unwrap();
+        c
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        self.writer.write_all(bytes).unwrap();
+    }
+}
+
+/// A Figure 3 server with the data plane on, or ablated to the copying
+/// paths (`copy_data_plane`).
+fn spawn_data_plane_server(
+    copy_data_plane: bool,
+) -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
+    let (ca, verifier) = gsi_setup();
+    let server = ChirpServer::new(ServerConfig {
+        name: "data-plane".to_string(),
+        verifier,
+        root_acl: figure3_root_acl(),
+        copy_data_plane,
+        ..Default::default()
+    })
+    .unwrap();
+    (server.spawn().unwrap(), ca)
+}
+
+/// A multi-MiB `put` whose payload trickles in through many small
+/// writes — far more readiness cycles than frames — lands byte for
+/// byte, and a frame pipelined right behind it is answered in order.
+/// Both inbound paths: the payload moved into the kernel, and the
+/// ablated copy through guest memory.
+#[test]
+fn dribbled_put_arrives_byte_identical() {
+    for copy_data_plane in [false, true] {
+        let (handle, ca) = spawn_data_plane_server(copy_data_plane);
+        let mut fred = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+        fred.mkdir("/work", 0o755).unwrap();
+        let big: Vec<u8> = (0..3u32 * 1024 * 1024)
+            .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+            .collect();
+
+        let mut raw = RawConn::connect(handle.addr(), &ca);
+        raw.send(format!("put /work/big.dat {} 420\n", big.len()).as_bytes());
+        // Seeded write sizes of 1-7 KiB, with a pause now and then so
+        // the server sees the payload arrive over many cycles.
+        let mut seed = 0x1DB0Fu64;
+        let mut off = 0;
+        let mut writes = 0u32;
+        while off < big.len() {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let n = (1024 * (1 + (seed >> 33) % 7) as usize).min(big.len() - off);
+            raw.send(&big[off..off + n]);
+            off += n;
+            writes += 1;
+            if writes.is_multiple_of(32) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        raw.send(b"stat /work/big.dat\n");
+        use idbox_auth::AuthTransport;
+        assert_eq!(raw.recv_line().unwrap(), "ok", "put (copy={copy_data_plane})");
+        let stat = raw.recv_line().unwrap();
+        assert!(stat.starts_with("ok "), "pipelined stat: {stat}");
+
+        assert_eq!(fred.get("/work/big.dat").unwrap(), big, "copy={copy_data_plane}");
+        handle.shutdown();
+    }
+}
+
+/// A peer that hangs up halfway through a `put` payload gets its
+/// connection closed with nothing dispatched: the file keeps its old
+/// contents, and the server goes on serving other connections.
+#[test]
+fn eof_mid_payload_leaves_the_file_unchanged() {
+    for copy_data_plane in [false, true] {
+        let (handle, ca) = spawn_data_plane_server(copy_data_plane);
+        let mut fred = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+        fred.mkdir("/work", 0o755).unwrap();
+        fred.put("/work/f", b"original").unwrap();
+
+        let mut raw = RawConn::connect(handle.addr(), &ca);
+        raw.send(b"put /work/f 1000000 420\n");
+        raw.send(&vec![b'z'; 300_000]);
+        raw.writer.shutdown(std::net::Shutdown::Write).unwrap();
+        // The server closes its side without a reply.
+        let mut rest = Vec::new();
+        use std::io::Read;
+        raw.reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "unexpected reply: {:?}", String::from_utf8_lossy(&rest));
+
+        assert_eq!(fred.get("/work/f").unwrap(), b"original");
+        let mut other = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+        other.put("/work/g", b"fresh").unwrap();
+        assert_eq!(other.get("/work/g").unwrap(), b"fresh");
+        handle.shutdown();
+    }
 }

@@ -134,7 +134,10 @@ impl RawClient {
 
 /// One generated request over a small path universe (`/p0` … `/p5`,
 /// nested files `/p<i>/f<j>`). Collisions (EEXIST, ENOENT, ENOTDIR…)
-/// are the point: error replies must match byte-for-byte too.
+/// are the point: error replies must match byte-for-byte too. One `put`
+/// in four carries a payload larger than the server's per-cycle read
+/// budget, so the frames pipelined behind it queue while it is still
+/// arriving.
 #[derive(Debug, Clone)]
 enum Op {
     Whoami,
@@ -155,6 +158,21 @@ fn dir(d: u32) -> String {
 
 fn file(d: u32, f: u32) -> String {
     format!("/p{}/f{}", d % 6, f % 4)
+}
+
+/// The server's per-connection read budget per readiness cycle.
+const READ_BUDGET: usize = 256 * 1024;
+
+/// A `put` payload: under 50 bytes, or for one seed in four the read
+/// budget plus a seeded remainder. Patterned by seed so a misplaced or
+/// truncated byte changes later replies.
+fn put_payload(n: u32) -> Vec<u8> {
+    let len = if n.is_multiple_of(4) {
+        READ_BUDGET + n as usize * 331 + 1
+    } else {
+        (n % 50) as usize
+    };
+    (0..len).map(|i| b'a' + ((i as u32 ^ n) % 26) as u8).collect()
 }
 
 impl Op {
@@ -180,7 +198,7 @@ impl Op {
             Op::Mkdir(d) => (format!("mkdir {} 493", dir(*d)), Vec::new()),
             Op::Stat(d, f) => (format!("stat {}", file(*d, *f)), Vec::new()),
             Op::Put(d, f, n) => {
-                let data = vec![b'x'; (*n % 50) as usize];
+                let data = put_payload(*n);
                 (
                     format!("put {} {} 420", file(*d, *f), data.len()),
                     data,
@@ -261,8 +279,14 @@ fn run_pipelined(
         if burst.is_empty() {
             continue;
         }
-        c.writer.write_all(&burst).unwrap();
-        c.writer.flush().unwrap();
+        // The burst can outgrow the socket buffers (large puts out, large
+        // gets back), so it is written from a second thread while this
+        // one reads the replies.
+        let mut writer = c.writer.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            writer.write_all(&burst).unwrap();
+            writer.flush().unwrap();
+        });
         for (i, op) in ops[lo..hi].iter().enumerate() {
             let raw = codec::read_line(&mut c.reader).unwrap();
             let (head, id) = codec::strip_id(&raw);
@@ -280,6 +304,7 @@ fn run_pipelined(
             };
             out.push((head, payload));
         }
+        sender.join().unwrap();
     }
     out
 }

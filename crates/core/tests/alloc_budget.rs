@@ -25,10 +25,18 @@
 //!   under twice the file data plus 1 MiB: the segment is read into
 //!   memory once, and each logged write is decoded in place and copied
 //!   once, into its chunk.
+//!
+//! And the inbound data plane's:
+//!
+//! * A boxed `put_file` of 1 MiB allocates under the data plus 128 KiB:
+//!   the caller's buffer moves into the kernel call, so the file's
+//!   chunks are the only copy. (`write_file_mode`, which copies the
+//!   same bytes through guest memory and the I/O channel, allocates
+//!   about twice the data.)
 
 use idbox_core::IdentityBox;
 use idbox_interpose::{share, GuestCtx};
-use idbox_kernel::{Account, Kernel};
+use idbox_kernel::{Account, Kernel, Pid};
 use idbox_vfs::{Cred, Vfs, Wal, WalConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -114,15 +122,21 @@ fn warm_vfs_stat_allocates_nothing() {
     assert_eq!(n, 0, "warm two-component Vfs::stat allocated {n} times");
 }
 
-#[test]
-fn warm_boxed_stat_stays_within_budget() {
+/// An identity box for Fred on a fresh volatile kernel, and its guest
+/// process.
+fn fred_box() -> (IdentityBox, Pid) {
     let mut k = Kernel::new();
     k.accounts_mut()
         .add(Account::new("dthain", SUP.uid, SUP.gid))
         .unwrap();
-    let kernel = share(k);
-    let b = IdentityBox::create(kernel, "globus:/O=UnivNowhere/CN=Fred", SUP).unwrap();
+    let b = IdentityBox::create(share(k), "globus:/O=UnivNowhere/CN=Fred", SUP).unwrap();
     let pid = b.spawn_process("budget").unwrap();
+    (b, pid)
+}
+
+#[test]
+fn warm_boxed_stat_stays_within_budget() {
+    let (b, pid) = fred_box();
     let mut sup = b.supervisor();
     let mut ctx = GuestCtx::new(&mut sup, pid);
     ctx.mkdir("src", 0o755).unwrap();
@@ -223,4 +237,28 @@ fn damaged_snapshot_length_allocates_only_what_is_present() {
         "a 4 GiB length claim allocated {boot_bytes} bytes before refusal"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn boxed_owned_put_allocates_only_the_file_chunks() {
+    let (b, pid) = fred_box();
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    ctx.mkdir("out", 0o755).unwrap();
+    // Warm the path caches and the file itself.
+    ctx.put_file("out/f", vec![1u8; 4096], 0o644).unwrap();
+    ctx.write_file("out/g", &[1u8; 4096]).unwrap();
+    let data = vec![7u8; MIB as usize];
+    let flat = data.clone();
+    let (owned_bytes, r) = bytes_in(|| ctx.put_file("out/f", data, 0o644));
+    r.unwrap();
+    let (flat_bytes, r) = bytes_in(|| ctx.write_file_mode("out/g", &flat, 0o644));
+    r.unwrap();
+    assert_eq!(ctx.read_file("out/f").unwrap(), flat);
+    assert!(
+        owned_bytes < MIB + 128 * 1024,
+        "boxed put_file of 1 MiB allocated {owned_bytes} bytes (budget data + 128 KiB; \
+         write_file_mode of the same data: {flat_bytes})"
+    );
+    eprintln!("1 MiB boxed write: put_file {owned_bytes} B, write_file_mode {flat_bytes} B");
 }

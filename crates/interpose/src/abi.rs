@@ -92,6 +92,11 @@ pub mod nr {
     /// extents held supervisor-side (the zero-copy data plane): the
     /// bytes never enter guest memory, only the total length returns.
     pub const PREADX: u64 = 1004;
+    /// pwritex(fd, len, off) — positioned write of a payload the
+    /// embedding context parked supervisor-side
+    /// ([`crate::Supervisor::park_payload`]): the bytes never enter
+    /// guest memory, only the length crosses in a register.
+    pub const PWRITEX: u64 = 1005;
 }
 
 /// The environment variable a boxed child spawned by the `exec` RPC

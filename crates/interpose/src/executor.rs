@@ -89,6 +89,10 @@ pub struct Supervisor {
     /// thing being avoided), so `execute` stashes them here and the
     /// embedding context collects them with [`Supervisor::take_extents`].
     pending_extents: Option<ExtentList>,
+    /// A write payload parked by the embedding context for the next
+    /// `pwritex`: the inbound mirror of `pending_extents`. The bytes
+    /// never enter flat guest memory; decode moves them into the call.
+    pending_payload: Option<Vec<u8>>,
 }
 
 impl Supervisor {
@@ -105,6 +109,7 @@ impl Supervisor {
             obs: None,
             latency,
             pending_extents: None,
+            pending_payload: None,
         }
     }
 
@@ -123,6 +128,7 @@ impl Supervisor {
             obs: None,
             latency,
             pending_extents: None,
+            pending_payload: None,
         }
     }
 
@@ -143,6 +149,7 @@ impl Supervisor {
             obs: None,
             latency,
             pending_extents: None,
+            pending_payload: None,
         }
     }
 
@@ -197,6 +204,16 @@ impl Supervisor {
         self.pending_extents.take()
     }
 
+    /// Park a write payload for the next `pwritex`, which moves it into
+    /// `Syscall::Pwrite` without copying it into guest memory or the I/O
+    /// channel: the embedding context (the Chirp server's `put` and
+    /// `pwrite`) already owns bytes that never lived in the guest. The
+    /// next `pwritex` consumes the parked buffer whatever its outcome;
+    /// no other call touches it.
+    pub fn park_payload(&mut self, data: Vec<u8>) {
+        self.pending_payload = Some(data);
+    }
+
     /// Park an extent reply and translate it into the register-visible
     /// result (`Num(total)`): extents never pass through `write_reply`,
     /// whose catch-all would reject the unknown shape as `EPROTO`.
@@ -226,7 +243,7 @@ impl Supervisor {
     /// copy out. With `with_policy`, the policy rules first (the
     /// in-kernel identity box of Section 9), still at native cost.
     fn execute_direct(&mut self, pid: Pid, vm: &mut TraceeVm, with_policy: bool) {
-        let decoded = decode_call(vm, &mut NoCount);
+        let decoded = decode_call(vm, &mut NoCount, &mut self.pending_payload);
         let (call, out) = match decoded {
             Ok(x) => x,
             Err(e) => {
@@ -378,7 +395,7 @@ impl Supervisor {
             engine: &mut self.engine,
             channel: &mut self.channel,
         };
-        let decoded = decode_call(vm, &mut peeker);
+        let decoded = decode_call(vm, &mut peeker, &mut self.pending_payload);
         let (call, out) = match decoded {
             Ok(x) => x,
             Err(e) => {
@@ -535,8 +552,13 @@ fn read_str(reader: &mut dyn ArgReader, vm: &TraceeVm, addr: u64, len: u64) -> S
 }
 
 /// Decode the registers (and any memory-resident arguments) into a typed
-/// call plus the location where its reply payload belongs.
-fn decode_call(vm: &TraceeVm, reader: &mut dyn ArgReader) -> SysResult<(Syscall, OutSpec)> {
+/// call plus the location where its reply payload belongs. A `pwritex`
+/// takes its data from `parked` instead of guest memory.
+fn decode_call(
+    vm: &TraceeVm,
+    reader: &mut dyn ArgReader,
+    parked: &mut Option<Vec<u8>>,
+) -> SysResult<(Syscall, OutSpec)> {
     let r = &vm.regs;
     let (n, a0, a1, a2, a3) = (r[reg::NR], r[reg::A0], r[reg::A1], r[reg::A2], r[reg::A3]);
     let call = match n {
@@ -576,6 +598,16 @@ fn decode_call(vm: &TraceeVm, reader: &mut dyn ArgReader) -> SysResult<(Syscall,
             let data = reader.read_bytes(vm, a1, a2 as usize)?;
             (Syscall::Pwrite(a0 as usize, data, a3), OutSpec::None)
         }
+        // Owned-payload write: the data was parked supervisor-side, so
+        // nothing is peeked or staged through the channel. A missing
+        // payload, or one whose length disagrees with the register, is
+        // a bad buffer address as far as the guest can tell.
+        nr::PWRITEX => match parked.take() {
+            Some(data) if data.len() as u64 == a1 => {
+                (Syscall::Pwrite(a0 as usize, data, a2), OutSpec::None)
+            }
+            _ => return Err(Errno::EFAULT),
+        },
         nr::LSEEK => (
             Syscall::Lseek(a0 as usize, a1 as i64, abi::whence_from_code(a2)?),
             OutSpec::None,

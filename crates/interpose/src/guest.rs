@@ -270,6 +270,20 @@ impl<'a> GuestCtx<'a> {
         Ok(n as usize)
     }
 
+    /// `pwritex(fd, len, off)` — the owned-payload positioned write, the
+    /// inbound mirror of [`GuestCtx::pread_extents`]. `data` is parked
+    /// with the supervisor and moved into the kernel call: it is never
+    /// copied into guest memory or the I/O channel, and the guest image
+    /// does not grow. One trap round trip, zero peeks, zero pokes, zero
+    /// channel bytes. For embedding contexts that already own bytes the
+    /// guest never held; guest programs use [`GuestCtx::pwrite`].
+    pub fn pwrite_owned(&mut self, fd: i64, data: Vec<u8>, off: u64) -> SysResult<usize> {
+        let len = data.len() as u64;
+        self.sup.park_payload(data);
+        let n = self.call_checked(nr::PWRITEX, &[fd as u64, len, off])?;
+        Ok(n as usize)
+    }
+
     /// `lseek(fd, off, whence)`.
     pub fn lseek(&mut self, fd: i64, off: i64, whence: Whence) -> SysResult<u64> {
         let pos =
@@ -463,6 +477,26 @@ impl<'a> GuestCtx<'a> {
     /// Create or replace a file with the given contents.
     pub fn write_file(&mut self, path: &str, data: &[u8]) -> SysResult<()> {
         self.write_file_mode(path, data, 0o644)
+    }
+
+    /// Create or replace a file with an owned buffer as its contents
+    /// (open → pwritex → close): the Chirp server's `put`. Three traps
+    /// whatever the size, and the bytes move into the kernel without a
+    /// copy through guest memory. An empty file skips the write, as
+    /// [`GuestCtx::write_file_mode`] does. The buffer cannot be resent,
+    /// so a short write fails with `EIO` instead of being resumed.
+    pub fn put_file(&mut self, path: &str, data: Vec<u8>, mode: u16) -> SysResult<()> {
+        let fd = self.open(path, OpenFlags::wronly_create_trunc(), mode)?;
+        let len = data.len();
+        let written = match len {
+            0 => Ok(0),
+            _ => self.pwrite_owned(fd, data, 0),
+        };
+        let closed = self.close(fd);
+        match written? {
+            n if n == len => closed,
+            _ => Err(Errno::EIO),
+        }
     }
 
     /// Create or replace a file with the given contents and creation
@@ -707,6 +741,108 @@ mod tests {
         assert_eq!(report.traps, 3);
         assert_eq!(report.channel_bytes, 0);
         assert_eq!(report.pokes, 0);
+    }
+
+    #[test]
+    fn owned_write_matches_flat_write() {
+        both_modes(|ctx| {
+            let data: Vec<u8> = (0..200_000u32).map(|i| (i * 29) as u8).collect();
+            ctx.put_file("/tmp/owned", data.clone(), 0o600).unwrap();
+            assert_eq!(ctx.read_file("/tmp/owned").unwrap(), data);
+            assert_eq!(ctx.stat("/tmp/owned").unwrap().mode & 0o777, 0o600);
+            // Positioned: patch a window in place, then write past EOF.
+            let fd = ctx.open("/tmp/owned", OpenFlags::rdwr(), 0).unwrap();
+            assert_eq!(ctx.pwrite_owned(fd, vec![7u8; 1000], 99_500).unwrap(), 1000);
+            assert_eq!(ctx.pwrite_owned(fd, b"tail".to_vec(), 300_000).unwrap(), 4);
+            ctx.close(fd).unwrap();
+            let mut want = data;
+            want[99_500..100_500].fill(7);
+            want.resize(300_000, 0);
+            want.extend_from_slice(b"tail");
+            assert_eq!(ctx.read_file("/tmp/owned").unwrap(), want);
+            // An empty put truncates, and replaces the old contents.
+            ctx.put_file("/tmp/owned", Vec::new(), 0o644).unwrap();
+            assert_eq!(ctx.read_file("/tmp/owned").unwrap(), b"");
+            // Errors cross the boundary as usual.
+            assert_eq!(ctx.put_file("/no/such/dir/f", vec![1], 0o644), Err(Errno::ENOENT));
+            assert_eq!(ctx.pwrite_owned(999, vec![1], 0), Err(Errno::EBADF));
+        });
+    }
+
+    #[test]
+    fn owned_put_is_three_traps_and_no_channel_bytes() {
+        let (mut sup, pid) = setup(true);
+        let mut ctx = GuestCtx::new(&mut sup, pid);
+        let big = vec![5u8; 1 << 20];
+        ctx.put_file("/tmp/big", big.clone(), 0o644).unwrap();
+        let report = ctx.supervisor().cost_report();
+        // open + pwritex + close, whatever the size; the payload never
+        // crossed the channel.
+        assert_eq!(report.traps, 3);
+        assert_eq!(report.channel_bytes, 0);
+        assert_eq!(ctx.supervisor().channel_bytes(), 0);
+        // The pwritex trap on its own: one round trip, and nothing
+        // peeked or poked — only registers crossed.
+        let fd = ctx.open("/tmp/big", OpenFlags::rdwr(), 0).unwrap();
+        ctx.supervisor().reset_cost_report();
+        assert_eq!(ctx.pwrite_owned(fd, big, 0).unwrap(), 1 << 20);
+        let report = ctx.supervisor().cost_report();
+        assert_eq!(report.traps, 1);
+        assert_eq!(report.peeks, 0);
+        assert_eq!(report.pokes, 0);
+        assert_eq!(report.channel_bytes, 0);
+        ctx.close(fd).unwrap();
+        // The guest-facing write keeps the channel: that copy is the
+        // paper's Figure 4(b) cost.
+        ctx.supervisor().reset_cost_report();
+        ctx.write_file("/tmp/flat", &[5u8; 10_000]).unwrap();
+        assert_eq!(ctx.supervisor().cost_report().channel_bytes, 10_000);
+    }
+
+    #[test]
+    fn pwritex_without_a_matching_parked_payload_is_efault() {
+        both_modes(|ctx| {
+            let fd = ctx
+                .open("/tmp/e", OpenFlags::wronly_create_trunc(), 0o644)
+                .unwrap();
+            // Nothing parked.
+            let ret = ctx.call(nr::PWRITEX, &[fd as u64, 3, 0]);
+            assert_eq!(Errno::from_ret(ret), Some(Errno::EFAULT));
+            // Parked, but the length register disagrees: refused, and
+            // the mismatched buffer is consumed rather than left for a
+            // later call.
+            ctx.sup.park_payload(b"abcd".to_vec());
+            let ret = ctx.call(nr::PWRITEX, &[fd as u64, 3, 0]);
+            assert_eq!(Errno::from_ret(ret), Some(Errno::EFAULT));
+            let ret = ctx.call(nr::PWRITEX, &[fd as u64, 4, 0]);
+            assert_eq!(Errno::from_ret(ret), Some(Errno::EFAULT));
+            // Other calls never consume a parked payload.
+            ctx.sup.park_payload(b"abc".to_vec());
+            assert_eq!(ctx.write(fd, b"xyz").unwrap(), 3);
+            let ret = ctx.call(nr::PWRITEX, &[fd as u64, 3, 3]);
+            assert_eq!(ret, 3);
+            ctx.close(fd).unwrap();
+            assert_eq!(ctx.read_file("/tmp/e").unwrap(), b"xyzabc");
+        });
+    }
+
+    #[test]
+    fn owned_write_does_not_grow_the_guest_image() {
+        both_modes(|ctx| {
+            let before = ctx.vm.mem_len();
+            let fd = ctx
+                .open("/tmp/huge", OpenFlags::wronly_create_trunc(), 0o644)
+                .unwrap();
+            let n = ctx.pwrite_owned(fd, vec![9u8; 8 << 20], 0).unwrap();
+            assert_eq!(n, 8 << 20);
+            ctx.put_file("/tmp/huge2", vec![9u8; 8 << 20], 0o644).unwrap();
+            assert_eq!(ctx.vm.mem_len(), before, "guest image grew");
+            // The guest-memory write path is what pins a large image:
+            // the VM never shrinks.
+            ctx.pwrite(fd, &[9u8; 1 << 20], 0).unwrap();
+            assert!(ctx.vm.mem_len() > 1 << 20);
+            ctx.close(fd).unwrap();
+        });
     }
 
     #[test]
