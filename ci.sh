@@ -8,18 +8,22 @@ cargo test -q
 # The repository benchmark's own unit tests (metric set, units, ladder
 # monotonicity, argument parsing); it is a workspace of its own.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-# Observability subsystem: tracing/metrics units (idbox-obs),
-# histogram/audit-ring units, and the e2e suite covering the
-# stats/audit/metrics/slowops RPCs and the trace-id join.
+# Observability subsystem: tracing/metrics/flight-recorder units
+# (idbox-obs), latency-histogram/audit-ring units, and the e2e suite
+# covering the stats/audit/metrics/slowops RPCs and the trace-id join.
 cargo test -q -p idbox-obs -p idbox-kernel -p idbox-core
 cargo test -q -p idbox-chirp --test e2e
 # Self-observation plane: flight-recorder/tracedump e2e (Chrome-trace
 # JSON validity, admin gating, bounded rings under an RPC storm), the
-# loop-stall watchdog, the health roll-up, and hostile-identity label
-# escaping in the lock/loop Prometheus families.
+# loop-stall watchdog, the health roll-up, hostile-identity label
+# escaping in the lock/loop Prometheus families, the golden Prometheus
+# family set and histogram edges, and slowops as a plane/duration
+# filter over the flight recorder (untraced rows, the 512-row cap).
 cargo test -q -p idbox-chirp --test observability
-# Lock-profile units: log2 wait histograms, snapshot diffs, percentile
-# math, and the enable/disable kill switch.
+# idbox-sync units: the one Log2Histogram (bucket edges and the
+# top-bucket "at least" rule at 22 and 32 buckets, saturating diff,
+# merge), lock-profile snapshot diffs, and the enable/disable kill
+# switch.
 cargo test -q -p idbox-sync
 # Fast-path cache equivalence: the dentry cache and the ACL verdict
 # cache must be pure optimizations (cached and uncached resolution /
@@ -100,8 +104,9 @@ IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_LEVELS=1,2 \
 IDBOX_BENCH_WINDOW_MS=150 \
   cargo run --release -q -p idbox-bench --bin server_throughput -- --faults
 # Pipeline smoke (~2 s): the wire-v2 single-connection bench must run
-# end to end and emit results/BENCH_pipeline.tsv. The >= 5x pipelining
-# assertion self-skips on single-core hosts.
+# end to end and emit results/BENCH_pipeline.tsv. The gate counts what
+# pipelining saves, so it runs on every host: at each depth >= 16,
+# server wakeups and flushes per request must be <= 1/5 of serial's.
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_PIPELINE=1 \
   cargo run --release -q -p idbox-bench --bin pipeline
 # Contention smoke (~2 s): the disjoint-subtree contention bench must

@@ -408,6 +408,7 @@ impl ChirpClient {
                     idbox_obs::flight::record_span(
                         "client",
                         line.split(' ').next().unwrap_or("rpc"),
+                        None,
                         Some(trace),
                         start_ns,
                         start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -1047,6 +1048,7 @@ impl Pipeline<'_> {
                 idbox_obs::flight::record_span(
                     "client",
                     op.line.split(' ').next().unwrap_or("rpc"),
+                    None,
                     Some(op.trace),
                     start_ns,
                     dur_ns,

@@ -27,7 +27,7 @@ use idbox_auth::{AuthOutcome, ServerAuthMachine, ServerVerifier};
 use idbox_core::{BoxOptions, IdentityBox, Verdict};
 use idbox_interpose::{GuestCtx, Supervisor, TraceeVm};
 use idbox_kernel::Pid;
-use idbox_obs::{now_unix_ns, IdentityCounters, Phase, TraceCell, TraceId};
+use idbox_obs::{now_unix_ns, IdentityCounters, TraceCell, TraceId};
 use idbox_types::{CostModel, Errno, Principal};
 use idbox_vfs::{ByteExtent, Cred};
 use std::collections::{BTreeMap, VecDeque};
@@ -253,7 +253,7 @@ fn run_worker(
         ws.set_conns(conns.len());
         if ready {
             let cycle = cycle_start.elapsed();
-            ws.lag.record_us(cycle.as_micros() as u64);
+            ws.record_lag_us(cycle.as_micros() as u64);
             if let Some(budget) = lc.stall_budget {
                 if cycle > budget {
                     ws.bump_stall();
@@ -593,6 +593,7 @@ impl Conn {
             idbox_obs::flight::record_span(
                 "data",
                 "stream",
+                None,
                 m.trace,
                 m.start_ns,
                 now_unix_ns().saturating_sub(m.start_ns),
@@ -680,7 +681,7 @@ impl Conn {
     fn protocol_teardown(&mut self, lc: &LoopCtx) {
         let (identity, trace) = match &self.phase {
             ConnPhase::Session(s) => (s.obs.identity.clone(), s.obs.trace.get()),
-            ConnPhase::Auth(_) => ("(unauthenticated)".to_string(), None),
+            ConnPhase::Auth(_) => (Arc::from("(unauthenticated)"), None),
         };
         if let ConnPhase::Session(s) = &self.phase {
             s.counters.bump_rpc_shed();
@@ -912,14 +913,13 @@ impl Session {
         let gauge = SessionGauge(Arc::clone(&counters));
         let obs = SessionObs {
             trace: Arc::new(TraceCell::new()),
-            identity: identity.as_str().to_string(),
+            identity: Arc::from(identity.as_str()),
         };
         let options = BoxOptions {
             cost_model: lc.cost_model,
             audit_ring: Some(Arc::clone(&lc.ctl.audit)),
             trace: Some(Arc::clone(&obs.trace)),
             metrics: Some(Arc::clone(&lc.ctl.metrics)),
-            slow_ops: Some(Arc::clone(&lc.ctl.slow_ops)),
             ..Default::default()
         };
         let b = IdentityBox::with_options(
@@ -1010,7 +1010,7 @@ impl Session {
         );
         self.vm = Some(ctx.into_vm());
         drop(inflight);
-        record_span(ctl, &self.obs, Phase::Rpc, &pf.words[0], t0.elapsed());
+        record_span(&self.obs, "rpc", &pf.words[0], t0.elapsed());
         (Some(result), false)
     }
 

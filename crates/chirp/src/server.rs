@@ -10,8 +10,7 @@ use idbox_interpose::abi;
 use idbox_interpose::{share, GuestCtx, SharedKernel};
 use idbox_kernel::{Account, Kernel, OpenFlags, Pid, Syscall};
 use idbox_obs::{
-    now_unix_ns, IdentityCounters, IdentityMetrics, Phase, SlowOpLog, Span, TraceCell,
-    IDENTITY_METRICS_DEFAULT_CAP, SLOW_OP_DEFAULT_CAP,
+    now_unix_ns, IdentityCounters, IdentityMetrics, TraceCell, IDENTITY_METRICS_DEFAULT_CAP,
 };
 use idbox_types::{CostModel, Errno, SysResult};
 use idbox_vfs::{Cred, ExtentList};
@@ -58,8 +57,9 @@ pub struct ServerConfig {
     /// is empty, so observability is off the wire unless explicitly
     /// granted.
     pub admins: Vec<String>,
-    /// Operations at least this long are kept as spans in the slow-op
-    /// ring (the `slowops` RPC). `Duration::ZERO` keeps everything.
+    /// The `slowops` RPC lists the `rpc`/`exec`/`dispatch`/`policy`
+    /// spans at least this long that are still in the process's flight
+    /// recorder. `Duration::ZERO` lists every one.
     pub slow_op_threshold: Duration,
     /// Load-shedding watermark: when this many RPCs are already in
     /// dispatch server-wide, new requests are refused with a fast
@@ -236,7 +236,6 @@ pub struct ChirpServer {
     sup_cred: Cred,
     audit: Arc<AuditRing>,
     metrics: Arc<IdentityMetrics>,
-    slow_ops: Arc<SlowOpLog>,
     /// Auto-snapshot cadence in records (0 = off); meaningful only when
     /// the kernel carries a WAL.
     wal_snapshot_every: u64,
@@ -303,10 +302,6 @@ impl ChirpServer {
                 .chown(root, crate::EXPORT_ROOT, 1000, 1000, &Cred::ROOT)?;
             idbox_core::write_acl(k.vfs_mut(), export, &config.root_acl, &sup_cred)?;
         }
-        let slow_ops = Arc::new(SlowOpLog::new(
-            SLOW_OP_DEFAULT_CAP,
-            config.slow_op_threshold.as_nanos().min(u128::from(u64::MAX)) as u64,
-        ));
         Ok(ChirpServer {
             config,
             kernel: share(k),
@@ -317,7 +312,6 @@ impl ChirpServer {
                 SYSCALL_NAMES,
                 IDENTITY_METRICS_DEFAULT_CAP,
             )),
-            slow_ops,
             wal_snapshot_every,
             recovery,
         })
@@ -374,7 +368,7 @@ impl ChirpServer {
             admins: Arc::new(self.config.admins),
             audit: Arc::clone(&self.audit),
             metrics: Arc::clone(&self.metrics),
-            slow_ops: Arc::clone(&self.slow_ops),
+            slow_op_threshold: self.config.slow_op_threshold,
             loop_stats: Arc::clone(&loop_stats),
             draining: Arc::clone(&draining),
             inflight: Arc::clone(&inflight),
@@ -518,7 +512,6 @@ impl ChirpServer {
             conns,
             audit: Arc::clone(&self.audit),
             metrics: Arc::clone(&self.metrics),
-            slow_ops: Arc::clone(&self.slow_ops),
             loop_stats,
             draining,
             inflight,
@@ -537,7 +530,6 @@ pub struct ChirpServerHandle {
     conns: ConnRegistry,
     audit: Arc<AuditRing>,
     metrics: Arc<IdentityMetrics>,
-    slow_ops: Arc<SlowOpLog>,
     loop_stats: Arc<idbox_obs::LoopStats>,
     draining: Arc<AtomicBool>,
     inflight: Arc<AtomicU64>,
@@ -564,11 +556,6 @@ impl ChirpServerHandle {
     /// The server-wide per-identity metrics registry.
     pub fn metrics(&self) -> &Arc<IdentityMetrics> {
         &self.metrics
-    }
-
-    /// The server-wide slow-operation span ring.
-    pub fn slow_ops(&self) -> &Arc<SlowOpLog> {
-        &self.slow_ops
     }
 
     /// Per-worker event-loop health counters.
@@ -680,7 +667,7 @@ pub(crate) struct SessionCtl {
     pub(crate) admins: Arc<Vec<String>>,
     pub(crate) audit: Arc<AuditRing>,
     pub(crate) metrics: Arc<IdentityMetrics>,
-    pub(crate) slow_ops: Arc<SlowOpLog>,
+    pub(crate) slow_op_threshold: Duration,
     pub(crate) loop_stats: Arc<idbox_obs::LoopStats>,
     /// Set when the server is draining: every request is shed so
     /// in-flight work can finish and sessions wind down.
@@ -714,7 +701,7 @@ impl SessionCtl {
 /// are labeled with.
 pub(crate) struct SessionObs {
     pub(crate) trace: Arc<TraceCell>,
-    pub(crate) identity: String,
+    pub(crate) identity: Arc<str>,
 }
 
 /// Decrements an identity's active-session gauge when the session ends,
@@ -782,40 +769,18 @@ pub(crate) fn announced_payload(words: &[String]) -> Result<Option<u64>, Errno> 
     Ok(Some(len))
 }
 
-/// Offer one timed phase of the current request to the slow-op ring
-/// (which applies its threshold).
-pub(crate) fn record_span(
-    ctl: &SessionCtl,
-    obs: &SessionObs,
-    phase: Phase,
-    name: &str,
-    dur: Duration,
-) {
+/// Record one timed phase of the current request into the flight
+/// recorder, stamped with the session's identity and trace id.
+pub(crate) fn record_span(obs: &SessionObs, plane: &'static str, name: &str, dur: Duration) {
     let dur_ns = dur.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let trace = obs.trace.get();
-    if trace.is_some() {
-        let plane = match phase {
-            Phase::Rpc => "rpc",
-            Phase::Policy => "policy",
-            Phase::Dispatch => "dispatch",
-            Phase::Exec => "exec",
-        };
-        idbox_obs::flight::record_span(
-            plane,
-            name,
-            trace,
-            now_unix_ns().saturating_sub(dur_ns),
-            dur_ns,
-        );
-    }
-    ctl.slow_ops.record(Span {
-        trace,
-        phase,
-        name: name.to_string(),
-        identity: obs.identity.clone(),
-        start_ns: now_unix_ns().saturating_sub(dur_ns),
+    idbox_obs::flight::record_span(
+        plane,
+        name,
+        Some(&obs.identity),
+        obs.trace.get(),
+        now_unix_ns().saturating_sub(dur_ns),
         dur_ns,
-    });
+    );
 }
 
 pub(crate) enum Reply {
@@ -844,6 +809,7 @@ fn data_read_span<T>(obs: &SessionObs, f: impl FnOnce() -> SysResult<T>) -> SysR
         idbox_obs::flight::record_span(
             "data",
             "read",
+            None,
             Some(trace),
             now_unix_ns().saturating_sub(dur_ns),
             dur_ns,
@@ -1036,7 +1002,7 @@ pub(crate) fn dispatch(
             }
             let t0 = std::time::Instant::now();
             let result = run_exec(ctx, &path, &args, programs);
-            record_span(ctl, obs, Phase::Exec, &path, t0.elapsed());
+            record_span(obs, "exec", &path, t0.elapsed());
             Ok(Reply::Line(ok_num(result? as i64)))
         }
         // Observability RPCs: restricted to configured admin
@@ -1155,9 +1121,7 @@ pub(crate) fn dispatch(
         // text. Percentiles are `-` while the histograms are empty.
         "health" => {
             ctl.require_admin(principal)?;
-            let loop_p99 = ctl
-                .loop_stats
-                .lag_percentile_us(99.0)
+            let loop_p99 = parking_lot::histogram::percentile(&ctl.loop_stats.lag_buckets(), 99.0)
                 .map_or_else(|| "-".to_string(), |v| v.to_string());
             let locks = parking_lot::lock_snapshot();
             let shard_p99 = parking_lot::lock_wait_percentile_us(&locks, 99.0)
@@ -1187,22 +1151,32 @@ pub(crate) fn dispatch(
                 snap_failures,
             )))
         }
+        // The request phases in the flight recorder that took at least
+        // `slow_op_threshold`, newest `SLOW_OPS_MAX` oldest first.
         "slowops" => {
             ctl.require_admin(principal)?;
+            let threshold = ctl.slow_op_threshold.as_nanos();
+            let slow: Vec<_> = idbox_obs::flight::snapshot_since(0)
+                .into_iter()
+                .filter(|e| {
+                    matches!(e.plane, "rpc" | "exec" | "dispatch" | "policy")
+                        && u128::from(e.dur_ns) >= threshold
+                })
+                .collect();
             let mut text = String::new();
-            for s in ctl.slow_ops.snapshot() {
-                let trace = match s.trace {
+            for e in &slow[slow.len().saturating_sub(SLOW_OPS_MAX)..] {
+                let trace = match e.trace {
                     Some(t) => t.to_string(),
                     None => "-".to_string(),
                 };
                 text.push_str(&format!(
                     "{} {} {} {} {} {}\n",
                     trace,
-                    s.phase.as_str(),
-                    codec::encode_word(&s.name),
-                    codec::encode_word(&s.identity),
-                    s.start_ns,
-                    s.dur_ns
+                    e.plane,
+                    codec::encode_word(&e.name),
+                    codec::encode_word(e.identity.as_deref().unwrap_or("-")),
+                    e.ts_ns,
+                    e.dur_ns
                 ));
             }
             Ok(Reply::Payload(ok_num(text.len() as i64), text.into_bytes()))
@@ -1210,6 +1184,9 @@ pub(crate) fn dispatch(
         _ => Err(Errno::ENOSYS),
     }
 }
+
+/// Most rows one `slowops` reply carries.
+const SLOW_OPS_MAX: usize = 512;
 
 /// Verbs a `batch` frame may carry: the small metadata ops whose
 /// round-trip tax batching exists to amortize. Payload-bearing verbs,

@@ -489,3 +489,231 @@ fn metrics_expose_lock_and_loop_families_with_hostile_identity_escaped() {
     }
     handle.shutdown();
 }
+
+/// The Prometheus surface cannot drift: a durable server after real
+/// traffic exposes exactly these 23 families plus the 10 `idbox_wal_*`
+/// ones, and both histogram families keep their log2 `le` edges
+/// `1, 3, 7, …, 2^21-1, +Inf`.
+#[test]
+fn prometheus_family_set_and_histogram_edges_are_pinned() {
+    const FAMILIES: [&str; 23] = [
+        "idbox_syscalls_total",
+        "idbox_bytes_read_total",
+        "idbox_bytes_written_total",
+        "idbox_bytes_in_total",
+        "idbox_bytes_out_total",
+        "idbox_denials_total",
+        "idbox_reserve_amplifications_total",
+        "idbox_verdict_cache_hits_total",
+        "idbox_verdict_cache_misses_total",
+        "idbox_rpcs_shed_total",
+        "idbox_rpcs_retried_total",
+        "idbox_active_sessions",
+        "idbox_inflight_requests",
+        "idbox_admission_shed_total",
+        "idbox_shard_lock_acquisitions_total",
+        "idbox_shard_lock_waits_total",
+        "idbox_shard_lock_wait_us",
+        "idbox_loop_lag_us",
+        "idbox_loop_wakeups_total",
+        "idbox_loop_flushes_total",
+        "idbox_loop_stalls_total",
+        "idbox_loop_connections",
+        "idbox_loop_outbuf_high_watermark_bytes",
+    ];
+    const WAL_FAMILIES: [&str; 10] = [
+        "idbox_wal_appends_total",
+        "idbox_wal_bytes_total",
+        "idbox_wal_fsyncs_total",
+        "idbox_wal_snapshots_total",
+        "idbox_wal_errors_total",
+        "idbox_wal_log_bytes",
+        "idbox_wal_records_since_snapshot",
+        "idbox_wal_replayed_records_total",
+        "idbox_wal_torn_tail_total",
+        "idbox_wal_corrupt_frames_total",
+    ];
+    let dir = std::env::temp_dir().join(format!("idbox-chirp-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ca, _) = gsi_setup();
+    let mut config = observed_config("golden");
+    config.wal_dir = Some(dir.clone());
+    let handle = ChirpServer::new(config).unwrap().spawn().unwrap();
+    let mut fred = ChirpClient::connect(handle.addr(), &creds(&ca, "Fred")).unwrap();
+    fred.mkdir("/golden", 0o755).unwrap();
+    fred.put("/golden/f", b"pinned").unwrap();
+    assert_eq!(fred.get("/golden/f").unwrap(), b"pinned");
+    let mut admin = ChirpClient::connect(handle.addr(), &creds(&ca, "Admin")).unwrap();
+    let text = admin.metrics().unwrap();
+
+    let expected: std::collections::BTreeSet<String> = FAMILIES
+        .iter()
+        .chain(&WAL_FAMILIES)
+        .map(|f| f.to_string())
+        .collect();
+    let families: std::collections::BTreeSet<String> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().unwrap().to_string())
+        .collect();
+    assert_eq!(families, expected);
+
+    let edges: Vec<String> = (1..=21)
+        .map(|i| ((1u64 << i) - 1).to_string())
+        .chain(["+Inf".to_string()])
+        .collect();
+    for family in ["idbox_loop_lag_us", "idbox_shard_lock_wait_us"] {
+        // `le` values of each series, in exposition order, keyed by the
+        // series' other labels.
+        let mut series: std::collections::BTreeMap<&str, Vec<String>> = Default::default();
+        let prefix = format!("{family}_bucket{{");
+        for line in text.lines().filter_map(|l| l.strip_prefix(prefix.as_str())) {
+            let (labels, le) = line.split_once("le=\"").unwrap();
+            series
+                .entry(labels)
+                .or_default()
+                .push(le.split('"').next().unwrap().to_string());
+        }
+        assert!(!series.is_empty(), "{family} has no series");
+        for (labels, les) in series {
+            assert_eq!(les, edges, "{family}{{{labels}}} edges drifted");
+        }
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An authenticated connection that speaks raw protocol lines: no
+/// trace token, no request id.
+struct RawSession {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    writer: std::net::TcpStream,
+}
+
+impl idbox_auth::AuthTransport for RawSession {
+    fn send_line(&mut self, line: &str) -> Result<(), String> {
+        use std::io::Write;
+        writeln!(self.writer, "{line}")
+            .and_then(|_| self.writer.flush())
+            .map_err(|e| e.to_string())
+    }
+
+    fn recv_line(&mut self) -> Result<String, String> {
+        idbox_chirp::codec::read_line(&mut self.reader).map_err(|e| format!("{e:?}"))
+    }
+}
+
+impl RawSession {
+    fn connect(addr: std::net::SocketAddr, creds: &[ClientCredential]) -> RawSession {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut s = RawSession {
+            reader: std::io::BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        };
+        idbox_auth::authenticate_client(&mut s, creds).unwrap();
+        s
+    }
+}
+
+/// `slowops` is a duration filter over the flight recorder: it lists
+/// only the request phases (`rpc`, `exec`, `dispatch`, `policy`) at or
+/// over the server's `slow_op_threshold`, each with its identity, and
+/// an untraced raw-protocol request shows up with `-` as its trace. A
+/// threshold above every span lists nothing.
+#[test]
+fn slowops_filters_the_flight_recorder_by_plane_and_threshold() {
+    let (ca, _) = gsi_setup();
+    let mut config = observed_config("slowops-filter");
+    // Above anything the rest of this suite runs, except its deliberate
+    // stalls; the exec below sleeps past it.
+    config.slow_op_threshold = Duration::from_millis(40);
+    let mut server = ChirpServer::new(config).unwrap();
+    server.register_program("nap", |_, _| {
+        std::thread::sleep(Duration::from_millis(60));
+        0
+    });
+    let handle = server.spawn().unwrap();
+    let mut quiet_config = observed_config("slowops-quiet");
+    quiet_config.slow_op_threshold = Duration::from_secs(3600);
+    let quiet = ChirpServer::new(quiet_config).unwrap().spawn().unwrap();
+
+    let probe = "globus:/O=UnivNowhere/CN=RawProbe";
+    let mut stager = ChirpClient::connect(handle.addr(), &creds(&ca, "RawProbe")).unwrap();
+    stager.mkdir("/raw", 0o755).unwrap();
+    stager.put_mode("/raw/nap.exe", b"#!guest nap\n", 0o755).unwrap();
+    let mut raw = RawSession::connect(handle.addr(), &creds(&ca, "RawProbe"));
+    idbox_auth::AuthTransport::send_line(&mut raw, "exec /raw/nap.exe").unwrap();
+    assert_eq!(idbox_auth::AuthTransport::recv_line(&mut raw).unwrap(), "ok 0");
+
+    // Every plane slowops must leave out, each far over the threshold.
+    let excluded = ["client", "shard", "loop", "data", "shed", "retry"];
+    let t0 = idbox_obs::now_unix_ns();
+    for plane in excluded {
+        flight::record_span(plane, "excluded-probe", None, None, t0, 1_000_000_000);
+    }
+
+    let mut admin = ChirpClient::connect(handle.addr(), &creds(&ca, "Admin")).unwrap();
+    let rows = admin.slowops().unwrap();
+    for row in &rows {
+        assert!(
+            ["rpc", "exec", "dispatch", "policy"].contains(&row.phase.as_str()),
+            "plane {} leaked into slowops: {row:?}",
+            row.phase
+        );
+        assert!(row.dur_ns >= 40_000_000, "under the threshold: {row:?}");
+        assert_ne!(row.name, "excluded-probe");
+    }
+    assert!(rows.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+    let untraced_rpc = rows
+        .iter()
+        .find(|r| r.phase == "rpc" && r.name == "exec" && r.identity == probe)
+        .unwrap_or_else(|| panic!("raw exec missing from {rows:?}"));
+    assert_eq!(untraced_rpc.trace, None);
+    assert!(rows
+        .iter()
+        .any(|r| r.phase == "exec" && r.name.ends_with("/raw/nap.exe") && r.identity == probe));
+
+    let mut quiet_admin = ChirpClient::connect(quiet.addr(), &creds(&ca, "Admin")).unwrap();
+    assert_eq!(quiet_admin.slowops().unwrap(), vec![]);
+    quiet.shutdown();
+    handle.shutdown();
+}
+
+/// The `slowops` reply carries at most the newest 512 qualifying spans,
+/// oldest first.
+#[test]
+fn slowops_reply_is_capped_at_the_newest_512_rows() {
+    let (ca, _) = gsi_setup();
+    let mut config = observed_config("slowops-cap");
+    config.slow_op_threshold = Duration::ZERO;
+    let handle = ChirpServer::new(config).unwrap().spawn().unwrap();
+    let mut fred = ChirpClient::connect(handle.addr(), &creds(&ca, "Fred")).unwrap();
+    fred.mkdir("/cap", 0o755).unwrap();
+    fred.stat("/cap").unwrap();
+    let first = fred.last_trace().unwrap();
+    // Each stat leaves an rpc, a policy and a dispatch span: well over
+    // 512 newer than `first`.
+    for _ in 0..300 {
+        fred.stat("/cap").unwrap();
+    }
+    let last = fred.last_trace().unwrap();
+    let mut admin = ChirpClient::connect(handle.addr(), &creds(&ca, "Admin")).unwrap();
+    let rows = admin.slowops().unwrap();
+
+    assert_eq!(rows.len(), 512);
+    assert!(rows.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
+    assert!(!rows.iter().any(|r| r.trace == Some(first)), "oldest kept");
+    // `last` is in the reply unless other tests running in this process
+    // recorded 512 newer spans in between, which pushes the whole
+    // window past it.
+    let last_start = flight::snapshot_since(0)
+        .into_iter()
+        .find(|e| e.plane == "rpc" && e.trace == Some(last))
+        .map(|e| e.ts_ns)
+        .unwrap();
+    assert!(
+        rows.iter().any(|r| r.trace == Some(last)) || rows[0].start_ns > last_start,
+        "newest rows missing"
+    );
+    handle.shutdown();
+}

@@ -28,17 +28,14 @@ pub struct BoxOptions {
     /// trace this is bounded, so it is safe to leave attached forever.
     pub audit_ring: Option<Arc<AuditRing>>,
     /// The current-trace cell of the serving session. When attached,
-    /// audit events and slow-op spans carry the trace id of the RPC
-    /// being served.
+    /// audit events and dispatch/policy spans carry the trace id of the
+    /// RPC being served.
     pub trace: Option<Arc<idbox_obs::TraceCell>>,
     /// A (typically server-wide) per-identity metrics registry. When
     /// attached, this box's supervisors count syscalls, bytes moved,
-    /// denials, and reserve amplifications under the boxed identity.
+    /// denials, and reserve amplifications under the boxed identity,
+    /// and record dispatch/policy spans into the flight recorder.
     pub metrics: Option<Arc<idbox_obs::IdentityMetrics>>,
-    /// A (typically server-wide) ring receiving dispatch/policy spans
-    /// that crossed the slow-op threshold. Only consulted when
-    /// `metrics` is also attached.
-    pub slow_ops: Option<Arc<idbox_obs::SlowOpLog>>,
 }
 
 impl Default for BoxOptions {
@@ -51,7 +48,6 @@ impl Default for BoxOptions {
             audit_ring: None,
             trace: None,
             metrics: None,
-            slow_ops: None,
         }
     }
 }
@@ -207,15 +203,8 @@ impl IdentityBox {
             let counters = registry.handle(self.identity.as_str());
             policy.use_metrics(Arc::clone(&counters));
             idbox_interpose::ObsHooks {
-                identity: self.identity.as_str().to_string(),
+                identity: Arc::from(self.identity.as_str()),
                 counters,
-                // Without a slow-op ring, spans have nowhere to go: use
-                // a never-recording stub so counters still accumulate.
-                slow_ops: self
-                    .options
-                    .slow_ops
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(idbox_obs::SlowOpLog::new(1, u64::MAX))),
                 trace: self
                     .options
                     .trace

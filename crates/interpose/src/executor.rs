@@ -7,7 +7,7 @@ use crate::trace::TraceSink;
 use crate::vm::{reg, TraceeVm};
 use crate::{SharedKernel, SMALL_IO_MAX};
 use idbox_kernel::{ExtentList, LatencyStats, OpenFlags, Pid, Signal, Syscall, SysRet};
-use idbox_obs::{IdentityCounters, Phase, SlowOpLog, Span, TraceCell};
+use idbox_obs::{IdentityCounters, TraceCell};
 use idbox_types::{CostModel, Errno, SwitchEngine, SysResult, TrapCostReport};
 use idbox_vfs::Access;
 use std::sync::Arc;
@@ -17,16 +17,15 @@ use std::time::Instant;
 /// supervisor ([`Supervisor::attach_obs`]).
 ///
 /// The counters are this identity's row in a server-wide
-/// [`idbox_obs::IdentityMetrics`] registry; the slow-op ring and trace
-/// cell are shared with the serving session, so dispatch and policy
-/// spans recorded here carry the trace id of the RPC being served.
+/// [`idbox_obs::IdentityMetrics`] registry; the trace cell is shared
+/// with the serving session, so the dispatch and policy spans recorded
+/// here into the flight recorder carry the trace id of the RPC being
+/// served.
 pub struct ObsHooks {
     /// The boxed identity, stamped into spans.
-    pub identity: String,
+    pub identity: Arc<str>,
     /// This identity's counters (syscalls, bytes, denials...).
     pub counters: Arc<IdentityCounters>,
-    /// Ring of spans that crossed the slow-op threshold.
-    pub slow_ops: Arc<SlowOpLog>,
     /// The trace id of the request currently being served, if any.
     pub trace: Arc<TraceCell>,
 }
@@ -80,9 +79,9 @@ pub struct Supervisor {
     /// construction, so dispatch timings are recorded without taking
     /// either side of the kernel lock.
     latency: Arc<LatencyStats>,
-    /// Per-identity accounting + slow-op spans, when a box attached
-    /// them. All hooks are atomics bumped through `&self` — nothing
-    /// here adds a lock to the dispatch path.
+    /// Per-identity accounting + flight-recorder spans, when a box
+    /// attached them. All hooks are atomics bumped through `&self` —
+    /// nothing here adds a lock to the dispatch path.
     obs: Option<ObsHooks>,
     /// The last `preadx` reply's extents, parked out-of-band: extent
     /// payloads never enter flat guest memory (that copy is the whole
@@ -159,8 +158,8 @@ impl Supervisor {
         self.trace = Some(sink);
     }
 
-    /// Attach per-identity accounting and slow-op span hooks (what an
-    /// identity box does when the server runs with a metrics registry).
+    /// Attach per-identity accounting and span hooks (what an identity
+    /// box does when the server runs with a metrics registry).
     pub fn attach_obs(&mut self, hooks: ObsHooks) {
         self.obs = Some(hooks);
     }
@@ -299,9 +298,8 @@ impl Supervisor {
     }
 
     /// Per-identity accounting for one dispatched call: the syscall
-    /// counter, byte counters for the data-moving calls, and — when the
-    /// dispatch crossed the slow-op threshold — a `dispatch` span
-    /// stamped with the current trace id.
+    /// counter, byte counters for the data-moving calls, and a
+    /// `dispatch` span stamped with the current trace id.
     fn observe_dispatch(&self, call: &Syscall, result: &SysResult<SysRet>, nanos: u64) {
         let Some(obs) = &self.obs else { return };
         obs.counters.bump_syscall(call.slot());
@@ -319,39 +317,20 @@ impl Supervisor {
                 _ => {}
             }
         }
-        Self::observe_span(obs, Phase::Dispatch, call.name(), nanos);
+        Self::observe_span(obs, "dispatch", call.name(), nanos);
     }
 
-    /// Record one phase span: into the flight recorder when the
-    /// request is traced (every span, so a tracedump shows the whole
-    /// request), and into the slow-op ring if it is slow enough.
-    fn observe_span(obs: &ObsHooks, phase: Phase, name: &str, nanos: u64) {
-        let trace = obs.trace.get();
-        if trace.is_some() {
-            let plane = match phase {
-                Phase::Rpc => "rpc",
-                Phase::Policy => "policy",
-                Phase::Dispatch => "dispatch",
-                Phase::Exec => "exec",
-            };
-            idbox_obs::flight::record_span(
-                plane,
-                name,
-                trace,
-                idbox_obs::now_unix_ns().saturating_sub(nanos),
-                nanos,
-            );
-        }
-        if nanos >= obs.slow_ops.threshold_ns() {
-            obs.slow_ops.record(Span {
-                trace: obs.trace.get(),
-                phase,
-                name: name.to_string(),
-                identity: obs.identity.clone(),
-                start_ns: idbox_obs::now_unix_ns().saturating_sub(nanos),
-                dur_ns: nanos,
-            });
-        }
+    /// Record one phase span into the flight recorder, where both
+    /// `tracedump` and the `slowops` duration filter read it.
+    fn observe_span(obs: &ObsHooks, plane: &'static str, name: &str, nanos: u64) {
+        idbox_obs::flight::record_span(
+            plane,
+            name,
+            Some(&obs.identity),
+            obs.trace.get(),
+            idbox_obs::now_unix_ns().saturating_sub(nanos),
+            nanos,
+        );
     }
 
     fn dispatch_policed_inner(
@@ -365,7 +344,7 @@ impl Supervisor {
         let p0 = self.obs.as_ref().map(|_| Instant::now());
         let decision = self.policy.check(&kernel, pid, call);
         if let (Some(obs), Some(p0)) = (&self.obs, p0) {
-            Self::observe_span(obs, Phase::Policy, call.name(), p0.elapsed().as_nanos() as u64);
+            Self::observe_span(obs, "policy", call.name(), p0.elapsed().as_nanos() as u64);
         }
         let mut result = match decision {
             PolicyDecision::Allow => kernel.syscall_shared(pid, call),

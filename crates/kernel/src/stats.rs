@@ -8,6 +8,7 @@
 //! update through `&self`.
 
 use crate::syscall::Syscall;
+use parking_lot::histogram::{self, Log2Histogram};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,8 +73,8 @@ impl Clone for SyscallStats {
 }
 
 /// Number of log-scale latency buckets. Bucket `i` covers durations in
-/// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0ns), so 32
-/// buckets span 1ns up to ~4.3 seconds — wider than any simulated
+/// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0ns); the top
+/// bucket is open from 2^31 ns (~2.1 s) up — wider than any simulated
 /// syscall.
 pub const LATENCY_BUCKETS: usize = 32;
 
@@ -86,7 +87,7 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// holding either side of the kernel lock.
 #[derive(Debug)]
 pub struct LatencyStats {
-    buckets: [[AtomicU64; LATENCY_BUCKETS]; Syscall::NAMES.len()],
+    rows: [Log2Histogram<LATENCY_BUCKETS>; Syscall::NAMES.len()],
 }
 
 impl Default for LatencyStats {
@@ -95,40 +96,23 @@ impl Default for LatencyStats {
     }
 }
 
-/// The log2 bucket index for a duration in nanoseconds.
-fn bucket_of(nanos: u64) -> usize {
-    if nanos == 0 {
-        return 0;
-    }
-    ((63 - nanos.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-}
-
-/// The inclusive upper bound (ns) reported for bucket `i`.
-fn bucket_ceiling(i: usize) -> u64 {
-    (1u64 << (i + 1)) - 1
-}
-
 impl LatencyStats {
     /// All buckets at zero.
     pub fn new() -> Self {
         LatencyStats {
-            buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+            rows: std::array::from_fn(|_| Log2Histogram::default()),
         }
     }
 
     /// Record one dispatch of `call` that took `nanos` nanoseconds.
     pub fn record(&self, call: &Syscall, nanos: u64) {
-        self.buckets[call.slot()][bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.rows[call.slot()].record(nanos);
     }
 
     /// A point-in-time, non-atomic copy for percentile math and diffs.
     pub fn snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|row| std::array::from_fn(|i| row[i].load(Ordering::Relaxed)))
-                .collect(),
+            buckets: self.rows.iter().map(Log2Histogram::load).collect(),
         }
     }
 }
@@ -153,8 +137,9 @@ impl LatencySnapshot {
         self.buckets.iter().flatten().sum()
     }
 
-    /// The latency (ns, bucket ceiling) at percentile `p` (0-100] for
-    /// the named call.
+    /// The latency (ns) at percentile `p` (0-100] for the named call,
+    /// by [`histogram::percentile`]: a bucket ceiling, or "at least"
+    /// 2^31 ns when it lands in the open top bucket.
     ///
     /// Returns `None` — never a fabricated number — when the histogram
     /// holds no samples for the call, or when the name is unknown. An
@@ -162,7 +147,7 @@ impl LatencySnapshot {
     /// must choose their own default (the benches use `unwrap_or(0)`).
     pub fn percentile(&self, name: &str, p: f64) -> Option<u64> {
         let slot = Syscall::NAMES.iter().position(|&n| n == name)?;
-        percentile_of(&self.buckets[slot], p)
+        histogram::percentile(&self.buckets[slot], p)
     }
 
     /// The latency at percentile `p` merged across every syscall.
@@ -171,32 +156,21 @@ impl LatencySnapshot {
     pub fn overall_percentile(&self, p: f64) -> Option<u64> {
         let mut merged = [0u64; LATENCY_BUCKETS];
         for row in &self.buckets {
-            for (m, b) in merged.iter_mut().zip(row) {
-                *m += b;
-            }
+            histogram::merge(&mut merged, row);
         }
-        percentile_of(&merged, p)
+        histogram::percentile(&merged, p)
     }
 
-    /// The events recorded between `earlier` and `self`.
-    ///
-    /// Each bucket is subtracted with `saturating_sub`: when a counter
-    /// in `self` reads *lower* than in `earlier` — the snapshots were
-    /// taken out of order, compare unrelated histograms, or a bucket's
-    /// `u64` wrapped in between — that bucket clamps to 0 instead of
-    /// underflowing to ~2^64. A wrapped bucket therefore *undercounts*
-    /// the window (its real delta is lost), which is the documented
-    /// trade: monitoring windows may read low after ~10^19 events, but
-    /// they can never explode.
+    /// The events recorded between `earlier` and `self`, row by row
+    /// through [`histogram::diff`]: a bucket that reads lower in `self`
+    /// clamps to 0, so a window may undercount but never explodes.
     pub fn diff(&self, earlier: &LatencySnapshot) -> LatencySnapshot {
         LatencySnapshot {
             buckets: self
                 .buckets
                 .iter()
                 .zip(&earlier.buckets)
-                .map(|(now, then)| {
-                    std::array::from_fn(|i| now[i].saturating_sub(then[i]))
-                })
+                .map(|(now, then)| histogram::diff(now, then))
                 .collect(),
         }
     }
@@ -215,31 +189,13 @@ impl LatencySnapshot {
                     (
                         name,
                         n,
-                        percentile_of(row, 50.0),
-                        percentile_of(row, 99.0),
+                        histogram::percentile(row, 50.0),
+                        histogram::percentile(row, 99.0),
                     )
                 })
             })
             .collect()
     }
-}
-
-/// Percentile over one bucket row: walk buckets until the cumulative
-/// count reaches `ceil(p% of total)`, report that bucket's ceiling.
-fn percentile_of(row: &[u64; LATENCY_BUCKETS], p: f64) -> Option<u64> {
-    let total: u64 = row.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &n) in row.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return Some(bucket_ceiling(i));
-        }
-    }
-    Some(bucket_ceiling(LATENCY_BUCKETS - 1))
 }
 
 #[cfg(test)]
@@ -285,19 +241,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(s.count("read"), 4000);
-    }
-
-    #[test]
-    fn latency_buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        // Everything past the top bucket clamps into it.
-        assert_eq!(bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
-        assert_eq!(bucket_ceiling(0), 1);
-        assert_eq!(bucket_ceiling(10), 2047);
     }
 
     #[test]

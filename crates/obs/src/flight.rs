@@ -19,6 +19,10 @@
 //! ([`set_current_trace`]), which is what lets layers with no obs
 //! handle of their own (the lock shim's contention hook) tag their
 //! events.
+//!
+//! This is the only span store: the server's `slowops` RPC is a
+//! duration filter over [`snapshot_since`], which is why the request
+//! phases also carry the identity they were done for.
 
 use crate::{now_unix_ns, TraceId};
 use parking_lot::Mutex;
@@ -43,6 +47,11 @@ pub struct FlightEvent {
     pub plane: &'static str,
     /// Event name within the plane (verb, syscall, `domain/shard`...).
     pub name: String,
+    /// The identity the work was done for, on the request phases a
+    /// session or boxed supervisor records (`rpc`, `exec`, `dispatch`,
+    /// `policy`). Shared with the session, so stamping it is a
+    /// refcount bump; `tracedump` does not render it.
+    pub identity: Option<Arc<str>>,
 }
 
 impl FlightEvent {
@@ -146,8 +155,16 @@ fn push(ev: FlightEvent) {
     });
 }
 
-/// Record a completed span on this thread.
-pub fn record_span(plane: &'static str, name: &str, trace: Option<TraceId>, ts_ns: u64, dur_ns: u64) {
+/// Record a completed span on this thread, done for `identity` when
+/// one is known.
+pub fn record_span(
+    plane: &'static str,
+    name: &str,
+    identity: Option<&Arc<str>>,
+    trace: Option<TraceId>,
+    ts_ns: u64,
+    dur_ns: u64,
+) {
     if !recording() {
         return;
     }
@@ -158,12 +175,13 @@ pub fn record_span(plane: &'static str, name: &str, trace: Option<TraceId>, ts_n
         tid: RING.with(|r| r.tid),
         plane,
         name: name.to_string(),
+        identity: identity.cloned(),
     });
 }
 
 /// Record an instant (zero-duration) event stamped "now".
 pub fn record_instant(plane: &'static str, name: &str, trace: Option<TraceId>) {
-    record_span(plane, name, trace, now_unix_ns(), 0);
+    record_span(plane, name, None, trace, now_unix_ns(), 0);
 }
 
 /// Install the shard-lock contention hook: every profiled lock
@@ -182,6 +200,7 @@ pub fn install_lock_hook() {
         record_span(
             "shard",
             &format!("{domain}/{shard}"),
+            None,
             None,
             now_unix_ns().saturating_sub(wait_ns),
             wait_ns,
@@ -288,12 +307,14 @@ mod tests {
         let _g = TEST_LOCK.lock();
         let t = crate::next_trace_id();
         let t0 = now_unix_ns();
-        record_span("rpc", "stat", Some(t), t0, 1500);
+        let who: Arc<str> = Arc::from("globus:/O=UnivNowhere/CN=Fred");
+        record_span("rpc", "stat", Some(&who), Some(t), t0, 1500);
         record_instant("shed", "busy", None);
         let events = snapshot_since(t0.saturating_sub(1));
         assert!(events.iter().any(|e| e.plane == "rpc"
             && e.name == "stat"
             && e.trace == Some(t)
+            && e.identity.as_deref() == Some(&*who)
             && e.dur_ns == 1500));
         assert!(events
             .iter()
@@ -306,9 +327,9 @@ mod tests {
         let t = crate::next_trace_id();
         set_current_trace(Some(t));
         let t0 = now_unix_ns();
-        record_span("dispatch", "open", None, t0, 10);
+        record_span("dispatch", "open", None, None, t0, 10);
         set_current_trace(None);
-        record_span("dispatch", "close", None, now_unix_ns(), 10);
+        record_span("dispatch", "close", None, None, now_unix_ns(), 10);
         let events = snapshot_since(t0.saturating_sub(1));
         let open = events
             .iter()
@@ -329,7 +350,7 @@ mod tests {
         assert!(budget > 0);
         let t0 = now_unix_ns();
         for i in 0..20_000 {
-            record_span("rpc", &format!("flood-{i}"), None, t0 + i, 1);
+            record_span("rpc", &format!("flood-{i}"), None, None, t0 + i, 1);
         }
         for (_, _, bytes) in ring_usage() {
             assert!(bytes <= budget, "ring over budget: {bytes} > {budget}");
@@ -351,6 +372,7 @@ mod tests {
                 tid: 7,
                 plane: "rpc",
                 name: "sta\"t\\x".into(),
+                identity: Some(Arc::from("fred")),
             },
             FlightEvent {
                 ts_ns: 4_000,
@@ -359,6 +381,7 @@ mod tests {
                 tid: 7,
                 plane: "shed",
                 name: "busy\nline".into(),
+                identity: None,
             },
         ];
         let json = render_chrome_trace(&events);
@@ -370,6 +393,8 @@ mod tests {
         assert!(json.contains("sta\\\"t\\\\x"));
         assert!(json.contains("busy\\nline"));
         assert!(json.contains("\"trace\":\"000000000000abcd\""));
+        // The identity stays out of the trace-viewer schema.
+        assert!(!json.contains("fred"));
         // No raw control characters survive into the JSON text.
         assert!(!json.chars().any(|c| (c as u32) < 0x20));
     }
@@ -379,7 +404,7 @@ mod tests {
         let _g = TEST_LOCK.lock();
         set_flight_enabled(false);
         let t0 = now_unix_ns();
-        record_span("rpc", "ghost", None, t0, 99);
+        record_span("rpc", "ghost", None, None, t0, 99);
         set_flight_enabled(true);
         assert!(!snapshot_since(t0.saturating_sub(1))
             .iter()

@@ -9,9 +9,11 @@
 //!   line, so one request can be joined across the RPC span, the
 //!   policy rulings it triggered (the audit ring), and the boxed child
 //!   it exec'd (via its box environment).
-//! - [`Span`] — one timed phase of a request (`rpc`, `policy`,
-//!   `dispatch`, `exec`), recorded into a bounded [`SlowOpLog`] when
-//!   its duration crosses a configurable threshold.
+//! - [`flight`] — the one span store: per-thread byte-bounded rings of
+//!   timed phases (`rpc`, `policy`, `dispatch`, `exec`, plus the
+//!   client, loop, lock and data planes), each stamped with its trace
+//!   id and, for the request phases, the identity served. `tracedump`
+//!   renders the rings; `slowops` is a duration filter over them.
 //! - [`IdentityMetrics`] — a registry of per-principal counters
 //!   (syscalls by name, bytes read/written, denials, reserve
 //!   amplifications, active sessions). All counters are atomics bumped
@@ -20,7 +22,9 @@
 //!   and when rendering. Cardinality is bounded: when the registry is
 //!   full, the oldest-idle identity is evicted.
 //!
-//! This crate depends only on the lock shim — deliberately below
+//! This crate depends only on the lock shim (which also owns the one
+//! log2 histogram type the loop-lag and lock-wait families render from)
+//! — deliberately below
 //! `kernel`/`core`/`chirp` in the dependency order, so all of them can
 //! feed it. The per-syscall counter table is sized by a caller-passed
 //! name slice (the kernel's `Syscall::NAMES`), which keeps the kernel
@@ -31,13 +35,10 @@ pub mod flight;
 mod runtime;
 
 pub use durability::{render_wal_prometheus, WalCounters};
-pub use runtime::{
-    lag_percentile_from, render_lock_prometheus, Log2HistoUs, LoopStats, WorkerStats,
-    LOOP_LAG_BUCKETS,
-};
+pub use runtime::{render_lock_prometheus, LoopStats, WorkerStats, LOOP_LAG_BUCKETS};
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,118 +147,6 @@ impl TraceCell {
     /// The current trace id, if any.
     pub fn get(&self) -> Option<TraceId> {
         TraceId::from_raw(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// Which phase of a request a span timed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// One whole RPC, read-line to reply, at the server.
-    Rpc,
-    /// One policy ruling (ACL check) inside the supervisor.
-    Policy,
-    /// One syscall dispatch through the supervisor funnel.
-    Dispatch,
-    /// One staged program run by the `exec` RPC.
-    Exec,
-}
-
-impl Phase {
-    /// Stable report spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Phase::Rpc => "rpc",
-            Phase::Policy => "policy",
-            Phase::Dispatch => "dispatch",
-            Phase::Exec => "exec",
-        }
-    }
-}
-
-/// One timed phase of one request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// The request's trace id, when the client sent one.
-    pub trace: Option<TraceId>,
-    /// Which phase was timed.
-    pub phase: Phase,
-    /// What ran: the RPC verb, syscall name, or program path.
-    pub name: String,
-    /// The principal the work was done for.
-    pub identity: String,
-    /// Wall-clock start, nanoseconds since the Unix epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Default slow-op ring capacity.
-pub const SLOW_OP_DEFAULT_CAP: usize = 512;
-
-/// A bounded, oldest-out ring of [`Span`]s whose duration crossed a
-/// threshold. Like the audit ring, recording goes through `&self`.
-#[derive(Debug)]
-pub struct SlowOpLog {
-    cap: usize,
-    threshold_ns: AtomicU64,
-    total: AtomicU64,
-    spans: Mutex<VecDeque<Span>>,
-}
-
-impl SlowOpLog {
-    /// A ring holding at most `cap` spans (`cap` ≥ 1), recording spans
-    /// of at least `threshold_ns` nanoseconds.
-    pub fn new(cap: usize, threshold_ns: u64) -> SlowOpLog {
-        SlowOpLog {
-            cap: cap.max(1),
-            threshold_ns: AtomicU64::new(threshold_ns),
-            total: AtomicU64::new(0),
-            spans: Mutex::new(VecDeque::with_capacity(cap.clamp(1, SLOW_OP_DEFAULT_CAP))),
-        }
-    }
-
-    /// The current threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns.load(Ordering::Relaxed)
-    }
-
-    /// Record `span` if it is slow enough; returns whether it was kept.
-    pub fn record(&self, span: Span) -> bool {
-        if span.dur_ns < self.threshold_ns() {
-            return false;
-        }
-        self.total.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.spans.lock();
-        if ring.len() == self.cap {
-            ring.pop_front();
-        }
-        ring.push_back(span);
-        true
-    }
-
-    /// Oldest-first copy of the retained spans.
-    pub fn snapshot(&self) -> Vec<Span> {
-        self.spans.lock().iter().cloned().collect()
-    }
-
-    /// Spans currently retained.
-    pub fn len(&self) -> usize {
-        self.spans.lock().len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.spans.lock().is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total slow spans ever recorded, including evicted ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
     }
 }
 
@@ -754,40 +643,6 @@ mod tests {
         assert_eq!(cell.get(), Some(id));
         cell.set(None);
         assert_eq!(cell.get(), None);
-    }
-
-    fn span(dur_ns: u64) -> Span {
-        Span {
-            trace: Some(TraceId(7)),
-            phase: Phase::Dispatch,
-            name: "stat".into(),
-            identity: "globus:/O=UnivNowhere/CN=Fred".into(),
-            start_ns: now_unix_ns(),
-            dur_ns,
-        }
-    }
-
-    #[test]
-    fn slow_op_log_applies_threshold_and_bound() {
-        let log = SlowOpLog::new(4, 100);
-        assert!(!log.record(span(99)));
-        assert!(log.is_empty());
-        for i in 0..10 {
-            assert!(log.record(span(100 + i)));
-        }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.capacity(), 4);
-        assert_eq!(log.total_recorded(), 10);
-        let snap = log.snapshot();
-        assert_eq!(snap.last().unwrap().dur_ns, 109);
-        assert_eq!(snap.first().unwrap().dur_ns, 106);
-    }
-
-    #[test]
-    fn zero_threshold_records_everything() {
-        let log = SlowOpLog::new(8, 0);
-        assert!(log.record(span(0)));
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

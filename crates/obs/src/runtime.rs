@@ -8,82 +8,36 @@
 //! view without stopping any worker.
 
 use crate::escape_label;
+use parking_lot::histogram::{self, Log2Histogram};
 use parking_lot::DomainLockSnapshot;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Number of log2 microsecond buckets in a [`Log2HistoUs`].
+/// Number of log2 microsecond buckets in a worker's loop-lag histogram.
 pub const LOOP_LAG_BUCKETS: usize = 22;
 
-fn bucket_of(us: u64) -> usize {
-    let b = 63 - (us | 1).leading_zeros() as usize;
-    b.min(LOOP_LAG_BUCKETS - 1)
-}
-
-/// Upper edge (inclusive, µs) of bucket `i`.
-fn bucket_ceiling_us(i: usize) -> u64 {
-    if i + 1 >= LOOP_LAG_BUCKETS {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    }
-}
-
-/// A log2 microsecond histogram with relaxed-atomic buckets.
-#[derive(Debug, Default)]
-pub struct Log2HistoUs {
-    buckets: [AtomicU64; LOOP_LAG_BUCKETS],
-    total_us: AtomicU64,
-}
-
-impl Log2HistoUs {
-    /// Record one sample.
-    pub fn record_us(&self, us: u64) {
-        self.buckets[bucket_of(us)].fetch_add(1, Relaxed);
-        self.total_us.fetch_add(us, Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Relaxed)).sum()
-    }
-
-    /// Sum of all samples, microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.total_us.load(Relaxed)
-    }
-
-    fn load(&self) -> [u64; LOOP_LAG_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Relaxed))
-    }
-
-    /// Approximate percentile (bucket ceiling, µs); `None` when empty.
-    pub fn percentile_us(&self, p: f64) -> Option<u64> {
-        percentile_of(&self.load(), p)
-    }
-}
-
-/// Percentile (bucket ceiling, µs) of an externally held loop-lag
-/// bucket array — typically the difference of two
-/// [`LoopStats::lag_buckets`] snapshots; `None` when empty.
-pub fn lag_percentile_from(buckets: &[u64; LOOP_LAG_BUCKETS], p: f64) -> Option<u64> {
-    percentile_of(buckets, p)
-}
-
-fn percentile_of(buckets: &[u64; LOOP_LAG_BUCKETS], p: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        seen += b;
-        if seen >= rank {
-            return Some(bucket_ceiling_us(i));
+/// Append one Prometheus histogram series: cumulative `_bucket` lines
+/// for every finite edge plus `+Inf` (the open top bucket shows only
+/// there), then `_sum` and `_count`. `labels` is the series' label set
+/// without braces, e.g. `worker="0"`.
+fn write_histogram<const N: usize>(
+    out: &mut String,
+    name: &str,
+    labels: &str,
+    buckets: &[u64; N],
+    sum: u64,
+) {
+    let mut cum = 0u64;
+    for (i, n) in buckets.iter().enumerate() {
+        cum += n;
+        if i + 1 < N {
+            let le = histogram::bucket_ceiling::<N>(i);
+            let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}");
         }
     }
-    Some(bucket_ceiling_us(LOOP_LAG_BUCKETS - 1))
+    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}");
+    let _ = writeln!(out, "{name}_sum{{{labels}}} {sum}");
+    let _ = writeln!(out, "{name}_count{{{labels}}} {cum}");
 }
 
 /// Health counters for one event-loop worker.
@@ -91,7 +45,8 @@ fn percentile_of(buckets: &[u64; LOOP_LAG_BUCKETS], p: f64) -> Option<u64> {
 pub struct WorkerStats {
     /// Readiness-cycle duration histogram (poll return → all ready
     /// connections serviced and flushed), µs.
-    pub lag: Log2HistoUs,
+    lag: Log2Histogram<LOOP_LAG_BUCKETS>,
+    lag_total_us: AtomicU64,
     wakeups: AtomicU64,
     flushes: AtomicU64,
     conns: AtomicU64,
@@ -100,6 +55,12 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// Record one readiness cycle that ran `us` microseconds.
+    pub fn record_lag_us(&self, us: u64) {
+        self.lag.record(us);
+        self.lag_total_us.fetch_add(us, Relaxed);
+    }
+
     /// Count one poll return that reported readiness.
     pub fn bump_wakeup(&self) {
         self.wakeups.fetch_add(1, Relaxed);
@@ -175,21 +136,13 @@ impl LoopStats {
         &self.workers
     }
 
-    /// Loop-lag percentile merged across workers; `None` when no
-    /// cycle has been recorded yet.
-    pub fn lag_percentile_us(&self, p: f64) -> Option<u64> {
-        percentile_of(&self.lag_buckets(), p)
-    }
-
     /// The merged loop-lag histogram across workers — snapshot before
-    /// and after a window, subtract, and feed [`lag_percentile_from`]
-    /// to isolate the window's cycles.
+    /// and after a window and [`histogram::diff`] them to isolate the
+    /// window's cycles; [`histogram::percentile`] reads it.
     pub fn lag_buckets(&self) -> [u64; LOOP_LAG_BUCKETS] {
         let mut merged = [0u64; LOOP_LAG_BUCKETS];
         for w in self.workers.iter() {
-            for (m, b) in merged.iter_mut().zip(w.lag.load().iter()) {
-                *m += b;
-            }
+            histogram::merge(&mut merged, &w.lag.load());
         }
         merged
     }
@@ -209,29 +162,13 @@ impl LoopStats {
         let mut out = String::new();
         out.push_str("# TYPE idbox_loop_lag_us histogram\n");
         for (i, w) in self.workers.iter().enumerate() {
-            let buckets = w.lag.load();
-            let mut cum = 0u64;
-            for (b, n) in buckets.iter().enumerate() {
-                cum += n;
-                let le = bucket_ceiling_us(b);
-                if le == u64::MAX {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "idbox_loop_lag_us_bucket{{worker=\"{i}\",le=\"{le}\"}} {cum}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "idbox_loop_lag_us_bucket{{worker=\"{i}\",le=\"+Inf\"}} {cum}"
+            write_histogram(
+                &mut out,
+                "idbox_loop_lag_us",
+                &format!("worker=\"{i}\""),
+                &w.lag.load(),
+                w.lag_total_us.load(Relaxed),
             );
-            let _ = writeln!(
-                out,
-                "idbox_loop_lag_us_sum{{worker=\"{i}\"}} {}",
-                w.lag.total_us()
-            );
-            let _ = writeln!(out, "idbox_loop_lag_us_count{{worker=\"{i}\"}} {cum}");
         }
         for (name, get) in [
             (
@@ -292,34 +229,12 @@ pub fn render_lock_prometheus(snaps: &[DomainLockSnapshot]) -> String {
     out.push_str("# TYPE idbox_shard_lock_wait_us histogram\n");
     for d in snaps {
         for (i, s) in d.shards.iter().enumerate() {
-            let mut cum = 0u64;
-            for (b, n) in s.buckets.iter().enumerate() {
-                cum += n;
-                let le = parking_lot::lock_bucket_ceiling_us(b);
-                if le == u64::MAX {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "idbox_shard_lock_wait_us_bucket{{domain=\"{}\",shard=\"{i}\",le=\"{le}\"}} {cum}",
-                    escape_label(d.domain)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "idbox_shard_lock_wait_us_bucket{{domain=\"{}\",shard=\"{i}\",le=\"+Inf\"}} {cum}",
-                escape_label(d.domain)
-            );
-            let _ = writeln!(
-                out,
-                "idbox_shard_lock_wait_us_sum{{domain=\"{}\",shard=\"{i}\"}} {}",
-                escape_label(d.domain),
-                s.wait_total_us
-            );
-            let _ = writeln!(
-                out,
-                "idbox_shard_lock_wait_us_count{{domain=\"{}\",shard=\"{i}\"}} {cum}",
-                escape_label(d.domain)
+            write_histogram(
+                &mut out,
+                "idbox_shard_lock_wait_us",
+                &format!("domain=\"{}\",shard=\"{i}\"", escape_label(d.domain)),
+                &s.buckets,
+                s.wait_total_us,
             );
         }
     }
@@ -332,36 +247,23 @@ mod tests {
     use parking_lot::ShardLockSnapshot;
 
     #[test]
-    fn histo_percentiles() {
-        let h = Log2HistoUs::default();
-        assert_eq!(h.percentile_us(99.0), None);
-        for _ in 0..99 {
-            h.record_us(100); // bucket 6, ceiling 127
-        }
-        h.record_us(100_000); // bucket 16
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.percentile_us(50.0), Some(127));
-        assert_eq!(h.percentile_us(100.0), Some((1 << 17) - 1));
-        assert!(h.total_us() >= 100 * 99 + 100_000);
-    }
-
-    #[test]
     fn loop_stats_render_and_merge() {
         let ls = LoopStats::new(2);
         ls.worker(0).bump_wakeup();
         ls.worker(0).bump_flush();
-        ls.worker(0).lag.record_us(50);
-        ls.worker(1).lag.record_us(5_000);
+        ls.worker(0).record_lag_us(50);
+        ls.worker(1).record_lag_us(5_000);
         ls.worker(1).set_conns(3);
         ls.worker(1).note_outbuf(9000);
         ls.worker(1).note_outbuf(100); // watermark does not regress
         ls.worker(1).bump_stall();
         assert_eq!(ls.conns_total(), 3);
         assert_eq!(ls.stalls_total(), 1);
-        assert!(ls.lag_percentile_us(99.0).unwrap() >= 5_000);
+        assert_eq!(histogram::percentile(&ls.lag_buckets(), 99.0), Some(8191));
         let text = ls.render_prometheus();
         assert!(text.contains("idbox_loop_lag_us_bucket{worker=\"0\",le=\"63\"} 1"));
         assert!(text.contains("idbox_loop_lag_us_bucket{worker=\"0\",le=\"+Inf\"} 1"));
+        assert!(text.contains("idbox_loop_lag_us_sum{worker=\"1\"} 5000"));
         assert!(text.contains("idbox_loop_wakeups_total{worker=\"0\"} 1"));
         assert!(text.contains("idbox_loop_flushes_total{worker=\"0\"} 1"));
         assert!(text.contains("idbox_loop_connections{worker=\"1\"} 3"));

@@ -8,15 +8,22 @@
 //! transparent — a panic while holding a lock does not wedge every
 //! later caller, matching `parking_lot` semantics closely enough for
 //! our supervisors, servers, and benches.
+//!
+//! Being the lowest crate, it also hosts what every layer above shares
+//! for measuring itself: the lock profiler and the one log2 histogram
+//! ([`histogram`]) behind the kernel's, the profiler's and the event
+//! loop's latency distributions.
 
 use std::sync::TryLockError;
 
+pub mod histogram;
 mod profile;
 
+pub use histogram::Log2Histogram;
 pub use profile::{
-    lock_bucket_ceiling_us, lock_profiling_enabled, lock_snapshot, lock_wait_percentile_us,
-    set_contention_hook, set_lock_profiling, ContentionHook, DomainLockSnapshot, DomainProfile,
-    ProfiledMutex, ProfiledRwLock, ShardLockSnapshot, LOCK_WAIT_BUCKETS,
+    lock_profiling_enabled, lock_snapshot, lock_wait_percentile_us, set_contention_hook,
+    set_lock_profiling, ContentionHook, DomainLockSnapshot, DomainProfile, ProfiledMutex,
+    ProfiledRwLock, ShardLockSnapshot, LOCK_WAIT_BUCKETS,
 };
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.

@@ -19,6 +19,7 @@
 //! obs installs a [`ContentionHook`] to tag shard waits with the
 //! current trace, and pulls plain-data [`lock_snapshot`]s to render.
 
+use crate::histogram::{self, Log2Histogram};
 use crate::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -28,20 +29,6 @@ use std::time::Instant;
 /// microsecond value has floor(log2) == i; the top bucket (~2.1s and
 /// beyond) catches pathological stalls.
 pub const LOCK_WAIT_BUCKETS: usize = 22;
-
-/// Upper edge (inclusive, µs) of wait bucket `i`, for rendering.
-pub fn lock_bucket_ceiling_us(i: usize) -> u64 {
-    if i + 1 >= LOCK_WAIT_BUCKETS {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    }
-}
-
-fn bucket_of(us: u64) -> usize {
-    let b = 63 - (us | 1).leading_zeros() as usize;
-    b.min(LOCK_WAIT_BUCKETS - 1)
-}
 
 fn flag() -> &'static AtomicBool {
     static F: OnceLock<AtomicBool> = OnceLock::new();
@@ -80,7 +67,7 @@ struct ShardProfile {
     acquisitions: AtomicU64,
     waits: AtomicU64,
     wait_total_us: AtomicU64,
-    buckets: [AtomicU64; LOCK_WAIT_BUCKETS],
+    buckets: Log2Histogram<LOCK_WAIT_BUCKETS>,
 }
 
 impl ShardProfile {
@@ -89,7 +76,7 @@ impl ShardProfile {
             acquisitions: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             wait_total_us: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: Log2Histogram::default(),
         }
     }
 }
@@ -136,7 +123,7 @@ impl DomainProfile {
         if contended {
             s.waits.fetch_add(1, Relaxed);
             s.wait_total_us.fetch_add(wait_us, Relaxed);
-            s.buckets[bucket_of(wait_us)].fetch_add(1, Relaxed);
+            s.buckets.record(wait_us);
         }
         if let Some(h) = HOOK.get() {
             h(self.name, shard, wait_us);
@@ -176,7 +163,7 @@ impl DomainProfile {
                     acquisitions: s.acquisitions.load(Relaxed),
                     waits: s.waits.load(Relaxed),
                     wait_total_us: s.wait_total_us.load(Relaxed),
-                    buckets: std::array::from_fn(|i| s.buckets[i].load(Relaxed)),
+                    buckets: s.buckets.load(),
                 })
                 .collect(),
         }
@@ -221,24 +208,6 @@ impl DomainLockSnapshot {
         self.shards.iter().map(|s| s.wait_total_us).sum()
     }
 
-    /// Wait histogram merged across shards.
-    pub fn merged_buckets(&self) -> [u64; LOCK_WAIT_BUCKETS] {
-        let mut out = [0u64; LOCK_WAIT_BUCKETS];
-        for s in &self.shards {
-            for (o, b) in out.iter_mut().zip(s.buckets.iter()) {
-                *o += b;
-            }
-        }
-        out
-    }
-
-    /// Approximate percentile of contended wait time (µs), `None` when
-    /// no waits were recorded. Reports the ceiling of the bucket the
-    /// percentile falls in, like the syscall latency histograms.
-    pub fn wait_percentile_us(&self, p: f64) -> Option<u64> {
-        percentile_of(&self.merged_buckets(), p)
-    }
-
     /// Counter delta `self - earlier`, saturating per field so a
     /// mismatched or restarted baseline yields zeros, not wraps.
     pub fn diff(&self, earlier: &DomainLockSnapshot) -> DomainLockSnapshot {
@@ -252,7 +221,7 @@ impl DomainLockSnapshot {
                     acquisitions: s.acquisitions.saturating_sub(e.acquisitions),
                     waits: s.waits.saturating_sub(e.waits),
                     wait_total_us: s.wait_total_us.saturating_sub(e.wait_total_us),
-                    buckets: std::array::from_fn(|b| s.buckets[b].saturating_sub(e.buckets[b])),
+                    buckets: histogram::diff(&s.buckets, &e.buckets),
                 }
             })
             .collect();
@@ -263,37 +232,19 @@ impl DomainLockSnapshot {
     }
 }
 
-fn percentile_of(buckets: &[u64; LOCK_WAIT_BUCKETS], p: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        seen += b;
-        if seen >= rank {
-            return Some(lock_bucket_ceiling_us(i));
-        }
-    }
-    Some(lock_bucket_ceiling_us(LOCK_WAIT_BUCKETS - 1))
-}
-
 /// Snapshot every registered domain.
 pub fn lock_snapshot() -> Vec<DomainLockSnapshot> {
     REGISTRY.lock().iter().map(|d| d.snapshot()).collect()
 }
 
-/// Merged wait percentile (µs) across a set of domain snapshots;
-/// `None` when nothing waited.
+/// Merged wait percentile (µs) across a set of domain snapshots, by
+/// [`histogram::percentile`]; `None` when nothing waited.
 pub fn lock_wait_percentile_us(snaps: &[DomainLockSnapshot], p: f64) -> Option<u64> {
     let mut merged = [0u64; LOCK_WAIT_BUCKETS];
-    for s in snaps {
-        for (m, b) in merged.iter_mut().zip(s.merged_buckets().iter()) {
-            *m += b;
-        }
+    for s in snaps.iter().flat_map(|d| &d.shards) {
+        histogram::merge(&mut merged, &s.buckets);
     }
-    percentile_of(&merged, p)
+    histogram::percentile(&merged, p)
 }
 
 /// A [`Mutex`] that reports acquisitions to a one-shard profile
@@ -384,19 +335,6 @@ mod tests {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn bucket_edges() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), LOCK_WAIT_BUCKETS - 1);
-        assert_eq!(lock_bucket_ceiling_us(0), 1);
-        assert_eq!(lock_bucket_ceiling_us(1), 3);
-        assert_eq!(lock_bucket_ceiling_us(LOCK_WAIT_BUCKETS - 1), u64::MAX);
-    }
-
-    #[test]
     fn register_dedups_by_name_and_shape() {
         let a = DomainProfile::register("prof-test-dedup", 4);
         let b = DomainProfile::register("prof-test-dedup", 4);
@@ -422,7 +360,7 @@ mod tests {
         assert_eq!(got.acquisitions(), 2);
         assert_eq!(got.waits(), 1);
         assert!(got.wait_total_us() >= 2_000, "{}", got.wait_total_us());
-        assert!(got.wait_percentile_us(99.0).unwrap() >= 2_000);
+        assert!(lock_wait_percentile_us(std::slice::from_ref(&got), 99.0).unwrap() >= 2_000);
         assert_eq!(got.shards[0].acquisitions, 0);
     }
 
@@ -444,7 +382,6 @@ mod tests {
             domain: "x",
             shards: vec![ShardLockSnapshot::default()],
         };
-        assert_eq!(empty.wait_percentile_us(50.0), None);
         assert_eq!(
             lock_wait_percentile_us(std::slice::from_ref(&empty), 99.0),
             None
