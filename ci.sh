@@ -42,7 +42,9 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # a snapshot whose file length claims 4 GiB costs no more, and booting
 # the same data from the log alone < 2 x data + 1 MiB. The inbound data
 # plane: a boxed 1 MiB put_file allocates < data + 128 KiB (the file
-# chunks only; the guest-memory write_file_mode path takes ~2 x data).
+# chunks only; the guest-memory write_file_mode path takes ~2 x data),
+# and so does the same put on a durable group-commit kernel (its WAL
+# frame borrows the file chunks instead of copying them).
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings
@@ -71,7 +73,10 @@ cargo test -q -p idbox-kernel --release concurrent_syscalls_across_shards_do_not
 # properties (`codec_*`: every record type round-trips; every strict
 # prefix, one-byte extension, out-of-range field, over-long varint,
 # unknown tag and invalid UTF-8 string is rejected; random bytes never
-# panic the decoder).
+# panic the decoder) and the borrowed-frame properties (segments whose
+# write frames borrow file chunks are byte-identical to the encoder's
+# frames, overwrites before the flush included; a crash budget cut
+# inside a borrowed chunk recovers the prefix).
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test wal_props
 # Snapshot streaming: the streamed snapshot file must be byte-identical
 # to the whole-blob reference encoder on random namespaces, and the

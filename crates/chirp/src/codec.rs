@@ -87,14 +87,19 @@ pub fn write_line(w: &mut impl Write, line: &str) -> SysResult<()> {
     w.flush().map_err(|_| Errno::EPIPE)
 }
 
-/// Read an exact-length payload.
+/// Read an exact-length payload. The bytes land in the buffer's spare
+/// capacity (`take(len).read_to_end`, as the server's framer does), so
+/// the buffer is not zero-filled first; a stream that ends short is
+/// `EPIPE`.
 pub fn read_payload(r: &mut impl Read, len: u64) -> SysResult<Vec<u8>> {
     if len > PAYLOAD_MAX {
         return Err(Errno::EPROTO);
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf).map_err(|_| Errno::EPIPE)?;
-    Ok(buf)
+    let mut buf = Vec::with_capacity(len as usize);
+    match r.take(len).read_to_end(&mut buf) {
+        Ok(n) if n as u64 == len => Ok(buf),
+        _ => Err(Errno::EPIPE),
+    }
 }
 
 /// The spelling of the optional trace token a client may append as the
@@ -282,6 +287,17 @@ mod tests {
         let mut r = std::io::BufReader::new(&buf[..]);
         assert_eq!(read_line(&mut r).unwrap(), "hello world");
         assert_eq!(read_line(&mut r), Err(Errno::EPIPE));
+    }
+
+    #[test]
+    fn short_payload_is_epipe_and_reads_stop_at_the_length() {
+        let wire = b"0123456789rest";
+        let mut r = &wire[..];
+        assert_eq!(read_payload(&mut r, 10).unwrap(), b"0123456789");
+        assert_eq!(r, b"rest", "the bytes after the payload stay unread");
+        assert_eq!(read_payload(&mut r, 0).unwrap(), b"");
+        // The stream ends before the announced length.
+        assert_eq!(read_payload(&mut r, 5), Err(Errno::EPIPE));
     }
 
     #[test]

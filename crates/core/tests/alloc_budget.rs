@@ -33,6 +33,9 @@
 //!   chunks are the only copy. (`write_file_mode`, which copies the
 //!   same bytes through guest memory and the I/O channel, allocates
 //!   about twice the data.)
+//! * The same put on a durable group-commit kernel stays under the same
+//!   budget: its WAL frame borrows the file's chunks instead of copying
+//!   them into the pending batch.
 
 use idbox_core::IdentityBox;
 use idbox_interpose::{share, GuestCtx};
@@ -125,7 +128,11 @@ fn warm_vfs_stat_allocates_nothing() {
 /// An identity box for Fred on a fresh volatile kernel, and its guest
 /// process.
 fn fred_box() -> (IdentityBox, Pid) {
-    let mut k = Kernel::new();
+    fred_box_on(Kernel::new())
+}
+
+/// An identity box for Fred on `k`, and its guest process.
+fn fred_box_on(mut k: Kernel) -> (IdentityBox, Pid) {
     k.accounts_mut()
         .add(Account::new("dthain", SUP.uid, SUP.gid))
         .unwrap();
@@ -261,4 +268,30 @@ fn boxed_owned_put_allocates_only_the_file_chunks() {
          write_file_mode of the same data: {flat_bytes})"
     );
     eprintln!("1 MiB boxed write: put_file {owned_bytes} B, write_file_mode {flat_bytes} B");
+}
+
+#[test]
+fn durable_boxed_put_logs_the_file_chunks_by_reference() {
+    let dir = std::env::temp_dir().join(format!("idbox-alloc-put-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (k, _) = Kernel::with_durability(WalConfig::new(&dir)).unwrap();
+    let (b, pid) = fred_box_on(k);
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    ctx.mkdir("out", 0o755).unwrap();
+    // Warm the path caches and the file itself.
+    ctx.put_file("out/f", vec![1u8; 4096], 0o644).unwrap();
+    let data = vec![7u8; MIB as usize];
+    let (put_bytes, r) = bytes_in(|| ctx.put_file("out/f", data, 0o644));
+    r.unwrap();
+    assert_eq!(ctx.read_file("out/f").unwrap(), vec![7u8; MIB as usize]);
+    assert!(
+        put_bytes < MIB + 128 * 1024,
+        "durable boxed put_file of 1 MiB allocated {put_bytes} bytes (budget data + 128 KiB)"
+    );
+    eprintln!("1 MiB durable boxed put_file: {put_bytes} B");
+    drop(ctx);
+    drop(sup);
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
 }

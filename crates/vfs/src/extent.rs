@@ -74,6 +74,11 @@ impl ByteExtent {
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
+
+    /// True when the extent covers the whole of its chunk.
+    pub(crate) fn is_whole_chunk(&self) -> bool {
+        self.start == 0 && self.end == self.data.len()
+    }
 }
 
 /// Extents compare by the bytes they cover, not by chunk identity:
@@ -163,6 +168,11 @@ impl FileContent {
         self.len
     }
 
+    /// Nominal chunk size.
+    pub(crate) fn chunk_size(&self) -> usize {
+        self.chunk
+    }
+
     /// Copy up to `out.len()` bytes starting at `off` into `out`;
     /// returns the count copied (0 at or past EOF).
     pub(crate) fn read_into(&self, off: usize, out: &mut [u8]) -> usize {
@@ -192,17 +202,29 @@ impl FileContent {
         }
         let n = want.min(self.len - off);
         let mut parts = Vec::with_capacity(n / self.chunk + 2);
-        let mut done = 0;
-        while done < n {
-            let pos = off + done;
-            let ci = pos / self.chunk;
-            let co = pos % self.chunk;
-            let chunk = &self.chunks[ci];
-            let take = (chunk.len() - co).min(n - done);
-            parts.push(ByteExtent::new(Arc::clone(chunk), co, co + take));
-            done += take;
-        }
+        parts.extend(self.extent_iter(off, n));
         ExtentList { total: n, parts }
+    }
+
+    /// The parts [`FileContent::extents`] returns, one at a time,
+    /// without collecting them.
+    pub(crate) fn extent_iter(
+        &self,
+        off: usize,
+        want: usize,
+    ) -> impl Iterator<Item = ByteExtent> + '_ {
+        let end = self.len.min(off.saturating_add(want));
+        let mut pos = off;
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let chunk = &self.chunks[pos / self.chunk];
+            let co = pos % self.chunk;
+            let take = (chunk.len() - co).min(end - pos);
+            pos += take;
+            Some(ByteExtent::new(Arc::clone(chunk), co, co + take))
+        })
     }
 
     /// The chunks, in file order; their concatenation is the content.

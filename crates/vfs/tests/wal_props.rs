@@ -26,10 +26,17 @@
 //! varint, unknown tag or invalid UTF-8 string decodes to `None` —
 //! replay's signal to truncate the frame as corrupt.
 //!
+//! The borrowed-frame properties check that a `Write` record framing
+//! the file's chunks by reference writes the same segment bytes as the
+//! record encoder, holds the bytes of its own moment when those chunks
+//! are overwritten before the flush, and tears cleanly when a crash
+//! budget cuts inside a borrowed chunk.
+//!
 //! Uses the `idbox-testkit` runner, so `IDBOX_PROP_SEED` (pinned in
 //! `ci.sh`) reproduces a failing case exactly.
 
-use idbox_vfs::{Cred, Vfs, Wal, WalConfig, WalRecordRef};
+use idbox_vfs::wal::crc32;
+use idbox_vfs::{Cred, Ino, Vfs, Wal, WalConfig, WalRecordRef};
 use proptest::{run_cases, PropError, ProptestConfig, TestRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -841,6 +848,162 @@ fn codec_survives_random_bytes() {
                 }
             }
             Ok(())
+        },
+    );
+}
+
+/// A random write at chunk size [`CHUNK`]: whole chunks, a part of one
+/// chunk, or a run straddling chunk boundaries at both ends.
+fn random_write(rng: &mut TestRng) -> (u64, Vec<u8>) {
+    let chunk = CHUNK as u64;
+    let (off, len) = match rng.below(3) {
+        0 => (chunk * rng.below(4), chunk * rng.in_range(1, 4)),
+        1 => {
+            let at = rng.below(chunk - 1);
+            (chunk * rng.below(4) + at, rng.in_range(1, chunk - at))
+        }
+        _ => (rng.below(4 * chunk), rng.in_range(chunk, 4 * chunk)),
+    };
+    (off, (0..len).map(|_| rng.next_u64() as u8).collect())
+}
+
+/// The bytes of the only log segment in `dir`.
+fn only_segment(dir: &Path) -> Vec<u8> {
+    let segs = segments(dir);
+    assert_eq!(segs.len(), 1, "expected one segment, got {segs:?}");
+    std::fs::read(&segs[0]).unwrap()
+}
+
+#[test]
+fn borrowed_write_frames_match_the_record_encoder() {
+    run_cases(
+        ProptestConfig::with_cases(24),
+        "wal_props::borrowed_write_frames",
+        |rng| {
+            let dir = tmpdir("borrowed");
+            // Group commit with no flusher thread and a backstop no case
+            // reaches: nothing leaves the pending batch before `sync`,
+            // so later writes land on chunks it still borrows.
+            let (wal, _) = Wal::open(WalConfig {
+                dir: dir.clone(),
+                sync_ops: 1 << 20,
+                sync_ms: 1000,
+            })
+            .unwrap();
+            let wal = Arc::new(wal);
+            let mut vfs = Vfs::new();
+            vfs.set_chunk_size(CHUNK);
+            vfs.set_wal(Some(Arc::clone(&wal)));
+            let root = vfs.root();
+            let files: Vec<Ino> = (0..3)
+                .map(|i| vfs.create(root, &format!("/f{i}"), 0o644, &ROOT).unwrap())
+                .collect();
+            // Every write, in log order, with the bytes it logged.
+            let mut writes: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+            for _ in 0..rng.in_range(4, 16) {
+                let ino = files[rng.below(3) as usize];
+                let (off, data) = random_write(rng);
+                vfs.write_at(ino, off, &data).unwrap();
+                writes.push((ino.0, off, data));
+                if rng.bool() {
+                    // Overwrite part of what was just written, before any
+                    // flush: its record must keep the old bytes.
+                    let (base, len) = (off, writes.last().unwrap().2.len() as u64);
+                    let at = base + rng.below(len);
+                    let patch =
+                        vec![rng.below(256) as u8; rng.in_range(1, 2 * CHUNK as u64) as usize];
+                    vfs.write_at(ino, at, &patch).unwrap();
+                    writes.push((ino.0, at, patch));
+                }
+            }
+            wal.sync();
+            let live = vfs.namespace_fingerprint();
+            drop(vfs);
+            drop(wal);
+            let seg = only_segment(&dir);
+            // Re-frame every record through the encoder; the segment must
+            // be exactly that, and its writes exactly the model's.
+            let mut want = seg[..8].to_vec();
+            let mut logged = Vec::new();
+            let mut pos = 8;
+            while pos < seg.len() {
+                let len = u32::from_le_bytes(seg[pos..pos + 4].try_into().unwrap()) as usize;
+                let payload = &seg[pos + 8..pos + 8 + len];
+                let lsn_len = payload.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+                let Some(rec) = WalRecordRef::decode(&payload[lsn_len..]) else {
+                    return Err(PropError::fail(format!("undecodable frame at {pos}")));
+                };
+                if let WalRecordRef::Write { ino, off, data, .. } = rec {
+                    logged.push((ino, off, data.to_vec()));
+                }
+                let mut framed = payload[..lsn_len].to_vec();
+                rec.encode(&mut framed);
+                want.extend_from_slice(&(framed.len() as u32).to_le_bytes());
+                want.extend_from_slice(&crc32(&framed).to_le_bytes());
+                want.extend_from_slice(&framed);
+                pos += 8 + len;
+            }
+            let outcome = if logged != writes {
+                Err(PropError::fail("logged writes differ from the writes made"))
+            } else if seg != want {
+                Err(PropError::fail("segment differs from the encoder's frames"))
+            } else if recover_fingerprint(&dir) != live {
+                Err(PropError::fail("replay differs from the live namespace"))
+            } else {
+                Ok(())
+            };
+            std::fs::remove_dir_all(&dir).ok();
+            outcome
+        },
+    );
+}
+
+#[test]
+fn crash_budget_inside_a_borrowed_chunk_recovers_the_prefix() {
+    run_cases(
+        ProptestConfig::with_cases(16),
+        "wal_props::crash_inside_borrowed_chunk",
+        |rng| {
+            let dir = tmpdir("borrowedcrash");
+            let (wal, mut vfs) = fresh(&dir);
+            vfs.set_chunk_size(CHUNK);
+            let root = vfs.root();
+            let ino = vfs.create(root, "/f", 0o644, &ROOT).unwrap();
+            for _ in 0..rng.below(4) {
+                let (off, data) = random_write(rng);
+                vfs.write_at(ino, off, &data).unwrap();
+            }
+            let before = vfs.namespace_fingerprint();
+            let durable = only_segment(&dir).len() as u64;
+            // A chunk-aligned write of whole chunks: its frame is a
+            // header of at most 18 bytes, then the borrowed chunks. A
+            // budget of 32 bytes or more, short of the frame's end,
+            // cuts inside one of them.
+            let chunks = rng.in_range(1, 4);
+            let data: Vec<u8> = (0..chunks * CHUNK as u64)
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let budget = rng.in_range(32, data.len() as u64);
+            wal.set_crash_after_bytes(budget);
+            vfs.write_at(ino, CHUNK as u64 * rng.below(4), &data)
+                .unwrap();
+            vfs.write_at(ino, 0, b"after the crash").unwrap();
+            drop(vfs);
+            drop(wal);
+            let persisted = only_segment(&dir).len() as u64 - durable;
+            let got = recover_fingerprint(&dir);
+            std::fs::remove_dir_all(&dir).ok();
+            if persisted != budget {
+                Err(PropError::fail(format!(
+                    "budget {budget} persisted {persisted} bytes"
+                )))
+            } else if got == before {
+                Ok(())
+            } else {
+                Err(PropError::fail(format!(
+                    "budget {budget} inside a borrowed chunk recovered a non-prefix state:\n{got}"
+                )))
+            }
         },
     );
 }
