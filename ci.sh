@@ -44,7 +44,9 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # plane: a boxed 1 MiB put_file allocates < data + 128 KiB (the file
 # chunks only; the guest-memory write_file_mode path takes ~2 x data),
 # and so does the same put on a durable group-commit kernel (its WAL
-# frame borrows the file chunks instead of copying them).
+# frame borrows the file chunks instead of copying them). A one-byte
+# overwrite of a chunk such a frame still borrows copies only that chunk,
+# and a second overwrite of it copies nothing.
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings

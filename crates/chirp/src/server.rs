@@ -404,11 +404,12 @@ impl ChirpServer {
         // every shard lock, so retrying on the poll tick would stall
         // mutations for nothing while the cause persists.
         let wal = self.kernel.read().vfs().wal().cloned();
+        let mut snapshotter = None;
         if let (Some(wal), every) = (wal, self.wal_snapshot_every) {
             if every > 0 {
                 let kernel = Arc::clone(&self.kernel);
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
+                snapshotter = Some(std::thread::spawn(move || {
                     let mut due = every;
                     while !stop.load(Ordering::Relaxed) {
                         let s = wal.stats();
@@ -422,7 +423,7 @@ impl ChirpServer {
                         }
                         std::thread::sleep(Duration::from_millis(20));
                     }
-                });
+                }));
             }
         }
         // Catalog heartbeat: register now and on every period until
@@ -508,6 +509,7 @@ impl ChirpServer {
             addr,
             stop,
             join: Some(join),
+            snapshotter,
             kernel: Arc::clone(&self.kernel),
             conns,
             audit: Arc::clone(&self.audit),
@@ -526,6 +528,9 @@ pub struct ChirpServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
+    /// The auto-snapshot thread, joined at shutdown so no snapshot of
+    /// this server's log is still running once `shutdown` returns.
+    snapshotter: Option<std::thread::JoinHandle<()>>,
     kernel: SharedKernel,
     conns: ConnRegistry,
     audit: Arc<AuditRing>,
@@ -612,6 +617,9 @@ impl ChirpServerHandle {
             w.notify();
         }
         if let Some(j) = self.join.take() {
+            let _ = j.join();
+        }
+        if let Some(j) = self.snapshotter.take() {
             let _ = j.join();
         }
         let deadline = std::time::Instant::now() + self.drain_deadline;

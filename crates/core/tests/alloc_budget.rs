@@ -36,10 +36,15 @@
 //! * The same put on a durable group-commit kernel stays under the same
 //!   budget: its WAL frame borrows the file's chunks instead of copying
 //!   them into the pending batch.
+//! * A one-byte overwrite of a chunk that such a frame still borrows
+//!   copies that one chunk (copy-on-write), and a second overwrite of it
+//!   patches the copy in place; the put and the overwrite together stay
+//!   under the data plus one chunk plus 128 KiB, where copying the frame
+//!   cost the put alone about four times the data.
 
 use idbox_core::IdentityBox;
 use idbox_interpose::{share, GuestCtx};
-use idbox_kernel::{Account, Kernel, Pid};
+use idbox_kernel::{Account, Kernel, OpenFlags, Pid};
 use idbox_vfs::{Cred, Vfs, Wal, WalConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -290,6 +295,60 @@ fn durable_boxed_put_logs_the_file_chunks_by_reference() {
         "durable boxed put_file of 1 MiB allocated {put_bytes} bytes (budget data + 128 KiB)"
     );
     eprintln!("1 MiB durable boxed put_file: {put_bytes} B");
+    drop(ctx);
+    drop(sup);
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overwrite_of_a_borrowed_chunk_copies_only_that_chunk() {
+    let dir = std::env::temp_dir().join(format!("idbox-alloc-cow-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A flusher tick far longer than the test keeps the put's frame, and
+    // the chunks it borrows, pending until the kernel is dropped.
+    let cfg = WalConfig {
+        sync_ms: 3_600_000,
+        ..WalConfig::new(&dir)
+    };
+    let (k, _) = Kernel::with_durability(cfg).unwrap();
+    let chunk = k.vfs().chunk_size() as u64;
+    let (b, pid) = fred_box_on(k);
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    ctx.mkdir("out", 0o755).unwrap();
+    // Warm the path caches, the file and the positioned-write path.
+    ctx.put_file("out/f", vec![1u8; 4096], 0o644).unwrap();
+    let fd = ctx.open("out/f", OpenFlags::rdwr(), 0).unwrap();
+    ctx.pwrite_owned(fd, vec![2u8], 0).unwrap();
+    let data = vec![7u8; MIB as usize];
+    let (put_bytes, r) = bytes_in(|| ctx.put_file("out/f", data, 0o644));
+    r.unwrap();
+    let at = 3 * chunk + 17;
+    let (one, two) = (vec![9u8], vec![8u8]);
+    let (first, r) = bytes_in(|| ctx.pwrite_owned(fd, one, at));
+    assert_eq!(r, Ok(1));
+    let (second, r) = bytes_in(|| ctx.pwrite_owned(fd, two, at + 1));
+    assert_eq!(r, Ok(1));
+    let mut want = vec![7u8; MIB as usize];
+    want[at as usize] = 9;
+    want[at as usize + 1] = 8;
+    assert!(ctx.read_file("out/f").unwrap() == want);
+    assert!(
+        first <= chunk + 4096,
+        "first overwrite of a borrowed chunk allocated {first} bytes (budget one {chunk} B chunk + 4 KiB)"
+    );
+    assert!(
+        second <= 4096,
+        "second overwrite of the same chunk allocated {second} bytes (budget 4 KiB)"
+    );
+    assert!(
+        put_bytes + first < MIB + chunk + 128 * 1024,
+        "put plus overwrite allocated {} bytes (budget data + one chunk + 128 KiB)",
+        put_bytes + first
+    );
+    eprintln!("durable put {put_bytes} B, then overwrites in the window: {first} B, {second} B");
+    ctx.close(fd).unwrap();
     drop(ctx);
     drop(sup);
     drop(b);

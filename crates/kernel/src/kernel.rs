@@ -48,6 +48,9 @@
 //!    under the WAL mutex can take any other lock. Snapshot capture
 //!    takes every vfs shard read lock, then the WAL mutex — the same
 //!    downward direction.
+//! 6. The snapshot lock is above all of these: `wal_snapshot` takes it
+//!    before the cut's shard locks, and nothing takes it while holding
+//!    another lock.
 
 use crate::accounts::AccountDb;
 use crate::driver::{FsDriver, MountTable};
@@ -169,6 +172,9 @@ pub struct Kernel {
     /// can clone the handle once at construction and record timings
     /// without touching any kernel lock.
     latency: Arc<LatencyStats>,
+    /// Held across one snapshot's cut and install, so snapshots run one
+    /// at a time (see [`Kernel::wal_snapshot`]).
+    snapshot_lock: std::sync::Mutex<()>,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -321,6 +327,7 @@ impl Kernel {
             },
             stats: SyscallStats::new(),
             latency: Arc::new(LatencyStats::new()),
+            snapshot_lock: std::sync::Mutex::new(()),
         }
     }
 
@@ -407,10 +414,17 @@ impl Kernel {
     /// self` ([`Kernel::account_add`] / [`Kernel::account_remove`]), so
     /// a shared borrow cannot race one, and reads of the blob stay
     /// consistent with the rotation.
+    ///
+    /// Concurrent calls (the server's auto-snapshot thread, the
+    /// `walsnap` RPC, an embedder) run one at a time. Two installs at
+    /// once would share `snapshot.tmp`, and an older cut installed after
+    /// a newer one would replace a snapshot whose install had already
+    /// purged the segments the older one needs.
     pub fn wal_snapshot(&self) -> std::io::Result<Option<u64>> {
         let Some(wal) = self.vfs.wal().cloned() else {
             return Ok(None);
         };
+        let _one_at_a_time = self.snapshot_lock.lock().unwrap_or_else(|e| e.into_inner());
         let accounts_blob = self.accounts.read().to_blob();
         let cut = self.vfs.snapshot_cut()?;
         wal.install_snapshot(&cut, &accounts_blob)?;
@@ -1553,6 +1567,46 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn concurrent_snapshots_run_one_at_a_time() {
+        let dir = std::env::temp_dir().join(format!("idbox-kernel-snap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (k, _) = Kernel::with_durability(WalConfig::new(&dir)).unwrap();
+        let v = k.vfs();
+        v.mkdir(v.root(), "/d", 0o755, &Cred::ROOT).unwrap();
+        // Four snapshotters and the writer start together.
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            let snap = || {
+                start.wait();
+                (0..8).map(|_| k.wal_snapshot().map(|_| ())).collect::<Vec<_>>()
+            };
+            let snappers: Vec<_> = (0..4).map(|_| s.spawn(snap)).collect();
+            start.wait();
+            for i in 0..400 {
+                v.write_file(v.root(), &format!("/d/f{i}"), &[i as u8; 700], &Cred::ROOT)
+                    .unwrap();
+            }
+            for t in snappers {
+                for r in t.join().unwrap() {
+                    r.expect("a snapshot taken beside another one failed");
+                }
+            }
+        });
+        drop(k);
+        let (k, report) = Kernel::with_durability(WalConfig::new(&dir)).unwrap();
+        assert!(report.restored);
+        for i in 0..400 {
+            let v = k.vfs();
+            assert_eq!(
+                v.read_file(v.root(), &format!("/d/f{i}"), &Cred::ROOT).unwrap(),
+                vec![i as u8; 700]
+            );
+        }
+        drop(k);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn kernel_with_user(name: &str) -> (Kernel, Pid, Cred) {
         let mut k = Kernel::new();

@@ -12,11 +12,12 @@
 //!
 //! Writes are copy-on-write per chunk: a chunk still uniquely owned by
 //! the file is patched in place (`Arc::get_mut`), while a chunk shared
-//! with an in-flight reader is rebuilt, leaving the reader's snapshot
-//! untouched. Readers therefore observe a consistent point-in-time
-//! view of every extent they hold, no matter what writers do next —
-//! the property the streaming reply path relies on while a reply
-//! drains under backpressure.
+//! with an in-flight reader, or with a WAL frame not yet written out,
+//! is rebuilt, leaving the other holder's snapshot untouched. Readers
+//! therefore observe a consistent point-in-time view of every extent
+//! they hold, no matter what writers do next — the property the
+//! streaming reply path relies on while a reply drains under
+//! backpressure.
 
 use std::sync::Arc;
 
@@ -168,11 +169,6 @@ impl FileContent {
         self.len
     }
 
-    /// Nominal chunk size.
-    pub(crate) fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
     /// Copy up to `out.len()` bytes starting at `off` into `out`;
     /// returns the count copied (0 at or past EOF).
     pub(crate) fn read_into(&self, off: usize, out: &mut [u8]) -> usize {
@@ -321,10 +317,13 @@ impl FileContent {
             match Arc::get_mut(chunk) {
                 Some(owned) => owned[co..co + take].copy_from_slice(&data[done..done + take]),
                 None => {
-                    // Shared with a reader: rebuild, leave theirs alone.
-                    let mut v = chunk.to_vec();
-                    v[co..co + take].copy_from_slice(&data[done..done + take]);
-                    *chunk = v.into();
+                    // Shared with a reader or a pending WAL frame:
+                    // rebuild (one allocation, one copy), leave theirs
+                    // alone.
+                    let mut own: Arc<[u8]> = Arc::from(&chunk[..]);
+                    Arc::get_mut(&mut own).expect("a fresh chunk is unshared")[co..co + take]
+                        .copy_from_slice(&data[done..done + take]);
+                    *chunk = own;
                 }
             }
             done += take;

@@ -1077,23 +1077,16 @@ impl Vfs {
         off.checked_add(data.len()).ok_or(Errno::EFBIG)?;
         file.write_at(off, data);
         inode.mtime = now;
-        match &self.wal {
-            // A write of a chunk or more logs the file's own chunks,
-            // framed by reference where it covers them whole; a shorter
-            // one is cheaper to copy into the frame.
-            Some(wal) if data.len() >= file.chunk_size() => wal.append_write(
+        // The record logs the file's own chunks: those the write covers
+        // whole are framed by reference, the partial edges are copied.
+        if let Some(wal) = &self.wal {
+            wal.append_write(
                 ino.0,
                 off as u64,
                 data.len(),
                 file.extent_iter(off, data.len()),
                 now,
-            ),
-            _ => self.log(|| WalRecordRef::Write {
-                ino: ino.0,
-                off: off as u64,
-                data,
-                now,
-            }),
+            );
         }
         Ok(data.len())
     }
