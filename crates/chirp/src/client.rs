@@ -35,7 +35,7 @@ use idbox_kernel::OpenFlags;
 use idbox_obs::{next_trace_id, TraceId};
 use idbox_types::{Errno, Principal, SysResult};
 use idbox_vfs::{DirEntry, StatBuf};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -850,11 +850,16 @@ fn read_reply_payload(r: &mut BufReader<TcpStream>, words: &[String]) -> SysResu
     codec::read_payload(r, len)
 }
 
-/// One request queued on a [`Pipeline`].
+/// Slices per vectored write: Linux's `IOV_MAX`, above which
+/// `writev(2)` fails with `EINVAL`.
+const IOV_MAX: usize = 1024;
+
+/// One request queued on a [`Pipeline`]; its payload is borrowed from
+/// the caller until the pipeline runs.
 #[derive(Debug)]
-struct QueuedOp {
+struct QueuedOp<'a> {
     line: String,
-    payload: Option<Vec<u8>>,
+    payload: Option<&'a [u8]>,
     trace: TraceId,
     /// Whether an `ok` reply announces a payload (`ok <len>` + bytes)
     /// that must be drained to keep the stream framed.
@@ -889,15 +894,16 @@ impl PipeReply {
 
 /// A queue of requests sent to the server in one burst (wire protocol
 /// v2 pipelining). Build with [`ChirpClient::pipeline`], enqueue
-/// operations, then call [`Pipeline::run`].
+/// operations, then call [`Pipeline::run`]. Payloads are sent from the
+/// caller's buffers, which the pipeline borrows until it runs.
 #[derive(Debug)]
 pub struct Pipeline<'a> {
     client: &'a mut ChirpClient,
-    ops: Vec<QueuedOp>,
+    ops: Vec<QueuedOp<'a>>,
 }
 
-impl Pipeline<'_> {
-    fn push(&mut self, line: String, payload: Option<Vec<u8>>, wants_payload: bool) -> usize {
+impl<'a> Pipeline<'a> {
+    fn push(&mut self, line: String, payload: Option<&'a [u8]>, wants_payload: bool) -> usize {
         let trace = self.client.stamp();
         self.ops.push(QueuedOp {
             line,
@@ -953,10 +959,10 @@ impl Pipeline<'_> {
     }
 
     /// Queue a `pwrite`.
-    pub fn pwrite(&mut self, fd: i64, data: &[u8], off: u64) -> usize {
+    pub fn pwrite(&mut self, fd: i64, data: &'a [u8], off: u64) -> usize {
         self.push(
             format!("pwrite {fd} {off} {}", data.len()),
-            Some(data.to_vec()),
+            Some(data),
             false,
         )
     }
@@ -1006,15 +1012,15 @@ impl Pipeline<'_> {
     }
 
     /// Queue a whole-file `put` (mode 0644).
-    pub fn put(&mut self, path: &str, data: &[u8]) -> usize {
+    pub fn put(&mut self, path: &str, data: &'a [u8]) -> usize {
         self.push(
             format!("put {} {} {}", encode_word(path), data.len(), 0o644),
-            Some(data.to_vec()),
+            Some(data),
             false,
         )
     }
 
-    /// Send every queued request in one write, then read the replies
+    /// Send every queued request in one burst, then read the replies
     /// in queue order, verifying each echoed `id=` token. Returns one
     /// [`PipeReply`] per queued operation.
     ///
@@ -1059,24 +1065,43 @@ impl Pipeline<'_> {
     }
 }
 
-/// The wire work of [`Pipeline::run`] on one connection: one buffered
-/// write for all requests, then an in-order, id-verified read pass.
-fn run_pipeline(conn: &mut Conn, ops: &[QueuedOp]) -> SysResult<Vec<PipeReply>> {
-    let mut buf = Vec::new();
+/// The wire work of [`Pipeline::run`] on one connection: the stamped
+/// lines and the caller's payloads go out in vectored writes, with no
+/// flat copy of the burst, then an in-order, id-verified read pass.
+fn run_pipeline(conn: &mut Conn, ops: &[QueuedOp<'_>]) -> SysResult<Vec<PipeReply>> {
+    let mut lines = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
         // v2 stacking order: `<line> id=<n> trace=<t>` — the trace
         // token stays last on the wire, as v1 servers expect.
-        let stamped = codec::with_trace(&codec::with_id(&op.line, (i + 1) as u64), op.trace);
+        let mut stamped = codec::with_trace(&codec::with_id(&op.line, (i + 1) as u64), op.trace);
         if stamped.len() + 1 > codec::LINE_MAX {
             return Err(Errno::EINVAL);
         }
-        buf.extend_from_slice(stamped.as_bytes());
-        buf.push(b'\n');
-        if let Some(p) = &op.payload {
-            buf.extend_from_slice(p);
+        stamped.push('\n');
+        lines.push(stamped);
+    }
+    let mut parts = lines.iter().zip(ops).flat_map(|(line, op)| {
+        [Some(line.as_bytes()), op.payload.filter(|p| !p.is_empty())]
+            .into_iter()
+            .flatten()
+    });
+    let mut iov = Vec::with_capacity(IOV_MAX.min(2 * ops.len()));
+    loop {
+        iov.clear();
+        iov.extend(parts.by_ref().take(IOV_MAX).map(IoSlice::new));
+        if iov.is_empty() {
+            break;
+        }
+        let mut bufs = &mut iov[..];
+        while !bufs.is_empty() {
+            match conn.writer.write_vectored(bufs) {
+                Ok(0) => return Err(Errno::EPIPE),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(Errno::EPIPE),
+            }
         }
     }
-    conn.writer.write_all(&buf).map_err(|_| Errno::EPIPE)?;
     conn.writer.flush().map_err(|_| Errno::EPIPE)?;
     let mut replies = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {

@@ -18,7 +18,7 @@
 //! ever have one frame outstanding.
 
 use crate::codec::{self, error_line};
-use crate::poll::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
+use crate::poll::{poll_fds, read_uninit, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::server::{
     announced_payload, dispatch, record_span, ConnRegistry, GuestFn, Reply, SessionCtl,
     SessionGauge, SessionObs, InflightGuard,
@@ -32,6 +32,7 @@ use idbox_types::{CostModel, Errno, Principal};
 use idbox_vfs::{ByteExtent, Cred};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
+use std::mem::MaybeUninit;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -294,10 +295,45 @@ struct PendingFrame {
     id: Option<u64>,
     retry: Option<u32>,
     trace: Option<TraceId>,
-    payload_len: usize,
-    /// Reserved at `payload_len` when the line is parsed; the socket
-    /// reads the bytes straight into it.
-    payload: Vec<u8>,
+    /// The announced payload, allocated uninitialised at its exact size
+    /// when the line is parsed (`None` when there is none); the socket
+    /// reads the bytes straight into it. Only `payload[..filled]` has
+    /// been written, and nothing reads the buffer before it is full.
+    payload: Option<Arc<[MaybeUninit<u8>]>>,
+    filled: usize,
+}
+
+impl PendingFrame {
+    /// Payload bytes still to arrive.
+    fn missing(&self) -> usize {
+        self.payload.as_ref().map_or(0, |p| p.len()) - self.filled
+    }
+
+    /// The unwritten rest of the payload buffer.
+    fn spare(&mut self) -> &mut [MaybeUninit<u8>] {
+        match &mut self.payload {
+            Some(p) => {
+                let buf = Arc::get_mut(p).expect("the framer's buffer is unshared");
+                &mut buf[self.filled..]
+            }
+            None => &mut [],
+        }
+    }
+
+    /// The complete payload, handed over as the initialised buffer it
+    /// now is: the bytes the socket wrote are the bytes dispatch gets.
+    fn take_payload(&mut self) -> Arc<[u8]> {
+        let Some(buf) = self.payload.take() else {
+            return Arc::default();
+        };
+        assert_eq!(self.filled, buf.len(), "payload dispatched before it arrived");
+        // SAFETY: `filled` counts the bytes written at the front of the
+        // buffer — copied from the input buffer in `step_session`, or
+        // written by `read(2)` in `read_payload`, each call advancing
+        // `filled` by exactly the count it wrote — and it equals the
+        // length, so every byte is initialised.
+        unsafe { buf.assume_init() }
+    }
 }
 
 /// How a read from the socket ended.
@@ -310,6 +346,27 @@ enum ReadEnd {
     Eof,
     /// A hard socket error.
     Failed,
+}
+
+/// Read the next at most `limit` bytes of `pf`'s payload from `stream`
+/// straight into its buffer: no scratch buffer, no zeroing. Each
+/// `read(2)` advances `filled` by the count it wrote, so the count is
+/// exact whatever the outcome.
+fn read_payload(stream: &TcpStream, pf: &mut PendingFrame, limit: usize) -> (usize, ReadEnd) {
+    let mut n = 0;
+    while n < limit {
+        let room = &mut pf.spare()[..limit - n];
+        match read_uninit(stream.as_raw_fd(), room) {
+            Ok(0) => return (n, ReadEnd::Eof),
+            Ok(k) => {
+                pf.filled += k;
+                n += k;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return (n, ReadEnd::Drained),
+            Err(_) => return (n, ReadEnd::Failed),
+        }
+    }
+    (n, ReadEnd::Limit)
 }
 
 /// Read at most `limit` bytes from `stream` into `buf`'s spare capacity:
@@ -536,8 +593,8 @@ impl Conn {
     fn fill(&mut self) {
         let (mut total, mut end) = (0, ReadEnd::Limit);
         if let Some(pf) = &mut self.pending {
-            let want = pf.payload_len - pf.payload.len();
-            (total, end) = read_into(&self.stream, &mut pf.payload, want.min(READ_BUDGET));
+            let want = pf.missing();
+            (total, end) = read_payload(&self.stream, pf, want.min(READ_BUDGET));
         }
         if matches!(end, ReadEnd::Limit) && total < READ_BUDGET {
             let (n, e) = read_into(&self.stream, &mut self.inbuf, READ_BUDGET - total);
@@ -756,7 +813,7 @@ impl Conn {
         // A frame waiting on its payload blocks the stream (frames are
         // strictly ordered), so nothing else can be parsed before it.
         if let Some(pf) = &self.pending {
-            if pf.payload.len() < pf.payload_len {
+            if pf.missing() > 0 {
                 return None;
             }
             let pf = self.pending.take().expect("pending frame present");
@@ -787,22 +844,25 @@ impl Conn {
             Ok(len) => {
                 // One exact-size buffer per payload, whatever its size:
                 // the announce is already bounded by `PAYLOAD_MAX`, and
-                // the reservation stays virtual until bytes land in it.
-                // Whatever part of the payload came in with its line
-                // moves over now; `fill` reads the rest straight in.
+                // the allocation is neither zeroed nor touched until
+                // bytes land in it. It becomes the file's chunks when a
+                // put appends it. Whatever part of the payload came in
+                // with its line moves over now; `fill` reads the rest
+                // straight in.
                 let payload_len = len.unwrap_or(0) as usize;
-                let mut payload = Vec::with_capacity(payload_len);
-                let have = self.avail().min(payload_len);
-                payload.extend_from_slice(&self.inbuf[self.inpos..self.inpos + have]);
-                self.consume(have);
-                PendingFrame {
+                let mut pf = PendingFrame {
                     words,
                     id,
                     retry,
                     trace,
-                    payload_len,
-                    payload,
-                }
+                    payload: (payload_len > 0).then(|| Arc::new_uninit_slice(payload_len)),
+                    filled: 0,
+                };
+                let have = self.avail().min(payload_len);
+                pf.spare()[..have].write_copy_of_slice(&self.inbuf[self.inpos..self.inpos + have]);
+                pf.filled = have;
+                self.consume(have);
+                pf
             }
             // A bad or oversized announce is answered without waiting
             // for (or allocating) any payload. The peer may still send
@@ -814,7 +874,7 @@ impl Conn {
                 return Some(());
             }
         };
-        if pf.payload.len() < pf.payload_len {
+        if pf.missing() > 0 {
             self.pending = Some(pf);
             return None;
         }
@@ -829,7 +889,7 @@ impl Conn {
         let ConnPhase::Session(session) = &mut self.phase else {
             unreachable!("frames only exist in session phase")
         };
-        let payload = std::mem::take(&mut pf.payload);
+        let payload = pf.take_payload();
         let (reply, close) = session.handle_frame(&pf, payload, lc);
         // The frame's trace was parked on this thread for the duration
         // of the dispatch; clear it so events from the next frame (or
@@ -947,7 +1007,7 @@ impl Session {
     fn handle_frame(
         &mut self,
         pf: &PendingFrame,
-        payload: Vec<u8>,
+        payload: Arc<[u8]>,
         lc: &LoopCtx,
     ) -> (Option<Result<Reply, Errno>>, bool) {
         let ctl = &lc.ctl;

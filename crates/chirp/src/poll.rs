@@ -1,9 +1,11 @@
 //! Minimal readiness polling over raw fds: a hand-rolled binding to
 //! `poll(2)`, so the event-loop server stays dependency-free (no mio,
 //! no libc crate). Only what the server needs is bound: `POLLIN`,
-//! `POLLOUT`, and the level-triggered wait itself.
+//! `POLLOUT`, the level-triggered wait itself, and `read(2)` into
+//! uninitialised memory for the framer's payload buffers.
 
 use std::io;
+use std::mem::MaybeUninit;
 use std::os::fd::RawFd;
 
 /// `struct pollfd` from `<poll.h>`, laid out exactly as the kernel ABI
@@ -35,6 +37,7 @@ pub const POLLNVAL: i16 = 0x020;
 #[cfg(unix)]
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn read(fd: RawFd, buf: *mut std::ffi::c_void, count: usize) -> isize;
 }
 
 /// Wait until at least one watched fd is ready or `timeout_ms` passes
@@ -58,11 +61,42 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     }
 }
 
+/// Read up to `buf.len()` bytes from `fd` into `buf`, which need not be
+/// initialised: `read(2)` only writes. Returns the count read, 0 at
+/// EOF; on `Ok(n)` exactly `buf[..n]` has been written. `EINTR` is
+/// retried internally; a nonblocking fd with nothing to read is
+/// `WouldBlock`.
+#[cfg(unix)]
+pub fn read_uninit(fd: RawFd, buf: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
+    loop {
+        // SAFETY: `buf` is a valid, exclusively borrowed region of
+        // `buf.len()` bytes for the duration of the call; `read(2)`
+        // writes at most that many bytes into it and reads none, so an
+        // uninitialised destination is sound.
+        let rc = unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) };
+        if rc >= 0 {
+            return Ok(rc as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
 #[cfg(not(unix))]
 pub fn poll_fds(_fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
         "readiness polling requires a unix platform",
+    ))
+}
+
+#[cfg(not(unix))]
+pub fn read_uninit(_fd: RawFd, _buf: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "raw reads require a unix platform",
     ))
 }
 

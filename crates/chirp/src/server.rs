@@ -829,13 +829,13 @@ fn data_read_span<T>(obs: &SessionObs, f: impl FnOnce() -> SysResult<T>) -> SysR
 /// Dispatch one framed request. `payload` is the request's announced
 /// payload, already read off the wire by the framer (empty for
 /// payload-less verbs), so dispatch never touches the socket. It is
-/// passed by value so verbs that keep the bytes take them without
-/// another copy: `setacl` as its text, `put` and `pwrite` by moving the
-/// buffer into the kernel call (unless `copy_data_plane` ablates them
-/// to the guest-memory path).
+/// passed by value so `put` and `pwrite` move the buffer into the
+/// kernel call without another copy, where the file adopts it as its
+/// chunks (unless `copy_data_plane` ablates them to the guest-memory
+/// path).
 pub(crate) fn dispatch(
     words: &[String],
-    payload: Vec<u8>,
+    payload: Arc<[u8]>,
     ctx: &mut GuestCtx<'_>,
     principal: &idbox_types::Principal,
     programs: &BTreeMap<String, GuestFn>,
@@ -942,10 +942,9 @@ pub(crate) fn dispatch(
         "setacl" => {
             let dir = export_path(arg(1)?);
             // Validate before installing: a bad ACL must not brick the
-            // directory. The payload buffer is taken by value — no
-            // intermediate copy on the way to the UTF-8 check.
-            let text = String::from_utf8(payload).map_err(|_| Errno::EINVAL)?;
-            Acl::parse(&text).map_err(|_| Errno::EINVAL)?;
+            // directory.
+            let text = std::str::from_utf8(&payload).map_err(|_| Errno::EINVAL)?;
+            Acl::parse(text).map_err(|_| Errno::EINVAL)?;
             let acl_path = format!("{dir}/{}", idbox_types::ACL_FILE_NAME);
             ctx.write_file(&acl_path, text.as_bytes())?;
             Ok(Reply::Line("ok".to_string()))
@@ -1223,7 +1222,7 @@ fn batch_sub_op(
     if !BATCH_VERBS.contains(&words[0].as_str()) {
         return error_line(Errno::ENOSYS);
     }
-    match dispatch(&words, Vec::new(), ctx, principal, programs, ctl, obs) {
+    match dispatch(&words, Arc::default(), ctx, principal, programs, ctl, obs) {
         Ok(Reply::Line(l)) => l,
         Ok(Reply::Payload(_, data)) => match String::from_utf8(data) {
             Ok(text) => format!("ok {}", codec::encode_word(&text)),

@@ -1169,6 +1169,96 @@ fn dribbled_put_arrives_byte_identical() {
     }
 }
 
+/// A `put` whose payload arrives one byte per write, with a pause after
+/// each so the server sees it over as many readiness cycles, fills its
+/// buffer byte by byte and lands intact; a frame pipelined behind it is
+/// answered in order.
+#[test]
+fn payload_fed_one_byte_per_cycle_arrives_intact() {
+    for copy_data_plane in [false, true] {
+        let (handle, ca) = spawn_data_plane_server(copy_data_plane);
+        let mut fred = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+        fred.mkdir("/work", 0o755).unwrap();
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+
+        let mut raw = RawConn::connect(handle.addr(), &ca);
+        raw.send(format!("put /work/slow {} 420\n", data.len()).as_bytes());
+        for b in &data {
+            raw.send(std::slice::from_ref(b));
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        raw.send(b"stat /work/slow\n");
+        use idbox_auth::AuthTransport;
+        assert_eq!(raw.recv_line().unwrap(), "ok", "put (copy={copy_data_plane})");
+        assert!(raw.recv_line().unwrap().starts_with("ok "));
+        assert_eq!(fred.get("/work/slow").unwrap(), data, "copy={copy_data_plane}");
+        handle.shutdown();
+    }
+}
+
+/// A peer that closes its socket partway through a payload it sent one
+/// byte at a time gets nothing dispatched: the partial buffer is
+/// dropped unread, the file keeps its old contents, and the server
+/// goes on serving.
+#[test]
+fn peer_close_mid_payload_drops_the_partial_buffer() {
+    let (handle, ca) = spawn_data_plane_server(false);
+    let mut fred = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+    fred.mkdir("/work", 0o755).unwrap();
+    fred.put("/work/f", b"original").unwrap();
+
+    let mut raw = RawConn::connect(handle.addr(), &ca);
+    raw.send(b"put /work/f 4096 420\n");
+    for _ in 0..10 {
+        raw.send(b"z");
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    drop(raw);
+
+    assert_eq!(fred.get("/work/f").unwrap(), b"original");
+    let mut other = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+    other.put("/work/g", b"fresh").unwrap();
+    assert_eq!(other.get("/work/g").unwrap(), b"fresh");
+    assert_eq!(fred.get("/work/f").unwrap(), b"original");
+    handle.shutdown();
+}
+
+/// A pipeline carrying more payload-bearing ops than one vectored write
+/// can take (IOV_MAX, 1024 slices) is sent in several, short writes
+/// resumed: every reply comes back in order, and every stored byte is
+/// the caller's.
+#[test]
+fn pipeline_with_more_payloads_than_iov_max_round_trips() {
+    let (handle, ca) = spawn_data_plane_server(false);
+    let mut fred = ChirpClient::connect(handle.addr(), &fred_creds(&ca)).unwrap();
+    fred.mkdir("/many", 0o755).unwrap();
+    let files: Vec<(String, Vec<u8>)> = (0..1100u32)
+        .map(|i| {
+            let len = (i * 37 % 301) as usize;
+            let data = (0..len).map(|j| (i as usize * 31 + j) as u8).collect();
+            (format!("/many/f{i}"), data)
+        })
+        .collect();
+    let mut p = fred.pipeline();
+    for (path, data) in &files {
+        p.put(path, data);
+    }
+    let replies = p.run().unwrap();
+    assert_eq!(replies.len(), files.len());
+    for (r, (path, _)) in replies.iter().zip(&files) {
+        assert_eq!(r.result, Ok(vec![]), "put {path}");
+    }
+    let mut p = fred.pipeline();
+    for (path, _) in &files {
+        p.get(path);
+    }
+    let replies = p.run().unwrap();
+    for (r, (path, data)) in replies.iter().zip(&files) {
+        assert_eq!(r.payload.as_deref(), Some(&data[..]), "get {path}");
+    }
+    handle.shutdown();
+}
+
 /// A peer that hangs up halfway through a `put` payload gets its
 /// connection closed with nothing dispatched: the file keeps its old
 /// contents, and the server goes on serving other connections.

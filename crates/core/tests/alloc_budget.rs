@@ -28,14 +28,15 @@
 //!
 //! And the inbound data plane's:
 //!
-//! * A boxed `put_file` of 1 MiB allocates under the data plus 128 KiB:
-//!   the caller's buffer moves into the kernel call, so the file's
-//!   chunks are the only copy. (`write_file_mode`, which copies the
-//!   same bytes through guest memory and the I/O channel, allocates
-//!   about twice the data.)
+//! * A boxed `put_file` of a 1 MiB buffer allocates under 16 KiB: the
+//!   caller's buffer moves into the kernel call and the file adopts it,
+//!   so no file byte is copied or allocated. (`write_file_mode`, which
+//!   copies the same bytes through guest memory and the I/O channel,
+//!   allocates about twice the data.) Afterwards every part of the file
+//!   points into the caller's buffer.
 //! * The same put on a durable group-commit kernel stays under the same
-//!   budget: its WAL frame borrows the file's chunks instead of copying
-//!   them into the pending batch.
+//!   budget: its WAL frame borrows the file's chunks, windows of that
+//!   buffer, instead of copying them into the pending batch.
 //! * A one-byte overwrite of a chunk that such a frame still borrows
 //!   copies that one chunk (copy-on-write), and a second overwrite of it
 //!   patches the copy in place; the put and the overwrite together stay
@@ -48,6 +49,7 @@ use idbox_kernel::{Account, Kernel, OpenFlags, Pid};
 use idbox_vfs::{Cred, Vfs, Wal, WalConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -251,28 +253,62 @@ fn damaged_snapshot_length_allocates_only_what_is_present() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A 1 MiB buffer in an `Arc`, as the Chirp framer hands a put over.
+fn owned_mib() -> Arc<[u8]> {
+    vec![7u8; MIB as usize].into()
+}
+
+/// True when every part of the file at `path` lies inside `buf`.
+fn file_is_windows_of(ctx: &mut GuestCtx<'_>, path: &str, buf: &Arc<[u8]>) -> bool {
+    let x = ctx.read_file_extents(path).unwrap();
+    let inside = buf.as_ptr_range();
+    x.total == buf.len()
+        && x.parts.iter().all(|p| {
+            let r = p.as_slice().as_ptr_range();
+            inside.start <= r.start && r.end <= inside.end
+        })
+}
+
 #[test]
-fn boxed_owned_put_allocates_only_the_file_chunks() {
+fn boxed_owned_put_allocates_no_file_bytes() {
     let (b, pid) = fred_box();
     let mut sup = b.supervisor();
     let mut ctx = GuestCtx::new(&mut sup, pid);
     ctx.mkdir("out", 0o755).unwrap();
     // Warm the path caches and the file itself.
-    ctx.put_file("out/f", vec![1u8; 4096], 0o644).unwrap();
+    ctx.put_file("out/f", vec![1u8; 4096].into(), 0o644).unwrap();
     ctx.write_file("out/g", &[1u8; 4096]).unwrap();
-    let data = vec![7u8; MIB as usize];
-    let flat = data.clone();
-    let (owned_bytes, r) = bytes_in(|| ctx.put_file("out/f", data, 0o644));
+    let data = owned_mib();
+    let flat = data.to_vec();
+    let (owned_bytes, r) = bytes_in(|| ctx.put_file("out/f", Arc::clone(&data), 0o644));
     r.unwrap();
     let (flat_bytes, r) = bytes_in(|| ctx.write_file_mode("out/g", &flat, 0o644));
     r.unwrap();
     assert_eq!(ctx.read_file("out/f").unwrap(), flat);
     assert!(
-        owned_bytes < MIB + 128 * 1024,
-        "boxed put_file of 1 MiB allocated {owned_bytes} bytes (budget data + 128 KiB; \
+        owned_bytes < 16 * 1024,
+        "boxed put_file of 1 MiB allocated {owned_bytes} bytes (budget 16 KiB; \
          write_file_mode of the same data: {flat_bytes})"
     );
     eprintln!("1 MiB boxed write: put_file {owned_bytes} B, write_file_mode {flat_bytes} B");
+}
+
+#[test]
+fn owned_put_leaves_the_file_as_windows_of_the_callers_buffer() {
+    let (b, pid) = fred_box();
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    ctx.mkdir("out", 0o755).unwrap();
+    let data = owned_mib();
+    ctx.put_file("out/f", Arc::clone(&data), 0o644).unwrap();
+    assert!(
+        file_is_windows_of(&mut ctx, "out/f", &data),
+        "a file part lies outside the put's buffer"
+    );
+    // A put shorter than a chunk is one window, of all its buffer.
+    let small: Arc<[u8]> = vec![3u8; 100].into();
+    ctx.put_file("out/s", Arc::clone(&small), 0o644).unwrap();
+    assert!(file_is_windows_of(&mut ctx, "out/s", &small));
 }
 
 #[test]
@@ -285,14 +321,18 @@ fn durable_boxed_put_logs_the_file_chunks_by_reference() {
     let mut ctx = GuestCtx::new(&mut sup, pid);
     ctx.mkdir("out", 0o755).unwrap();
     // Warm the path caches and the file itself.
-    ctx.put_file("out/f", vec![1u8; 4096], 0o644).unwrap();
-    let data = vec![7u8; MIB as usize];
-    let (put_bytes, r) = bytes_in(|| ctx.put_file("out/f", data, 0o644));
+    ctx.put_file("out/f", vec![1u8; 4096].into(), 0o644).unwrap();
+    let data = owned_mib();
+    let (put_bytes, r) = bytes_in(|| ctx.put_file("out/f", Arc::clone(&data), 0o644));
     r.unwrap();
     assert_eq!(ctx.read_file("out/f").unwrap(), vec![7u8; MIB as usize]);
     assert!(
-        put_bytes < MIB + 128 * 1024,
-        "durable boxed put_file of 1 MiB allocated {put_bytes} bytes (budget data + 128 KiB)"
+        file_is_windows_of(&mut ctx, "out/f", &data),
+        "a file part lies outside the put's buffer"
+    );
+    assert!(
+        put_bytes < 16 * 1024,
+        "durable boxed put_file of 1 MiB allocated {put_bytes} bytes (budget 16 KiB)"
     );
     eprintln!("1 MiB durable boxed put_file: {put_bytes} B");
     drop(ctx);
@@ -318,14 +358,14 @@ fn overwrite_of_a_borrowed_chunk_copies_only_that_chunk() {
     let mut ctx = GuestCtx::new(&mut sup, pid);
     ctx.mkdir("out", 0o755).unwrap();
     // Warm the path caches, the file and the positioned-write path.
-    ctx.put_file("out/f", vec![1u8; 4096], 0o644).unwrap();
+    ctx.put_file("out/f", vec![1u8; 4096].into(), 0o644).unwrap();
     let fd = ctx.open("out/f", OpenFlags::rdwr(), 0).unwrap();
-    ctx.pwrite_owned(fd, vec![2u8], 0).unwrap();
-    let data = vec![7u8; MIB as usize];
+    ctx.pwrite_owned(fd, Arc::from([2u8]), 0).unwrap();
+    let data = owned_mib();
     let (put_bytes, r) = bytes_in(|| ctx.put_file("out/f", data, 0o644));
     r.unwrap();
     let at = 3 * chunk + 17;
-    let (one, two) = (vec![9u8], vec![8u8]);
+    let (one, two) = (Arc::from([9u8]), Arc::from([8u8]));
     let (first, r) = bytes_in(|| ctx.pwrite_owned(fd, one, at));
     assert_eq!(r, Ok(1));
     let (second, r) = bytes_in(|| ctx.pwrite_owned(fd, two, at + 1));

@@ -91,7 +91,7 @@ pub struct Supervisor {
     /// A write payload parked by the embedding context for the next
     /// `pwritex`: the inbound mirror of `pending_extents`. The bytes
     /// never enter flat guest memory; decode moves them into the call.
-    pending_payload: Option<Vec<u8>>,
+    pending_payload: Option<Arc<[u8]>>,
 }
 
 impl Supervisor {
@@ -209,7 +209,7 @@ impl Supervisor {
     /// `pwrite`) already owns bytes that never lived in the guest. The
     /// next `pwritex` consumes the parked buffer whatever its outcome;
     /// no other call touches it.
-    pub fn park_payload(&mut self, data: Vec<u8>) {
+    pub fn park_payload(&mut self, data: Arc<[u8]>) {
         self.pending_payload = Some(data);
     }
 
@@ -418,15 +418,27 @@ impl Supervisor {
 
 /// How the supervisor reads argument bytes out of the tracee.
 trait ArgReader {
-    fn read_bytes(&mut self, vm: &TraceeVm, addr: u64, len: usize) -> SysResult<Vec<u8>>;
+    /// Borrow `len` bytes of an argument at `addr`, from wherever the
+    /// transfer left them; the typed call copies them out once.
+    fn read_bytes<'a>(
+        &'a mut self,
+        vm: &'a TraceeVm,
+        addr: u64,
+        len: usize,
+    ) -> SysResult<&'a [u8]>;
 }
 
 /// Direct slice access (the kernel reading user memory natively).
 struct NoCount;
 
 impl ArgReader for NoCount {
-    fn read_bytes(&mut self, vm: &TraceeVm, addr: u64, len: usize) -> SysResult<Vec<u8>> {
-        Ok(vm.guest_slice(addr, len)?.to_vec())
+    fn read_bytes<'a>(
+        &'a mut self,
+        vm: &'a TraceeVm,
+        addr: u64,
+        len: usize,
+    ) -> SysResult<&'a [u8]> {
+        vm.guest_slice(addr, len)
     }
 }
 
@@ -441,7 +453,12 @@ struct PeekOrChannel<'a> {
 }
 
 impl ArgReader for PeekOrChannel<'_> {
-    fn read_bytes(&mut self, vm: &TraceeVm, addr: u64, len: usize) -> SysResult<Vec<u8>> {
+    fn read_bytes<'a>(
+        &'a mut self,
+        vm: &'a TraceeVm,
+        addr: u64,
+        len: usize,
+    ) -> SysResult<&'a [u8]> {
         if len > SMALL_IO_MAX {
             // The child is coerced into submitting the payload to the
             // channel (copy #1); the supervisor then reads it out of its
@@ -449,7 +466,7 @@ impl ArgReader for PeekOrChannel<'_> {
             let src = vm.guest_slice(addr, len)?;
             self.channel.submit(src);
             self.engine.count_channel(len as u64);
-            return Ok(self.channel.staged_bytes().to_vec());
+            return Ok(self.channel.staged_bytes());
         }
         let out = vm.peek_bytes(addr, len)?;
         self.engine.count_peeks(len.div_ceil(8) as u64);
@@ -527,7 +544,9 @@ fn read_str(reader: &mut dyn ArgReader, vm: &TraceeVm, addr: u64, len: u64) -> S
         return Err(Errno::ENAMETOOLONG);
     }
     let bytes = reader.read_bytes(vm, addr, len as usize)?;
-    String::from_utf8(bytes).map_err(|_| Errno::EINVAL)
+    std::str::from_utf8(bytes)
+        .map(str::to_owned)
+        .map_err(|_| Errno::EINVAL)
 }
 
 /// Decode the registers (and any memory-resident arguments) into a typed
@@ -536,7 +555,7 @@ fn read_str(reader: &mut dyn ArgReader, vm: &TraceeVm, addr: u64, len: u64) -> S
 fn decode_call(
     vm: &TraceeVm,
     reader: &mut dyn ArgReader,
-    parked: &mut Option<Vec<u8>>,
+    parked: &mut Option<Arc<[u8]>>,
 ) -> SysResult<(Syscall, OutSpec)> {
     let r = &vm.regs;
     let (n, a0, a1, a2, a3) = (r[reg::NR], r[reg::A0], r[reg::A1], r[reg::A2], r[reg::A3]);
@@ -569,12 +588,14 @@ fn decode_call(
         // Zero-copy read: the reply is held supervisor-side as borrowed
         // extents, so there is no output buffer to fill.
         nr::PREADX => (Syscall::Preadx(a0 as usize, a1 as usize, a2), OutSpec::None),
+        // One allocation per payload, the buffer a file appended to
+        // adopts as its chunks.
         nr::WRITE => {
-            let data = reader.read_bytes(vm, a1, a2 as usize)?;
+            let data = Arc::from(reader.read_bytes(vm, a1, a2 as usize)?);
             (Syscall::Write(a0 as usize, data), OutSpec::None)
         }
         nr::PWRITE => {
-            let data = reader.read_bytes(vm, a1, a2 as usize)?;
+            let data = Arc::from(reader.read_bytes(vm, a1, a2 as usize)?);
             (Syscall::Pwrite(a0 as usize, data, a3), OutSpec::None)
         }
         // Owned-payload write: the data was parked supervisor-side, so

@@ -14,6 +14,7 @@ use crate::vm::TraceeVm;
 use idbox_kernel::{ExtentList, OpenFlags, Pid, Signal, Whence};
 use idbox_types::{Errno, Identity, SysResult};
 use idbox_vfs::{Access, DirEntry, StatBuf};
+use std::sync::Arc;
 
 /// Guest memory layout: first path argument.
 const STR_A: u64 = 0x0100;
@@ -277,7 +278,7 @@ impl<'a> GuestCtx<'a> {
     /// does not grow. One trap round trip, zero peeks, zero pokes, zero
     /// channel bytes. For embedding contexts that already own bytes the
     /// guest never held; guest programs use [`GuestCtx::pwrite`].
-    pub fn pwrite_owned(&mut self, fd: i64, data: Vec<u8>, off: u64) -> SysResult<usize> {
+    pub fn pwrite_owned(&mut self, fd: i64, data: Arc<[u8]>, off: u64) -> SysResult<usize> {
         let len = data.len() as u64;
         self.sup.park_payload(data);
         let n = self.call_checked(nr::PWRITEX, &[fd as u64, len, off])?;
@@ -485,7 +486,7 @@ impl<'a> GuestCtx<'a> {
     /// copy through guest memory. An empty file skips the write, as
     /// [`GuestCtx::write_file_mode`] does. The buffer cannot be resent,
     /// so a short write fails with `EIO` instead of being resumed.
-    pub fn put_file(&mut self, path: &str, data: Vec<u8>, mode: u16) -> SysResult<()> {
+    pub fn put_file(&mut self, path: &str, data: Arc<[u8]>, mode: u16) -> SysResult<()> {
         let fd = self.open(path, OpenFlags::wronly_create_trunc(), mode)?;
         let len = data.len();
         let written = match len {
@@ -747,13 +748,13 @@ mod tests {
     fn owned_write_matches_flat_write() {
         both_modes(|ctx| {
             let data: Vec<u8> = (0..200_000u32).map(|i| (i * 29) as u8).collect();
-            ctx.put_file("/tmp/owned", data.clone(), 0o600).unwrap();
+            ctx.put_file("/tmp/owned", data[..].into(), 0o600).unwrap();
             assert_eq!(ctx.read_file("/tmp/owned").unwrap(), data);
             assert_eq!(ctx.stat("/tmp/owned").unwrap().mode & 0o777, 0o600);
             // Positioned: patch a window in place, then write past EOF.
             let fd = ctx.open("/tmp/owned", OpenFlags::rdwr(), 0).unwrap();
-            assert_eq!(ctx.pwrite_owned(fd, vec![7u8; 1000], 99_500).unwrap(), 1000);
-            assert_eq!(ctx.pwrite_owned(fd, b"tail".to_vec(), 300_000).unwrap(), 4);
+            assert_eq!(ctx.pwrite_owned(fd, vec![7u8; 1000].into(), 99_500).unwrap(), 1000);
+            assert_eq!(ctx.pwrite_owned(fd, b"tail"[..].into(), 300_000).unwrap(), 4);
             ctx.close(fd).unwrap();
             let mut want = data;
             want[99_500..100_500].fill(7);
@@ -761,11 +762,11 @@ mod tests {
             want.extend_from_slice(b"tail");
             assert_eq!(ctx.read_file("/tmp/owned").unwrap(), want);
             // An empty put truncates, and replaces the old contents.
-            ctx.put_file("/tmp/owned", Vec::new(), 0o644).unwrap();
+            ctx.put_file("/tmp/owned", Arc::from([]), 0o644).unwrap();
             assert_eq!(ctx.read_file("/tmp/owned").unwrap(), b"");
             // Errors cross the boundary as usual.
-            assert_eq!(ctx.put_file("/no/such/dir/f", vec![1], 0o644), Err(Errno::ENOENT));
-            assert_eq!(ctx.pwrite_owned(999, vec![1], 0), Err(Errno::EBADF));
+            assert_eq!(ctx.put_file("/no/such/dir/f", Arc::from([1]), 0o644), Err(Errno::ENOENT));
+            assert_eq!(ctx.pwrite_owned(999, Arc::from([1]), 0), Err(Errno::EBADF));
         });
     }
 
@@ -773,7 +774,7 @@ mod tests {
     fn owned_put_is_three_traps_and_no_channel_bytes() {
         let (mut sup, pid) = setup(true);
         let mut ctx = GuestCtx::new(&mut sup, pid);
-        let big = vec![5u8; 1 << 20];
+        let big: Arc<[u8]> = vec![5u8; 1 << 20].into();
         ctx.put_file("/tmp/big", big.clone(), 0o644).unwrap();
         let report = ctx.supervisor().cost_report();
         // open + pwritex + close, whatever the size; the payload never
@@ -811,13 +812,13 @@ mod tests {
             // Parked, but the length register disagrees: refused, and
             // the mismatched buffer is consumed rather than left for a
             // later call.
-            ctx.sup.park_payload(b"abcd".to_vec());
+            ctx.sup.park_payload(b"abcd"[..].into());
             let ret = ctx.call(nr::PWRITEX, &[fd as u64, 3, 0]);
             assert_eq!(Errno::from_ret(ret), Some(Errno::EFAULT));
             let ret = ctx.call(nr::PWRITEX, &[fd as u64, 4, 0]);
             assert_eq!(Errno::from_ret(ret), Some(Errno::EFAULT));
             // Other calls never consume a parked payload.
-            ctx.sup.park_payload(b"abc".to_vec());
+            ctx.sup.park_payload(b"abc"[..].into());
             assert_eq!(ctx.write(fd, b"xyz").unwrap(), 3);
             let ret = ctx.call(nr::PWRITEX, &[fd as u64, 3, 3]);
             assert_eq!(ret, 3);
@@ -833,9 +834,9 @@ mod tests {
             let fd = ctx
                 .open("/tmp/huge", OpenFlags::wronly_create_trunc(), 0o644)
                 .unwrap();
-            let n = ctx.pwrite_owned(fd, vec![9u8; 8 << 20], 0).unwrap();
+            let n = ctx.pwrite_owned(fd, vec![9u8; 8 << 20].into(), 0).unwrap();
             assert_eq!(n, 8 << 20);
-            ctx.put_file("/tmp/huge2", vec![9u8; 8 << 20], 0o644).unwrap();
+            ctx.put_file("/tmp/huge2", vec![9u8; 8 << 20].into(), 0o644).unwrap();
             assert_eq!(ctx.vm.mem_len(), before, "guest image grew");
             // The guest-memory write path is what pins a large image:
             // the VM never shrinks.

@@ -130,12 +130,12 @@ impl TraceeVm {
     /// bounds are word-granular, so a read whose trailing partial word
     /// pokes past the address space is `EFAULT` even if the requested
     /// bytes themselves would fit.
-    pub fn peek_bytes(&self, addr: u64, len: usize) -> SysResult<Vec<u8>> {
+    pub fn peek_bytes(&self, addr: u64, len: usize) -> SysResult<&[u8]> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(&[]);
         }
         let a = self.word_span(addr, len)?;
-        Ok(self.mem[a..a + len].to_vec())
+        Ok(&self.mem[a..a + len])
     }
 
     /// Supervisor-side: write `data` into tracee memory in one ranged

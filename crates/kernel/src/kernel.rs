@@ -1076,7 +1076,7 @@ impl Kernel {
         &self,
         pid: Pid,
         fd: usize,
-        data: &[u8],
+        data: &Arc<[u8]>,
         at: Option<u64>,
     ) -> SysResult<SysRet> {
         let file = self
@@ -1129,7 +1129,7 @@ impl Kernel {
             (None, false) => file.offset(),
         };
         let n = match file.backing {
-            FileBacking::Local(ino) => self.vfs.write_at(ino, off, data)?,
+            FileBacking::Local(ino) => self.vfs.write_owned(ino, off, data)?,
             FileBacking::Driver { mount, dfd } => {
                 let mut mounts = self.mounts.lock();
                 let d = mounts.driver_mut(mount).ok_or(Errno::EIO)?;
@@ -1653,7 +1653,7 @@ mod tests {
             .unwrap()
             .num() as usize;
         let n = k
-            .syscall(pid, Syscall::Write(fd, b"hello".to_vec()))
+            .syscall(pid, Syscall::Write(fd, b"hello".to_vec().into()))
             .unwrap()
             .num();
         assert_eq!(n, 5);
@@ -1680,7 +1680,7 @@ mod tests {
             )
             .unwrap_or_else(|_| panic!("open"))
             .num() as usize;
-        k.syscall(pid, Syscall::Pwrite(fd, b"abcdef".to_vec(), 0)).unwrap();
+        k.syscall(pid, Syscall::Pwrite(fd, b"abcdef".to_vec().into(), 0)).unwrap();
         let d = k.syscall(pid, Syscall::Pread(fd, 3, 2)).unwrap();
         assert_eq!(d.data(), b"cde");
         // Offset still 0: sequential read sees the start.
@@ -1698,8 +1698,8 @@ mod tests {
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Write(fd, b"one".to_vec())).unwrap();
-        k.syscall(pid, Syscall::Write(fd, b"two".to_vec())).unwrap();
+        k.syscall(pid, Syscall::Write(fd, b"one".to_vec().into())).unwrap();
+        k.syscall(pid, Syscall::Write(fd, b"two".to_vec().into())).unwrap();
         k.syscall(pid, Syscall::Close(fd)).unwrap();
         let fd = k
             .syscall(pid, Syscall::Open("log".into(), OpenFlags::rdonly(), 0))
@@ -1719,7 +1719,7 @@ mod tests {
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Write(fd, b"0123456789".to_vec())).unwrap();
+        k.syscall(pid, Syscall::Write(fd, b"0123456789".to_vec().into())).unwrap();
         assert_eq!(
             k.syscall(pid, Syscall::Lseek(fd, 2, Whence::Set)).unwrap().num(),
             2
@@ -1787,7 +1787,7 @@ mod tests {
             )
             .unwrap()
             .num() as usize;
-        k.syscall(pid, Syscall::Write(fd, b"x".to_vec())).unwrap();
+        k.syscall(pid, Syscall::Write(fd, b"x".to_vec().into())).unwrap();
         let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
         // Parent unlinks and closes; child's fd must still work.
         k.syscall(pid, Syscall::Unlink("f".into())).unwrap();
@@ -1989,7 +1989,7 @@ mod tests {
             )
             .unwrap()
             .num() as usize;
-        k.syscall_shared(pid, &Syscall::Write(fd, b"hi".to_vec()))
+        k.syscall_shared(pid, &Syscall::Write(fd, b"hi".to_vec().into()))
             .unwrap();
         assert!(k.syscall_shared(pid, &Syscall::Umask(0o022)).is_ok());
         assert!(k.syscall_shared(pid, &Syscall::SigPending).is_ok());
@@ -1997,7 +1997,7 @@ mod tests {
             SysRet::PipeFds(r, w) => (r, w),
             other => panic!("unexpected {other:?}"),
         };
-        k.syscall_shared(pid, &Syscall::Write(wfd, b"x".to_vec()))
+        k.syscall_shared(pid, &Syscall::Write(wfd, b"x".to_vec().into()))
             .unwrap();
         assert_eq!(
             k.syscall_shared(pid, &Syscall::Read(rfd, 1))
@@ -2082,7 +2082,7 @@ mod tests {
         // Grandchild reparented to init (pid 1).
         assert_eq!(k.process(grandchild).unwrap().ppid, Pid(1));
         // Parent's fd still valid, child's pins released.
-        k.syscall(pid, Syscall::Write(fd, b"ok".to_vec())).unwrap();
+        k.syscall(pid, Syscall::Write(fd, b"ok".to_vec().into())).unwrap();
         k.syscall(grandchild, Syscall::Exit(0)).unwrap();
     }
 
@@ -2096,7 +2096,7 @@ mod tests {
         };
         // Empty pipe with live writer: EAGAIN.
         assert_eq!(k.syscall(pid, Syscall::Read(rfd, 10)), Err(Errno::EAGAIN));
-        k.syscall(pid, Syscall::Write(wfd, b"through the pipe".to_vec()))
+        k.syscall(pid, Syscall::Write(wfd, b"through the pipe".to_vec().into()))
             .unwrap();
         let d = k.syscall(pid, Syscall::Read(rfd, 7)).unwrap();
         assert_eq!(d.data(), b"through");
@@ -2118,7 +2118,7 @@ mod tests {
         };
         k.syscall(pid, Syscall::Close(rfd)).unwrap();
         assert_eq!(
-            k.syscall(pid, Syscall::Write(wfd, b"x".to_vec())),
+            k.syscall(pid, Syscall::Write(wfd, b"x".to_vec().into())),
             Err(Errno::EPIPE)
         );
         // And a termination signal was queued, as in a real kernel.
@@ -2137,7 +2137,7 @@ mod tests {
         };
         let child = Pid(k.syscall(pid, Syscall::Fork).unwrap().num() as u32);
         // Child writes, closes both ends, exits.
-        k.syscall(child, Syscall::Write(wfd, b"from child".to_vec()))
+        k.syscall(child, Syscall::Write(wfd, b"from child".to_vec().into()))
             .unwrap();
         k.syscall(child, Syscall::Exit(0)).unwrap();
         // Parent closes its write end; reads the child's message; then EOF.
@@ -2158,7 +2158,7 @@ mod tests {
         };
         // Wrong-direction I/O.
         assert_eq!(
-            k.syscall(pid, Syscall::Write(rfd, b"x".to_vec())),
+            k.syscall(pid, Syscall::Write(rfd, b"x".to_vec().into())),
             Err(Errno::EBADF)
         );
         assert_eq!(k.syscall(pid, Syscall::Read(wfd, 1)), Err(Errno::EBADF));
@@ -2169,7 +2169,7 @@ mod tests {
         );
         assert_eq!(k.syscall(pid, Syscall::Pread(rfd, 1, 0)), Err(Errno::ESPIPE));
         // fstat reports the buffered byte count.
-        k.syscall(pid, Syscall::Write(wfd, b"abc".to_vec())).unwrap();
+        k.syscall(pid, Syscall::Write(wfd, b"abc".to_vec().into())).unwrap();
         match k.syscall(pid, Syscall::Fstat(rfd)).unwrap() {
             SysRet::Stat(st) => assert_eq!(st.size, 3),
             other => panic!("unexpected {other:?}"),
@@ -2263,11 +2263,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        k.syscall(pid, Syscall::Write(w2, b"fresh".to_vec())).unwrap();
+        k.syscall(pid, Syscall::Write(w2, b"fresh".to_vec().into())).unwrap();
         assert_eq!(k.syscall(pid, Syscall::Read(sr, 5)), Err(Errno::EBADF));
         assert_eq!(k.syscall(pid, Syscall::Fstat(sr)), Err(Errno::EBADF));
         assert_eq!(
-            k.syscall(pid, Syscall::Write(sw, b"zzz".to_vec())),
+            k.syscall(pid, Syscall::Write(sw, b"zzz".to_vec().into())),
             Err(Errno::EBADF)
         );
         // A stale write is EBADF, not EPIPE: no termination signal.
@@ -2316,7 +2316,7 @@ mod tests {
                             )
                             .unwrap()
                             .num() as usize;
-                        k.syscall_shared(child, &Syscall::Write(fd, vec![b'x'; 64]))
+                        k.syscall_shared(child, &Syscall::Write(fd, vec![b'x'; 64].into()))
                             .unwrap();
                         k.syscall_shared(child, &Syscall::Close(fd)).unwrap();
                         // Rename into the *next* worker's directory: the
@@ -2331,7 +2331,7 @@ mod tests {
                                 SysRet::PipeFds(r, w) => (r, w),
                                 other => panic!("unexpected {other:?}"),
                             };
-                        k.syscall_shared(pid, &Syscall::Write(wfd, b"ping".to_vec()))
+                        k.syscall_shared(pid, &Syscall::Write(wfd, b"ping".to_vec().into()))
                             .unwrap();
                         assert_eq!(
                             k.syscall_shared(pid, &Syscall::Read(rfd, 4)).unwrap().data(),

@@ -9,6 +9,7 @@
 use crate::process::{OpenFlags, Pid, Signal};
 use idbox_types::Identity;
 use idbox_vfs::{Access, DirEntry, ExtentList, StatBuf};
+use std::sync::Arc;
 
 /// `lseek` origins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +44,13 @@ pub enum Syscall {
     /// Read up to `len` bytes at the current offset.
     Read(usize, usize),
     /// Write bytes at the current offset.
-    Write(usize, Vec<u8>),
+    Write(usize, Arc<[u8]>),
     /// Positioned read (no offset change).
     Pread(usize, usize, u64),
-    /// Positioned write (no offset change).
-    Pwrite(usize, Vec<u8>, u64),
+    /// Positioned write (no offset change). The buffer is the one
+    /// payload type of both writes: a file the write appends to adopts
+    /// it as its chunks ([`idbox_vfs::Vfs::write_owned`]).
+    Pwrite(usize, Arc<[u8]>, u64),
     /// Move the file offset.
     Lseek(usize, i64, Whence),
     /// Duplicate an fd.
@@ -363,7 +366,7 @@ mod tests {
         assert!(Syscall::Lseek(0, 0, Whence::Set).is_read_only());
         // Mutators must never be classified read-only.
         assert!(!Syscall::Open("/f".into(), OpenFlags::rdonly(), 0).is_read_only());
-        assert!(!Syscall::Write(0, vec![1]).is_read_only());
+        assert!(!Syscall::Write(0, vec![1].into()).is_read_only());
         assert!(!Syscall::Close(0).is_read_only());
         assert!(!Syscall::Umask(0o022).is_read_only());
         assert!(!Syscall::SigPending.is_read_only());
@@ -384,9 +387,9 @@ mod tests {
             Open("/".into(), OpenFlags::rdonly(), 0),
             Close(0),
             Read(0, 0),
-            Write(0, vec![]),
+            Write(0, vec![].into()),
             Pread(0, 0, 0),
-            Pwrite(0, vec![], 0),
+            Pwrite(0, vec![].into(), 0),
             Lseek(0, 0, Whence::Set),
             Dup(0),
             Mkdir("/".into(), 0),

@@ -76,7 +76,7 @@ proptest! {
                 }
                 Op::Write(i, byte) => {
                     let p = pids[i % pids.len()];
-                    let _ = k.syscall(p, Syscall::Write(0, vec![byte]));
+                    let _ = k.syscall(p, Syscall::Write(0, vec![byte].into()));
                 }
             }
             // Invariant: every tracked pid still resolves (alive or

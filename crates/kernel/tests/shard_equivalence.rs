@@ -57,7 +57,7 @@ fn random_call(rng: &mut TestRng, pids: &[Pid]) -> (Pid, Syscall) {
         6 => Syscall::Read(rng.below(NFDS) as usize, rng.in_range(1, 64) as usize),
         7 => {
             let byte = rng.below(256) as u8;
-            Syscall::Write(rng.below(NFDS) as usize, vec![byte; 3])
+            Syscall::Write(rng.below(NFDS) as usize, vec![byte; 3].into())
         }
         8 => Syscall::Lseek(
             rng.below(NFDS) as usize,

@@ -2,9 +2,11 @@
 //! foundation.
 //!
 //! A regular file's bytes are held as a sequence of immutable,
-//! reference-counted chunks ([`Arc<[u8]>`]) of a fixed nominal size
-//! (the last chunk may be shorter; every chunk's stored length is
-//! exact). Readers that want the bytes wholesale — the kernel's
+//! reference-counted chunks of a fixed nominal size (the last chunk may
+//! be shorter; every chunk's length is exact). Each chunk is a
+//! [`ByteExtent`] window of an [`Arc<[u8]>`] buffer: a buffer of its
+//! own, or a piece of a write payload the file adopted instead of
+//! copying it. Readers that want the bytes wholesale — the kernel's
 //! extent read path, the Chirp server's `get` — receive cheap `Arc`
 //! clones wrapped in [`ByteExtent`]s instead of a copy, so a 64 MB
 //! read costs a handful of pointer bumps under the shard lock rather
@@ -12,13 +14,15 @@
 //!
 //! Writes are copy-on-write per chunk: a chunk still uniquely owned by
 //! the file is patched in place (`Arc::get_mut`), while a chunk shared
-//! with an in-flight reader, or with a WAL frame not yet written out,
-//! is rebuilt, leaving the other holder's snapshot untouched. Readers
+//! with an in-flight reader, a WAL frame not yet written out, or the
+//! other windows of an adopted buffer is rebuilt, leaving the other
+//! holder's snapshot untouched. Readers
 //! therefore observe a consistent point-in-time view of every extent
 //! they hold, no matter what writers do next — the property the
 //! streaming reply path relies on while a reply drains under
 //! backpressure.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// Default nominal chunk size: 64 KiB, matching the client's
@@ -56,7 +60,11 @@ impl ByteExtent {
 
     /// An extent owning the whole of `data`.
     pub fn from_vec(data: Vec<u8>) -> ByteExtent {
-        let data: Arc<[u8]> = data.into();
+        ByteExtent::whole(data.into())
+    }
+
+    /// An extent covering all of `data`.
+    pub(crate) fn whole(data: Arc<[u8]>) -> ByteExtent {
         let end = data.len();
         ByteExtent { data, start: 0, end }
     }
@@ -74,11 +82,6 @@ impl ByteExtent {
     /// True when the extent covers no bytes.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
-    }
-
-    /// True when the extent covers the whole of its chunk.
-    pub(crate) fn is_whole_chunk(&self) -> bool {
-        self.start == 0 && self.end == self.data.len()
     }
 }
 
@@ -141,17 +144,27 @@ impl ExtentList {
 /// A regular file's contents: exact-length immutable chunks of a fixed
 /// nominal size, copy-on-write per chunk.
 ///
-/// Invariant: `chunks[i].len() == min(chunk, len - i*chunk)` for every
-/// `i`, and `chunks.len() == ceil(len / chunk)` (zero when empty) —
-/// i.e. every chunk is full except possibly the last, and lengths are
-/// always exact (no slack capacity hidden in a chunk).
+/// Each chunk is a window of a buffer: one the file allocated for the
+/// chunk (a copy, the window covering all of it), or a piece of a write
+/// payload the file adopted ([`FileContent::write_owned`]), where the
+/// buffer spans several chunks.
+///
+/// Invariants:
+/// * `chunks[i].len() == min(chunk, len - i*chunk)` for every `i`, and
+///   `chunks.len() == ceil(len / chunk)` (zero when empty) — every
+///   chunk is full except possibly the last, and lengths are exact.
+/// * Retention: each buffer's bytes from a window's start on lie at or
+///   after that window's file position, and buffers only back windows
+///   inside the file. Distinct buffers therefore cover disjoint ranges
+///   of `[0, len)`, and the buffers a file references total at most
+///   twice its length (see [`FileContent::resize`]).
 #[derive(Debug, Clone)]
 pub(crate) struct FileContent {
     /// Nominal chunk size, fixed at creation.
     chunk: usize,
     /// Logical file length.
     len: usize,
-    chunks: Vec<Arc<[u8]>>,
+    chunks: Vec<ByteExtent>,
 }
 
 impl FileContent {
@@ -179,9 +192,8 @@ impl FileContent {
         let mut done = 0;
         while done < n {
             let pos = off + done;
-            let ci = pos / self.chunk;
+            let chunk = self.chunks[pos / self.chunk].as_slice();
             let co = pos % self.chunk;
-            let chunk = &self.chunks[ci];
             let take = (chunk.len() - co).min(n - done);
             out[done..done + take].copy_from_slice(&chunk[co..co + take]);
             done += take;
@@ -198,17 +210,18 @@ impl FileContent {
         }
         let n = want.min(self.len - off);
         let mut parts = Vec::with_capacity(n / self.chunk + 2);
-        parts.extend(self.extent_iter(off, n));
+        parts.extend(self.extent_iter(off, n).map(|(part, _)| part));
         ExtentList { total: n, parts }
     }
 
     /// The parts [`FileContent::extents`] returns, one at a time,
-    /// without collecting them.
+    /// without collecting them, each with whether it covers its whole
+    /// chunk.
     pub(crate) fn extent_iter(
         &self,
         off: usize,
         want: usize,
-    ) -> impl Iterator<Item = ByteExtent> + '_ {
+    ) -> impl Iterator<Item = (ByteExtent, bool)> + '_ {
         let end = self.len.min(off.saturating_add(want));
         let mut pos = off;
         std::iter::from_fn(move || {
@@ -219,13 +232,18 @@ impl FileContent {
             let co = pos % self.chunk;
             let take = (chunk.len() - co).min(end - pos);
             pos += take;
-            Some(ByteExtent::new(Arc::clone(chunk), co, co + take))
+            let part = ByteExtent::new(
+                Arc::clone(&chunk.data),
+                chunk.start + co,
+                chunk.start + co + take,
+            );
+            Some((part, take == chunk.len()))
         })
     }
 
     /// The chunks, in file order; their concatenation is the content.
     pub(crate) fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(|c| &c[..])
+        self.chunks.iter().map(ByteExtent::as_slice)
     }
 
     /// Read a `len`-byte file from `r` straight into fresh chunks, one
@@ -242,7 +260,7 @@ impl FileContent {
             let take = (len - f.len).min(f.chunk);
             let mut chunk: Arc<[u8]> = std::iter::repeat_n(0u8, take).collect();
             r.read_exact(Arc::get_mut(&mut chunk).expect("a fresh chunk is unshared"))?;
-            f.chunks.push(chunk);
+            f.chunks.push(ByteExtent::whole(chunk));
             f.len += take;
         }
         Ok(f)
@@ -255,14 +273,14 @@ impl FileContent {
         FileContent {
             chunk: chunk.len(),
             len: chunk.len() * n,
-            chunks: vec![chunk; n],
+            chunks: vec![ByteExtent::whole(chunk); n],
         }
     }
 
     /// Flatten into one contiguous buffer (compat for `file_data`).
     pub(crate) fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
-        for c in &self.chunks {
+        for c in self.chunks() {
             out.extend_from_slice(c);
         }
         out
@@ -287,17 +305,45 @@ impl FileContent {
         }
     }
 
+    /// Write all of `data` at `off`, as [`FileContent::write_at`] does,
+    /// but adopt the buffer when the write lies at or past EOF: each
+    /// chunk it appends becomes a window of `data`, and only the bytes
+    /// that top up a partial tail chunk are copied. A write that
+    /// overlaps the current contents copies instead, so no buffer backs
+    /// bytes that another buffer also backs.
+    pub(crate) fn write_owned(&mut self, off: usize, data: &Arc<[u8]>) {
+        if off < self.len || data.is_empty() {
+            return self.write_at(off, data);
+        }
+        if off > self.len {
+            self.append_fill(off - self.len, None);
+        }
+        let mut done = self.top_up(data.len(), Some(data));
+        while done < data.len() {
+            let take = (data.len() - done).min(self.chunk);
+            self.chunks.push(ByteExtent::new(Arc::clone(data), done, done + take));
+            self.len += take;
+            done += take;
+        }
+    }
+
     /// Truncate to `new_len`, or extend with zeros.
+    ///
+    /// A kept chunk whose buffer reaches past the new length is copied
+    /// out, exact: the cut tail chunk, and every adopted window that
+    /// shares its buffer with dropped chunks. Otherwise a file cut from
+    /// a large adopted write to one chunk would pin the whole buffer.
     pub(crate) fn resize(&mut self, new_len: usize) {
         if new_len < self.len {
-            let keep = new_len.div_ceil(self.chunk);
-            self.chunks.truncate(keep);
-            let tail = new_len - (keep.saturating_sub(1)) * self.chunk;
-            if keep > 0 && self.chunks[keep - 1].len() != tail {
-                // Exact-length invariant: rebuild the now-partial tail.
-                self.chunks[keep - 1] = self.chunks[keep - 1][..tail].into();
-            }
+            self.chunks.truncate(new_len.div_ceil(self.chunk));
             self.len = new_len;
+            for (i, c) in self.chunks.iter_mut().enumerate() {
+                let pos = i * self.chunk;
+                if pos + (c.data.len() - c.start) > new_len {
+                    let keep = (new_len - pos).min(c.len());
+                    *c = ByteExtent::whole(Arc::from(&c.as_slice()[..keep]));
+                }
+            }
         } else if new_len > self.len {
             self.append_fill(new_len - self.len, None);
         }
@@ -310,20 +356,20 @@ impl FileContent {
         let mut done = 0;
         while done < data.len() {
             let pos = off + done;
-            let ci = pos / self.chunk;
+            let chunk = &mut self.chunks[pos / self.chunk];
             let co = pos % self.chunk;
-            let chunk = &mut self.chunks[ci];
             let take = (chunk.len() - co).min(data.len() - done);
-            match Arc::get_mut(chunk) {
-                Some(owned) => owned[co..co + take].copy_from_slice(&data[done..done + take]),
+            let at = chunk.start + co;
+            match Arc::get_mut(&mut chunk.data) {
+                Some(owned) => owned[at..at + take].copy_from_slice(&data[done..done + take]),
                 None => {
-                    // Shared with a reader or a pending WAL frame:
-                    // rebuild (one allocation, one copy), leave theirs
-                    // alone.
-                    let mut own: Arc<[u8]> = Arc::from(&chunk[..]);
+                    // Shared with a reader, a pending WAL frame or the
+                    // other windows of an adopted buffer: rebuild (one
+                    // allocation, one copy), leave theirs alone.
+                    let mut own: Arc<[u8]> = Arc::from(chunk.as_slice());
                     Arc::get_mut(&mut own).expect("a fresh chunk is unshared")[co..co + take]
                         .copy_from_slice(&data[done..done + take]);
-                    *chunk = own;
+                    *chunk = ByteExtent::whole(own);
                 }
             }
             done += take;
@@ -331,43 +377,65 @@ impl FileContent {
     }
 
     /// Append `n` bytes at EOF: from `data` when given, zeros
-    /// otherwise. Tops up the partial tail chunk first (rebuild — the
-    /// length changes), then emits full chunks straight from `data`
-    /// without intermediate buffers.
+    /// otherwise. Tops up the partial tail chunk first, then emits full
+    /// chunks straight from `data` without intermediate buffers.
     fn append_fill(&mut self, n: usize, data: Option<&[u8]>) {
         debug_assert!(data.is_none_or(|d| d.len() == n));
-        let mut done = 0;
-        // Top up a partial tail chunk.
-        let tail = self.len % self.chunk;
-        if tail != 0 {
-            let take = (self.chunk - tail).min(n);
-            let last = self.chunks.last_mut().expect("partial tail implies a chunk");
-            let mut v = Vec::with_capacity(tail + take);
-            v.extend_from_slice(last);
-            match data {
-                Some(d) => v.extend_from_slice(&d[..take]),
-                None => v.resize(tail + take, 0),
-            }
-            *last = v.into();
-            done = take;
-        }
-        // Whole new chunks.
+        let mut done = self.top_up(n, data);
         while done < n {
             let take = (n - done).min(self.chunk);
             let chunk: Arc<[u8]> = match data {
                 Some(d) => d[done..done + take].into(),
-                None => vec![0u8; take].into(),
+                None => std::iter::repeat_n(0u8, take).collect(),
             };
-            self.chunks.push(chunk);
+            self.chunks.push(ByteExtent::whole(chunk));
+            self.len += take;
             done += take;
         }
-        self.len += n;
+    }
+
+    /// Grow a partial tail chunk by up to `n` bytes of `data` (zeros
+    /// when `None`), rebuilt in one allocation since its length
+    /// changes; returns the bytes taken.
+    fn top_up(&mut self, n: usize, data: Option<&[u8]>) -> usize {
+        let tail = self.len % self.chunk;
+        if tail == 0 {
+            return 0;
+        }
+        let take = (self.chunk - tail).min(n);
+        let last = self.chunks.last_mut().expect("partial tail implies a chunk");
+        let mut grown = Arc::<[u8]>::new_uninit_slice(tail + take);
+        let dst = Arc::get_mut(&mut grown).expect("a fresh chunk is unshared");
+        dst[..tail].write_copy_of_slice(last.as_slice());
+        match data {
+            Some(d) => {
+                dst[tail..].write_copy_of_slice(&d[..take]);
+            }
+            None => dst[tail..].fill(MaybeUninit::new(0)),
+        }
+        // SAFETY: `dst[..tail]` and `dst[tail..]` were both written
+        // above, so every byte of the slice is initialised.
+        *last = ByteExtent::whole(unsafe { grown.assume_init() });
+        self.len += take;
+        take
     }
 
     /// Number of chunks currently held (tests / invariant checks).
     #[cfg(test)]
     pub(crate) fn chunk_count(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// Bytes of the distinct buffers the chunks are windows of.
+    pub(crate) fn pinned_bytes(&self) -> usize {
+        let mut bufs: Vec<(*const u8, usize)> = self
+            .chunks
+            .iter()
+            .map(|c| (c.data.as_ptr(), c.data.len()))
+            .collect();
+        bufs.sort_unstable();
+        bufs.dedup();
+        bufs.iter().map(|&(_, len)| len).sum()
     }
 }
 
@@ -427,9 +495,9 @@ mod tests {
     fn unshared_overwrite_patches_in_place() {
         let mut f = FileContent::new(512);
         f.write_at(0, &vec![1u8; 512]);
-        let before = Arc::as_ptr(&f.chunks[0]);
+        let before = Arc::as_ptr(&f.chunks[0].data);
         f.write_at(10, b"abc");
-        assert_eq!(Arc::as_ptr(&f.chunks[0]), before, "uniquely owned chunk rebuilt");
+        assert_eq!(Arc::as_ptr(&f.chunks[0].data), before, "uniquely owned chunk rebuilt");
     }
 
     #[test]
@@ -471,5 +539,84 @@ mod tests {
         f.write_at(0, b"hello world");
         let b = f.extents(0, 11);
         assert_eq!(a.to_vec(), b.to_vec());
+    }
+
+    fn buffer(n: usize) -> Arc<[u8]> {
+        (0..n).map(|i| (i % 253) as u8).collect()
+    }
+
+    /// True when every byte of `part` lies inside `buf`.
+    fn inside(part: &ByteExtent, buf: &Arc<[u8]>) -> bool {
+        let (p, b) = (part.as_slice().as_ptr_range(), buf.as_ptr_range());
+        b.start <= p.start && p.end <= b.end
+    }
+
+    #[test]
+    fn append_adopts_the_buffer_and_copies_only_a_partial_top_up() {
+        let mut f = FileContent::new(512);
+        let data = buffer(512 * 3 + 100);
+        f.write_owned(0, &data);
+        invariants(&f);
+        assert_eq!(f.to_vec(), &data[..]);
+        assert!(f.extents(0, usize::MAX).parts.iter().all(|p| inside(p, &data)));
+        assert_eq!(f.pinned_bytes(), data.len());
+        // A second append tops up the 100-byte tail by copying, and
+        // adopts the rest of its buffer.
+        let more = buffer(1000);
+        f.write_owned(f.len(), &more);
+        invariants(&f);
+        let parts = f.extents(0, usize::MAX).parts;
+        assert!(parts[..3].iter().all(|p| inside(p, &data)));
+        assert!(!inside(&parts[3], &data) && !inside(&parts[3], &more));
+        assert!(parts[4..].iter().all(|p| inside(p, &more)));
+        let mut want = data.to_vec();
+        want.extend_from_slice(&more);
+        assert_eq!(f.to_vec(), want);
+        // A write that overlaps the contents copies.
+        let patch = buffer(600);
+        f.write_owned(1000, &patch);
+        want[1000..1600].copy_from_slice(&patch);
+        assert_eq!(f.to_vec(), want);
+        assert!(f.extents(0, usize::MAX).parts.iter().all(|p| !inside(p, &patch)));
+    }
+
+    #[test]
+    fn overwrite_of_an_adopted_window_copies_that_chunk_only() {
+        let mut f = FileContent::new(512);
+        let data = buffer(512 * 4);
+        f.write_owned(0, &data);
+        f.write_at(700, b"xy");
+        invariants(&f);
+        let parts = f.extents(0, usize::MAX).parts;
+        assert!(!inside(&parts[1], &data));
+        assert!([0, 2, 3].iter().all(|&i| inside(&parts[i], &data)));
+        // The caller's buffer itself is never written.
+        assert_eq!(&data[..], &(0..2048).map(|i| (i % 253) as u8).collect::<Vec<_>>()[..]);
+        assert_eq!(&f.to_vec()[700..702], b"xy");
+    }
+
+    #[test]
+    fn truncating_an_adopted_file_releases_its_buffer() {
+        let mut f = FileContent::new(512);
+        let data = buffer(512 * 16);
+        f.write_owned(0, &data);
+        assert_eq!(f.pinned_bytes(), 512 * 16);
+        f.resize(512);
+        invariants(&f);
+        assert!(f.pinned_bytes() <= 512, "pinned {} bytes", f.pinned_bytes());
+        assert_eq!(f.to_vec(), &data[..512]);
+        // A cut inside a chunk copies out the kept part, exact.
+        let mut g = FileContent::new(512);
+        g.write_owned(0, &data);
+        g.resize(700);
+        invariants(&g);
+        assert_eq!(g.pinned_bytes(), 700);
+        assert_eq!(g.to_vec(), &data[..700]);
+        // A cut that keeps every byte of each buffer copies nothing.
+        let mut h = FileContent::new(512);
+        h.write_owned(0, &buffer(1024));
+        h.write_owned(1024, &data);
+        h.resize(1024);
+        assert!(h.extents(0, usize::MAX).parts.iter().all(|p| p.data.len() == 1024));
     }
 }

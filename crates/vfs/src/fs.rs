@@ -1062,6 +1062,27 @@ impl Vfs {
     /// Write `data` at `off`, growing the file (zero-filling any gap).
     /// Returns bytes written.
     pub fn write_at(&self, ino: Ino, off: u64, data: &[u8]) -> SysResult<usize> {
+        self.write(ino, off, data, None)
+    }
+
+    /// Write all of `data` at `off`, as [`Vfs::write_at`] does, handing
+    /// the file the buffer itself: a write at or past EOF adopts it, so
+    /// the chunks it appends are windows of `data` and only a partial
+    /// tail chunk the write tops up is copied. Overwrites copy into the
+    /// file's chunks, copy-on-write, as `write_at` does.
+    pub fn write_owned(&self, ino: Ino, off: u64, data: &Arc<[u8]>) -> SysResult<usize> {
+        self.write(ino, off, data, Some(data))
+    }
+
+    /// The one write path: `data` are the bytes, and `owned` the buffer
+    /// holding exactly them when the file may adopt it.
+    fn write(
+        &self,
+        ino: Ino,
+        off: u64,
+        data: &[u8],
+        owned: Option<&Arc<[u8]>>,
+    ) -> SysResult<usize> {
         if let Some(hook) = &self.fault_hook {
             hook.check("write", ino)?;
         }
@@ -1075,7 +1096,10 @@ impl Vfs {
         };
         let off = off as usize;
         off.checked_add(data.len()).ok_or(Errno::EFBIG)?;
-        file.write_at(off, data);
+        match owned {
+            Some(buf) => file.write_owned(off, buf),
+            None => file.write_at(off, data),
+        }
         inode.mtime = now;
         // The record logs the file's own chunks: those the write covers
         // whole are framed by reference, the partial edges are copied.
@@ -1089,6 +1113,19 @@ impl Vfs {
             );
         }
         Ok(data.len())
+    }
+
+    /// Bytes of the distinct buffers a file's chunks are windows of:
+    /// the memory its contents pin, for retention tests. At most twice
+    /// the file's length.
+    #[doc(hidden)]
+    pub fn pinned_bytes(&self, ino: Ino) -> SysResult<usize> {
+        let g = self.shards.read(self.shards.shard_of(ino.0));
+        match &g.get(&ino.0).ok_or(Errno::ENOENT)?.payload {
+            Payload::File(f) => Ok(f.pinned_bytes()),
+            Payload::Dir(_) => Err(Errno::EISDIR),
+            Payload::Symlink(_) => Err(Errno::EINVAL),
+        }
     }
 
     /// Truncate (or extend with zeros) a file to `len`.

@@ -1284,16 +1284,18 @@ impl Wal {
 
     /// Append the `Write` record of the `len` bytes written at `off` of
     /// file `ino`, given as the file's own extents over the written
-    /// range (taken under the same shard write lock). A chunk the write
-    /// covers whole is framed by reference, not copied; partial edge
-    /// chunks are copied. The frame's bytes on disk are exactly those
+    /// range (taken under the same shard write lock), each with whether
+    /// it covers its whole chunk. A chunk the write covers whole is
+    /// framed by reference, not copied, whether it is a buffer of its
+    /// own or a window of an adopted one; partial edge chunks are
+    /// copied. The frame's bytes on disk are exactly those
     /// [`WalRecordRef::encode`] gives for the same record.
     pub(crate) fn append_write(
         &self,
         ino: u64,
         off: u64,
         len: usize,
-        data: impl Iterator<Item = ByteExtent>,
+        data: impl Iterator<Item = (ByteExtent, bool)>,
         now: u64,
     ) {
         self.append_frame(|out| {
@@ -1301,8 +1303,8 @@ impl Wal {
             put_vu64(&mut out.bytes, ino);
             put_vu64(&mut out.bytes, off);
             put_vu64(&mut out.bytes, len as u64);
-            for part in data {
-                if part.is_whole_chunk() {
+            for (part, whole) in data {
+                if whole {
                     out.splice(part);
                 } else {
                     out.bytes.extend_from_slice(part.as_slice());

@@ -10,9 +10,16 @@
 //! on the whole contents via both the flat (`file_data`) and
 //! zero-copy (`file_extents`) read paths. Honors `IDBOX_PROP_SEED`
 //! via the testkit proptest shim, like the rest of the suite.
+//!
+//! The adoption property does the same for writes that hand the file
+//! their buffer (`write_owned`), and checks the retention bound: the
+//! buffers a file's chunks are windows of never total more than twice
+//! its length plus one chunk, whatever mix of adopted appends,
+//! overwrites, truncates and held extents came before.
 
-use idbox_vfs::{Cred, Vfs};
+use idbox_vfs::{Cred, ExtentList, Vfs};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const ROOT: Cred = Cred::ROOT;
 
@@ -37,6 +44,35 @@ fn data_op() -> impl Strategy<Value = DataOp> {
         (0u64..2600).prop_map(|len| DataOp::Truncate { len }),
         proptest::collection::vec(any::<u8>(), 0..1100).prop_map(|data| DataOp::Append { data }),
         (0u64..2600, 0usize..1600).prop_map(|(off, len)| DataOp::Read { off, len }),
+    ]
+}
+
+/// A random write that hands over its buffer, or an op that stresses
+/// what such buffers leave behind.
+#[derive(Debug, Clone)]
+enum OwnedOp {
+    /// An adopted write at EOF, or `gap` bytes past it.
+    Append { gap: u64, data: Vec<u8> },
+    /// An owned write at `off`, which may overlap the contents (copied)
+    /// or lie past them (adopted).
+    Write { off: u64, data: Vec<u8> },
+    Truncate { len: u64 },
+    /// Borrow the whole file and hold the extents to the case's end.
+    Hold,
+}
+
+fn owned_op() -> impl Strategy<Value = OwnedOp> {
+    prop_oneof![
+        (0u64..1200, proptest::collection::vec(any::<u8>(), 1..2600)).prop_map(|(gap, data)| {
+            OwnedOp::Append {
+                gap: gap.saturating_sub(900),
+                data,
+            }
+        }),
+        (0u64..3000, proptest::collection::vec(any::<u8>(), 1..1600))
+            .prop_map(|(off, data)| OwnedOp::Write { off, data }),
+        (0u64..3000).prop_map(|len| OwnedOp::Truncate { len }),
+        (0u64..1).prop_map(|_| OwnedOp::Hold),
     ]
 }
 
@@ -142,5 +178,55 @@ proptest! {
             }
         }
         prop_assert_eq!(snapshot.to_vec(), initial);
+    }
+
+    /// Adopted buffers ≡ flat Vec, and the memory they pin stays
+    /// within twice the file's length plus one chunk. Extents held
+    /// across the ops keep their bytes.
+    #[test]
+    fn adopted_buffers_match_flat_model_and_stay_bounded(
+        ops in proptest::collection::vec(owned_op(), 1..40),
+    ) {
+        let mut v = Vfs::new();
+        v.set_chunk_size(TEST_CHUNK);
+        let ino = v.create(v.root(), "/f", 0o644, &ROOT).unwrap();
+        let mut model = FlatModel::default();
+        let mut held: Vec<(ExtentList, Vec<u8>)> = Vec::new();
+
+        for op in &ops {
+            match op {
+                OwnedOp::Append { gap, data } => {
+                    let at = v.fstat(ino).unwrap().size + gap;
+                    let buf: Arc<[u8]> = data[..].into();
+                    prop_assert_eq!(v.write_owned(ino, at, &buf).unwrap(), data.len());
+                    model.write_at(at as usize, data);
+                }
+                OwnedOp::Write { off, data } => {
+                    let buf: Arc<[u8]> = data[..].into();
+                    prop_assert_eq!(v.write_owned(ino, *off, &buf).unwrap(), data.len());
+                    model.write_at(*off as usize, data);
+                }
+                OwnedOp::Truncate { len } => {
+                    v.truncate(ino, *len).unwrap();
+                    model.truncate(*len as usize);
+                }
+                OwnedOp::Hold => {
+                    held.push((v.file_extents(ino, 0, usize::MAX).unwrap(), model.data.clone()));
+                }
+            }
+            prop_assert_eq!(v.file_data(ino).unwrap(), model.data.clone());
+            let whole = v.file_extents(ino, 0, usize::MAX).unwrap();
+            prop_assert_eq!(whole.to_vec(), model.data.clone());
+            let pinned = v.pinned_bytes(ino).unwrap();
+            prop_assert!(
+                pinned <= 2 * model.data.len() + TEST_CHUNK,
+                "{} bytes of buffers pinned by a {}-byte file",
+                pinned,
+                model.data.len()
+            );
+            for (x, bytes) in &held {
+                prop_assert_eq!(&x.to_vec(), bytes);
+            }
+        }
     }
 }

@@ -30,7 +30,10 @@
 //! the file's chunks by reference writes the same segment bytes as the
 //! record encoder, holds the bytes of its own moment when those chunks
 //! are overwritten before the flush, and tears cleanly when a crash
-//! budget cuts inside a borrowed chunk.
+//! budget cuts inside a borrowed chunk. The adopted-frame properties
+//! check the same for appends whose buffer the file adopts, so its
+//! chunks are windows of that buffer: whole and short tail windows,
+//! overwrites, and truncates that copy kept windows out.
 //!
 //! Uses the `idbox-testkit` runner, so `IDBOX_PROP_SEED` (pinned in
 //! `ci.sh`) reproduces a failing case exactly.
@@ -1002,6 +1005,163 @@ fn crash_budget_inside_a_borrowed_chunk_recovers_the_prefix() {
             } else {
                 Err(PropError::fail(format!(
                     "budget {budget} inside a borrowed chunk recovered a non-prefix state:\n{got}"
+                )))
+            }
+        },
+    );
+}
+
+/// The length of an adopted append: whole chunks, a short tail, or
+/// both.
+fn append_len(rng: &mut TestRng) -> usize {
+    let chunk = CHUNK as u64;
+    (match rng.below(3) {
+        0 => chunk * rng.in_range(1, 4),
+        1 => rng.in_range(1, chunk),
+        _ => chunk * rng.in_range(1, 4) + rng.in_range(1, chunk),
+    }) as usize
+}
+
+fn random_bytes(rng: &mut TestRng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+#[test]
+fn adopted_write_frames_match_the_record_encoder() {
+    run_cases(
+        ProptestConfig::with_cases(24),
+        "wal_props::adopted_write_frames",
+        |rng| {
+            let dir = tmpdir("adopted");
+            // As in the borrowed-frame property: nothing is written out
+            // before `sync`, so the frames still borrow the windows when
+            // the file overwrites or truncates them.
+            let (wal, _) = Wal::open(WalConfig {
+                dir: dir.clone(),
+                sync_ops: 1 << 20,
+                sync_ms: 1000,
+            })
+            .unwrap();
+            let wal = Arc::new(wal);
+            let mut vfs = Vfs::new();
+            vfs.set_chunk_size(CHUNK);
+            vfs.set_wal(Some(Arc::clone(&wal)));
+            let root = vfs.root();
+            let files: Vec<Ino> = (0..2)
+                .map(|i| vfs.create(root, &format!("/f{i}"), 0o644, &ROOT).unwrap())
+                .collect();
+            let mut writes: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+            for _ in 0..rng.in_range(4, 16) {
+                let ino = files[rng.below(2) as usize];
+                let size = vfs.fstat(ino).unwrap().size;
+                match rng.below(4) {
+                    // Overwrite inside the file, copy-on-write against the
+                    // pending frames.
+                    0 if size > 0 => {
+                        let at = rng.below(size);
+                        let len = rng.in_range(1, 2 * CHUNK as u64) as usize;
+                        let patch = random_bytes(rng, len);
+                        vfs.write_at(ino, at, &patch).unwrap();
+                        writes.push((ino.0, at, patch));
+                    }
+                    // Cut the file, often inside an adopted buffer, so the
+                    // windows it keeps are copied out.
+                    1 if size > 0 => {
+                        vfs.truncate(ino, rng.below(size)).unwrap();
+                    }
+                    // Adopted append at EOF, or past it.
+                    _ => {
+                        let at = size + if rng.below(4) == 0 { rng.below(CHUNK as u64) } else { 0 };
+                        let len = append_len(rng);
+                        let data = random_bytes(rng, len);
+                        let buf: Arc<[u8]> = data[..].into();
+                        vfs.write_owned(ino, at, &buf).unwrap();
+                        writes.push((ino.0, at, data));
+                    }
+                }
+            }
+            wal.sync();
+            let live = vfs.namespace_fingerprint();
+            drop(vfs);
+            drop(wal);
+            let seg = only_segment(&dir);
+            let mut want = seg[..8].to_vec();
+            let mut logged = Vec::new();
+            let mut pos = 8;
+            while pos < seg.len() {
+                let len = u32::from_le_bytes(seg[pos..pos + 4].try_into().unwrap()) as usize;
+                let payload = &seg[pos + 8..pos + 8 + len];
+                let lsn_len = payload.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+                let Some(rec) = WalRecordRef::decode(&payload[lsn_len..]) else {
+                    return Err(PropError::fail(format!("undecodable frame at {pos}")));
+                };
+                if let WalRecordRef::Write { ino, off, data, .. } = rec {
+                    logged.push((ino, off, data.to_vec()));
+                }
+                let mut framed = payload[..lsn_len].to_vec();
+                rec.encode(&mut framed);
+                want.extend_from_slice(&(framed.len() as u32).to_le_bytes());
+                want.extend_from_slice(&crc32(&framed).to_le_bytes());
+                want.extend_from_slice(&framed);
+                pos += 8 + len;
+            }
+            let outcome = if logged != writes {
+                Err(PropError::fail("logged writes differ from the writes made"))
+            } else if seg != want {
+                Err(PropError::fail("segment differs from the encoder's frames"))
+            } else if recover_fingerprint(&dir) != live {
+                Err(PropError::fail("replay differs from the live namespace"))
+            } else {
+                Ok(())
+            };
+            std::fs::remove_dir_all(&dir).ok();
+            outcome
+        },
+    );
+}
+
+#[test]
+fn crash_budget_inside_an_adopted_window_recovers_the_prefix() {
+    run_cases(
+        ProptestConfig::with_cases(16),
+        "wal_props::crash_inside_adopted_window",
+        |rng| {
+            let dir = tmpdir("adoptedcrash");
+            let (wal, mut vfs) = fresh(&dir);
+            vfs.set_chunk_size(CHUNK);
+            let root = vfs.root();
+            let ino = vfs.create(root, "/f", 0o644, &ROOT).unwrap();
+            for _ in 0..rng.below(4) {
+                let (off, data) = random_write(rng);
+                vfs.write_at(ino, off, &data).unwrap();
+            }
+            // A chunk-aligned EOF, so the append below adopts its whole
+            // buffer: a frame header of at most 18 bytes, then windows
+            // only (the last one short when the length has a tail).
+            let eof = CHUNK as u64 * rng.below(4);
+            vfs.truncate(ino, eof).unwrap();
+            let before = vfs.namespace_fingerprint();
+            let durable = only_segment(&dir).len() as u64;
+            let len = append_len(rng).max(64);
+            let buf: Arc<[u8]> = random_bytes(rng, len).into();
+            let budget = rng.in_range(32, len as u64);
+            wal.set_crash_after_bytes(budget);
+            vfs.write_owned(ino, eof, &buf).unwrap();
+            vfs.write_at(ino, 0, b"after the crash").unwrap();
+            drop(vfs);
+            drop(wal);
+            let persisted = only_segment(&dir).len() as u64 - durable;
+            let got = recover_fingerprint(&dir);
+            std::fs::remove_dir_all(&dir).ok();
+            if persisted != budget {
+                Err(PropError::fail(format!(
+                    "budget {budget} persisted {persisted} bytes"
+                )))
+            } else if got == before {
+                Ok(())
+            } else {
+                Err(PropError::fail(format!(
+                    "budget {budget} inside an adopted window recovered a non-prefix state:\n{got}"
                 )))
             }
         },
