@@ -93,8 +93,16 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test wal_props
 # pinned seed. The round-trip, isolation and damaged-file properties
 # run in wal_props above.
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --lib snapshot
+# Bench harness units: the smoke/full output-path choice, the window
+# override and warm-up floor, and comma-list parsing.
+cargo test -q -p idbox-bench
+# The bench smokes below run shortened windows (or IDBOX_BENCH_FAST), so
+# each writes its results file under target/; only a full-window run
+# updates the committed files in results/. IDBOX_BENCH_ASSERT turns on
+# the bin's regression gate.
+#
 # Durability smoke (~6 s): the WAL tax A/B must run end to end and
-# emit results/BENCH_durability.tsv. Group commit at the server
+# write BENCH_durability.tsv. Group commit at the server
 # defaults must hold >= 0.90x of the volatile metadata-mix rate. The
 # harness brackets every durable window with volatile ones and takes
 # the median of per-round paired ratios across 9 rounds; a first miss
@@ -104,46 +112,46 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --lib snapshot
 # on purpose: it is the only one whose measured quantity includes
 # disk writes, and a device still draining another harness's
 # leftovers taxes the durable windows but not the volatile ones.
-IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ROUNDS=9 IDBOX_BENCH_ASSERT_DURABILITY=1 \
+IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ROUNDS=9 IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin durability
 # Bench smoke (~2 s): the fig5a ablation harness and the server
-# throughput harness must run end to end and emit their results files
-# (including results/BENCH_syscall.json), on tiny iteration counts.
+# throughput harness must run end to end and write their results files
+# (including BENCH_syscall.json), on tiny iteration counts.
 IDBOX_BENCH_FAST=1 cargo run --release -q -p idbox-bench --bin fig5a_table 300
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_LEVELS=1,2 \
   cargo run --release -q -p idbox-bench --bin server_throughput
-# Degradation smoke (~2 s): the fault sweep must run end to end, emit
-# results/BENCH_faults.json, and observe zero fail-open verdicts (the
+# Degradation smoke (~2 s): the fault sweep must run end to end, write
+# BENCH_faults.json, and observe zero fail-open verdicts (the
 # forbidden-probe assertion is built into the harness, every run).
 IDBOX_BENCH_WINDOW_MS=150 \
   cargo run --release -q -p idbox-bench --bin server_throughput -- --faults
 # Pipeline smoke (~2 s): the wire-v2 single-connection bench must run
-# end to end and emit results/BENCH_pipeline.tsv. The gate counts what
+# end to end and write BENCH_pipeline.tsv. The gate counts what
 # pipelining saves, so it runs on every host: at each depth >= 16,
 # server wakeups and flushes per request must be <= 1/5 of serial's.
-IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_PIPELINE=1 \
+IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin pipeline
 # Contention smoke (~2 s): the disjoint-subtree contention bench must
-# run end to end and emit results/BENCH_contention.tsv. The >=1.5x
+# run end to end and write BENCH_contention.tsv. The >=1.5x
 # scaling assertion self-skips on hosts with fewer than 4 cores.
-IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_SCALING=1 \
+IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin contention
 # Data-plane smoke (~2 s): the zero-copy vs copying A/B (get and put)
-# must run end to end and emit target/BENCH_dataplane.tsv; its short
-# windows never overwrite the committed full run in results/. The gate
+# must run end to end and write BENCH_dataplane.tsv. The gate
 # counts allocations, so it runs on every host: at the largest size (16
 # MiB), owned put and zero-copy get must each allocate at most twice
 # their 4 KiB row's allocs/op. A put that copies its payload into fresh
 # chunks allocates once per 64 KiB chunk and fails it. (This replaced a
 # >= 2x wall-clock floor on 1 MiB+ get that self-skipped on one core.)
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_DATAPLANE_SIZES=4096,1048576,16777216 \
-  IDBOX_BENCH_ASSERT_DATAPLANE=1 \
+  IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin dataplane
 # Observability overhead smoke (~2 s): the on-vs-off A/B must run end
-# to end and emit results/BENCH_overhead.tsv. The <=3% overhead
-# assertion self-skips on single-core hosts, where the ratio is
-# scheduler noise.
-IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT_OVERHEAD=1 \
+# to end and write BENCH_overhead.tsv. The gate counts allocations, so
+# it runs on every host: the enabled plane may add at most 16
+# allocations per request over the disabled one (median of three
+# windows a side). One more String per flight-recorder span fails it.
+IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin server_throughput -- --overhead
 # Doc drift gate: every IDBOX_* environment variable the code reads
 # must be documented in the OPERATIONS.md reference table.

@@ -18,30 +18,20 @@
 //!
 //! Emits `results/BENCH_contention.tsv`. Knobs:
 //!
-//! * `IDBOX_BENCH_WINDOW_MS` — timed window per level (default 400).
+//! * `IDBOX_BENCH_WINDOW_MS` — timed window per level (default 400; a
+//!   shorter one is a smoke and writes to `target/` instead).
 //! * `IDBOX_BENCH_LEVELS` — comma-separated client counts (default
 //!   `1,2,4,8`).
-//! * `IDBOX_BENCH_ASSERT_SCALING` — when set, require `speedup_vs_1`
+//! * `IDBOX_BENCH_ASSERT` — when set, require `speedup_vs_1`
 //!   ≥ 1.5 at 4 clients; skipped (not weakened) on hosts with fewer
 //!   than 4 cores, where the ratio cannot mean what it asserts.
 
-use idbox_interpose::{share, AllowAll, GuestCtx, SharedKernel, Supervisor};
-use idbox_kernel::{Kernel, OpenFlags, Whence};
-use idbox_types::Identity;
-use idbox_vfs::Cred;
+use idbox_bench::{metadata_mix, metadata_mix_tree};
+use idbox_interpose::share;
+use idbox_kernel::Kernel;
 use parking_lot::DomainLockSnapshot;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
 
-const FILES_PER_CLIENT: usize = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const WINDOW_MS: u64 = 400;
 
 /// Where the time went: per-domain lock-wait deltas across one level,
 /// matched by domain name (a domain registered mid-run has no earlier
@@ -60,82 +50,13 @@ fn lock_delta(now: &[DomainLockSnapshot], then: &[DomainLockSnapshot]) -> Vec<Do
         .collect()
 }
 
-/// Run one contention level: `n` clients for `window`. Returns the
-/// total syscalls dispatched and the measured wall time.
-fn run_level(kernel: &SharedKernel, n: usize, window: Duration) -> (u64, Duration) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(n + 1));
-    let mut joins = Vec::with_capacity(n);
-    for i in 0..n {
-        let kernel = Arc::clone(kernel);
-        let stop = Arc::clone(&stop);
-        let total = Arc::clone(&total);
-        let barrier = Arc::clone(&barrier);
-        joins.push(std::thread::spawn(move || {
-            let home = format!("/w/c{i}");
-            let pid = {
-                let k = kernel.read();
-                let pid = k.spawn(Cred::new(1000, 1000), &home, "contend").unwrap();
-                k.set_identity(
-                    pid,
-                    Identity::new(format!("globus:/O=Bench/CN=client{i}")),
-                )
-                .unwrap();
-                pid
-            };
-            let mut sup = Supervisor::in_kernel(kernel, Box::new(AllowAll));
-            let mut ctx = GuestCtx::new(&mut sup, pid);
-            let mut buf = [0u8; 64];
-            let mut ops = 0u64;
-            let mut j = 0usize;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                let path = format!("{home}/f{j}");
-                j = (j + 1) % FILES_PER_CLIENT;
-                let fd = ctx
-                    .open(&path, OpenFlags::rdwr_create(), 0o644)
-                    .unwrap();
-                ctx.write(fd, b"identity boxing under contention").unwrap();
-                ctx.lseek(fd, 0, Whence::Set).unwrap();
-                ctx.read(fd, &mut buf).unwrap();
-                ctx.close(fd).unwrap();
-                ctx.unlink(&path).unwrap();
-                ops += 6;
-            }
-            ctx.exit(0);
-            total.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
-    barrier.wait();
-    let t0 = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    for j in joins {
-        j.join().unwrap();
-    }
-    (total.load(Ordering::Relaxed), t0.elapsed())
-}
-
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", 400));
-    let warmup = (window / 4).max(Duration::from_millis(50));
-    let levels: Vec<usize> = std::env::var("IDBOX_BENCH_LEVELS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let cores = idbox_bench::host_cores();
+    let run = idbox_bench::Window::from_env(WINDOW_MS);
+    let levels = idbox_bench::env_list("IDBOX_BENCH_LEVELS", &[1, 2, 4, 8]);
 
     let mut k = Kernel::new();
-    let root = k.vfs().root();
-    k.vfs_mut().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
-    let max = levels.iter().copied().max().unwrap_or(1);
-    for i in 0..max {
-        let dir = format!("/w/c{i}");
-        k.vfs_mut().mkdir(root, &dir, 0o755, &Cred::ROOT).unwrap();
-        k.vfs_mut().chown(root, &dir, 1000, 1000, &Cred::ROOT).unwrap();
-    }
+    metadata_mix_tree(&mut k, levels.iter().copied().max().unwrap_or(1));
     println!(
         "contention bench: {} proc shard(s), {} vfs shard(s), {} core(s)",
         k.proc_shard_count(),
@@ -150,9 +71,9 @@ fn main() {
     for &n in &levels {
         // Untimed warm-up so every level starts with hot caches and
         // settled allocator state.
-        run_level(&kernel, n, warmup);
+        metadata_mix(&kernel, n, run.warmup());
         let lock0 = parking_lot::lock_snapshot();
-        let (ops, elapsed) = run_level(&kernel, n, window);
+        let (ops, elapsed) = metadata_mix(&kernel, n, run.timed);
         let diffs = lock_delta(&parking_lot::lock_snapshot(), &lock0);
         let rate = ops as f64 / elapsed.as_secs_f64();
         if single_rate == 0.0 {
@@ -196,11 +117,12 @@ fn main() {
     }
     idbox_bench::write_tsv(
         "BENCH_contention.tsv",
+        run.smoke,
         "clients\tsyscalls_per_sec\tspeedup_vs_1\tlock_acquisitions\tlock_waits\t\
          lock_wait_ms\tlock_wait_p99_us\thost_cores",
         &rows,
     );
-    if std::env::var("IDBOX_BENCH_ASSERT_SCALING").is_ok() {
+    if idbox_bench::gates_on() {
         match speedup_at_4 {
             Some(s) if cores >= 4 => {
                 assert!(

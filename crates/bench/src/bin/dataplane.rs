@@ -20,7 +20,7 @@
 //! window (CI smoke; a window under the full 800 ms writes
 //! `target/BENCH_dataplane.tsv` instead, so only a full run updates
 //! `results/`); `IDBOX_DATAPLANE_SIZES` (comma-separated bytes)
-//! picks the sizes to sweep. With `IDBOX_BENCH_ASSERT_DATAPLANE` set,
+//! picks the sizes to sweep. With `IDBOX_BENCH_ASSERT` set,
 //! the run fails unless, at the largest size swept, owned `put` and
 //! zero-copy `get` each make at most twice the allocations per
 //! operation of their 4 KiB row (which the sweep must include): a put
@@ -30,75 +30,15 @@
 //! runs on every host; the speedup over the copying path stays a
 //! reported column.
 
-use idbox_acl::{Acl, Rights};
-use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
-use idbox_chirp::{ChirpClient, ChirpServer, ServerConfig};
-use idbox_types::AuthMethod;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use idbox_bench::{alloc_calls, bench_server, connect, CountingAlloc, Window};
+use idbox_chirp::ChirpClient;
 use std::time::{Duration, Instant};
-
-/// Allocation-counting wrapper around the system allocator, so the
-/// allocs-per-op column can show the copy path's per-transfer buffer
-/// churn against the extent path's near-flat profile. Process-wide:
-/// client and server run in this one process, which is the point.
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter has no effect on
-// allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const WINDOW_MS: u64 = 800;
 const MIB: f64 = (1u64 << 20) as f64;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn server(copy_data_plane: bool) -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let mut verifier = ServerVerifier::new();
-    verifier.accept = vec![AuthMethod::Globus];
-    verifier.cas.trust(ca.clone());
-    let mut root_acl = Acl::empty();
-    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-    let s = ChirpServer::new(ServerConfig {
-        name: "dataplane".into(),
-        verifier,
-        root_acl,
-        copy_data_plane,
-        ..Default::default()
-    })
-    .unwrap();
-    (s.spawn().unwrap(), ca)
-}
-
-fn connect(handle: &idbox_chirp::ChirpServerHandle, ca: &CertificateAuthority) -> ChirpClient {
-    let creds = vec![ClientCredential::Globus(ca.issue("/O=UnivNowhere/CN=Fred"))];
-    ChirpClient::connect(handle.addr(), &creds).unwrap()
-}
 
 /// Patterned payload: corruption anywhere in the pipeline fails the
 /// length/content checks instead of passing silently.
@@ -112,31 +52,30 @@ fn payload(size: usize) -> Vec<u8> {
 /// (ops/s, allocations/op).
 fn timed(window: Duration, mut f: impl FnMut()) -> (f64, f64) {
     let t0 = Instant::now();
-    let a0 = ALLOC_CALLS.load(Ordering::Relaxed);
+    let a0 = alloc_calls();
     let mut ops = 0u64;
     while ops == 0 || t0.elapsed() < window {
         f();
         ops += 1;
     }
     let dt = t0.elapsed().as_secs_f64();
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - a0;
+    let allocs = alloc_calls() - a0;
     (ops as f64 / dt, allocs as f64 / ops as f64)
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
-    let warmup = (window / 4).max(Duration::from_millis(50));
-    let sizes: Vec<usize> = std::env::var("IDBOX_DATAPLANE_SIZES")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![4 << 10, 64 << 10, 1 << 20, 8 << 20, 64 << 20]);
+    let cores = idbox_bench::host_cores();
+    let run = Window::from_env(WINDOW_MS);
+    let (window, warmup) = (run.timed, run.warmup());
+    let sizes = idbox_bench::env_list(
+        "IDBOX_DATAPLANE_SIZES",
+        &[4 << 10, 64 << 10, 1 << 20, 8 << 20, 64 << 20],
+    );
 
-    let (zc_handle, zc_ca) = server(false);
-    let (cp_handle, cp_ca) = server(true);
-    let mut zc = connect(&zc_handle, &zc_ca);
-    let mut cp = connect(&cp_handle, &cp_ca);
+    let (zc_handle, ca) = bench_server("dataplane", |_| {});
+    let (cp_handle, _) = bench_server("dataplane", |c| c.copy_data_plane = true);
+    let mut zc = connect(zc_handle.addr(), &ca, "Fred");
+    let mut cp = connect(cp_handle.addr(), &ca, "Fred");
     zc.mkdir("/bench", 0o755).unwrap();
     cp.mkdir("/bench", 0o755).unwrap();
 
@@ -219,7 +158,7 @@ fn main() {
     }
     // Optional regression gate, on counts rather than wall clock: at the
     // largest size, the data plane allocates per operation, not per chunk.
-    if std::env::var("IDBOX_BENCH_ASSERT_DATAPLANE").is_ok() {
+    if idbox_bench::gates_on() {
         let &(_, get_small, put_small) = zc_allocs
             .iter()
             .find(|r| r.0 == 4096)
@@ -242,13 +181,9 @@ fn main() {
         );
     }
 
-    let out = if window < Duration::from_millis(WINDOW_MS) {
-        idbox_bench::smoke_path("BENCH_dataplane.tsv")
-    } else {
-        idbox_bench::results_path("BENCH_dataplane.tsv")
-    };
-    idbox_bench::write_tsv_at(
-        &out,
+    idbox_bench::write_tsv(
+        "BENCH_dataplane.tsv",
+        run.smoke,
         "op\tmode\tsize_bytes\tmib_per_sec\tallocs_per_op\tspeedup_vs_copy\thost_cores",
         &rows,
     );

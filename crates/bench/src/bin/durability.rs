@@ -15,9 +15,10 @@
 //!
 //! Emits `results/BENCH_durability.tsv`. Knobs:
 //!
-//! * `IDBOX_BENCH_WINDOW_MS` — timed window per mode (default 400).
+//! * `IDBOX_BENCH_WINDOW_MS` — timed window per mode (default 400; a
+//!   shorter one is a smoke and writes to `target/` instead).
 //! * `IDBOX_BENCH_ROUNDS` — interleaved measurement rounds (default 5).
-//! * `IDBOX_BENCH_ASSERT_DURABILITY` — when set, require the
+//! * `IDBOX_BENCH_ASSERT` — when set, require the
 //!   group-commit mode to hold ≥ 0.90x of the volatile rate. A first
 //!   pass under the bar triggers one settle-and-remeasure before the
 //!   gate fires: the durable windows are the only ones that touch the
@@ -30,23 +31,14 @@
 //!   hosts; on a healthy device it fails, because then the miss is a
 //!   real append/flush-path regression.
 
-use idbox_interpose::{share, AllowAll, GuestCtx, SharedKernel, Supervisor};
-use idbox_kernel::{Kernel, OpenFlags, Whence};
-use idbox_types::Identity;
-use idbox_vfs::{Cred, WalConfig, WalStats};
+use idbox_bench::{median, metadata_mix, metadata_mix_tree};
+use idbox_interpose::{share, SharedKernel};
+use idbox_kernel::Kernel;
+use idbox_vfs::{WalConfig, WalStats};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-const FILES: usize = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const WINDOW_MS: u64 = 400;
 
 /// One durability mode under test.
 struct Mode {
@@ -73,65 +65,8 @@ fn build_kernel(mode: &Mode, dir: &Path) -> Kernel {
         }
         None => Kernel::new(),
     };
-    let root = k.vfs().root();
-    k.vfs_mut().mkdir(root, "/w", 0o755, &Cred::ROOT).unwrap();
-    k.vfs_mut().mkdir(root, "/w/c0", 0o755, &Cred::ROOT).unwrap();
-    k.vfs_mut().chown(root, "/w/c0", 1000, 1000, &Cred::ROOT).unwrap();
+    metadata_mix_tree(&mut k, 1);
     k
-}
-
-/// Run the metadata mix against `kernel` for `window`; returns total
-/// syscalls and measured wall time.
-fn run_window(kernel: &SharedKernel, window: Duration) -> (u64, Duration) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(2));
-    let join = {
-        let kernel = Arc::clone(kernel);
-        let stop = Arc::clone(&stop);
-        let total = Arc::clone(&total);
-        let barrier = Arc::clone(&barrier);
-        std::thread::spawn(move || {
-            let pid = {
-                let k = kernel.read();
-                let pid = k.spawn(Cred::new(1000, 1000), "/w/c0", "durbench").unwrap();
-                k.set_identity(pid, Identity::new("globus:/O=Bench/CN=dur"))
-                    .unwrap();
-                pid
-            };
-            let mut sup = Supervisor::in_kernel(kernel, Box::new(AllowAll));
-            let mut ctx = GuestCtx::new(&mut sup, pid);
-            let mut buf = [0u8; 64];
-            let mut ops = 0u64;
-            let mut j = 0usize;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                let path = format!("/w/c0/f{j}");
-                j = (j + 1) % FILES;
-                let fd = ctx.open(&path, OpenFlags::rdwr_create(), 0o644).unwrap();
-                ctx.write(fd, b"durability tax measurement bytes").unwrap();
-                ctx.lseek(fd, 0, Whence::Set).unwrap();
-                ctx.read(fd, &mut buf).unwrap();
-                ctx.close(fd).unwrap();
-                ctx.unlink(&path).unwrap();
-                ops += 6;
-            }
-            ctx.exit(0);
-            total.fetch_add(ops, Ordering::Relaxed);
-        })
-    };
-    barrier.wait();
-    let t0 = Instant::now();
-    std::thread::sleep(window);
-    stop.store(true, Ordering::Relaxed);
-    join.join().unwrap();
-    (total.load(Ordering::Relaxed), t0.elapsed())
-}
-
-/// Median of a sample set (destructive).
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.total_cmp(b));
-    v[v.len() / 2]
 }
 
 #[cfg(unix)]
@@ -175,9 +110,8 @@ fn probe_fsync_cost() -> Duration {
 }
 
 fn main() {
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", 400));
-    let rounds = env_u64("IDBOX_BENCH_ROUNDS", 5) as usize;
-    let warmup = (window / 4).max(Duration::from_millis(50));
+    let run = idbox_bench::Window::from_env(WINDOW_MS);
+    let rounds = idbox_bench::env_u64("IDBOX_BENCH_ROUNDS", 5) as usize;
     let modes = [
         Mode { name: "wal-off", wal: None },
         Mode { name: "group-commit", wal: Some(65536) },
@@ -199,7 +133,7 @@ fn main() {
         .map(|mode| {
             let dir = wal_dir(mode.name);
             let kernel = share(build_kernel(mode, &dir));
-            run_window(&kernel, warmup);
+            metadata_mix(&kernel, 1, run.warmup());
             (dir, kernel)
         })
         .collect();
@@ -208,7 +142,7 @@ fn main() {
         for _ in 0..rounds {
             settle_disk();
             let rate = |kernel| {
-                let (ops, elapsed) = run_window(kernel, window);
+                let (ops, elapsed) = metadata_mix(kernel, 1, run.timed);
                 ops as f64 / elapsed.as_secs_f64()
             };
             let off_before = rate(&kernels[0].1);
@@ -234,7 +168,7 @@ fn main() {
                 .collect(),
         )
     };
-    let assert_gate = std::env::var("IDBOX_BENCH_ASSERT_DURABILITY").is_ok();
+    let assert_gate = idbox_bench::gates_on();
     let mut samples = sample_pass(&kernels);
     if assert_gate && paired_relative(&samples, 1) < 0.90 {
         // The group-commit windows are the only ones that touch the
@@ -286,6 +220,7 @@ fn main() {
     drop(kernels);
     idbox_bench::write_tsv(
         "BENCH_durability.tsv",
+        run.smoke,
         "mode\tsyscalls_per_sec\trelative_to_off\twal_appends\twal_fsyncs\twal_bytes",
         &rows,
     );

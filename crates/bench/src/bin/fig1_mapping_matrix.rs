@@ -71,6 +71,7 @@ fn main() {
     println!("(`ops` = measured root interventions to admit the 3 scenario users)");
     idbox_bench::write_tsv(
         "fig1_mapping_matrix.tsv",
+        false,
         "method\tprivilege\tprotect\tprivacy\tsharing\treturn\tburden\tops",
         &tsv,
     );

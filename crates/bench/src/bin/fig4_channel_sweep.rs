@@ -97,6 +97,7 @@ fn main() {
     println!("falls toward ~2 copies/1 copy as the payload amortizes the trap.");
     idbox_bench::write_tsv(
         "fig4_channel_sweep.tsv",
+        false,
         "size\tdirect_us\tboxed_us\tratio\tpath",
         &tsv,
     );

@@ -6,7 +6,8 @@
 //! prints µs/call in both modes plus the ratio — and runs the boxed
 //! column twice, fast-path caches (dentry + ACL verdict) on and off,
 //! so the per-trap-tax ablation is recorded next to the headline
-//! numbers. Both runs land in `results/BENCH_syscall.json`.
+//! numbers. Both runs land in `results/BENCH_syscall.json`
+//! (`target/` when `IDBOX_BENCH_FAST` is set).
 //!
 //! ```text
 //! cargo run --release -p idbox-bench --bin fig5a_table [iters]
@@ -23,7 +24,7 @@ fn json_report(iters: u64, rows: &[MicroAblation]) -> String {
     out.push_str(&format!("  \"iters\": {iters},\n"));
     out.push_str(&format!(
         "  \"host_cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        idbox_bench::host_cores()
     ));
     out.push_str("  \"cases\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -120,8 +121,9 @@ fn main() {
     );
     idbox_bench::write_tsv(
         "fig5a_syscall_latency.tsv",
+        false,
         "case\tdirect_us\tboxed_us\tratio\tboxed_nocache_us\tratio_nocache",
         &tsv,
     );
-    idbox_bench::write_text("BENCH_syscall.json", &json_report(iters, &rows));
+    idbox_bench::write_text("BENCH_syscall.json", false, &json_report(iters, &rows));
 }

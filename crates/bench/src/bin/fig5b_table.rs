@@ -74,6 +74,7 @@ fn main() {
     );
     idbox_bench::write_tsv(
         "fig5b_applications.tsv",
+        false,
         "app\tdirect_s\tboxed_s\toverhead_pct\tpaper_pct\ttraps",
         &tsv,
     );

@@ -159,5 +159,10 @@ fn main() {
     println!("{}", "-".repeat(66));
     println!("expected shape: in-kernel enforcement costs little over the plain");
     println!("kernel; interposition pays the order-of-magnitude trap penalty.");
-    idbox_bench::write_tsv("fig6_hier_ablation.tsv", "config\tgetpid_us\tstat_us", &tsv);
+    idbox_bench::write_tsv(
+        "fig6_hier_ablation.tsv",
+        false,
+        "config\tgetpid_us\tstat_us",
+        &tsv,
+    );
 }

@@ -27,48 +27,24 @@
 //! depth-`d` burst about `1/d` of each, on any number of cores.
 //!
 //! Knobs: `IDBOX_BENCH_WINDOW_MS` shrinks the per-mode measurement
-//! window (CI smoke); `IDBOX_PIPELINE_DEPTH` (comma-separated) picks
-//! the pipeline depths to sweep, default `4,16,64`. With
-//! `IDBOX_BENCH_ASSERT_PIPELINE` set, the run fails unless, at every
+//! window (CI smoke; a window under the full 1500 ms writes to
+//! `target/` instead of `results/`). The sweep runs pipeline depths 4,
+//! 16 and 64. With `IDBOX_BENCH_ASSERT` set, the run fails unless, at every
 //! depth >= 16, server wakeups per request and flushes per request are
 //! each at most 1/5 of serial's. The gate reads counts, not wall
 //! clock, so it holds on every host; the wall-clock speedup stays a
 //! reported column.
 
-use idbox_acl::{Acl, Rights};
-use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
-use idbox_chirp::{BatchOp, ChirpClient, ChirpServer, ChirpServerHandle, ServerConfig};
+use idbox_bench::{bench_server, connect};
+use idbox_chirp::{BatchOp, ChirpClient, ChirpServerHandle};
 use idbox_obs::LOOP_LAG_BUCKETS;
-use idbox_types::AuthMethod;
 use parking_lot::histogram;
 use std::time::{Duration, Instant};
 
 const WINDOW_MS: u64 = 1500;
 const FILE: &str = "/bench/data.dat";
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn server() -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let mut verifier = ServerVerifier::new();
-    verifier.accept = vec![AuthMethod::Globus];
-    verifier.cas.trust(ca.clone());
-    let mut root_acl = Acl::empty();
-    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-    let s = ChirpServer::new(ServerConfig {
-        name: "pipeline".into(),
-        verifier,
-        root_acl,
-        ..Default::default()
-    })
-    .unwrap();
-    (s.spawn().unwrap(), ca)
-}
+/// Pipeline depths swept; the gate reads the depths >= 16.
+const DEPTHS: [usize; 3] = [4, 16, 64];
 
 /// Serial baseline: one `stat` per round trip, v1 style. Returns the
 /// operations completed.
@@ -162,18 +138,12 @@ impl Window {
 }
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
-    let warmup = (window / 4).max(Duration::from_millis(50));
-    let depths: Vec<usize> = std::env::var("IDBOX_PIPELINE_DEPTH")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![4, 16, 64]);
+    let cores = idbox_bench::host_cores();
+    let run = idbox_bench::Window::from_env(WINDOW_MS);
+    let (window, warmup) = (run.timed, run.warmup());
 
-    let (handle, ca) = server();
-    let creds = vec![ClientCredential::Globus(ca.issue("/O=UnivNowhere/CN=Fred"))];
-    let mut c = ChirpClient::connect(handle.addr(), &creds).unwrap();
+    let (handle, ca) = bench_server("pipeline", |_| {});
+    let mut c = connect(handle.addr(), &ca, "Fred");
     c.mkdir("/bench", 0o755).unwrap();
     c.put(FILE, &vec![7u8; 4096]).unwrap();
 
@@ -194,9 +164,8 @@ fn main() {
 
     // Depths >= 16 whose wakeups or flushes per request did not drop
     // to a fifth of serial's.
-    let mut deep = 0;
     let mut misses = Vec::new();
-    for &depth in &depths {
+    for depth in DEPTHS {
         run_pipelined(&mut c, depth, warmup);
         let w = Window::measure(&handle, || run_pipelined(&mut c, depth, window));
         let speedup = w.rate / serial.rate;
@@ -209,13 +178,11 @@ fn main() {
             "pipeline\t{depth}\t{:.0}\t{speedup:.2}\t{}\t{cores}",
             w.rate, w.lag_p99
         ));
-        if depth >= 16 {
-            deep += 1;
-            if w.wakeups_per_op > serial.wakeups_per_op / 5.0
-                || w.flushes_per_op > serial.flushes_per_op / 5.0
-            {
-                misses.push(format!("depth {depth}: {}", w.counts()));
-            }
+        if depth >= 16
+            && (w.wakeups_per_op > serial.wakeups_per_op / 5.0
+                || w.flushes_per_op > serial.flushes_per_op / 5.0)
+        {
+            misses.push(format!("depth {depth}: {}", w.counts()));
         }
     }
 
@@ -238,8 +205,7 @@ fn main() {
     }
     // Optional regression gate: pipelining must actually coalesce the
     // server's per-request work.
-    if std::env::var("IDBOX_BENCH_ASSERT_PIPELINE").is_ok() {
-        assert!(deep > 0, "pipeline assertion needs a depth >= 16 in the sweep");
+    if idbox_bench::gates_on() {
         assert!(
             misses.is_empty(),
             "pipelining failed to coalesce server work: serial {}; over 1/5 of it at {}",
@@ -254,6 +220,7 @@ fn main() {
 
     idbox_bench::write_tsv(
         "BENCH_pipeline.tsv",
+        run.smoke,
         "mode\tdepth\tops_per_sec\tspeedup_vs_serial\tloop_p99_us\thost_cores",
         &rows,
     );

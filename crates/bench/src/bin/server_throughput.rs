@@ -35,26 +35,32 @@
 //!
 //! `--overhead` measures the cost of the self-observation plane: the
 //! same read-heavy workload runs in alternating windows with shard-lock
-//! profiling + flight recording enabled and disabled, best-of-3 each
-//! side, and reports the on/off throughput ratio into
-//! `results/BENCH_overhead.tsv`. With `IDBOX_BENCH_ASSERT_OVERHEAD`
-//! set (and >= 2 cores, where the ratio is not pure scheduler noise),
-//! the run fails if the enabled side falls below 97% of the disabled
-//! side — the observability plane must stay cheap enough to leave on.
+//! profiling + flight recording enabled and disabled, three each side,
+//! and reports the best on/off throughput ratio and the median
+//! allocations per request on each side into
+//! `results/BENCH_overhead.tsv`. With `IDBOX_BENCH_ASSERT` set, the run
+//! fails if the enabled plane costs more than 16 allocations per
+//! request over the disabled one. Allocation counts do not depend on
+//! the host's cores, so the gate runs on every host; the wall-clock
+//! ratio stays a reported column.
 //!
 //! `IDBOX_BENCH_WINDOW_MS` and `IDBOX_BENCH_LEVELS` (comma-separated
-//! client counts) shrink the run for CI smoke tests.
+//! client counts) shrink the run for CI smoke tests; a window under
+//! the full 1500 ms writes every file to `target/` instead of
+//! `results/`.
 
-use idbox_acl::{Acl, Rights};
-use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
-use idbox_chirp::{ChirpClient, ChirpServer, RetryPolicy, ServerConfig};
+use idbox_auth::CertificateAuthority;
+use idbox_bench::{alloc_calls, bench_server, connect, creds, median, CountingAlloc, Window};
+use idbox_chirp::{ChirpClient, ChirpServerHandle, RetryPolicy};
 use idbox_kernel::OpenFlags;
 use idbox_testkit::fault::{FaultPlan, FaultProxy};
-use idbox_types::AuthMethod;
 use idbox_vfs::FaultHook;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Reads per open: the loop is stat, open, PREADS x pread, close —
 /// read-heavy, like a real client walking and reading files.
@@ -64,34 +70,42 @@ const REQS_PER_ROUND: u64 = 3 + PREADS;
 /// Default measurement window per concurrency level.
 const WINDOW_MS: u64 = 1500;
 
-fn server() -> (idbox_chirp::ChirpServerHandle, CertificateAuthority) {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let mut verifier = ServerVerifier::new();
-    verifier.accept = vec![AuthMethod::Globus];
-    verifier.cas.trust(ca.clone());
-    let mut root_acl = Acl::empty();
-    root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-    let s = ChirpServer::new(ServerConfig {
-        name: "throughput".into(),
-        verifier,
-        root_acl,
-        admins: vec![format!("globus:{ADMIN}")],
-        ..Default::default()
+/// Clients and fault-schedule seed of the `--faults` sweep.
+const FAULT_CLIENTS: usize = 4;
+const FAULT_SEED: u64 = 0x1DB0F;
+
+/// Clients in the `--overhead` A/B.
+const OVERHEAD_CLIENTS: usize = 2;
+
+/// The most allocations per request the enabled observation plane may
+/// add over the disabled one (`--overhead` gate). It costs about 16
+/// today: a span-name `String` per flight-recorder span and a
+/// `domain/shard` name per traced lock acquisition.
+const PLANE_ALLOCS_PER_REQ: f64 = 16.0;
+
+fn server() -> (ChirpServerHandle, CertificateAuthority) {
+    bench_server("throughput", |c| {
+        c.admins = vec![format!("globus:/O=UnivNowhere/CN={ADMIN}")]
     })
-    .unwrap();
-    (s.spawn().unwrap(), ca)
 }
 
-const ADMIN: &str = "/O=UnivNowhere/CN=Admin";
+const ADMIN: &str = "Admin";
 
-/// Run `n` clients against `addr` for `window`; return total requests
-/// served across all of them.
+/// One level's timed window: requests per second across all clients,
+/// and process-wide allocations per request from the start line until
+/// every client has quit.
+struct Level {
+    rate: f64,
+    allocs_per_req: f64,
+}
+
+/// Run `n` clients against `addr` for `window`.
 fn run_level(
     addr: std::net::SocketAddr,
     ca: &CertificateAuthority,
     n: usize,
     window: Duration,
-) -> (u64, Duration) {
+) -> Level {
     let start_line = Arc::new(Barrier::new(n + 1));
     let stop = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = (0..n)
@@ -100,10 +114,7 @@ fn run_level(
             let start_line = Arc::clone(&start_line);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let creds = vec![ClientCredential::Globus(
-                    ca.issue(format!("/O=UnivNowhere/CN=User{i}")),
-                )];
-                let mut c = ChirpClient::connect(addr, &creds).unwrap();
+                let mut c = connect(addr, &ca, &format!("User{i}"));
                 let file = format!("/u{i}/data.dat");
                 // Levels share the server, so the directory may already
                 // exist from a smaller level's run.
@@ -130,11 +141,15 @@ fn run_level(
         })
         .collect();
     start_line.wait();
+    let a0 = alloc_calls();
     let t0 = Instant::now();
     std::thread::sleep(window);
     stop.store(true, Ordering::Relaxed);
-    let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    (total, t0.elapsed())
+    let reqs: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+    Level {
+        rate: reqs as f64 / t0.elapsed().as_secs_f64(),
+        allocs_per_req: (alloc_calls() - a0) as f64 / reqs.max(1) as f64,
+    }
 }
 
 /// Sum a per-identity counter family out of a Prometheus exposition.
@@ -162,13 +177,6 @@ fn hit_pct(hits: u64, misses: u64) -> f64 {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// One row of the degradation-under-faults sweep.
 struct FaultRow {
     fault_pct: u32,
@@ -182,44 +190,21 @@ struct FaultRow {
     vfs_faults: u64,
 }
 
-/// Drive `clients` retrying clients through a fault proxy at
+/// Drive `FAULT_CLIENTS` retrying clients through a fault proxy at
 /// `fault_pct` (% of request lines dropping their connection, % of
 /// filesystem data ops reporting EIO) for `window`.
-fn run_fault_level(
-    ca: &CertificateAuthority,
-    fault_pct: u32,
-    clients: usize,
-    window: Duration,
-    seed: u64,
-) -> FaultRow {
-    let (handle, _) = {
-        // Fresh server per rate, so histograms and counters are not
-        // polluted across levels; reuse the caller's CA for clients.
-        let mut verifier = ServerVerifier::new();
-        verifier.accept = vec![AuthMethod::Globus];
-        verifier.cas.trust(ca.clone());
-        let mut root_acl = Acl::empty();
-        root_acl.set_reserve("globus:/O=UnivNowhere/*", Rights::LIST, Rights::RWLAX);
-        let s = ChirpServer::new(ServerConfig {
-            name: format!("faults-{fault_pct}"),
-            verifier,
-            root_acl,
-            ..Default::default()
-        })
-        .unwrap();
-        (s.spawn().unwrap(), ())
-    };
+fn run_fault_level(fault_pct: u32, window: Duration) -> FaultRow {
+    // Fresh server per rate, so histograms and counters are not
+    // polluted across levels.
+    let (handle, ca) = bench_server(&format!("faults-{fault_pct}"), |_| {});
     let ppm = fault_pct * 10_000; // 1 % = 10_000 ppm
-    let plan = FaultPlan::with_rates(seed, ppm, ppm);
+    let plan = FaultPlan::with_rates(FAULT_SEED, ppm, ppm);
     let proxy = FaultProxy::spawn(handle.addr(), plan.clone()).unwrap();
 
     // Stage each client's file over the clean, direct path — before the
     // filesystem hook arms, so staging cannot eat an injected EIO.
-    for i in 0..clients {
-        let creds = vec![ClientCredential::Globus(
-            ca.issue(format!("/O=UnivNowhere/CN=User{i}")),
-        )];
-        let mut c = ChirpClient::connect(handle.addr(), &creds).unwrap();
+    for i in 0..FAULT_CLIENTS {
+        let mut c = connect(handle.addr(), &ca, &format!("User{i}"));
         c.mkdir(&format!("/u{i}"), 0o755).unwrap();
         c.put(&format!("/u{i}/data.dat"), &vec![7u8; 4096]).unwrap();
         let _ = c.quit();
@@ -229,10 +214,7 @@ fn run_fault_level(
     // the storm — a success there would be a fail-open verdict (a fault
     // turned into an allow), which is a bug at any fault rate.
     {
-        let creds = vec![ClientCredential::Globus(
-            ca.issue("/O=UnivNowhere/CN=Warden"),
-        )];
-        let mut c = ChirpClient::connect(handle.addr(), &creds).unwrap();
+        let mut c = connect(handle.addr(), &ca, "Warden");
         c.mkdir("/private", 0o700).unwrap();
         c.put("/private/secret", b"keep out").unwrap();
         let _ = c.quit();
@@ -246,18 +228,16 @@ fn run_fault_level(
             .set_fault_hook(Some(FaultHook::new(move |op, _| plan.vfs_fault(op))));
     }
 
-    let start_line = Arc::new(Barrier::new(clients + 1));
+    let start_line = Arc::new(Barrier::new(FAULT_CLIENTS + 1));
     let stop = Arc::new(AtomicBool::new(false));
     let addr = proxy.addr();
-    let workers: Vec<_> = (0..clients)
+    let workers: Vec<_> = (0..FAULT_CLIENTS)
         .map(|i| {
             let ca = ca.clone();
             let start_line = Arc::clone(&start_line);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let creds = vec![ClientCredential::Globus(
-                    ca.issue(format!("/O=UnivNowhere/CN=User{i}")),
-                )];
+                let creds = creds(&ca, &format!("User{i}"));
                 // Deep attempt budget: a retry's *reconnect* re-runs
                 // the multi-line auth handshake, where every line draws
                 // at the drop rate — so per-attempt failure odds are
@@ -267,7 +247,7 @@ fn run_fault_level(
                     base_delay: Duration::from_millis(1),
                     max_delay: Duration::from_millis(20),
                     budget: Duration::from_secs(10),
-                    jitter_seed: seed ^ i as u64,
+                    jitter_seed: FAULT_SEED ^ i as u64,
                     io_timeout: Some(Duration::from_secs(2)),
                     ..Default::default()
                 };
@@ -340,13 +320,10 @@ fn run_fault_level(
 /// goodput degrades while the retry layer keeps the failure count at
 /// (ideally) zero.
 fn run_faults() {
-    let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xBE7C4);
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
-    let clients = env_u64("IDBOX_BENCH_FAULT_CLIENTS", 4) as usize;
-    let seed = env_u64("IDBOX_BENCH_FAULT_SEED", 0x1DB0F);
+    let run = Window::from_env(WINDOW_MS);
     let mut rows = Vec::new();
     for fault_pct in [0u32, 5, 10, 20] {
-        let row = run_fault_level(&ca, fault_pct, clients, window, seed);
+        let row = run_fault_level(fault_pct, run.timed);
         println!(
             "{:>2}% faults: {:>9.0} req/s  ok {} failed {} fail_open {}  retries {} \
              reconnects {}  injected wire {} vfs {}",
@@ -364,9 +341,9 @@ fn run_faults() {
     }
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"server_throughput_faults\",\n");
-    json.push_str(&format!("  \"window_ms\": {},\n", window.as_millis()));
-    json.push_str(&format!("  \"clients\": {clients},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
+    json.push_str(&format!("  \"window_ms\": {},\n", run.timed.as_millis()));
+    json.push_str(&format!("  \"clients\": {FAULT_CLIENTS},\n"));
+    json.push_str(&format!("  \"seed\": {FAULT_SEED},\n"));
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -386,7 +363,7 @@ fn run_faults() {
         ));
     }
     json.push_str("  ]\n}\n");
-    idbox_bench::write_text("BENCH_faults.json", &json);
+    idbox_bench::write_text("BENCH_faults.json", run.smoke, &json);
     if let Some(worst) = rows.iter().find(|r| r.failed > 0) {
         println!(
             "note: {} operations failed at {}% faults (retry budget exhausted)",
@@ -408,58 +385,66 @@ fn run_faults() {
 
 /// The `--overhead` experiment: is always-on observability actually
 /// affordable? Windows alternate enabled/disabled on the same warm
-/// server so clock drift and thermal state hit both sides equally, and
-/// each side keeps its best of three — comparing best-vs-best filters
-/// scheduler hiccups out of both numerator and denominator.
+/// server so clock drift and thermal state hit both sides equally.
+/// Each side keeps its best throughput of three — comparing best-vs-best
+/// filters scheduler hiccups out of both numerator and denominator —
+/// and its median allocations per request, which the gate reads. (An
+/// odd window now and then reads a fraction of an allocation low on
+/// either side; the median ignores it where the minimum would not.)
 fn run_overhead() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
-    let warmup = (window / 4).max(Duration::from_millis(50));
-    let clients = env_u64("IDBOX_BENCH_OVERHEAD_CLIENTS", 2) as usize;
+    let cores = idbox_bench::host_cores();
+    let run = Window::from_env(WINDOW_MS);
     let (handle, ca) = server();
     let addr = handle.addr();
-    run_level(addr, &ca, clients, warmup);
+    run_level(addr, &ca, OVERHEAD_CLIENTS, run.warmup());
     let set_plane = |on: bool| {
         parking_lot::set_lock_profiling(on);
         idbox_obs::flight::set_flight_enabled(on);
     };
     let (mut best_on, mut best_off) = (0.0f64, 0.0f64);
+    let (mut allocs_on, mut allocs_off) = (Vec::new(), Vec::new());
     for _ in 0..3 {
         set_plane(true);
-        let (reqs, elapsed) = run_level(addr, &ca, clients, window);
-        best_on = best_on.max(reqs as f64 / elapsed.as_secs_f64());
+        let on = run_level(addr, &ca, OVERHEAD_CLIENTS, run.timed);
+        best_on = best_on.max(on.rate);
+        allocs_on.push(on.allocs_per_req);
         set_plane(false);
-        let (reqs, elapsed) = run_level(addr, &ca, clients, window);
-        best_off = best_off.max(reqs as f64 / elapsed.as_secs_f64());
+        let off = run_level(addr, &ca, OVERHEAD_CLIENTS, run.timed);
+        best_off = best_off.max(off.rate);
+        allocs_off.push(off.allocs_per_req);
     }
     // Leave the plane the way production runs it.
     set_plane(true);
+    let (allocs_on, allocs_off) = (median(allocs_on), median(allocs_off));
     let ratio = if best_off > 0.0 { best_on / best_off } else { 0.0 };
+    let plane_allocs = allocs_on - allocs_off;
     println!(
-        "observation plane on : {best_on:>10.0} req/s\n\
-         observation plane off: {best_off:>10.0} req/s\n\
-         on/off ratio         : {ratio:.4}  ({:+.2}% overhead)",
+        "observation plane on : {best_on:>10.0} req/s  {allocs_on:>6.2} allocs/req\n\
+         observation plane off: {best_off:>10.0} req/s  {allocs_off:>6.2} allocs/req\n\
+         on/off ratio         : {ratio:.4}  ({:+.2}% overhead, {plane_allocs:+.2} allocs/req)",
         (1.0 - ratio) * 100.0
     );
     idbox_bench::write_tsv(
         "BENCH_overhead.tsv",
-        "clients\treqs_per_sec_on\treqs_per_sec_off\ton_over_off\thost_cores",
+        run.smoke,
+        "clients\treqs_per_sec_on\treqs_per_sec_off\ton_over_off\thost_cores\t\
+         allocs_per_req_on\tallocs_per_req_off",
         &[format!(
-            "{clients}\t{best_on:.0}\t{best_off:.0}\t{ratio:.4}\t{cores}"
+            "{OVERHEAD_CLIENTS}\t{best_on:.0}\t{best_off:.0}\t{ratio:.4}\t{cores}\t\
+             {allocs_on:.2}\t{allocs_off:.2}"
         )],
     );
-    if std::env::var("IDBOX_BENCH_ASSERT_OVERHEAD").is_ok() {
-        if cores < 2 {
-            println!("overhead assertion skipped: requires >= 2 cores, host has {cores}");
-        } else {
-            assert!(
-                ratio >= 0.97,
-                "self-observation plane too expensive: enabled throughput is \
-                 {:.1}% of disabled ({best_on:.0} vs {best_off:.0} req/s, want >= 97%)",
-                ratio * 100.0
-            );
-            println!("overhead assertion passed: {:.2}% of disabled", ratio * 100.0);
-        }
+    if idbox_bench::gates_on() {
+        assert!(
+            plane_allocs <= PLANE_ALLOCS_PER_REQ,
+            "self-observation plane too expensive: {plane_allocs:.2} allocations per request \
+             over the disabled plane ({allocs_on:.2} vs {allocs_off:.2}, want <= \
+             {PLANE_ALLOCS_PER_REQ})"
+        );
+        println!(
+            "overhead assertion passed: the plane adds {plane_allocs:.2} allocations per \
+             request (<= {PLANE_ALLOCS_PER_REQ})"
+        );
     }
     handle.shutdown();
 }
@@ -473,18 +458,12 @@ fn main() {
         run_overhead();
         return;
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let window = Duration::from_millis(env_u64("IDBOX_BENCH_WINDOW_MS", WINDOW_MS));
-    let warmup = (window / 4).max(Duration::from_millis(50));
-    let levels: Vec<usize> = std::env::var("IDBOX_BENCH_LEVELS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let cores = idbox_bench::host_cores();
+    let run = Window::from_env(WINDOW_MS);
+    let levels = idbox_bench::env_list("IDBOX_BENCH_LEVELS", &[1, 2, 4, 8]);
     let (handle, ca) = server();
     let addr = handle.addr();
-    let admin_creds = vec![ClientCredential::Globus(ca.issue(ADMIN))];
-    let mut admin = ChirpClient::connect(addr, &admin_creds).unwrap();
+    let mut admin = connect(addr, &ca, ADMIN);
     let mut rows = Vec::new();
     let mut single_rate = 0.0f64;
     let mut best_speedup = 0.0f64;
@@ -493,14 +472,14 @@ fn main() {
         // Untimed warm-up: connections, directories, and the dentry +
         // verdict caches are all hot before the clock starts, at every
         // level — so speedup_vs_1 compares warm against warm.
-        run_level(addr, &ca, n, warmup);
+        run_level(addr, &ca, n, run.warmup());
         // Snapshot the kernel's latency histograms and the cache
         // counters around the timed window: the diffs isolate this
         // level's dispatches.
         let level_start = handle.kernel().read().latency().snapshot();
         let (d_hits0, d_misses0) = handle.kernel().read().vfs().dentry_stats();
         let (v_hits0, v_misses0) = verdict_counts(&admin.metrics().unwrap());
-        let (reqs, elapsed) = run_level(addr, &ca, n, window);
+        let rate = run_level(addr, &ca, n, run.timed).rate;
         let level_end = handle.kernel().read().latency().snapshot();
         let (d_hits1, d_misses1) = handle.kernel().read().vfs().dentry_stats();
         let (v_hits1, v_misses1) = verdict_counts(&admin.metrics().unwrap());
@@ -509,7 +488,6 @@ fn main() {
         let p99 = w.overall_percentile(99.0).unwrap_or(0);
         let dentry_pct = hit_pct(d_hits1 - d_hits0, d_misses1 - d_misses0);
         let verdict_pct = hit_pct(v_hits1 - v_hits0, v_misses1 - v_misses0);
-        let rate = reqs as f64 / elapsed.as_secs_f64();
         if single_rate == 0.0 {
             single_rate = rate;
         }
@@ -538,10 +516,10 @@ fn main() {
         // scaling only when there are cores to run readers on.
         println!("note: only {cores} core(s) available; client scaling is core-bound");
     }
-    // Optional regression gate: with IDBOX_BENCH_ASSERT_SCALING set,
+    // Optional regression gate: with IDBOX_BENCH_ASSERT set,
     // require multi-client throughput to actually scale. Skipped — not
     // weakened — on single-core hosts, where the ratio is meaningless.
-    if std::env::var("IDBOX_BENCH_ASSERT_SCALING").is_ok() {
+    if idbox_bench::gates_on() {
         if cores < 2 {
             println!("scaling assertion skipped: requires >= 2 cores, host has {cores}");
         } else {
@@ -555,13 +533,13 @@ fn main() {
     }
     idbox_bench::write_tsv(
         "server_throughput.tsv",
+        run.smoke,
         "clients\treqs_per_sec\tspeedup_vs_1\tp50_ns\tp99_ns\tdentry_hit_pct\tverdict_hit_pct\thost_cores",
         &rows,
     );
     // Snapshot the per-identity accounting the run produced.
     let exposition = admin.metrics().unwrap();
-    let path = idbox_bench::results_path("server_throughput_metrics.prom");
-    std::fs::write(&path, &exposition).unwrap();
+    let path = idbox_bench::write_text("server_throughput_metrics.prom", run.smoke, &exposition);
     let identities = exposition
         .lines()
         .filter(|l| l.starts_with("idbox_syscalls_total{"))
