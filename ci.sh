@@ -38,9 +38,11 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # Allocation budgets (a core-count-independent gate): a warm two-
 # component Vfs::stat allocates nothing, and a warm boxed stat stays
 # within its budget. Byte budgets for the durable path: snapshotting
-# 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB,
-# a snapshot whose file length claims 4 GiB costs no more, and booting
-# the same data from the log alone < 2 x data + 1 MiB. The inbound data
+# 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB
+# (frames stream through one reusable payload buffer), a snapshot whose
+# Write frame claims the 1 GiB frame limit costs no more before it is
+# refused, and booting the same data from the log alone (the same
+# streamed reader) < data + 2 MiB. The inbound data
 # plane: a boxed put_file of a 1 MiB buffer allocates < 16 KiB (the file
 # adopts the buffer as its chunks; the guest-memory write_file_mode path
 # takes ~1.2 x data), and so does the same put on a durable group-commit
@@ -87,11 +89,14 @@ cargo test -q -p idbox-kernel --release concurrent_syscalls_across_shards_do_not
 # adopts: whole and short tail windows, overwrites, and truncates that
 # copy kept windows out).
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test wal_props
-# Snapshot streaming: the streamed snapshot file must be byte-identical
-# to the whole-blob reference encoder on random namespaces, and the
-# 4 GiB length limit must refuse (and purge nothing) at the boundary,
-# pinned seed. The round-trip, isolation and damaged-file properties
-# run in wal_props above.
+# Snapshots, a compacted log segment: the streamed snapshot file must
+# be byte-identical to frames built one at a time by the record encoder
+# on random namespaces (hard links, symlinks, chunk-boundary lengths,
+# account blobs) and boot back alone; a failed install and a frame over
+# the 1 GiB limit must purge no segment; a snapshot in the older
+# fixed-width format must fail the boot. Pinned seed. The round-trip,
+# isolation and damaged-file properties (every truncation, every frame
+# and record length flipped) run in wal_props above.
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --lib snapshot
 # Bench harness units: the smoke/full output-path choice, the window
 # override and warm-up floor, and comma-list parsing.
@@ -148,9 +153,10 @@ IDBOX_BENCH_WINDOW_MS=150 IDBOX_DATAPLANE_SIZES=4096,1048576,16777216 \
   cargo run --release -q -p idbox-bench --bin dataplane
 # Observability overhead smoke (~2 s): the on-vs-off A/B must run end
 # to end and write BENCH_overhead.tsv. The gate counts allocations, so
-# it runs on every host: the enabled plane may add at most 16
-# allocations per request over the disabled one (median of three
-# windows a side). One more String per flight-recorder span fails it.
+# it runs on every host: the enabled plane may add at most 1
+# allocation per request over the disabled one (median of three
+# windows a side); it reads 0, since span names are borrowed. One more
+# String per flight-recorder span fails it.
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin server_throughput -- --overhead
 # Doc drift gate: every IDBOX_* environment variable the code reads

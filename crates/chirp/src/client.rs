@@ -407,7 +407,7 @@ impl ChirpClient {
                     // joined to the server planes by the trace id.
                     idbox_obs::flight::record_span(
                         "client",
-                        line.split(' ').next().unwrap_or("rpc"),
+                        codec::verb_name(line.split(' ').next().unwrap_or("rpc")),
                         None,
                         Some(trace),
                         start_ns,
@@ -1053,7 +1053,7 @@ impl<'a> Pipeline<'a> {
             for op in &ops {
                 idbox_obs::flight::record_span(
                     "client",
-                    op.line.split(' ').next().unwrap_or("rpc"),
+                    codec::verb_name(op.line.split(' ').next().unwrap_or("rpc")),
                     None,
                     Some(op.trace),
                     start_ns,

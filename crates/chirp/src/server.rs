@@ -77,16 +77,15 @@ pub struct ServerConfig {
     /// cannot hang the embedding process (or CI) forever.
     pub drain_deadline: Duration,
     /// Event-loop worker threads multiplexing connections. `0` (the
-    /// default) resolves from `IDBOX_EVENT_LOOPS`, falling back to the
-    /// host's parallelism clamped to [2, 8]. At least two workers run
-    /// even on one core, so a long-running dispatch (a slow `exec`)
-    /// never blocks every other connection.
+    /// default) means the host's parallelism clamped to [2, 8]. At
+    /// least two workers run even on one core, so a long-running
+    /// dispatch (a slow `exec`) never blocks every other connection.
     pub event_loops: usize,
     /// Soft watchdog budget for one event-loop readiness cycle. A
     /// worker whose cycle (readiness → dispatch → flush) exceeds the
     /// budget bumps its stall counter and emits a rate-limited
-    /// `loop-stall` audit row. `None` (the default) resolves from
-    /// `IDBOX_LOOP_STALL_MS` (unset or 0 disables the watchdog).
+    /// `loop-stall` audit row. `None` (the default) or zero disables
+    /// the watchdog.
     pub loop_stall: Option<Duration>,
     /// Ablation switch for the zero-copy data plane: when set, `get`
     /// and `pread` fall back to the copying read path (flat buffer
@@ -95,28 +94,26 @@ pub struct ServerConfig {
     /// guest-memory write path (payload copied into the guest image and
     /// through the I/O channel in 64 KiB writes), so both halves of the
     /// data plane can be A/B benchmarked against the copying behaviour.
-    /// `false` (the default) also consults `IDBOX_DATAPLANE_COPY` (set
-    /// to 1 to force the copying path at startup).
+    /// `false` (the default) keeps the zero-copy paths.
     pub copy_data_plane: bool,
-    /// Directory for the write-ahead log. When set (or when
-    /// `IDBOX_WAL_DIR` names a directory), every namespace and account
-    /// mutation is logged to disk and replayed on the next boot, so the
-    /// export space survives a restart or crash. `None` with the env
-    /// unset (the in-memory default) keeps the kernel volatile.
+    /// Directory for the write-ahead log. When set, every namespace and
+    /// account mutation is logged to disk and replayed on the next
+    /// boot, so the export space survives a restart or crash. `None`
+    /// (the in-memory default) keeps the kernel volatile.
     pub wal_dir: Option<std::path::PathBuf>,
     /// Group-commit burst backstop: the flusher is woken early once
-    /// this many records are dirty (the `IDBOX_WAL_SYNC_MS` tick is the
+    /// this many records are dirty (the `wal_sync_ms` tick is the
     /// primary pacing). `Some(0)` = fsync every append (strictest).
-    /// `None` resolves from `IDBOX_WAL_SYNC_OPS`, default 65536.
+    /// `None` means 65536.
     pub wal_sync_ops: Option<u64>,
     /// Group-commit interval: a background flusher fsyncs dirty records
     /// at least this often, in milliseconds. Ignored when syncing every
-    /// op. `None` resolves from `IDBOX_WAL_SYNC_MS`, default 25.
+    /// op. `None` means 25.
     pub wal_sync_ms: Option<u64>,
     /// Auto-snapshot cadence: snapshot + truncate the log whenever this
     /// many records have accumulated since the last snapshot. `Some(0)`
     /// disables auto-snapshots (the `walsnap` RPC still works). `None`
-    /// resolves from `IDBOX_WAL_SNAPSHOT_OPS`, default 10000.
+    /// means 10000.
     pub wal_snapshot_ops: Option<u64>,
 }
 
@@ -153,68 +150,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Resolve the WAL directory: explicit config wins, then the
-/// `IDBOX_WAL_DIR` environment knob (unset or empty = durability off).
-fn resolve_wal_dir(configured: &Option<std::path::PathBuf>) -> Option<std::path::PathBuf> {
-    if configured.is_some() {
-        return configured.clone();
-    }
-    std::env::var("IDBOX_WAL_DIR")
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}
-
-/// Resolve a numeric WAL knob: explicit config wins, then the named
-/// environment variable, then the default. Zero is a meaningful value
-/// (sync-every-op / auto-snapshot off), not "unset".
-fn resolve_wal_knob(configured: Option<u64>, env: &str, default: u64) -> u64 {
-    if let Some(v) = configured {
-        return v;
-    }
-    std::env::var(env)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
-/// Resolve the data-plane ablation switch: explicit config wins, then
-/// the `IDBOX_DATAPLANE_COPY` environment knob (1 = copying path).
-fn resolve_copy_data_plane(configured: bool) -> bool {
-    configured
-        || std::env::var("IDBOX_DATAPLANE_COPY")
-            .ok()
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .is_some_and(|v| v != 0)
-}
-
-/// Resolve the stall-watchdog budget: explicit config wins, then the
-/// `IDBOX_LOOP_STALL_MS` environment knob; unset or 0 disables.
-fn resolve_loop_stall(configured: Option<Duration>) -> Option<Duration> {
-    if let Some(d) = configured {
-        return (d > Duration::ZERO).then_some(d);
-    }
-    std::env::var("IDBOX_LOOP_STALL_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
-/// Resolve the worker count: explicit config wins, then the
-/// `IDBOX_EVENT_LOOPS` environment knob, then host parallelism clamped
-/// to [2, 8].
+/// The worker count: `configured`, or when 0 the host's parallelism
+/// clamped to [2, 8].
 fn resolve_event_loops(configured: usize) -> usize {
     if configured > 0 {
         return configured;
-    }
-    if let Some(n) = std::env::var("IDBOX_EVENT_LOOPS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -267,19 +207,18 @@ impl ChirpServer {
     pub fn new(config: ServerConfig) -> SysResult<Self> {
         // Durable mode: boot the kernel from the WAL directory's
         // snapshot + log instead of from scratch.
-        let wal_dir = resolve_wal_dir(&config.wal_dir);
-        let (mut k, recovery) = match &wal_dir {
+        let (mut k, recovery) = match &config.wal_dir {
             Some(dir) => {
                 let mut wal_cfg = idbox_vfs::WalConfig::new(dir.clone());
-                wal_cfg.sync_ops = resolve_wal_knob(config.wal_sync_ops, "IDBOX_WAL_SYNC_OPS", 65536);
-                wal_cfg.sync_ms = resolve_wal_knob(config.wal_sync_ms, "IDBOX_WAL_SYNC_MS", 25);
+                wal_cfg.sync_ops = config.wal_sync_ops.unwrap_or(wal_cfg.sync_ops);
+                wal_cfg.sync_ms = config.wal_sync_ms.unwrap_or(wal_cfg.sync_ms);
                 let (k, report) = Kernel::with_durability(wal_cfg).map_err(|_| Errno::EIO)?;
                 (k, Some(report))
             }
             None => (Kernel::new(), None),
         };
-        let wal_snapshot_every = if wal_dir.is_some() {
-            resolve_wal_knob(config.wal_snapshot_ops, "IDBOX_WAL_SNAPSHOT_OPS", 10_000)
+        let wal_snapshot_every = if config.wal_dir.is_some() {
+            config.wal_snapshot_ops.unwrap_or(10_000)
         } else {
             0
         };
@@ -374,7 +313,7 @@ impl ChirpServer {
             inflight: Arc::clone(&inflight),
             busy_watermark: self.config.busy_watermark,
             max_inflight_per_identity: self.config.max_inflight_per_identity,
-            copy_data_plane: resolve_copy_data_plane(self.config.copy_data_plane),
+            copy_data_plane: self.config.copy_data_plane,
         };
         let lc = Arc::new(LoopCtx {
             ctl,
@@ -383,7 +322,7 @@ impl ChirpServer {
             sup_cred: self.sup_cred,
             io_timeout: self.config.io_timeout,
             conns: Arc::clone(&conns),
-            stall_budget: resolve_loop_stall(self.config.loop_stall),
+            stall_budget: self.config.loop_stall.filter(|d| !d.is_zero()),
         });
         let workers = eventloop::spawn_workers(n_workers, lc, Arc::clone(&stop))?;
         let wakers: Vec<WorkerHandle> = workers
@@ -779,7 +718,12 @@ pub(crate) fn announced_payload(words: &[String]) -> Result<Option<u64>, Errno> 
 
 /// Record one timed phase of the current request into the flight
 /// recorder, stamped with the session's identity and trace id.
-pub(crate) fn record_span(obs: &SessionObs, plane: &'static str, name: &str, dur: Duration) {
+pub(crate) fn record_span(
+    obs: &SessionObs,
+    plane: &'static str,
+    name: impl Into<std::borrow::Cow<'static, str>>,
+    dur: Duration,
+) {
     let dur_ns = dur.as_nanos().min(u128::from(u64::MAX)) as u64;
     idbox_obs::flight::record_span(
         plane,
@@ -1009,7 +953,7 @@ pub(crate) fn dispatch(
             }
             let t0 = std::time::Instant::now();
             let result = run_exec(ctx, &path, &args, programs);
-            record_span(obs, "exec", &path, t0.elapsed());
+            record_span(obs, "exec", path, t0.elapsed());
             Ok(Reply::Line(ok_num(result? as i64)))
         }
         // Observability RPCs: restricted to configured admin

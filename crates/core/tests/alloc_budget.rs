@@ -16,15 +16,19 @@
 //! memory rather than its call count:
 //!
 //! * Snapshotting a namespace holding 16 MiB of file data allocates
-//!   under 1 MiB: the cut shares file chunks and the writer streams them
-//!   through bounded buffers.
+//!   under 1 MiB: the cut shares file chunks and the writer frames them
+//!   by reference through a bounded batch.
 //! * Booting from that snapshot allocates under the file data plus
-//!   1 MiB: each file byte lands once, in its new chunk. A snapshot whose
-//!   file length field claims 4 GiB costs no more before it is refused.
+//!   1 MiB: frames stream through one reusable payload buffer, and each
+//!   file byte lands once, in its new chunk. A snapshot whose `Write`
+//!   frame claims the 1 GiB frame limit costs no more before it is
+//!   refused: the claim is checked against the bytes left in the file
+//!   before anything is allocated.
 //! * Booting the same data from the log alone (no snapshot) allocates
-//!   under twice the file data plus 1 MiB: the segment is read into
-//!   memory once, and each logged write is decoded in place and copied
-//!   once, into its chunk.
+//!   under the file data plus 2 MiB: the same reader streams the
+//!   segment, its payload buffer growing to the largest frame (one
+//!   1 MiB write), and each logged write is copied once, into its
+//!   chunk.
 //!
 //! And the inbound data plane's:
 //!
@@ -217,9 +221,9 @@ fn log_only_boot_copies_each_file_byte_once() {
     let vfs = opened.1.vfs.expect("the log restores the namespace");
     assert_eq!(vfs.namespace_fingerprint(), live);
     assert!(
-        boot_bytes < (2 * FILES + 1) * MIB,
+        boot_bytes < (FILES + 2) * MIB,
         "replaying {FILES} MiB of logged writes allocated {boot_bytes} bytes \
-         (budget 2 x data + 1 MiB)"
+         (budget data + 2 MiB)"
     );
     drop(vfs);
     drop(opened.0);
@@ -231,24 +235,31 @@ fn damaged_snapshot_length_allocates_only_what_is_present() {
     let (dir, k) = durable_kernel("damaged");
     k.wal_snapshot().unwrap();
     drop(k);
-    // The first data file's length field (1 MiB, little-endian) sits
-    // right before its tagged content; claim 4 GiB - 1 instead.
+    // Walk the frames to the first data file's first `Write` frame
+    // (its data starts with the tag) and make it claim the 1 GiB frame
+    // limit.
     let snap = dir.join("snapshot.bin");
     let mut bytes = std::fs::read(&snap).unwrap();
-    let mut field = (MIB as u32).to_le_bytes().to_vec();
-    field.extend_from_slice(b"FILE00");
-    let at = bytes
-        .windows(field.len())
-        .position(|w| w == field)
-        .expect("the first file's length field");
-    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let tagged = bytes
+        .windows(6)
+        .position(|w| w == b"FILE00")
+        .expect("the first file's data");
+    let mut frame = 8;
+    loop {
+        let len = u32::from_le_bytes(bytes[frame..frame + 4].try_into().unwrap()) as usize;
+        if frame + 8 + len > tagged {
+            break;
+        }
+        frame += 8 + len;
+    }
+    bytes[frame..frame + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
     std::fs::write(&snap, &bytes).unwrap();
     let (boot_bytes, opened) = bytes_in(|| Wal::open(WalConfig::new(&dir)));
     let err = opened.expect_err("a damaged snapshot must not boot");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(
         boot_bytes < (FILES + 1) * MIB,
-        "a 4 GiB length claim allocated {boot_bytes} bytes before refusal"
+        "a 1 GiB frame length claim allocated {boot_bytes} bytes before refusal"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -322,7 +322,7 @@ impl Supervisor {
 
     /// Record one phase span into the flight recorder, where both
     /// `tracedump` and the `slowops` duration filter read it.
-    fn observe_span(obs: &ObsHooks, plane: &'static str, name: &str, nanos: u64) {
+    fn observe_span(obs: &ObsHooks, plane: &'static str, name: &'static str, nanos: u64) {
         idbox_obs::flight::record_span(
             plane,
             name,

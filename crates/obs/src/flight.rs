@@ -26,6 +26,7 @@
 
 use crate::{now_unix_ns, TraceId};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
@@ -45,8 +46,13 @@ pub struct FlightEvent {
     /// Plane the event belongs to: `client`, `rpc`, `dispatch`,
     /// `policy`, `exec`, `shard`, `loop`, `shed`, `retry`, `fault`.
     pub plane: &'static str,
-    /// Event name within the plane (verb, syscall, `domain/shard`...).
-    pub name: String,
+    /// Event name within the plane: a verb, syscall, shed reason or
+    /// lock domain, borrowed from the program's fixed set; only an
+    /// `exec` path (or a verb no server knows) is owned.
+    pub name: Cow<'static, str>,
+    /// The shard a `shard`-plane event waited on; `tracedump` renders
+    /// the event as `name/shard`.
+    pub shard: Option<usize>,
     /// The identity the work was done for, on the request phases a
     /// session or boxed supervisor records (`rpc`, `exec`, `dispatch`,
     /// `policy`). Shared with the session, so stamping it is a
@@ -136,10 +142,12 @@ pub fn current_trace() -> Option<TraceId> {
     CURRENT.with(|c| TraceId::from_raw(c.get()))
 }
 
-fn push(ev: FlightEvent) {
+/// Append `ev` to this thread's ring, stamped with the ring's tid.
+fn push(mut ev: FlightEvent) {
     let budget = ring_budget_bytes();
     RING.with(|r| match r.buf.try_lock() {
         Some(mut g) => {
+            ev.tid = r.tid;
             g.bytes += ev.cost();
             g.events.push_back(ev);
             while g.bytes > budget {
@@ -156,10 +164,11 @@ fn push(ev: FlightEvent) {
 }
 
 /// Record a completed span on this thread, done for `identity` when
-/// one is known.
+/// one is known. A `&'static str` name is stored by reference, so
+/// recording copies no string.
 pub fn record_span(
     plane: &'static str,
-    name: &str,
+    name: impl Into<Cow<'static, str>>,
     identity: Option<&Arc<str>>,
     trace: Option<TraceId>,
     ts_ns: u64,
@@ -172,39 +181,47 @@ pub fn record_span(
         ts_ns,
         dur_ns,
         trace: trace.or_else(current_trace),
-        tid: RING.with(|r| r.tid),
+        tid: 0,
         plane,
-        name: name.to_string(),
+        name: name.into(),
+        shard: None,
         identity: identity.cloned(),
     });
 }
 
 /// Record an instant (zero-duration) event stamped "now".
-pub fn record_instant(plane: &'static str, name: &str, trace: Option<TraceId>) {
+pub fn record_instant(
+    plane: &'static str,
+    name: impl Into<Cow<'static, str>>,
+    trace: Option<TraceId>,
+) {
     record_span(plane, name, None, trace, now_unix_ns(), 0);
 }
 
 /// Install the shard-lock contention hook: every profiled lock
 /// acquisition made while a trace is parked on the acquiring thread
-/// becomes a `shard` plane event (`name = "domain/shard"`, duration =
-/// the contended wait, zero when uncontended). Idempotent.
+/// becomes a `shard` plane event (the lock's domain and shard number,
+/// read as `domain/shard`; duration = the contended wait, zero when
+/// uncontended). Idempotent.
 pub fn install_lock_hook() {
     parking_lot::set_contention_hook(Box::new(|domain, shard, wait_us| {
         if !recording() {
             return;
         }
-        if current_trace().is_none() {
+        let Some(trace) = current_trace() else {
             return;
-        }
+        };
         let wait_ns = wait_us.saturating_mul(1000);
-        record_span(
-            "shard",
-            &format!("{domain}/{shard}"),
-            None,
-            None,
-            now_unix_ns().saturating_sub(wait_ns),
-            wait_ns,
-        );
+        push(FlightEvent {
+            ts_ns: now_unix_ns().saturating_sub(wait_ns),
+            dur_ns: wait_ns,
+            trace: Some(trace),
+            tid: 0,
+            plane: "shard",
+            name: Cow::Borrowed(domain),
+            shard: Some(shard),
+            identity: None,
+        });
     }));
 }
 
@@ -270,6 +287,9 @@ pub fn render_chrome_trace(events: &[FlightEvent]) -> String {
         }
         out.push_str("{\"name\":\"");
         json_escape_into(&mut out, &e.name);
+        if let Some(shard) = e.shard {
+            out.push_str(&format!("/{shard}"));
+        }
         out.push_str("\",\"cat\":\"");
         json_escape_into(&mut out, e.plane);
         out.push_str("\",\"ph\":\"");
@@ -350,7 +370,7 @@ mod tests {
         assert!(budget > 0);
         let t0 = now_unix_ns();
         for i in 0..20_000 {
-            record_span("rpc", &format!("flood-{i}"), None, None, t0 + i, 1);
+            record_span("rpc", format!("flood-{i}"), None, None, t0 + i, 1);
         }
         for (_, _, bytes) in ring_usage() {
             assert!(bytes <= budget, "ring over budget: {bytes} > {budget}");
@@ -372,6 +392,7 @@ mod tests {
                 tid: 7,
                 plane: "rpc",
                 name: "sta\"t\\x".into(),
+                shard: None,
                 identity: Some(Arc::from("fred")),
             },
             FlightEvent {
@@ -381,6 +402,17 @@ mod tests {
                 tid: 7,
                 plane: "shed",
                 name: "busy\nline".into(),
+                shard: None,
+                identity: None,
+            },
+            FlightEvent {
+                ts_ns: 5_000,
+                dur_ns: 1_000,
+                trace: None,
+                tid: 7,
+                plane: "shard",
+                name: "vfs".into(),
+                shard: Some(3),
                 identity: None,
             },
         ];
@@ -392,6 +424,7 @@ mod tests {
         assert!(json.contains("\"dur\":2.000"));
         assert!(json.contains("sta\\\"t\\\\x"));
         assert!(json.contains("busy\\nline"));
+        assert!(json.contains("{\"name\":\"vfs/3\",\"cat\":\"shard\""));
         assert!(json.contains("\"trace\":\"000000000000abcd\""));
         // The identity stays out of the trace-viewer schema.
         assert!(!json.contains("fred"));

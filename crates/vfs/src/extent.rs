@@ -246,26 +246,6 @@ impl FileContent {
         self.chunks.iter().map(ByteExtent::as_slice)
     }
 
-    /// Read a `len`-byte file from `r` straight into fresh chunks, one
-    /// chunk allocated per chunk read: a `len` that the stream cannot
-    /// back fails at the first short read having allocated at most one
-    /// chunk past the bytes actually present.
-    pub(crate) fn read_from(
-        chunk_size: usize,
-        len: usize,
-        r: &mut impl std::io::Read,
-    ) -> std::io::Result<FileContent> {
-        let mut f = FileContent::new(chunk_size);
-        while f.len < len {
-            let take = (len - f.len).min(f.chunk);
-            let mut chunk: Arc<[u8]> = std::iter::repeat_n(0u8, take).collect();
-            r.read_exact(Arc::get_mut(&mut chunk).expect("a fresh chunk is unshared"))?;
-            f.chunks.push(ByteExtent::whole(chunk));
-            f.len += take;
-        }
-        Ok(f)
-    }
-
     /// A file of `n` copies of one full chunk, sharing it: a many-GiB
     /// file for length-limit tests that costs one chunk of memory.
     #[cfg(test)]

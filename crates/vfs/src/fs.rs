@@ -53,7 +53,6 @@ use idbox_types::{Errno, SysResult};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -1753,7 +1752,6 @@ impl Vfs {
             .as_ref()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "no WAL attached"))?;
         let guards = self.shards.read_all();
-        let alloc = self.alloc.lock();
         let watermark = wal.rotate().inspect_err(|_| wal.snapshot_failed())?;
         // Unlinked-but-pinned inodes are skipped — open handles do not
         // survive a restart, so the recovered namespace must not
@@ -1764,139 +1762,20 @@ impl Vfs {
             .filter(|(_, inode)| inode.nlink > 0)
             .map(|(ino, inode)| (*ino, inode.clone()))
             .collect();
-        let meta = [
-            self.root.0,
+        let (clock, change_gen) = (
             self.clock.load(Ordering::Relaxed),
             self.change_gen.load(Ordering::Relaxed),
-            alloc.next,
-        ];
-        drop(alloc);
+        );
         drop(guards);
         // Sorted for a deterministic file.
         inodes.sort_unstable_by_key(|(ino, _)| *ino);
         Ok(SnapshotCut {
             watermark,
-            meta,
+            root: self.root.0,
+            clock,
+            change_gen,
             inodes,
         })
-    }
-
-    /// Rebuild a filesystem from the namespace section of a snapshot
-    /// (see [`SnapshotCut`] for the layout), streamed from `r`. File
-    /// bytes are read straight into fresh chunks, one chunk at a time,
-    /// so a damaged length can cost at most the bytes actually present
-    /// plus one chunk — never an allocation of the claimed size. Any
-    /// decode failure is an error; the caller also checks that the
-    /// section was consumed exactly and the CRC matched before using
-    /// the result. Chunk sizes are not preserved: file contents are
-    /// rehydrated at the current default granularity, a performance
-    /// detail with no namespace-visible effect.
-    pub(crate) fn read_snapshot(r: &mut impl Read) -> std::io::Result<Vfs> {
-        let root = wal::get_u64(r)?;
-        let clock = wal::get_u64(r)?;
-        let change_gen = wal::get_u64(r)?;
-        let _alloc_next = wal::get_u64(r)?;
-        let count = wal::get_u64(r)?;
-        let vfs = Vfs::new();
-        // The constructor seeds a root inode; the snapshot carries the
-        // real one (same number, restored attributes).
-        vfs.shards
-            .write(vfs.shards.shard_of(root))
-            .remove(&root);
-        vfs.clock.store(clock, Ordering::Relaxed);
-        vfs.change_gen.store(change_gen, Ordering::Relaxed);
-        for _ in 0..count {
-            let ino = wal::get_u64(r)?;
-            let [tag] = wal::get::<1>(r)?;
-            let mode = u16::from_le_bytes(wal::get(r)?);
-            let uid = wal::get_u32(r)?;
-            let gid = wal::get_u32(r)?;
-            let nlink = wal::get_u32(r)?;
-            let atime = wal::get_u64(r)?;
-            let mtime = wal::get_u64(r)?;
-            let ctime = wal::get_u64(r)?;
-            let payload = match tag {
-                0 => {
-                    let len = wal::get_u32(r)? as usize;
-                    Payload::File(FileContent::read_from(vfs.chunk_size, len, r)?)
-                }
-                1 => {
-                    let n = wal::get_u64(r)?;
-                    let mut entries = BTreeMap::new();
-                    for _ in 0..n {
-                        let name = wal::get_string(r)?;
-                        entries.insert(name, Ino(wal::get_u64(r)?));
-                    }
-                    Payload::Dir(entries)
-                }
-                2 => Payload::Symlink(wal::get_string(r)?),
-                _ => return Err(wal::corrupt_snapshot()),
-            };
-            vfs.shards.write(vfs.shards.shard_of(ino)).insert(
-                ino,
-                Inode {
-                    payload,
-                    mode,
-                    uid,
-                    gid,
-                    nlink,
-                    pins: 0,
-                    atime,
-                    mtime,
-                    ctime,
-                },
-            );
-        }
-        Ok(vfs)
-    }
-
-    /// Today's blob encoder, kept as the oracle the streamed snapshot
-    /// file is compared against byte for byte: the namespace section
-    /// exactly as [`SnapshotCut::write_to`] must produce it, built in
-    /// one buffer under the shard locks.
-    #[cfg(test)]
-    pub(crate) fn snapshot_blob_oracle(&self) -> Vec<u8> {
-        let guards = self.shards.read_all();
-        let alloc = self.alloc.lock();
-        let mut blob = Vec::new();
-        wal::put_u64(&mut blob, self.root.0);
-        wal::put_u64(&mut blob, self.clock.load(Ordering::Relaxed));
-        wal::put_u64(&mut blob, self.change_gen.load(Ordering::Relaxed));
-        wal::put_u64(&mut blob, alloc.next);
-        let mut inodes: Vec<(u64, &Inode)> = guards
-            .iter()
-            .flat_map(|g| g.iter().map(|(k, v)| (*k, v)))
-            .filter(|(_, inode)| inode.nlink > 0)
-            .collect();
-        inodes.sort_by_key(|(ino, _)| *ino);
-        wal::put_u64(&mut blob, inodes.len() as u64);
-        for (ino, inode) in inodes {
-            wal::put_u64(&mut blob, ino);
-            match &inode.payload {
-                Payload::File(_) => blob.push(0),
-                Payload::Dir(_) => blob.push(1),
-                Payload::Symlink(_) => blob.push(2),
-            }
-            wal::put_u16(&mut blob, inode.mode);
-            wal::put_u32(&mut blob, inode.uid);
-            wal::put_u32(&mut blob, inode.gid);
-            wal::put_u32(&mut blob, inode.nlink);
-            wal::put_u64(&mut blob, inode.atime);
-            wal::put_u64(&mut blob, inode.mtime);
-            wal::put_u64(&mut blob, inode.ctime);
-            match &inode.payload {
-                Payload::File(f) => wal::put_bytes(&mut blob, &f.to_vec()),
-                Payload::Dir(e) => {
-                    wal::put_u64(&mut blob, e.len() as u64);
-                    for (name, child) in e {
-                        wal::put_str(&mut blob, name);
-                        wal::put_u64(&mut blob, child.0);
-                    }
-                }
-                Payload::Symlink(t) => wal::put_str(&mut blob, t),
-            }
-        }
-        blob
     }
 
     /// Redo one logged mutation during replay. Records are *physical*:
@@ -1906,7 +1785,10 @@ impl Vfs {
     /// installed. A record naming an inode that no longer exists is
     /// skipped silently: the only way that happens is a write to an
     /// unlinked-but-pinned file, which was already invisible in the
-    /// namespace the log describes.
+    /// namespace the log describes. A snapshot's records rebuild the
+    /// namespace the same way: an `Inode` image (replacing the root the
+    /// constructor seeded), its `Entry` records and `Write`s, then the
+    /// `Trailer`'s clock and change generation.
     pub(crate) fn apply_record(&self, rec: WalRecordRef<'_>) {
         match rec {
             WalRecordRef::Create {
@@ -2138,6 +2020,52 @@ impl Vfs {
                     inode.ctime = now;
                 }
             }
+            WalRecordRef::Inode {
+                ino,
+                kind,
+                mode,
+                uid,
+                gid,
+                nlink,
+                atime,
+                mtime,
+                ctime,
+                target,
+            } => {
+                let payload = match kind {
+                    FileKind::File => Payload::File(FileContent::new(self.chunk_size)),
+                    FileKind::Dir => Payload::Dir(BTreeMap::new()),
+                    FileKind::Symlink => Payload::Symlink(target.to_string()),
+                };
+                let inode = Inode {
+                    payload,
+                    mode,
+                    uid,
+                    gid,
+                    nlink,
+                    pins: 0,
+                    atime,
+                    mtime,
+                    ctime,
+                };
+                self.shards.write(self.shards.shard_of(ino)).insert(ino, inode);
+            }
+            WalRecordRef::Entry { dir, name, ino } => {
+                let mut g = self.shards.write(self.shards.shard_of(dir));
+                if let Some(Inode {
+                    payload: Payload::Dir(entries),
+                    ..
+                }) = g.get_mut(&dir)
+                {
+                    entries.insert(name.to_string(), Ino(ino));
+                }
+            }
+            WalRecordRef::Trailer {
+                clock, change_gen, ..
+            } => {
+                self.clock.store(clock, Ordering::Relaxed);
+                self.change_gen.store(change_gen, Ordering::Relaxed);
+            }
             // Account records are interpreted by the kernel crate, not
             // the filesystem.
             WalRecordRef::AccountAdd { .. } | WalRecordRef::AccountRemove { .. } => {}
@@ -2274,7 +2202,8 @@ impl Vfs {
 }
 
 /// The logical timestamp a record carries (`None` for account records,
-/// which do not touch the filesystem clock).
+/// which do not touch the filesystem clock, and for a snapshot's
+/// images, whose trailer sets it).
 fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
     match rec {
         WalRecordRef::Create { now, .. }
@@ -2288,7 +2217,11 @@ fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
         | WalRecordRef::Truncate { now, .. }
         | WalRecordRef::Chmod { now, .. }
         | WalRecordRef::Chown { now, .. } => Some(now),
-        WalRecordRef::AccountAdd { .. } | WalRecordRef::AccountRemove { .. } => None,
+        WalRecordRef::AccountAdd { .. }
+        | WalRecordRef::AccountRemove { .. }
+        | WalRecordRef::Inode { .. }
+        | WalRecordRef::Entry { .. }
+        | WalRecordRef::Trailer { .. } => None,
     }
 }
 
@@ -2297,110 +2230,22 @@ fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
 ///
 /// Holds every live inode by value except file bytes, which stay
 /// shared `Arc` chunks — so a cut costs metadata, not data, and holding
-/// one never doubles the namespace. The encoded namespace section (the
-/// snapshot format's `vfs` part, unchanged since it was introduced) is,
-/// all integers little-endian:
-///
-/// ```text
-/// root u64 | clock u64 | change_gen u64 | alloc_next u64 | count u64
-/// count × { ino u64 | tag u8 (0 file, 1 dir, 2 symlink) | mode u16
-///           | uid u32 | gid u32 | nlink u32 | atime u64 | mtime u64
-///           | ctime u64 | payload }
-/// file:    len u32 | bytes
-/// dir:     n u64 | n × { name_len u32 | name | child u64 }
-/// symlink: len u32 | target
-/// ```
+/// one never doubles the namespace.
 #[derive(Debug)]
 pub struct SnapshotCut {
     watermark: u64,
-    /// `root`, `clock`, `change_gen`, `alloc_next`, in encoding order.
-    meta: [u64; 4],
+    pub(crate) root: u64,
+    pub(crate) clock: u64,
+    pub(crate) change_gen: u64,
     /// Live inodes, ascending by number.
     pub(crate) inodes: Vec<(u64, Inode)>,
 }
-
-/// Fixed bytes per inode record: number, tag, mode, uid, gid, nlink and
-/// three timestamps.
-const SNAP_INODE_FIXED: u64 = 8 + 1 + 2 + 4 + 4 + 4 + 8 + 8 + 8;
 
 impl SnapshotCut {
     /// The first LSN *not* covered by this cut: boot replays records
     /// from here on top of the snapshot.
     pub fn watermark(&self) -> u64 {
         self.watermark
-    }
-
-    /// Length of the encoded namespace section, computed without
-    /// encoding it (so an oversized snapshot is refused before any
-    /// byte is written).
-    pub(crate) fn encoded_len(&self) -> u64 {
-        let payload = |p: &Payload| match p {
-            Payload::File(f) => 4 + f.len() as u64,
-            Payload::Dir(e) => 8 + e.keys().map(|n| 4 + n.len() as u64 + 8).sum::<u64>(),
-            Payload::Symlink(t) => 4 + t.len() as u64,
-        };
-        let inodes: u64 = self
-            .inodes
-            .iter()
-            .map(|(_, i)| SNAP_INODE_FIXED + payload(&i.payload))
-            .sum();
-        5 * 8 + inodes
-    }
-
-    /// Stream the namespace section into `w`. Metadata is staged in a
-    /// small reused buffer; file chunks go to `w` directly, so no file
-    /// byte is copied on its way to the writer. Lengths are written as
-    /// `u32`: the caller must have refused a cut whose
-    /// [`encoded_len`](Self::encoded_len) does not fit one.
-    pub(crate) fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        const FLUSH_AT: usize = 32 * 1024;
-        let mut buf = Vec::with_capacity(FLUSH_AT + 512);
-        for v in self.meta {
-            wal::put_u64(&mut buf, v);
-        }
-        wal::put_u64(&mut buf, self.inodes.len() as u64);
-        for (ino, inode) in &self.inodes {
-            wal::put_u64(&mut buf, *ino);
-            buf.push(match inode.payload {
-                Payload::File(_) => 0,
-                Payload::Dir(_) => 1,
-                Payload::Symlink(_) => 2,
-            });
-            wal::put_u16(&mut buf, inode.mode);
-            wal::put_u32(&mut buf, inode.uid);
-            wal::put_u32(&mut buf, inode.gid);
-            wal::put_u32(&mut buf, inode.nlink);
-            wal::put_u64(&mut buf, inode.atime);
-            wal::put_u64(&mut buf, inode.mtime);
-            wal::put_u64(&mut buf, inode.ctime);
-            match &inode.payload {
-                Payload::File(f) => {
-                    wal::put_u32(&mut buf, f.len() as u32);
-                    w.write_all(&buf)?;
-                    buf.clear();
-                    for chunk in f.chunks() {
-                        w.write_all(chunk)?;
-                    }
-                }
-                Payload::Dir(e) => {
-                    wal::put_u64(&mut buf, e.len() as u64);
-                    for (name, child) in e {
-                        wal::put_str(&mut buf, name);
-                        wal::put_u64(&mut buf, child.0);
-                        if buf.len() >= FLUSH_AT {
-                            w.write_all(&buf)?;
-                            buf.clear();
-                        }
-                    }
-                }
-                Payload::Symlink(t) => wal::put_str(&mut buf, t),
-            }
-            if buf.len() >= FLUSH_AT {
-                w.write_all(&buf)?;
-                buf.clear();
-            }
-        }
-        w.write_all(&buf)
     }
 }
 

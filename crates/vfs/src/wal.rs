@@ -31,8 +31,12 @@
 //!   locks (file contents as shared chunk references, no bytes copied),
 //!   rotates the log at an LSN watermark taken under those same locks,
 //!   then — locks released — streams the capture to disk and purges
-//!   segments older than the watermark. Boot streams the snapshot back
-//!   in, then replays the suffix (`lsn >= watermark`) on top.
+//!   segments older than the watermark. The snapshot file is a
+//!   compacted segment: the same magic and frames, carrying one
+//!   [`WalRecordRef::Inode`] per live inode, its directory entries and
+//!   file data, and a closing [`WalRecordRef::Trailer`]. Boot runs the
+//!   one streamed frame reader over the snapshot, then over the suffix
+//!   (`lsn >= watermark`); only the damage policy differs.
 //!
 //! Records are *physical redo* records: they carry the inode number the
 //! live operation assigned and the logical timestamp it ticked, so
@@ -51,20 +55,20 @@
 
 use crate::extent::ByteExtent;
 use crate::fs::{SnapshotCut, Vfs};
+use crate::inode::{FileKind, Payload};
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Magic prefix of a log segment file.
+/// Magic prefix of a log segment file, and of the snapshot file.
 const SEG_MAGIC: &[u8; 8] = b"IDBXWAL1";
-/// Magic prefix of a snapshot file.
-const SNAP_MAGIC: &[u8; 8] = b"IDBXSNP1";
 /// Upper bound accepted for one framed record (a frame claiming more is
-/// treated as torn/corrupt, not allocated).
+/// treated as corrupt, not allocated; the snapshot writer refuses to
+/// write one).
 const MAX_FRAME: u32 = 1 << 30;
 /// The snapshot file name; segments are `wal-<start_lsn>.log`.
 const SNAP_NAME: &str = "snapshot.bin";
@@ -277,6 +281,53 @@ pub enum WalRecordRef<'a> {
         /// The removed account's name.
         name: &'a str,
     },
+    /// A snapshot's image of one live inode, with an empty payload: the
+    /// directory's [`Entry`](WalRecordRef::Entry) records and the
+    /// file's `Write` records that follow fill it in.
+    Inode {
+        /// Inode number.
+        ino: u64,
+        /// File, directory or symlink.
+        kind: FileKind,
+        /// Permission bits.
+        mode: u16,
+        /// Owner uid.
+        uid: u32,
+        /// Owner gid.
+        gid: u32,
+        /// Hard link count.
+        nlink: u32,
+        /// Access time.
+        atime: u64,
+        /// Modification time.
+        mtime: u64,
+        /// Status-change time.
+        ctime: u64,
+        /// Symlink target (empty unless `kind` is a symlink).
+        target: &'a str,
+    },
+    /// A snapshot's directory entry: `name` in `dir` names `ino`.
+    Entry {
+        /// Directory inode.
+        dir: u64,
+        /// Entry name (`.` and `..` included).
+        name: &'a str,
+        /// The named inode.
+        ino: u64,
+    },
+    /// A snapshot's last record; a snapshot without it is incomplete.
+    Trailer {
+        /// The first LSN the snapshot does not cover.
+        watermark: u64,
+        /// The root directory's inode number.
+        root: u64,
+        /// The logical clock at the cut.
+        clock: u64,
+        /// The namespace change generation at the cut.
+        change_gen: u64,
+        /// The kernel's opaque account-database blob.
+        accounts: &'a [u8],
+    },
 }
 
 /// The `Write` record's tag, shared by [`WalRecordRef::encode`] and
@@ -299,6 +350,9 @@ impl WalRecordRef<'_> {
             WalRecordRef::Chown { .. } => 11,
             WalRecordRef::AccountAdd { .. } => 12,
             WalRecordRef::AccountRemove { .. } => 13,
+            WalRecordRef::Inode { .. } => 14,
+            WalRecordRef::Entry { .. } => 15,
+            WalRecordRef::Trailer { .. } => 16,
         }
     }
 
@@ -422,6 +476,46 @@ impl WalRecordRef<'_> {
             }
             WalRecordRef::AccountAdd { line } => put_vstr(out, line),
             WalRecordRef::AccountRemove { name } => put_vstr(out, name),
+            WalRecordRef::Inode {
+                ino,
+                kind,
+                mode,
+                uid,
+                gid,
+                nlink,
+                atime,
+                mtime,
+                ctime,
+                target,
+            } => {
+                put_vu64(out, ino);
+                out.push(match kind {
+                    FileKind::File => 0,
+                    FileKind::Dir => 1,
+                    FileKind::Symlink => 2,
+                });
+                for v in [mode.into(), uid.into(), gid.into(), nlink.into(), atime, mtime, ctime] {
+                    put_vu64(out, v);
+                }
+                put_vstr(out, target);
+            }
+            WalRecordRef::Entry { dir, name, ino } => {
+                put_vu64(out, dir);
+                put_vstr(out, name);
+                put_vu64(out, ino);
+            }
+            WalRecordRef::Trailer {
+                watermark,
+                root,
+                clock,
+                change_gen,
+                accounts,
+            } => {
+                for v in [watermark, root, clock, change_gen] {
+                    put_vu64(out, v);
+                }
+                put_vbytes(out, accounts);
+            }
         }
     }
 }
@@ -499,8 +593,8 @@ fn crc32_lane_shifts() -> &'static [[[u32; 256]; 4]; 2] {
     SHIFTS.get_or_init(|| [crc32_zeros_table(LANE_LONG), crc32_zeros_table(LANE_SHORT)])
 }
 
-/// CRC-32C of `data`, as used by the record frames and the snapshot
-/// trailer. The Castagnoli polynomial — the same choice ext4 and iSCSI
+/// CRC-32C of `data`, as used by the record frames of log segments and
+/// the snapshot. The Castagnoli polynomial — the same choice ext4 and iSCSI
 /// made — so the hot path can ride the SSE4.2 `crc32` instruction where
 /// the CPU has it; table-driven slicing-by-8 elsewhere. The WAL
 /// computes this once per namespace mutation under a shard write lock,
@@ -517,8 +611,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Continue a CRC-32C: `crc32_extend(crc32(a), b) == crc32(a ++ b)`,
-/// and `crc32_extend(0, b) == crc32(b)`. Lets a streamed snapshot fold
-/// its bytes in as they pass instead of holding them all at once.
+/// and `crc32_extend(0, b) == crc32(b)`. Lets a frame fold its owned
+/// bytes and the file chunks it borrows in where they lie, without
+/// copying them together.
 pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
@@ -607,27 +702,6 @@ fn crc32_sw(crc: u32, data: &[u8]) -> u32 {
 // Binary codec
 // ---------------------------------------------------------------------
 
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u32(out, v.len() as u32);
-    out.extend_from_slice(v);
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
-}
-
 /// LEB128 varint writer, the record codec's integer form (see
 /// [`Cursor::vu64`]).
 pub(crate) fn put_vu64(out: &mut Vec<u8>, mut v: u64) {
@@ -649,44 +723,6 @@ pub(crate) fn put_vbytes(out: &mut Vec<u8>, v: &[u8]) {
 
 pub(crate) fn put_vstr(out: &mut Vec<u8>, v: &str) {
     put_vbytes(out, v.as_bytes());
-}
-
-/// The error every undecodable snapshot surfaces as.
-pub(crate) fn corrupt_snapshot() -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt WAL snapshot")
-}
-
-/// Read exactly `N` bytes: the snapshot decoder's fixed-width field.
-pub(crate) fn get<const N: usize>(r: &mut impl Read) -> std::io::Result<[u8; N]> {
-    let mut b = [0u8; N];
-    r.read_exact(&mut b)?;
-    Ok(b)
-}
-
-pub(crate) fn get_u32(r: &mut impl Read) -> std::io::Result<u32> {
-    get(r).map(u32::from_le_bytes)
-}
-
-pub(crate) fn get_u64(r: &mut impl Read) -> std::io::Result<u64> {
-    get(r).map(u64::from_le_bytes)
-}
-
-/// A `u32`-length-prefixed byte string (the [`put_bytes`] form). The
-/// buffer grows only as bytes actually arrive, in steps of at most
-/// 64 KiB, so a damaged length cannot allocate its claimed size.
-pub(crate) fn get_bytes(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let n = get_u32(r)? as usize;
-    let mut v = Vec::new();
-    while v.len() < n {
-        let at = v.len();
-        v.resize(at + (n - at).min(64 * 1024), 0);
-        r.read_exact(&mut v[at..])?;
-    }
-    Ok(v)
-}
-
-pub(crate) fn get_string(r: &mut impl Read) -> std::io::Result<String> {
-    String::from_utf8(get_bytes(r)?).map_err(|_| corrupt_snapshot())
 }
 
 /// A bounds-checked little-endian reader over a byte slice; every `get`
@@ -866,6 +902,48 @@ impl<'a> WalRecordRef<'a> {
             },
             12 => WalRecordRef::AccountAdd { line: c.vstr()? },
             13 => WalRecordRef::AccountRemove { name: c.vstr()? },
+            14 => {
+                let ino = c.vu64()?;
+                let kind = match c.u8()? {
+                    0 => FileKind::File,
+                    1 => FileKind::Dir,
+                    2 => FileKind::Symlink,
+                    _ => return None,
+                };
+                let mode = u16::try_from(c.vu64()?).ok()?;
+                let uid = u32::try_from(c.vu64()?).ok()?;
+                let gid = u32::try_from(c.vu64()?).ok()?;
+                let nlink = u32::try_from(c.vu64()?).ok()?;
+                let (atime, mtime, ctime) = (c.vu64()?, c.vu64()?, c.vu64()?);
+                let target = c.vstr()?;
+                if kind != FileKind::Symlink && !target.is_empty() {
+                    return None;
+                }
+                WalRecordRef::Inode {
+                    ino,
+                    kind,
+                    mode,
+                    uid,
+                    gid,
+                    nlink,
+                    atime,
+                    mtime,
+                    ctime,
+                    target,
+                }
+            }
+            15 => WalRecordRef::Entry {
+                dir: c.vu64()?,
+                name: c.vstr()?,
+                ino: c.vu64()?,
+            },
+            16 => WalRecordRef::Trailer {
+                watermark: c.vu64()?,
+                root: c.vu64()?,
+                clock: c.vu64()?,
+                change_gen: c.vu64()?,
+                accounts: c.vbytes()?,
+            },
             _ => return None,
         };
         c.done().then_some(rec)
@@ -891,7 +969,7 @@ pub struct WalStats {
     /// Snapshots installed.
     pub snapshots: u64,
     /// Snapshot attempts that failed (log rotation, write, sync or
-    /// rename error, or a namespace too large for the format). The log
+    /// rename error, or a record over the frame limit). The log
     /// itself stays healthy; the previous snapshot and the full log
     /// suffix remain authoritative.
     pub snapshot_failures: u64,
@@ -1032,6 +1110,55 @@ impl Pending {
         self.splices.push((self.bytes.len(), chunk));
     }
 
+    /// Frame one record: `[len u32][crc u32]`, then `lsn` as a varint
+    /// and whatever `encode` appends. The header is reserved up front
+    /// and back-filled once the payload is in place, and the CRC folds
+    /// over spliced chunks where they lie. Returns the payload length.
+    /// A payload over [`MAX_FRAME`] gets no CRC: every reader refuses
+    /// the frame on its length alone.
+    fn frame(&mut self, lsn: u64, encode: impl FnOnce(&mut Pending)) -> usize {
+        let (start, first, before) = (self.bytes.len(), self.splices.len(), self.len());
+        self.bytes.extend_from_slice(&[0u8; 8]);
+        put_vu64(&mut self.bytes, lsn);
+        encode(self);
+        let payload_len = self.len() - before - 8;
+        let crc = if payload_len > MAX_FRAME as usize {
+            0
+        } else {
+            self.parts(start + 8, first).fold(0, crc32_extend)
+        };
+        self.bytes[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        self.bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        payload_len
+    }
+
+    /// Append the `Write` record of the `len` bytes at `off` of file
+    /// `ino`, given as extents each with whether it covers its whole
+    /// chunk: whole chunks are spliced by reference, partial ones
+    /// copied. The bytes are exactly those [`WalRecordRef::encode`]
+    /// gives for the same record.
+    fn put_write(
+        &mut self,
+        ino: u64,
+        off: u64,
+        len: usize,
+        data: impl Iterator<Item = (ByteExtent, bool)>,
+        now: u64,
+    ) {
+        self.bytes.push(WRITE_TAG);
+        put_vu64(&mut self.bytes, ino);
+        put_vu64(&mut self.bytes, off);
+        put_vu64(&mut self.bytes, len as u64);
+        for (part, whole) in data {
+            if whole {
+                self.splice(part);
+            } else {
+                self.bytes.extend_from_slice(part.as_slice());
+            }
+        }
+        put_vu64(&mut self.bytes, now);
+    }
+
     /// The stream from `bytes[from]` on, given that the splices from
     /// index `first` on are exactly those at or after `from`, in order.
     fn parts(&self, from: usize, first: usize) -> impl Iterator<Item = &[u8]> {
@@ -1162,12 +1289,11 @@ impl Wal {
         // A leftover `snapshot.tmp` is a snapshot that never committed;
         // the previous snapshot (or the full log) is still authoritative.
         let _ = fs::remove_file(cfg.dir.join("snapshot.tmp"));
-        let recovered = replay_dir(&cfg.dir)?;
+        let (recovered, next_lsn) = replay_dir(&cfg.dir)?;
         let report = recovered.report;
         // Appends resume in a fresh segment starting at the next LSN:
         // old segments stay as replayable prefixes (any garbage past
         // the last good record was truncated by `replay_dir`).
-        let next_lsn = report.next_lsn;
         let file = open_segment(&cfg.dir, next_lsn)?;
         sync_dir(&cfg.dir);
         let seg_bytes = file.metadata()?.len();
@@ -1189,7 +1315,7 @@ impl Wal {
             snapshots: AtomicU64::new(0),
             snapshot_failures: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            report: report.public,
+            report,
             flush_lock: Mutex::new(Pending::default()),
             flush_pending: AtomicBool::new(false),
             flusher_stop: Arc::new(AtomicBool::new(false)),
@@ -1197,15 +1323,7 @@ impl Wal {
             flusher_thread: std::sync::OnceLock::new(),
             cfg,
         };
-        Ok((
-            wal,
-            Recovered {
-                vfs: recovered.vfs,
-                accounts: recovered.accounts,
-                account_ops: recovered.account_ops,
-                report: report.public,
-            },
-        ))
+        Ok((wal, recovered))
     }
 
     /// Spawn the group-commit flusher thread against `self` (called by
@@ -1298,20 +1416,7 @@ impl Wal {
         data: impl Iterator<Item = (ByteExtent, bool)>,
         now: u64,
     ) {
-        self.append_frame(|out| {
-            out.bytes.push(WRITE_TAG);
-            put_vu64(&mut out.bytes, ino);
-            put_vu64(&mut out.bytes, off);
-            put_vu64(&mut out.bytes, len as u64);
-            for (part, whole) in data {
-                if whole {
-                    out.splice(part);
-                } else {
-                    out.bytes.extend_from_slice(part.as_slice());
-                }
-            }
-            put_vu64(&mut out.bytes, now);
-        });
+        self.append_frame(|out| out.put_write(ino, off, len, data, now));
     }
 
     /// Frame one record, which `encode` appends to the pending buffer
@@ -1324,22 +1429,11 @@ impl Wal {
         // Frame straight into the pending buffer — the hot path does
         // no file I/O and no allocation (steady-state); the flusher
         // (or the inline sync below) writes and fsyncs batches. The
-        // `[len][crc]` header is reserved up front and backfilled once
-        // the payload is encoded in place. The CRC folds over the
-        // spliced chunks here, under the shard lock, rather than in the
-        // flusher: a reply that waits on the flush for durability would
-        // wait on the CRC too.
+        // CRC folds over the spliced chunks here, under the shard lock,
+        // rather than in the flusher: a reply that waits on the flush
+        // for durability would wait on the CRC too.
         let i = &mut *inner;
-        let (start, first, before) = (i.buf.bytes.len(), i.buf.splices.len(), i.buf.len());
-        i.buf.bytes.extend_from_slice(&[0u8; 8]);
-        put_vu64(&mut i.buf.bytes, i.next_lsn);
-        encode(&mut i.buf);
-        let frame_len = i.buf.len() - before;
-        let crc = i.buf.parts(start + 8, first).fold(0, crc32_extend);
-        let payload_len = (frame_len - 8) as u32;
-        i.buf.bytes[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        i.buf.bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        let frame_len = frame_len as u64;
+        let frame_len = 8 + i.buf.frame(i.next_lsn, encode) as u64;
         i.next_lsn += 1;
         i.dirty += 1;
         i.seg_bytes += frame_len;
@@ -1496,12 +1590,14 @@ impl Wal {
     /// watermark (their records are all below it). Called by the kernel
     /// after [`Vfs::snapshot_cut`] captured the namespace.
     ///
-    /// The file is written in one pass through a bounded buffer, file
-    /// chunks straight from the cut, with the CRC folded in as the
-    /// bytes go and back-filled into the header with one seek. A
-    /// snapshot whose payload would not fit the format's `u32` length
-    /// is refused before anything is written, so the segments it would
-    /// have replaced are never purged. Any failure is counted in
+    /// The file is a compacted segment, written in one pass by the
+    /// framer log appends use: per live inode (ascending) an `Inode`
+    /// record, then a directory's `Entry` records or a file's `Write`
+    /// records, one per chunk, each chunk spliced by reference from the
+    /// cut; then a `Trailer` with the watermark, the namespace counters
+    /// and `accounts_blob`. A record over the frame limit is refused
+    /// before the rename, so the segments it would have replaced are
+    /// never purged. Any failure is counted in
     /// [`WalStats::snapshot_failures`] and leaves the previous snapshot
     /// and the log authoritative.
     pub fn install_snapshot(
@@ -1541,94 +1637,105 @@ impl Wal {
         &self,
         tmp: &Path,
         cut: &SnapshotCut,
-        accounts_blob: &[u8],
+        accounts: &[u8],
     ) -> std::io::Result<()> {
-        let vfs_len = cut.encoded_len();
-        let len = snapshot_payload_len(vfs_len, accounts_blob.len() as u64)?;
-        let mut w = CrcWriter {
-            inner: BufWriter::with_capacity(SNAP_BUF, File::create(tmp)?),
-            crc: 0,
-            written: 0,
+        let mut w = SnapshotWriter {
+            file: File::create(tmp)?,
+            out: Pending::default(),
+            lsn: 0,
         };
-        w.inner.write_all(SNAP_MAGIC)?;
-        w.inner.write_all(&len.to_le_bytes())?;
-        w.inner.write_all(&[0; 4])?; // CRC, back-filled below
-        w.write_all(&1u32.to_le_bytes())?; // version
-        w.write_all(&cut.watermark().to_le_bytes())?;
-        w.write_all(&(vfs_len as u32).to_le_bytes())?;
-        cut.write_to(&mut w)?;
-        w.write_all(&(accounts_blob.len() as u32).to_le_bytes())?;
-        w.write_all(accounts_blob)?;
-        if w.written != u64::from(len) {
-            // An encoder that disagrees with its own length would commit
-            // a snapshot the next boot rejects; refuse it here instead.
-            return Err(std::io::Error::other("snapshot encoder length mismatch"));
+        w.file.write_all(SEG_MAGIC)?;
+        for (ino, inode) in &cut.inodes {
+            let ino = *ino;
+            let (kind, target) = match &inode.payload {
+                Payload::Symlink(t) => (FileKind::Symlink, t.as_str()),
+                p => (p.kind(), ""),
+            };
+            w.record(WalRecordRef::Inode {
+                ino,
+                kind,
+                mode: inode.mode,
+                uid: inode.uid,
+                gid: inode.gid,
+                nlink: inode.nlink,
+                atime: inode.atime,
+                mtime: inode.mtime,
+                ctime: inode.ctime,
+                target,
+            })?;
+            match &inode.payload {
+                Payload::Dir(entries) => {
+                    for (name, child) in entries {
+                        w.record(WalRecordRef::Entry {
+                            dir: ino,
+                            name,
+                            ino: child.0,
+                        })?;
+                    }
+                }
+                Payload::File(f) => {
+                    let mut off = 0;
+                    for (chunk, _) in f.extent_iter(0, f.len()) {
+                        let len = chunk.len();
+                        let data = std::iter::once((chunk, true));
+                        w.frame(|out| out.put_write(ino, off, len, data, inode.mtime))?;
+                        off += len as u64;
+                    }
+                }
+                Payload::Symlink(_) => {}
+            }
         }
-        let crc = w.crc;
-        let mut f = w.inner.into_inner().map_err(|e| e.into_error())?;
-        f.seek(SeekFrom::Start(SNAP_MAGIC.len() as u64 + 4))?;
-        f.write_all(&crc.to_le_bytes())?;
-        f.sync_data()?;
+        w.record(WalRecordRef::Trailer {
+            watermark: cut.watermark(),
+            root: cut.root,
+            clock: cut.clock,
+            change_gen: cut.change_gen,
+            accounts,
+        })?;
+        w.flush()?;
+        w.file.sync_data()?;
         fs::rename(tmp, self.cfg.dir.join(SNAP_NAME))
     }
 }
 
-/// Buffer size for streaming a snapshot file in or out.
-const SNAP_BUF: usize = 64 * 1024;
+/// Buffer size for streaming a snapshot or segment file in or out.
+const IO_BUF: usize = 64 * 1024;
 
-/// The snapshot payload length (version, watermark, then the namespace
-/// and account sections, each `u32`-length-prefixed) as the header's
-/// `u32` — or an error when it does not fit. Every nested length (the
-/// namespace section, each file, each name) is no larger than the
-/// payload, so this one check keeps all of them from wrapping.
-fn snapshot_payload_len(vfs_len: u64, accounts_len: u64) -> std::io::Result<u32> {
-    let len = (4 + 8 + 4 + 4u64)
-        .checked_add(vfs_len)
-        .and_then(|n| n.checked_add(accounts_len));
-    len.and_then(|n| u32::try_from(n).ok()).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::FileTooLarge,
-            "namespace too large for a snapshot (payload over 4 GiB)",
-        )
-    })
+/// Streams a snapshot's frames into its file through a bounded
+/// [`Pending`] batch, written out with vectored writes whenever it
+/// passes [`IO_BUF`]. Frames carry their index in the file as their
+/// LSN, so boot can tell a dropped, repeated or reordered frame.
+struct SnapshotWriter {
+    file: File,
+    out: Pending,
+    lsn: u64,
 }
 
-/// A writer that folds every byte it passes into a running CRC-32C.
-struct CrcWriter<W> {
-    inner: W,
-    crc: u32,
-    written: u64,
-}
+impl SnapshotWriter {
+    fn record(&mut self, rec: WalRecordRef<'_>) -> std::io::Result<()> {
+        self.frame(|out| rec.encode(&mut out.bytes))
+    }
 
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc = crc32_extend(self.crc, &buf[..n]);
-        self.written += n as u64;
-        Ok(n)
+    /// Frame one record, refusing one over [`MAX_FRAME`]: boot would
+    /// reject the file.
+    fn frame(&mut self, encode: impl FnOnce(&mut Pending)) -> std::io::Result<()> {
+        if self.out.frame(self.lsn, encode) > MAX_FRAME as usize {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::FileTooLarge,
+                "snapshot record over the frame limit",
+            ));
+        }
+        self.lsn += 1;
+        if self.out.len() >= IO_BUF {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// A reader over the snapshot payload: it yields at most the declared
-/// payload length and folds every byte it yields into a running
-/// CRC-32C, so the decoder can consume the file in one bounded pass.
-struct CrcReader<R> {
-    inner: R,
-    left: u64,
-    crc: u32,
-}
-
-impl<R: Read> Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let want = buf.len().min(usize::try_from(self.left).unwrap_or(usize::MAX));
-        let n = self.inner.read(&mut buf[..want])?;
-        self.crc = crc32_extend(self.crc, &buf[..n]);
-        self.left -= n as u64;
-        Ok(n)
+        self.out.write_to(&mut self.file, usize::MAX)?;
+        self.out.clear();
+        Ok(())
     }
 }
 
@@ -1650,98 +1757,175 @@ impl Drop for Wal {
 // Replay
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-struct ReplayOutcome {
-    public: RecoveryReport,
-    next_lsn: u64,
+/// What [`FrameReader::next`] found.
+enum Frame<'a> {
+    /// A whole, valid frame: its LSN and record.
+    Record(u64, WalRecordRef<'a>),
+    /// The clean end of the file.
+    End,
+    /// A frame cut short by EOF (header or payload incomplete) — the
+    /// shape a power cut mid-write leaves behind.
+    Torn,
+    /// A fully present frame that claims an implausible length, fails
+    /// its CRC or holds no decodable record: the bytes were durable and
+    /// are now wrong.
+    Corrupt,
 }
 
-impl std::ops::Deref for ReplayOutcome {
-    type Target = RecoveryReport;
-    fn deref(&self) -> &RecoveryReport {
-        &self.public
+/// The one reader of durable bytes: a segment or snapshot file's
+/// frames, streamed through a bounded buffer into one reusable payload
+/// buffer. A frame's declared length is checked against the bytes left
+/// in the file before anything is allocated for it, so a damaged
+/// length costs nothing.
+struct FrameReader {
+    r: BufReader<File>,
+    /// File offset of the next frame.
+    pos: u64,
+    /// File length.
+    len: u64,
+    payload: Vec<u8>,
+}
+
+impl FrameReader {
+    /// A reader past `path`'s magic; `None` when the file is too short
+    /// for one or holds another (a segment that never completed its
+    /// first write, or a file that is not a log).
+    fn open(path: &Path) -> std::io::Result<Option<FrameReader>> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut r = BufReader::with_capacity(IO_BUF, file);
+        let mut magic = [0u8; SEG_MAGIC.len()];
+        if len < magic.len() as u64 {
+            return Ok(None);
+        }
+        r.read_exact(&mut magic)?;
+        Ok((&magic == SEG_MAGIC).then(|| FrameReader {
+            r,
+            pos: magic.len() as u64,
+            len,
+            payload: Vec::new(),
+        }))
+    }
+
+    fn next(&mut self) -> std::io::Result<Frame<'_>> {
+        let left = self.len - self.pos;
+        if left == 0 {
+            return Ok(Frame::End);
+        }
+        if left < 8 {
+            return Ok(Frame::Torn);
+        }
+        let mut header = [0u8; 8];
+        self.r.read_exact(&mut header)?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        // Smallest legal payload: 1-byte LSN varint + tag + a 1-byte field.
+        if !(3..=MAX_FRAME).contains(&len) {
+            return Ok(Frame::Corrupt);
+        }
+        if u64::from(len) > left - 8 {
+            return Ok(Frame::Torn);
+        }
+        let len = len as usize;
+        if self.payload.len() < len {
+            self.payload = vec![0; len];
+        }
+        self.r.read_exact(&mut self.payload[..len])?;
+        let payload = &self.payload[..len];
+        if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+            return Ok(Frame::Corrupt);
+        }
+        self.pos += 8 + len as u64;
+        let mut c = Cursor::new(payload);
+        let rec = c
+            .vu64()
+            .and_then(|lsn| WalRecordRef::decode(&payload[c.consumed()..]).map(|r| (lsn, r)));
+        Ok(rec.map_or(Frame::Corrupt, |(lsn, rec)| Frame::Record(lsn, rec)))
     }
 }
 
-struct DirRecovery {
+/// What boot has restored so far.
+#[derive(Default)]
+struct Replay {
     vfs: Option<Vfs>,
     accounts: Option<Vec<u8>>,
     account_ops: Vec<AccountOp>,
-    report: ReplayOutcome,
+    report: RecoveryReport,
+    next_lsn: u64,
 }
 
-/// A restored `snapshot.bin`: `(watermark, namespace, accounts_blob)`.
-type SnapshotParts = (u64, Vfs, Vec<u8>);
-
-/// Restore `snapshot.bin` in one bounded pass: the header is checked,
-/// then the payload streams through a [`CrcReader`] limited to the
-/// declared length into the decoder, which builds the namespace
-/// directly. The namespace is returned only when the payload was
-/// consumed exactly and its CRC matches; on any mismatch, short read or
-/// decode failure the partly built namespace is dropped and the caller
-/// gets `InvalidData` — replay fails closed.
-fn read_snapshot(path: &Path) -> std::io::Result<Option<SnapshotParts>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    // Truncation and garbage both surface as a corrupt snapshot; a real
-    // I/O error keeps its own kind.
-    let bad = |e: std::io::Error| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::InvalidData => corrupt_snapshot(),
-        _ => e,
-    };
-    let mut r = BufReader::with_capacity(SNAP_BUF, file);
-    let head: [u8; 16] = get(&mut r).map_err(bad)?;
-    if &head[..8] != SNAP_MAGIC {
-        return Err(corrupt_snapshot());
-    }
-    let mut p = CrcReader {
-        inner: r,
-        left: u64::from(u32::from_le_bytes(head[8..12].try_into().unwrap())),
-        crc: 0,
-    };
-    let crc = u32::from_le_bytes(head[12..16].try_into().unwrap());
-    let parts = (|| {
-        if get_u32(&mut p)? != 1 {
-            return Err(corrupt_snapshot()); // unknown version
+impl Replay {
+    /// Apply the frames of `path`, the snapshot or a log segment, in
+    /// order. Returns where the file stops at a bad frame, if it does:
+    /// whether the frame is torn, and its offset.
+    fn file(&mut self, path: &Path, snapshot: bool) -> std::io::Result<Option<(bool, u64)>> {
+        let Some(mut frames) = FrameReader::open(path)? else {
+            return Ok(Some((true, 0)));
+        };
+        let mut seq = 0;
+        loop {
+            let at = frames.pos;
+            let (lsn, rec) = match frames.next()? {
+                Frame::Record(lsn, rec) => (lsn, rec),
+                Frame::End => return Ok(None),
+                Frame::Torn => return Ok(Some((true, at))),
+                Frame::Corrupt => return Ok(Some((false, at))),
+            };
+            if snapshot {
+                // Snapshot frames are numbered from 0, and nothing
+                // follows the trailer.
+                if lsn != seq || self.report.snapshot_loaded {
+                    return Ok(Some((false, at)));
+                }
+                seq += 1;
+            } else if lsn < self.report.watermark {
+                // Pre-watermark leftovers (crash between rotation and
+                // purge); the snapshot already covers them.
+                continue;
+            }
+            let v = self.vfs.get_or_insert_with(Vfs::new);
+            match rec {
+                WalRecordRef::AccountAdd { line } => {
+                    self.account_ops.push(AccountOp::Add(line.into()))
+                }
+                WalRecordRef::AccountRemove { name } => {
+                    self.account_ops.push(AccountOp::Remove(name.into()))
+                }
+                WalRecordRef::Trailer {
+                    watermark,
+                    root,
+                    accounts,
+                    ..
+                } => {
+                    if !snapshot || root != v.root().0 {
+                        return Ok(Some((false, at)));
+                    }
+                    v.apply_record(rec);
+                    self.report.snapshot_loaded = true;
+                    self.report.watermark = watermark;
+                    self.next_lsn = watermark;
+                    self.accounts = Some(accounts.to_vec());
+                }
+                other => v.apply_record(other),
+            }
+            self.report.restored = true;
+            if !snapshot {
+                self.report.replayed += 1;
+                self.next_lsn = lsn + 1;
+            }
         }
-        let watermark = get_u64(&mut p)?;
-        let vfs_len = get_u32(&mut p)?;
-        let mut section = (&mut p).take(u64::from(vfs_len));
-        let vfs = Vfs::read_snapshot(&mut section)?;
-        if section.limit() != 0 {
-            return Err(corrupt_snapshot());
-        }
-        let accounts = get_bytes(&mut p)?;
-        Ok((watermark, vfs, accounts))
-    })()
-    .map_err(bad)?;
-    if p.left != 0 || p.crc != crc {
-        return Err(corrupt_snapshot());
     }
-    Ok(Some(parts))
 }
 
-/// Restore everything durable in `dir`: snapshot first, then every log
-/// segment in LSN order, stopping at the first torn or corrupt frame
-/// (which is then truncated away so the on-disk state is a clean
-/// prefix).
-fn replay_dir(dir: &Path) -> std::io::Result<DirRecovery> {
-    let snap = read_snapshot(&dir.join(SNAP_NAME))?;
-    let mut report = RecoveryReport::default();
-    let mut accounts = None;
-    let mut vfs = match snap {
-        Some((watermark, v, accounts_blob)) => {
-            report.snapshot_loaded = true;
-            report.restored = true;
-            report.watermark = watermark;
-            accounts = Some(accounts_blob);
-            Some(v)
-        }
-        None => None,
-    };
+/// Restore everything durable in `dir` with one frame reader: the
+/// snapshot first, then every log segment in LSN order. Returns what
+/// was restored and the next LSN to assign. Only the damage policy
+/// differs. Any bad frame in the snapshot, a frame out of sequence or a
+/// missing trailer fails the boot with `InvalidData`: the snapshot
+/// replaced the log it compacted. A log segment stops at its first
+/// torn or corrupt frame, which is then truncated away (and every
+/// later segment dropped) so the on-disk state is a clean prefix.
+fn replay_dir(dir: &Path) -> std::io::Result<(Recovered, u64)> {
     let mut segs: Vec<(u64, PathBuf)> = Vec::new();
     for e in fs::read_dir(dir)? {
         let e = e?;
@@ -1750,133 +1934,48 @@ fn replay_dir(dir: &Path) -> std::io::Result<DirRecovery> {
         }
     }
     segs.sort();
-    let mut account_ops = Vec::new();
-    let mut next_lsn = report.watermark;
+    let mut r = Replay::default();
+    let snapshot = dir.join(SNAP_NAME);
+    if fs::exists(&snapshot)?
+        && (r.file(&snapshot, true)?.is_some() || !r.report.snapshot_loaded)
+    {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "corrupt WAL snapshot",
+        ));
+    }
     let mut stopped = false;
-    for (_, path) in &segs {
+    for (i, (_, path)) in segs.iter().enumerate() {
         if stopped {
             // Everything past a bad frame is untrusted; drop the whole
             // later segment so the next boot sees a clean prefix.
             let _ = fs::remove_file(path);
             continue;
         }
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let is_last_seg = path == &segs.last().expect("non-empty").1;
-        let mut pos = if bytes.len() >= 8 && &bytes[..8] == SEG_MAGIC {
-            8
-        } else {
-            // A segment without its magic never completed its first
-            // write; torn at byte 0 (corrupt when later segments exist).
-            if is_last_seg {
-                report.torn_tail = true;
+        if let Some((torn, at)) = r.file(path, false)? {
+            // An incomplete frame running to EOF is the normal crash
+            // shape in the final segment. The same shape inside an
+            // earlier segment means records were lost before later ones
+            // were written — corruption.
+            if torn && i + 1 == segs.len() {
+                r.report.torn_tail = true;
             } else {
-                report.corrupt_frame = true;
+                r.report.corrupt_frame = true;
             }
-            truncate_file(path, 0)?;
+            truncate_file(path, at)?;
             stopped = true;
-            continue;
-        };
-        while pos < bytes.len() {
-            let frame_end = match check_frame(&bytes, pos) {
-                FrameCheck::Ok(end) => end,
-                FrameCheck::Torn => {
-                    // An incomplete frame running to EOF: the normal
-                    // crash shape in the final segment. The same shape
-                    // inside a non-final segment means records were
-                    // lost before later ones were written — corruption.
-                    if is_last_seg {
-                        report.torn_tail = true;
-                    } else {
-                        report.corrupt_frame = true;
-                    }
-                    truncate_file(path, pos as u64)?;
-                    stopped = true;
-                    break;
-                }
-                FrameCheck::Corrupt => {
-                    report.corrupt_frame = true;
-                    truncate_file(path, pos as u64)?;
-                    stopped = true;
-                    break;
-                }
-            };
-            let payload = &bytes[pos + 8..frame_end];
-            let mut c = Cursor::new(payload);
-            let (lsn, rec) = match c
-                .vu64()
-                .and_then(|lsn| WalRecordRef::decode(&payload[c.consumed()..]).map(|r| (lsn, r)))
-            {
-                Some(x) => x,
-                None => {
-                    report.corrupt_frame = true;
-                    truncate_file(path, pos as u64)?;
-                    stopped = true;
-                    break;
-                }
-            };
-            pos = frame_end;
-            if lsn < report.watermark {
-                // Pre-watermark leftovers (crash between rotation and
-                // purge); the snapshot already covers them.
-                continue;
-            }
-            let v = vfs.get_or_insert_with(Vfs::new);
-            match rec {
-                WalRecordRef::AccountAdd { line } => account_ops.push(AccountOp::Add(line.into())),
-                WalRecordRef::AccountRemove { name } => {
-                    account_ops.push(AccountOp::Remove(name.into()))
-                }
-                other => v.apply_record(other),
-            }
-            report.replayed += 1;
-            report.restored = true;
-            next_lsn = lsn + 1;
         }
     }
-    if let Some(v) = &vfs {
+    if let Some(v) = &r.vfs {
         v.finish_recovery();
     }
-    Ok(DirRecovery {
-        vfs: if report.restored { vfs } else { None },
-        accounts,
-        account_ops,
-        report: ReplayOutcome {
-            public: report,
-            next_lsn,
-        },
-    })
-}
-
-enum FrameCheck {
-    /// A whole valid frame starts at `pos`; its end offset.
-    Ok(usize),
-    /// The frame is cut short by EOF (header or payload incomplete) —
-    /// the shape a power cut mid-write leaves behind.
-    Torn,
-    /// The frame is fully present but fails its CRC or claims an
-    /// implausible length: the bytes were durable and are now wrong.
-    Corrupt,
-}
-
-fn check_frame(bytes: &[u8], pos: usize) -> FrameCheck {
-    let Some(header) = bytes.get(pos..pos + 8) else {
-        return FrameCheck::Torn;
+    let recovered = Recovered {
+        vfs: r.vfs.filter(|_| r.report.restored),
+        accounts: r.accounts,
+        account_ops: r.account_ops,
+        report: r.report,
     };
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-    // Smallest legal payload: 1-byte LSN varint + tag + a 1-byte field.
-    if !(3..=MAX_FRAME).contains(&len) {
-        return FrameCheck::Corrupt;
-    }
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-        return FrameCheck::Torn;
-    };
-    if crc32(payload) == crc {
-        FrameCheck::Ok(pos + 8 + len as usize)
-    } else {
-        FrameCheck::Corrupt
-    }
+    Ok((recovered, r.next_lsn))
 }
 
 fn truncate_file(path: &Path, len: u64) -> std::io::Result<()> {
@@ -2186,10 +2285,7 @@ mod tests {
         let bytes = fs::read(&seg).unwrap();
         let mut pos = SEG_MAGIC.len();
         for _ in 0..3 {
-            match check_frame(&bytes, pos) {
-                FrameCheck::Ok(end) => pos = end,
-                _ => panic!("expected a valid frame at {pos}"),
-            }
+            pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         }
         let mut mutated = bytes.clone();
         mutated[pos + 12] ^= 0xFF; // inside the 4th frame's payload
@@ -2323,23 +2419,79 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Today's snapshot file framing around the oracle blob: the bytes
-    /// the streamed writer must reproduce exactly.
-    fn snapshot_file_oracle(watermark: u64, vfs_blob: &[u8], accounts_blob: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 1); // version
-        put_u64(&mut payload, watermark);
-        put_bytes(&mut payload, vfs_blob);
-        put_bytes(&mut payload, accounts_blob);
-        let mut file = SNAP_MAGIC.to_vec();
-        put_u32(&mut file, payload.len() as u32);
-        put_u32(&mut file, crc32(&payload));
-        file.extend_from_slice(&payload);
+    /// The snapshot file the streamed writer must produce for `cut`:
+    /// the segment magic, then one owned frame per record, each encoded
+    /// alone by [`WalRecordRef::encode`] and numbered from 0.
+    fn snapshot_file_oracle(cut: &SnapshotCut, accounts: &[u8]) -> Vec<u8> {
+        let mut records = Vec::new();
+        let mut push = |rec: WalRecordRef<'_>| {
+            let mut buf = Vec::new();
+            rec.encode(&mut buf);
+            records.push(buf);
+        };
+        for (ino, inode) in &cut.inodes {
+            let target = match &inode.payload {
+                Payload::Symlink(t) => t.as_str(),
+                _ => "",
+            };
+            push(WalRecordRef::Inode {
+                ino: *ino,
+                kind: inode.payload.kind(),
+                mode: inode.mode,
+                uid: inode.uid,
+                gid: inode.gid,
+                nlink: inode.nlink,
+                atime: inode.atime,
+                mtime: inode.mtime,
+                ctime: inode.ctime,
+                target,
+            });
+            match &inode.payload {
+                Payload::Dir(entries) => {
+                    for (name, child) in entries {
+                        push(WalRecordRef::Entry {
+                            dir: *ino,
+                            name,
+                            ino: child.0,
+                        });
+                    }
+                }
+                Payload::File(f) => {
+                    let mut off = 0;
+                    for data in f.chunks() {
+                        push(WalRecordRef::Write {
+                            ino: *ino,
+                            off,
+                            data,
+                            now: inode.mtime,
+                        });
+                        off += data.len() as u64;
+                    }
+                }
+                Payload::Symlink(_) => {}
+            }
+        }
+        push(WalRecordRef::Trailer {
+            watermark: cut.watermark(),
+            root: cut.root,
+            clock: cut.clock,
+            change_gen: cut.change_gen,
+            accounts,
+        });
+        let mut file = SEG_MAGIC.to_vec();
+        for (lsn, rec) in records.iter().enumerate() {
+            let mut payload = Vec::new();
+            put_vu64(&mut payload, lsn as u64);
+            payload.extend_from_slice(rec);
+            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            file.extend_from_slice(&crc32(&payload).to_le_bytes());
+            file.extend_from_slice(&payload);
+        }
         file
     }
 
     #[test]
-    fn streamed_snapshot_matches_the_blob_encoder() {
+    fn streamed_snapshot_matches_the_record_encoder() {
         proptest::run_cases(
             proptest::ProptestConfig::with_cases(16),
             "wal::streamed_snapshot_oracle",
@@ -2362,14 +2514,23 @@ mod tests {
                     }
                 }
                 let accounts = vec![b'a'; rng.below(100) as usize];
+                let live = vfs.namespace_fingerprint();
                 let cut = vfs.snapshot_cut().unwrap();
-                let blob = vfs.snapshot_blob_oracle();
-                let want = snapshot_file_oracle(cut.watermark(), &blob, &accounts);
-                // Header 16 bytes, version + watermark + two length prefixes 20.
-                assert_eq!(cut.encoded_len(), want.len() as u64 - 36 - accounts.len() as u64);
+                let want = snapshot_file_oracle(&cut, &accounts);
                 wal.install_snapshot(&cut, &accounts).unwrap();
                 let got = fs::read(dir.join(SNAP_NAME)).unwrap();
-                assert!(got == want, "streamed snapshot differs from the blob encoder");
+                assert!(got == want, "streamed snapshot differs from the record encoder");
+                // The file alone boots back to the namespace it was cut from.
+                drop(vfs);
+                drop(wal);
+                for e in fs::read_dir(&dir).unwrap().flatten() {
+                    if e.file_name() != SNAP_NAME {
+                        fs::remove_file(e.path()).unwrap();
+                    }
+                }
+                let rec = reopen(&dir);
+                assert_eq!(rec.accounts.as_deref(), Some(&accounts[..]));
+                assert_eq!(rec.vfs.unwrap().namespace_fingerprint(), live);
                 let _ = fs::remove_dir_all(&dir);
                 Ok(())
             },
@@ -2377,36 +2538,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_length_limit_is_the_u32_header() {
-        // Version, watermark and two length prefixes: 20 bytes of frame.
-        let max = u64::from(u32::MAX);
-        assert_eq!(snapshot_payload_len(max - 20, 0).unwrap(), u32::MAX);
-        assert_eq!(snapshot_payload_len(max - 30, 10).unwrap(), u32::MAX);
-        for (vfs_len, accounts_len) in [(max - 19, 0), (max - 20, 1), (u64::MAX, 1)] {
-            let e = snapshot_payload_len(vfs_len, accounts_len).unwrap_err();
-            assert_eq!(e.kind(), std::io::ErrorKind::FileTooLarge);
-        }
-    }
-
-    #[test]
-    fn oversized_snapshot_is_refused_and_purges_nothing() {
-        let dir = tmpdir("oversized");
+    fn failed_snapshot_install_purges_nothing() {
+        let dir = tmpdir("squatted");
         let (vfs, wal) = fresh(&dir);
         let fps = scripted_ops(&vfs);
+        // A directory squatting on the temporary name fails the install
+        // after the cut rotated the log.
+        fs::create_dir(dir.join("snapshot.tmp")).unwrap();
         let segs_before = fs::read_dir(&dir).unwrap().count();
-        let mut cut = vfs.snapshot_cut().unwrap();
-        // A 4 GiB file made of one shared 1 MiB chunk: its length alone
-        // overflows the format, at the cost of one chunk of memory.
-        let chunk: Arc<[u8]> = vec![7u8; 1 << 20].into();
-        let mut inode = cut.inodes[0].1.clone();
-        let huge = crate::extent::FileContent::repeated(chunk, 4096);
-        inode.payload = crate::inode::Payload::File(huge);
-        cut.inodes.push((u64::MAX, inode));
-        let e = wal.install_snapshot(&cut, b"").unwrap_err();
-        assert_eq!(e.kind(), std::io::ErrorKind::FileTooLarge);
+        let cut = vfs.snapshot_cut().unwrap();
+        assert!(wal.install_snapshot(&cut, b"").is_err());
         let stats = wal.stats();
         assert_eq!((stats.snapshots, stats.snapshot_failures), (0, 1));
-        assert!(!dir.join(SNAP_NAME).exists() && !dir.join("snapshot.tmp").exists());
+        assert!(!dir.join(SNAP_NAME).exists());
         // Rotation added a segment; none was purged.
         assert_eq!(fs::read_dir(&dir).unwrap().count(), segs_before + 1);
         drop(vfs);
@@ -2414,6 +2558,65 @@ mod tests {
         let rec = reopen(&dir);
         assert!(!rec.report.snapshot_loaded);
         assert_eq!(&rec.vfs.unwrap().namespace_fingerprint(), fps.last().unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_snapshot_frame_is_refused_and_purges_nothing() {
+        let dir = tmpdir("oversized");
+        let (vfs, wal) = fresh(&dir);
+        let fps = scripted_ops(&vfs);
+        let segs_before = fs::read_dir(&dir).unwrap().count();
+        let mut cut = vfs.snapshot_cut().unwrap();
+        // A file whose one chunk is a byte over the frame limit, so its
+        // `Write` record is too. Zeroed on allocation and never written,
+        // the chunk costs address space, not memory: the writer splices
+        // it without reading it.
+        let over = MAX_FRAME as usize + 1;
+        // SAFETY: zeroed bytes are valid `u8`s.
+        let chunk = unsafe { Arc::<[u8]>::new_zeroed_slice(over).assume_init() };
+        let mut inode = cut.inodes[0].1.clone();
+        let huge = crate::extent::FileContent::repeated(chunk, 1);
+        inode.payload = Payload::File(huge);
+        cut.inodes.push((u64::MAX, inode));
+        let e = wal.install_snapshot(&cut, b"").unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::FileTooLarge);
+        drop(cut);
+        let stats = wal.stats();
+        assert_eq!((stats.snapshots, stats.snapshot_failures), (0, 1));
+        assert!(!dir.join(SNAP_NAME).exists() && !dir.join("snapshot.tmp").exists());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), segs_before + 1);
+        drop(vfs);
+        drop(wal);
+        let rec = reopen(&dir);
+        assert!(!rec.report.snapshot_loaded);
+        assert_eq!(&rec.vfs.unwrap().namespace_fingerprint(), fps.last().unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_format_snapshot_fails_the_boot() {
+        let dir = tmpdir("oldformat");
+        let (vfs, wal) = fresh(&dir);
+        scripted_ops(&vfs);
+        drop(vfs);
+        drop(wal);
+        let seg = only_segment(&dir);
+        let log = fs::read(&seg).unwrap();
+        // An `IDBXSNP1` file as an older build wrote it: magic, payload
+        // length and CRC, version 1, watermark 0, then the namespace.
+        let mut old = b"IDBXSNP1".to_vec();
+        for field in [64u32, 0, 1] {
+            old.extend_from_slice(&field.to_le_bytes());
+        }
+        old.extend_from_slice(&[0; 60]);
+        fs::write(dir.join(SNAP_NAME), &old).unwrap();
+        let err = Wal::open(WalConfig::new(&dir)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Neither half-read nor passed over for the log: the boot stops
+        // before replay touches a segment.
+        assert_eq!(fs::read(&seg).unwrap(), log);
+        assert_eq!(fs::read(dir.join(SNAP_NAME)).unwrap(), old);
         let _ = fs::remove_dir_all(&dir);
     }
 

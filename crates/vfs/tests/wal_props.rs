@@ -17,11 +17,14 @@
 //! every legal recovery target.
 //!
 //! The snapshot properties check the same contract for the snapshot
-//! file: a round trip and a cut isolated from later writes preserve
-//! the namespace exactly, and any damage to the file fails the boot.
+//! file, a compacted segment: a round trip and a cut isolated from
+//! later writes preserve the namespace exactly, and any damage to the
+//! file (a truncation at any byte, a flipped frame or record length, a
+//! flipped bit) fails the boot.
 //!
 //! The codec properties check the record encoding itself: every record
-//! type round-trips through `WalRecordRef::encode`/`decode`, and every
+//! type, the snapshot's inode, entry and trailer records included,
+//! round-trips through `WalRecordRef::encode`/`decode`, and every
 //! strict prefix, one-byte extension, out-of-range integer, over-long
 //! varint, unknown tag or invalid UTF-8 string decodes to `None` —
 //! replay's signal to truncate the frame as corrupt.
@@ -39,7 +42,7 @@
 //! `ci.sh`) reproduces a failing case exactly.
 
 use idbox_vfs::wal::crc32;
-use idbox_vfs::{Cred, Ino, Vfs, Wal, WalConfig, WalRecordRef};
+use idbox_vfs::{Cred, FileKind, Ino, Vfs, Wal, WalConfig, WalRecordRef};
 use proptest::{run_cases, PropError, ProptestConfig, TestRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -486,31 +489,26 @@ fn snapshot_is_isolated_from_mutations_after_the_cut() {
     );
 }
 
-/// Byte offsets of the snapshot's length and count fields: the inode
-/// count, then every directory's entry count and every file's length
-/// (the layout is documented on `SnapshotCut`).
-fn snapshot_count_fields(bytes: &[u8]) -> Vec<usize> {
-    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap()) as usize;
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap()) as usize;
-    // Header 16, version 4, watermark 8, section length 4, then four
-    // u64 namespace fields before the inode count.
-    let count_at = 16 + 4 + 8 + 4 + 32;
-    let mut fields = vec![count_at];
-    let mut pos = count_at + 8;
-    for _ in 0..u64_at(count_at) {
-        let tag = bytes[pos + 8];
-        pos += 47;
+/// Byte offsets of the snapshot's length fields: every frame's `len`
+/// header, and the length prefix inside its record (of a `Write`'s
+/// data, an `Inode`'s symlink target, an `Entry`'s name, the
+/// `Trailer`'s accounts blob).
+fn snapshot_length_fields(bytes: &[u8]) -> Vec<usize> {
+    let varint = |at: usize| at + bytes[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    let varints = |at: usize, n: usize| (0..n).fold(at, |at, _| varint(at));
+    let mut fields = Vec::new();
+    let mut pos = 8;
+    while pos < bytes.len() {
         fields.push(pos);
-        match tag {
-            0 | 2 => pos += 4 + u32_at(pos),
-            _ => {
-                let n = u64_at(pos);
-                pos += 8;
-                for _ in 0..n {
-                    pos += 4 + u32_at(pos) + 8;
-                }
-            }
-        }
+        let tag_at = varint(pos + 8); // past the LSN
+        fields.push(match bytes[tag_at] {
+            8 => varints(tag_at + 1, 2),          // ino, off
+            14 => varints(varint(tag_at + 1) + 1, 7), // ino, kind, 7 integers
+            15 => varints(tag_at + 1, 1),         // dir
+            16 => varints(tag_at + 1, 4),         // watermark, root, clock, change_gen
+            tag => panic!("tag {tag} in a snapshot"),
+        });
+        pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     }
     fields
 }
@@ -530,43 +528,46 @@ fn damaged_snapshot_fails_closed() {
             drop(vfs);
             drop(wal);
             let good = std::fs::read(dir.join("snapshot.bin")).unwrap();
-            let fields = snapshot_count_fields(&good);
+            let alone = snapshot_only(&dir);
+            assert!(Wal::open(WalConfig::new(&alone)).unwrap().1.vfs.is_some());
+            std::fs::remove_dir_all(&alone).ok();
+            // Every damaged boot fails before it writes a byte, so they
+            // can share one directory.
+            let boot_dir = tmpdir("damaged-boot");
             let boot = |bytes: &[u8]| {
-                let d = tmpdir("damaged-boot");
-                std::fs::write(d.join("snapshot.bin"), bytes).unwrap();
-                let outcome = Wal::open(WalConfig::new(&d)).map(|(_, r)| r.vfs.is_some());
-                std::fs::remove_dir_all(&d).ok();
-                outcome
+                std::fs::write(boot_dir.join("snapshot.bin"), bytes).unwrap();
+                Wal::open(WalConfig::new(&boot_dir)).map(|(_, r)| r.vfs.is_some())
             };
-            assert!(boot(&good).unwrap(), "the undamaged snapshot boots");
             let mut damaged: Vec<Vec<u8>> = Vec::new();
             for _ in 0..16 {
-                damaged.push(good[..rng.below(good.len() as u64) as usize].to_vec());
                 let mut b = good.clone();
                 let at = rng.below(good.len() as u64) as usize;
                 b[at] ^= 1 << rng.below(8);
                 damaged.push(b);
             }
-            // Length and count fields: a claimed size far beyond the
-            // file (top byte) and one just off (low byte).
-            for &f in &fields {
-                let width = if f == fields[0] { 8 } else { 4 };
-                for at in [f, f + width - 1] {
+            // A frame length claiming far beyond the file (top byte) and
+            // one just off (low byte); a record length off in value, and
+            // in its varint's continuation bit.
+            for (i, &f) in snapshot_length_fields(&good).iter().enumerate() {
+                let flips = if i % 2 == 0 { [(f + 3, 0xFF), (f, 0xFF)] } else { [(f, 0x7F), (f, 0x80)] };
+                for (at, mask) in flips {
                     let mut b = good.clone();
-                    b[at] ^= 0xFF;
+                    b[at] ^= mask;
                     damaged.push(b);
                 }
             }
-            for b in &damaged {
-                if let Ok(restored) = boot(b) {
-                    std::fs::remove_dir_all(&dir).ok();
-                    return Err(PropError::fail(format!(
-                        "a damaged snapshot booted (restored a namespace: {restored})"
-                    )));
-                }
-            }
+            let truncations = (0..good.len()).map(|n| &good[..n]);
+            let outcome = damaged.iter().map(Vec::as_slice).chain(truncations).find_map(|b| {
+                boot(b).ok().map(|restored| {
+                    PropError::fail(format!(
+                        "a damaged snapshot of {} bytes booted (restored a namespace: {restored})",
+                        b.len()
+                    ))
+                })
+            });
+            std::fs::remove_dir_all(&boot_dir).ok();
             std::fs::remove_dir_all(&dir).ok();
-            Ok(())
+            outcome.map_or(Ok(()), Err)
         },
     );
 }
@@ -603,7 +604,7 @@ fn any_u16(rng: &mut TestRng) -> u16 {
     random_int(rng, u16::MAX.into()) as u16
 }
 
-/// A random record of `variant` (0..13, one per record type), borrowing
+/// A random record of `variant` (0..16, one per record type), borrowing
 /// its names from `text` and its bytes from `data`.
 fn random_record<'a>(
     rng: &mut TestRng,
@@ -692,7 +693,34 @@ fn random_record<'a>(
             now: any_u64(rng),
         },
         11 => WalRecordRef::AccountAdd { line: a },
-        _ => WalRecordRef::AccountRemove { name: a },
+        12 => WalRecordRef::AccountRemove { name: a },
+        13 => {
+            let kind = [FileKind::File, FileKind::Dir, FileKind::Symlink][rng.below(3) as usize];
+            WalRecordRef::Inode {
+                ino: any_u64(rng),
+                kind,
+                mode: any_u16(rng),
+                uid: any_u32(rng),
+                gid: any_u32(rng),
+                nlink: any_u32(rng),
+                atime: any_u64(rng),
+                mtime: any_u64(rng),
+                ctime: any_u64(rng),
+                target: if kind == FileKind::Symlink { b } else { "" },
+            }
+        }
+        14 => WalRecordRef::Entry {
+            dir: any_u64(rng),
+            name: a,
+            ino: any_u64(rng),
+        },
+        _ => WalRecordRef::Trailer {
+            watermark: any_u64(rng),
+            root: any_u64(rng),
+            clock: any_u64(rng),
+            change_gen: any_u64(rng),
+            accounts: data,
+        },
     }
 }
 
@@ -713,7 +741,7 @@ fn codec_round_trips_and_rejects_prefixes_and_extensions() {
                 0 => Vec::new(),
                 _ => (0..rng.below(300)).map(|_| rng.next_u64() as u8).collect(),
             };
-            for variant in 0..13 {
+            for variant in 0..16 {
                 let rec = random_record(rng, variant, &text, &data);
                 let buf = encoded(rec);
                 if WalRecordRef::decode(&buf) != Some(rec) {
@@ -783,7 +811,24 @@ fn codec_rejects_malformed_fields() {
     let account = WalRecordRef::AccountAdd {
         line: "NAME:x:1000:1000::/home/fred:/bin/sh",
     };
-    for rec in [create, symlink, account] {
+    let inode = |kind, target| WalRecordRef::Inode {
+        ino: 2,
+        kind,
+        mode: 0o644,
+        uid: 3,
+        gid: 4,
+        nlink: 1,
+        atime: 5,
+        mtime: 6,
+        ctime: 7,
+        target,
+    };
+    let entry = WalRecordRef::Entry {
+        dir: 1,
+        name: "NAME",
+        ino: 2,
+    };
+    for rec in [create, symlink, account, inode(FileKind::Symlink, "NAME"), entry] {
         let bad = splice(encoded(rec), b"NAME", BAD_UTF8);
         assert_eq!(WalRecordRef::decode(&bad), None, "invalid UTF-8 in {rec:?}");
     }
@@ -824,8 +869,21 @@ fn codec_rejects_malformed_fields() {
         None,
         "varint past 2^64"
     );
+    // An inode image's kind is one of three, and only a symlink's
+    // carries a target.
+    let file = encoded(inode(FileKind::File, ""));
+    let kind_at = 2; // tag, then the one-byte inode number
+    assert!(WalRecordRef::decode(&file).is_some());
+    for kind in [3, 255] {
+        let mut bad = file.clone();
+        bad[kind_at] = kind;
+        assert_eq!(WalRecordRef::decode(&bad), None, "inode kind {kind}");
+    }
+    let mut targeted = encoded(inode(FileKind::Symlink, "NAME"));
+    targeted[kind_at] = 0;
+    assert_eq!(WalRecordRef::decode(&targeted), None, "a file with a target");
     // Unknown tags, followed by bytes any known tag would accept.
-    for tag in [0, 14, 200, 255] {
+    for tag in [0, 17, 200, 255] {
         assert_eq!(WalRecordRef::decode(&[tag, 1, 1, 1]), None, "tag {tag}");
     }
     assert_eq!(WalRecordRef::decode(&[]), None);
@@ -841,7 +899,7 @@ fn codec_survives_random_bytes() {
             let mut bytes: Vec<u8> = (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect();
             if let Some(tag) = bytes.first_mut() {
                 if rng.below(4) != 0 {
-                    *tag = rng.in_range(1, 14) as u8;
+                    *tag = rng.in_range(1, 17) as u8;
                 }
             }
             // Whatever decodes must survive its own round trip.
