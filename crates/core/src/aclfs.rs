@@ -33,8 +33,7 @@ pub fn read_acl(vfs: &Vfs, dir: Ino, sup: &Cred) -> SysResult<Option<Acl>> {
         Err(Errno::ENOENT) => return Ok(None),
         Err(e) => return Err(e),
     };
-    let text = String::from_utf8(vfs.file_data(acl_ino)?.to_vec())
-        .map_err(|_| Errno::EIO)?;
+    let text = String::from_utf8(vfs.file_data(acl_ino)?).map_err(|_| Errno::EIO)?;
     // A malformed ACL file fails closed: treat as empty (deny everyone)
     // rather than falling back to Unix permissions.
     Ok(Some(Acl::parse(&text).unwrap_or_default()))

@@ -46,6 +46,15 @@
 //!   patches the copy in place; the put and the overwrite together stay
 //!   under the data plus one chunk plus 128 KiB, where copying the frame
 //!   cost the put alone about four times the data.
+//!
+//! And the read path's, where every read answers with the file's
+//! extents and only the guest buffer receives a copy:
+//!
+//! * A warm boxed 8 KiB `pread` allocates less than 8 KiB, and a 64 KiB
+//!   `read` at EOF less than 64 KiB: no read builds a buffer of its
+//!   length, let alone zero-fills one.
+//! * A finished read pins nothing: after a boxed read of a chunk the
+//!   file owns, a one-byte overwrite of it patches it in place.
 
 use idbox_core::IdentityBox;
 use idbox_interpose::{share, GuestCtx};
@@ -404,4 +413,74 @@ fn overwrite_of_a_borrowed_chunk_copies_only_that_chunk() {
     drop(sup);
     drop(b);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A boxed file of 1 MiB, put by its owner, open for reading and
+/// writing, with the read path warm: the guest's data area already
+/// holds a 64 KiB read.
+fn boxed_mib_file(ctx: &mut GuestCtx<'_>) -> i64 {
+    ctx.mkdir("in", 0o755).unwrap();
+    ctx.put_file("in/f", owned_mib(), 0o644).unwrap();
+    let fd = ctx.open("in/f", OpenFlags::rdwr(), 0).unwrap();
+    let mut warm = vec![0u8; 64 * 1024];
+    assert_eq!(ctx.pread(fd, &mut warm, 0), Ok(warm.len()));
+    fd
+}
+
+#[test]
+fn boxed_reads_allocate_less_than_their_length() {
+    let (b, pid) = fred_box();
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    let fd = boxed_mib_file(&mut ctx);
+    let mut buf = vec![0u8; 8192];
+    let (pread_bytes, r) = bytes_in(|| ctx.pread(fd, &mut buf, 4096));
+    assert_eq!(r, Ok(8192));
+    assert!(buf.iter().all(|&b| b == 7));
+    // A read at EOF returns nothing, so it has nothing to allocate.
+    let mut big = vec![0u8; 64 * 1024];
+    ctx.lseek(fd, 0, idbox_kernel::Whence::End).unwrap();
+    let (eof_bytes, r) = bytes_in(|| ctx.read(fd, &mut big));
+    assert_eq!(r, Ok(0));
+    eprintln!("boxed 8 KiB pread: {pread_bytes} B; 64 KiB read at EOF: {eof_bytes} B");
+    assert!(
+        pread_bytes < buf.len() as u64,
+        "warm boxed 8 KiB pread allocated {pread_bytes} bytes (budget < 8192)"
+    );
+    assert!(
+        eof_bytes < big.len() as u64,
+        "boxed 64 KiB read at EOF allocated {eof_bytes} bytes (budget < 65536)"
+    );
+}
+
+#[test]
+fn finished_read_pins_no_chunk_a_later_overwrite_must_copy() {
+    let (b, pid) = fred_box();
+    let chunk = b.kernel().read().vfs().chunk_size() as u64;
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    let fd = boxed_mib_file(&mut ctx);
+    let at = 3 * chunk + 17;
+    let mut buf = vec![0u8; 8192];
+    // The read borrows chunk 3, a window of the put's buffer; the
+    // overwrite after it copies that one chunk out of the buffer.
+    assert_eq!(ctx.pread(fd, &mut buf, 3 * chunk), Ok(8192));
+    let (first, r) = bytes_in(|| ctx.pwrite_owned(fd, Arc::from([9u8]), at));
+    assert_eq!(r, Ok(1));
+    // The chunk is now the file's own: once a read of it has finished,
+    // an overwrite patches it in place.
+    assert_eq!(ctx.pread(fd, &mut buf, 3 * chunk), Ok(8192));
+    assert_eq!(buf[17], 9);
+    let (second, r) = bytes_in(|| ctx.pwrite_owned(fd, Arc::from([8u8]), at + 1));
+    assert_eq!(r, Ok(1));
+    assert!(
+        first <= chunk + 4096,
+        "overwrite after a read allocated {first} bytes (budget one {chunk} B chunk + 4 KiB)"
+    );
+    assert!(
+        second <= 4096,
+        "overwrite after a finished read of its own chunk allocated {second} bytes \
+         (budget 4 KiB)"
+    );
+    ctx.close(fd).unwrap();
 }

@@ -46,16 +46,21 @@ impl IoChannel {
         }
     }
 
-    /// Supervisor side: copy `data` into the channel (copy #1 of the bulk
+    /// Supervisor side: copy consecutive `parts` (a read's extents, or
+    /// one buffer) into the channel as one transfer (copy #1 of the bulk
     /// path). Returns the in-channel offset (always 0: transfers are
     /// serialized per supervisor, like Parrot's per-child channel slots).
-    pub fn stage(&mut self, data: &[u8]) -> u64 {
-        if data.len() > self.buf.len() {
-            self.buf.resize(data.len(), 0);
+    pub fn stage<'p>(&mut self, parts: impl IntoIterator<Item = &'p [u8]>) -> u64 {
+        let mut n = 0;
+        for part in parts {
+            if n + part.len() > self.buf.len() {
+                self.buf.resize(n + part.len(), 0);
+            }
+            self.buf[n..n + part.len()].copy_from_slice(part);
+            n += part.len();
         }
-        self.buf[..data.len()].copy_from_slice(data);
-        self.staged = data.len();
-        self.total_bytes += data.len() as u64;
+        self.staged = n;
+        self.total_bytes += n as u64;
         self.transfers += 1;
         0
     }
@@ -72,7 +77,7 @@ impl IoChannel {
     /// Application side: copy outgoing data into the channel (the
     /// `pwrite` direction), making it visible to the supervisor.
     pub fn submit(&mut self, data: &[u8]) {
-        self.stage(data);
+        self.stage([data]);
     }
 
     /// Supervisor side: borrow the staged bytes (the supervisor maps the
@@ -99,7 +104,7 @@ mod tests {
     #[test]
     fn stage_then_fetch() {
         let mut ch = IoChannel::with_capacity(16);
-        ch.stage(b"hello world");
+        ch.stage([&b"hello world"[..]]);
         let mut out = [0u8; 11];
         assert_eq!(ch.fetch(&mut out), 11);
         assert_eq!(&out, b"hello world");
@@ -108,7 +113,7 @@ mod tests {
     #[test]
     fn fetch_respects_out_len() {
         let mut ch = IoChannel::with_capacity(16);
-        ch.stage(b"abcdef");
+        ch.stage([&b"abcdef"[..]]);
         let mut out = [0u8; 3];
         assert_eq!(ch.fetch(&mut out), 3);
         assert_eq!(&out, b"abc");
@@ -118,16 +123,24 @@ mod tests {
     fn grows_beyond_capacity() {
         let mut ch = IoChannel::with_capacity(4);
         let big = vec![7u8; 1000];
-        ch.stage(&big);
+        ch.stage([&big[..]]);
         let mut out = vec![0u8; 1000];
         assert_eq!(ch.fetch(&mut out), 1000);
         assert_eq!(out, big);
     }
 
     #[test]
+    fn parts_stage_as_one_transfer() {
+        let mut ch = IoChannel::with_capacity(4);
+        ch.stage([&b"hello "[..], b"world"]);
+        assert_eq!(ch.staged_bytes(), b"hello world");
+        assert_eq!((ch.total_bytes(), ch.transfers()), (11, 1));
+    }
+
+    #[test]
     fn counters_accumulate() {
         let mut ch = IoChannel::new();
-        ch.stage(b"xxxx");
+        ch.stage([&b"xxxx"[..]]);
         ch.submit(b"yy");
         assert_eq!(ch.total_bytes(), 6);
         assert_eq!(ch.transfers(), 2);

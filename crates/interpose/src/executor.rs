@@ -6,7 +6,7 @@ use crate::policy::{AllowAll, PolicyDecision, SyscallPolicy};
 use crate::trace::TraceSink;
 use crate::vm::{reg, TraceeVm};
 use crate::{SharedKernel, SMALL_IO_MAX};
-use idbox_kernel::{ExtentList, LatencyStats, OpenFlags, Pid, Signal, Syscall, SysRet};
+use idbox_kernel::{ByteExtent, ExtentList, LatencyStats, OpenFlags, Pid, Signal, Syscall, SysRet};
 use idbox_obs::{IdentityCounters, TraceCell};
 use idbox_types::{CostModel, Errno, SwitchEngine, SysResult, TrapCostReport};
 use idbox_vfs::Access;
@@ -51,6 +51,9 @@ enum OutSpec {
     None,
     /// A byte buffer (read, readdir, getcwd, readlink, get_user_name).
     Buf { addr: u64, cap: usize },
+    /// No guest buffer: the read's extents are parked supervisor-side
+    /// (`preadx`), and the guest sees only their length.
+    Park,
     /// An encoded stat record.
     Stat { addr: u64 },
     /// A wait status word.
@@ -83,10 +86,10 @@ pub struct Supervisor {
     /// attached them. All hooks are atomics bumped through `&self` —
     /// nothing here adds a lock to the dispatch path.
     obs: Option<ObsHooks>,
-    /// The last `preadx` reply's extents, parked out-of-band: extent
-    /// payloads never enter flat guest memory (that copy is the whole
-    /// thing being avoided), so `execute` stashes them here and the
-    /// embedding context collects them with [`Supervisor::take_extents`].
+    /// The last `preadx` reply's extents, parked out-of-band: they never
+    /// enter flat guest memory (that copy is the whole thing being
+    /// avoided), so `execute` stashes them here and the embedding
+    /// context collects them with [`Supervisor::take_extents`].
     pending_extents: Option<ExtentList>,
     /// A write payload parked by the embedding context for the next
     /// `pwritex`: the inbound mirror of `pending_extents`. The bytes
@@ -213,17 +216,17 @@ impl Supervisor {
         self.pending_payload = Some(data);
     }
 
-    /// Park an extent reply and translate it into the register-visible
-    /// result (`Num(total)`): extents never pass through `write_reply`,
-    /// whose catch-all would reject the unknown shape as `EPROTO`.
-    fn park_extents(&mut self, result: SysResult<SysRet>) -> SysResult<SysRet> {
-        match result {
-            Ok(SysRet::Extents(x)) => {
+    /// For a call whose reply is parked ([`OutSpec::Park`]), park the
+    /// extents and translate the reply into the register-visible result
+    /// (`Num(total)`). Every other reply passes through to `write_reply`.
+    fn park_extents(&mut self, result: SysResult<SysRet>, out: OutSpec) -> SysResult<SysRet> {
+        match (result, out) {
+            (Ok(SysRet::Extents(x)), OutSpec::Park) => {
                 let total = x.total as i64;
                 self.pending_extents = Some(x);
                 Ok(SysRet::Num(total))
             }
-            other => other,
+            (other, _) => other,
         }
     }
 
@@ -258,7 +261,7 @@ impl Supervisor {
         if let Some(trace) = &self.trace {
             trace.record(pid, &call, &result);
         }
-        let result = self.park_extents(result);
+        let result = self.park_extents(result, out);
         if let Err(e) = write_reply(vm, result, out, &mut DirectData) {
             vm.set_ret(e.as_ret());
         }
@@ -305,12 +308,7 @@ impl Supervisor {
         obs.counters.bump_syscall(call.slot());
         if let Ok(ret) = result {
             match (call, ret) {
-                (Syscall::Read(..) | Syscall::Pread(..), SysRet::Data(data)) => {
-                    obs.counters.add_bytes_read(data.len() as u64);
-                }
-                (Syscall::Preadx(..), SysRet::Extents(x)) => {
-                    obs.counters.add_bytes_read(x.total as u64);
-                }
+                (_, SysRet::Extents(x)) => obs.counters.add_bytes_read(x.total as u64),
                 (Syscall::Write(..) | Syscall::Pwrite(..), SysRet::Num(n)) if *n > 0 => {
                     obs.counters.add_bytes_written(*n as u64);
                 }
@@ -392,14 +390,16 @@ impl Supervisor {
         if let Some(trace) = &self.trace {
             trace.record(pid, &call, &result);
         }
-        // Extent replies stay supervisor-side: only the length crosses
+        // A parked read stays supervisor-side: only the length crosses
         // back into the guest — no pokes, no channel bytes. That *is*
         // the zero copy.
-        let result = self.park_extents(result);
+        let result = self.park_extents(result, out);
 
         // Step 6: the supervisor modifies the result into the child:
         // registers and small payloads by poke, bulk payloads through the
-        // I/O channel (the child is coerced into pulling them in).
+        // I/O channel (the child is coerced into pulling them in). The
+        // reply, and any extents a read borrowed, drop once it is written,
+        // so a finished read pins no chunk a later write must copy.
         let mut writer = ChannelOrPoke {
             engine: &mut self.engine,
             channel: &mut self.channel,
@@ -476,7 +476,15 @@ impl ArgReader for PeekOrChannel<'_> {
 
 /// How the supervisor writes reply bytes into the tracee.
 trait ReplyWriter {
-    fn write_bytes(&mut self, vm: &mut TraceeVm, addr: u64, data: &[u8]) -> SysResult<()>;
+    /// Write `total` bytes, given as consecutive `parts` (a read's
+    /// extents, or one text buffer), at `addr`.
+    fn write_bytes(
+        &mut self,
+        vm: &mut TraceeVm,
+        addr: u64,
+        total: usize,
+        parts: &mut dyn Iterator<Item = &[u8]>,
+    ) -> SysResult<()>;
 
     /// Write a word array (stat buffers, signal lists): always poke-sized.
     fn write_words(&mut self, vm: &mut TraceeVm, addr: u64, words: &[u64]) -> SysResult<()>;
@@ -486,8 +494,15 @@ trait ReplyWriter {
 struct DirectData;
 
 impl ReplyWriter for DirectData {
-    fn write_bytes(&mut self, vm: &mut TraceeVm, addr: u64, data: &[u8]) -> SysResult<()> {
-        vm.guest_write(addr, data)
+    fn write_bytes(
+        &mut self,
+        vm: &mut TraceeVm,
+        addr: u64,
+        total: usize,
+        parts: &mut dyn Iterator<Item = &[u8]>,
+    ) -> SysResult<()> {
+        copy_parts(vm.guest_slice_mut(addr, total)?, parts);
+        Ok(())
     }
 
     fn write_words(&mut self, vm: &mut TraceeVm, addr: u64, words: &[u64]) -> SysResult<()> {
@@ -505,11 +520,17 @@ struct ChannelOrPoke<'a> {
 }
 
 impl ReplyWriter for ChannelOrPoke<'_> {
-    fn write_bytes(&mut self, vm: &mut TraceeVm, addr: u64, data: &[u8]) -> SysResult<()> {
-        if data.len() <= SMALL_IO_MAX {
-            vm.poke_bytes(addr, data)?;
-            self.engine.count_pokes(data.len().div_ceil(8) as u64);
-            if !data.len().is_multiple_of(8) {
+    fn write_bytes(
+        &mut self,
+        vm: &mut TraceeVm,
+        addr: u64,
+        total: usize,
+        parts: &mut dyn Iterator<Item = &[u8]>,
+    ) -> SysResult<()> {
+        if total <= SMALL_IO_MAX {
+            copy_parts(vm.poke_span_mut(addr, total)?, parts);
+            self.engine.count_pokes(total.div_ceil(8) as u64);
+            if !total.is_multiple_of(8) {
                 // The trailing partial word is a read-modify-write,
                 // like real ptrace: one peek's worth of cost.
                 self.engine.count_peek();
@@ -518,12 +539,11 @@ impl ReplyWriter for ChannelOrPoke<'_> {
         } else {
             // Bulk: supervisor copies into the channel, then the child is
             // coerced into pulling it into its own buffer (copy #2).
-            self.channel.stage(data);
-            self.engine.count_channel(data.len() as u64);
-            let n = data.len();
-            let dst = vm.guest_slice_mut(addr, n)?;
+            self.channel.stage(parts);
+            self.engine.count_channel(total as u64);
+            let dst = vm.guest_slice_mut(addr, total)?;
             let copied = self.channel.fetch(dst);
-            debug_assert_eq!(copied, n);
+            debug_assert_eq!(copied, total);
             Ok(())
         }
     }
@@ -533,6 +553,16 @@ impl ReplyWriter for ChannelOrPoke<'_> {
         self.engine.count_pokes(words.len() as u64);
         Ok(())
     }
+}
+
+/// Copy consecutive `parts` into `dst`, which they fill exactly.
+fn copy_parts(dst: &mut [u8], parts: &mut dyn Iterator<Item = &[u8]>) {
+    let mut at = 0;
+    for part in parts {
+        dst[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    debug_assert_eq!(at, dst.len());
 }
 
 // ----------------------------------------------------------------------
@@ -587,7 +617,7 @@ fn decode_call(
         ),
         // Zero-copy read: the reply is held supervisor-side as borrowed
         // extents, so there is no output buffer to fill.
-        nr::PREADX => (Syscall::Preadx(a0 as usize, a1 as usize, a2), OutSpec::None),
+        nr::PREADX => (Syscall::Preadx(a0 as usize, a1 as usize, a2), OutSpec::Park),
         // One allocation per payload, the buffer a file appended to
         // adopts as its chunks.
         nr::WRITE => {
@@ -744,35 +774,22 @@ fn write_reply(
     let ret_val: i64 = match (ret, out) {
         (SysRet::Unit, _) => 0,
         (SysRet::Num(n), _) => n,
-        (SysRet::Data(data), OutSpec::Buf { addr, cap }) => {
-            if data.len() > cap {
+        // A read's extents are copied into the guest buffer here, and
+        // dropped with `ret` once written.
+        (SysRet::Extents(x), OutSpec::Buf { addr, cap }) => {
+            if x.total > cap {
                 return Err(Errno::EINVAL);
             }
-            writer.write_bytes(vm, addr, &data)?;
-            data.len() as i64
+            let mut parts = x.parts.iter().map(ByteExtent::as_slice);
+            writer.write_bytes(vm, addr, x.total, &mut parts)?;
+            x.total as i64
         }
-        (SysRet::Text(s), OutSpec::Buf { addr, cap }) => {
-            if s.len() > cap {
-                return Err(Errno::ERANGE);
-            }
-            writer.write_bytes(vm, addr, s.as_bytes())?;
-            s.len() as i64
-        }
+        (SysRet::Text(s), OutSpec::Buf { addr, cap }) => write_text(vm, writer, addr, cap, &s)?,
         (SysRet::Name(id), OutSpec::Buf { addr, cap }) => {
-            let s = id.as_str();
-            if s.len() > cap {
-                return Err(Errno::ERANGE);
-            }
-            writer.write_bytes(vm, addr, s.as_bytes())?;
-            s.len() as i64
+            write_text(vm, writer, addr, cap, id.as_str())?
         }
         (SysRet::Entries(entries), OutSpec::Buf { addr, cap }) => {
-            let text = abi::encode_entries(&entries);
-            if text.len() > cap {
-                return Err(Errno::ERANGE);
-            }
-            writer.write_bytes(vm, addr, text.as_bytes())?;
-            text.len() as i64
+            write_text(vm, writer, addr, cap, &abi::encode_entries(&entries))?
         }
         (SysRet::Stat(st), OutSpec::Stat { addr }) => {
             writer.write_words(vm, addr, &abi::encode_stat(&st))?;
@@ -799,4 +816,20 @@ fn write_reply(
     };
     vm.set_ret(ret_val);
     Ok(())
+}
+
+/// Write a text reply into a guest buffer of `cap` bytes; returns its
+/// length. Text that does not fit is `ERANGE`.
+fn write_text(
+    vm: &mut TraceeVm,
+    writer: &mut dyn ReplyWriter,
+    addr: u64,
+    cap: usize,
+    text: &str,
+) -> SysResult<i64> {
+    if text.len() > cap {
+        return Err(Errno::ERANGE);
+    }
+    writer.write_bytes(vm, addr, text.len(), &mut std::iter::once(text.as_bytes()))?;
+    Ok(text.len() as i64)
 }

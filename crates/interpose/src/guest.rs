@@ -725,6 +725,31 @@ mod tests {
     }
 
     #[test]
+    fn read_across_chunks_is_charged_as_one_buffer() {
+        let (mut sup, pid) = setup(true);
+        let mut ctx = GuestCtx::new(&mut sup, pid);
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i * 7) as u8).collect();
+        ctx.write_file("/tmp/x", &data).unwrap();
+        let fd = ctx.open("/tmp/x", OpenFlags::rdonly(), 0).unwrap();
+        // 203 bytes straddling the first 64 KiB chunk boundary: poked,
+        // 26 words plus one peek for the partial last word.
+        ctx.supervisor().reset_cost_report();
+        let mut small = [0u8; 203];
+        assert_eq!(ctx.pread(fd, &mut small, 65_436), Ok(203));
+        assert_eq!(&small[..], &data[65_436..65_639]);
+        let r = ctx.supervisor().cost_report();
+        assert_eq!((r.traps, r.pokes, r.peeks, r.channel_bytes), (1, 26, 1, 0));
+        // 70,000 bytes over two boundaries: one channel transfer.
+        ctx.supervisor().reset_cost_report();
+        let mut bulk = vec![0u8; 70_000];
+        assert_eq!(ctx.pread(fd, &mut bulk, 60_000), Ok(70_000));
+        assert_eq!(bulk, &data[60_000..130_000]);
+        let r = ctx.supervisor().cost_report();
+        assert_eq!((r.traps, r.pokes, r.channel_bytes), (1, 0, 70_000));
+        ctx.close(fd).unwrap();
+    }
+
+    #[test]
     fn extent_read_is_zero_copy_on_the_wire() {
         let (mut sup, pid) = setup(true);
         let mut ctx = GuestCtx::new(&mut sup, pid);

@@ -145,12 +145,19 @@ impl TraceeVm {
     /// partial word are preserved, matching the word loop's
     /// read-modify-write.
     pub fn poke_bytes(&mut self, addr: u64, data: &[u8]) -> SysResult<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        let a = self.word_span(addr, data.len())?;
-        self.mem[a..a + data.len()].copy_from_slice(data);
+        self.poke_span_mut(addr, data.len())?.copy_from_slice(data);
         Ok(())
+    }
+
+    /// Supervisor-side: the `len` bytes a ranged poke at `addr` writes,
+    /// with the bounds of [`TraceeVm::poke_bytes`], for a payload that
+    /// arrives in parts.
+    pub(crate) fn poke_span_mut(&mut self, addr: u64, len: usize) -> SysResult<&mut [u8]> {
+        if len == 0 {
+            return Ok(&mut []);
+        }
+        let a = self.word_span(addr, len)?;
+        Ok(&mut self.mem[a..a + len])
     }
 
     /// Supervisor-side: write a word array (stat records, signal lists)

@@ -65,22 +65,13 @@ use idbox_vfs::wal::{AccountOp, RecoveryReport, Wal, WalConfig, WalRecordRef};
 use idbox_vfs::{path as vpath, Access, Cred, ExtentList, FileKind, Ino, Vfs};
 use parking_lot::{ProfiledMutex, ProfiledRwLock, ShardSet};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The initial process (everything reparents to it).
 const INIT: Pid = Pid(1);
 
-/// Process-table shard count: `IDBOX_PROC_SHARDS` (clamped to 1..=1024),
-/// default 8. Read once per process.
-fn default_proc_shards() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("IDBOX_PROC_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(8, |n| n.clamp(1, 1024))
-    })
-}
+/// Process-table shard count of [`Kernel::new`].
+const DEFAULT_PROC_SHARDS: usize = 8;
 
 /// The pid allocator: a wrapping counter over `[2, max_pid]` plus a
 /// reservation set for pids handed out but not yet inserted into the
@@ -201,7 +192,7 @@ impl Kernel {
     /// `/home`, `/tmp`, `/root`, `/bin`), system accounts, an
     /// `/etc/passwd` file, and an init process (pid 1) running as root.
     pub fn new() -> Self {
-        Self::build(Vfs::new(), default_proc_shards())
+        Self::build(Vfs::new(), DEFAULT_PROC_SHARDS)
     }
 
     /// A kernel with an explicit shard count for both the vfs and the
@@ -253,7 +244,7 @@ impl Kernel {
                 }
                 // Resume logging on the restored namespace.
                 vfs.set_wal(Some(Arc::clone(&wal)));
-                Self::assemble(vfs, accounts, default_proc_shards())
+                Self::assemble(vfs, accounts, DEFAULT_PROC_SHARDS)
             }
             None => {
                 // First boot: arm the log *before* the standard layout
@@ -263,7 +254,7 @@ impl Kernel {
                 let mut vfs = Vfs::new();
                 vfs.set_wal(Some(Arc::clone(&wal)));
                 let accounts = Self::layout(&vfs);
-                Self::assemble(vfs, accounts, default_proc_shards())
+                Self::assemble(vfs, accounts, DEFAULT_PROC_SHARDS)
             }
         };
         wal.start_flusher();
@@ -682,8 +673,9 @@ impl Kernel {
             Open(p, flags, mode) => self.do_open(pid, p, *flags, *mode),
             Close(fd) => self.do_close(pid, *fd),
             Read(fd, len) => self.do_read(pid, *fd, *len, None),
-            Pread(fd, len, off) => self.do_read(pid, *fd, *len, Some(*off)),
-            Preadx(fd, len, off) => self.do_read_extents(pid, *fd, *len, *off),
+            Pread(fd, len, off) | Preadx(fd, len, off) => {
+                self.do_read(pid, *fd, *len, Some(*off))
+            }
             Write(fd, data) => self.do_write(pid, *fd, data, None),
             Pwrite(fd, data, off) => self.do_write(pid, *fd, data, Some(*off)),
             Lseek(fd, off, whence) => self.do_lseek(pid, *fd, *off, *whence),
@@ -991,6 +983,14 @@ impl Kernel {
         Ok(SysRet::Unit)
     }
 
+    /// `read`, `pread` and `preadx`: one read path, answering with
+    /// extents. A local file lends `Arc` clones of its chunks, so no
+    /// byte is copied under or after the shard lock; the caller decides
+    /// whether to copy them into a guest buffer or to park them. A
+    /// driver-backed file has no chunks to share, so its bytes come back
+    /// as one owned extent, and so do a pipe's drained bytes. A pipe is
+    /// unseekable: a positioned read of one is `ESPIPE`. Only `read`
+    /// (`at` is `None`) moves the fd offset.
     fn do_read(
         &self,
         pid: Pid,
@@ -1005,17 +1005,12 @@ impl Kernel {
             return Err(Errno::EBADF);
         }
         let off = at.unwrap_or(file.offset());
-        let data = match file.backing {
-            FileBacking::Local(ino) => {
-                let mut buf = vec![0u8; len];
-                let n = self.vfs.read_into(ino, off, &mut buf)?;
-                buf.truncate(n);
-                buf
-            }
+        let extents = match file.backing {
+            FileBacking::Local(ino) => self.vfs.file_extents(ino, off, len)?,
             FileBacking::Driver { mount, dfd } => {
                 let mut mounts = self.mounts.lock();
                 let d = mounts.driver_mut(mount).ok_or(Errno::EIO)?;
-                d.pread(dfd, len, off)?
+                ExtentList::single(d.pread(dfd, len, off)?)
             }
             FileBacking::Pipe { id, gen, end } => {
                 if end != PipeEnd::Read || at.is_some() {
@@ -1026,49 +1021,22 @@ impl Kernel {
                     Some(s) if s.gen == gen => s.buf.as_mut().ok_or(Errno::EBADF)?,
                     _ => return Err(Errno::EBADF),
                 };
-                if p.data.is_empty() {
-                    if p.writers == 0 {
-                        Vec::new() // EOF
-                    } else {
-                        return Err(Errno::EAGAIN); // nothing yet, writer alive
-                    }
-                } else {
-                    let n = len.min(p.data.len());
-                    p.data.drain(..n).collect()
+                if p.data.is_empty() && p.writers > 0 {
+                    return Err(Errno::EAGAIN); // nothing yet, writer alive
                 }
+                // Empty with no writer left is EOF: `n` is 0.
+                let n = len.min(p.data.len());
+                let bytes = Arc::<[u8]>::from(&p.data.make_contiguous()[..n]);
+                p.data.drain(..n);
+                ExtentList::single(bytes)
             }
         };
         if at.is_none() {
             self.with_proc(pid, |p| {
-                p.file(fd).map(|f| f.set_offset(off + data.len() as u64))
+                p.file(fd).map(|f| f.set_offset(off + extents.total as u64))
             })?
             .ok_or(Errno::EBADF)?;
         }
-        Ok(SysRet::Data(data))
-    }
-
-    /// `preadx`: the zero-copy read. Local files answer borrowed
-    /// `Arc` extents straight from the Vfs chunks — no byte is copied
-    /// under or after the shard lock. Driver-backed files have no
-    /// chunk structure to share, so their bytes come back as a single
-    /// owned extent; pipes are unseekable, so a positioned read is
-    /// `ESPIPE`. Always positioned: the fd offset never moves.
-    fn do_read_extents(&self, pid: Pid, fd: usize, len: usize, off: u64) -> SysResult<SysRet> {
-        let file = self
-            .with_proc(pid, |p| p.file(fd).cloned())?
-            .ok_or(Errno::EBADF)?;
-        if !file.flags.read {
-            return Err(Errno::EBADF);
-        }
-        let extents = match file.backing {
-            FileBacking::Local(ino) => self.vfs.file_extents(ino, off, len)?,
-            FileBacking::Driver { mount, dfd } => {
-                let mut mounts = self.mounts.lock();
-                let d = mounts.driver_mut(mount).ok_or(Errno::EIO)?;
-                ExtentList::single(d.pread(dfd, len, off)?)
-            }
-            FileBacking::Pipe { .. } => return Err(Errno::ESPIPE),
-        };
         Ok(SysRet::Extents(extents))
     }
 
@@ -2168,6 +2136,7 @@ mod tests {
             Err(Errno::ESPIPE)
         );
         assert_eq!(k.syscall(pid, Syscall::Pread(rfd, 1, 0)), Err(Errno::ESPIPE));
+        assert_eq!(k.syscall(pid, Syscall::Preadx(rfd, 1, 0)), Err(Errno::ESPIPE));
         // fstat reports the buffered byte count.
         k.syscall(pid, Syscall::Write(wfd, b"abc".to_vec().into())).unwrap();
         match k.syscall(pid, Syscall::Fstat(rfd)).unwrap() {

@@ -105,9 +105,9 @@ pub enum Syscall {
     /// Read one variable from the process's environment (simulated:
     /// the supervisor seeds the table, children inherit it on fork).
     Getenv(String),
-    /// Positioned read returning borrowed extents instead of copied
-    /// bytes (`fd`, `len`, `off`): the zero-copy data plane's read
-    /// primitive. Like `pread`, the fd offset does not move.
+    /// Positioned read (`fd`, `len`, `off`) whose extents the caller
+    /// parks instead of copying into a guest buffer: the zero-copy data
+    /// plane's read primitive. The kernel serves it exactly as `pread`.
     Preadx(usize, usize, u64),
 }
 
@@ -286,8 +286,6 @@ pub enum SysRet {
     Unit,
     /// A small integer (pid, fd, count, old umask, uid...).
     Num(i64),
-    /// Bytes read.
-    Data(Vec<u8>),
     /// A path or name (getcwd, readlink, get_user_name).
     Text(String),
     /// File metadata.
@@ -302,9 +300,9 @@ pub enum SysRet {
     PipeFds(usize, usize),
     /// The identity reported by `get_user_name`.
     Name(Identity),
-    /// Bytes read as borrowed extents (`preadx`): `Arc` clones of the
-    /// file's chunks, no copy made. Compares by content, so chunking
-    /// differences are invisible to equality-based tests.
+    /// Bytes read (`read`, `pread`, `preadx`): for a local file, `Arc`
+    /// clones of its chunks, no copy made. Compares by content, so
+    /// chunking differences are invisible to equality-based tests.
     Extents(ExtentList),
 }
 
@@ -317,11 +315,12 @@ impl SysRet {
         }
     }
 
-    /// Extract data; panics on mismatch (test helper).
-    pub fn data(&self) -> &[u8] {
+    /// Extract the bytes read, copied into one buffer; panics on
+    /// mismatch (test helper).
+    pub fn data(&self) -> Vec<u8> {
         match self {
-            SysRet::Data(d) => d,
-            other => panic!("expected Data, got {other:?}"),
+            SysRet::Extents(x) => x.to_vec(),
+            other => panic!("expected Extents, got {other:?}"),
         }
     }
 }
@@ -428,6 +427,6 @@ mod tests {
     #[test]
     fn sysret_helpers() {
         assert_eq!(SysRet::Num(5).num(), 5);
-        assert_eq!(SysRet::Data(vec![1, 2]).data(), &[1, 2]);
+        assert_eq!(SysRet::Extents(ExtentList::single(vec![1, 2])).data(), &[1, 2]);
     }
 }

@@ -198,7 +198,7 @@ impl<T> ShardSet<T> {
     /// Like [`ShardSet::from_fn`], but registered under `name` in the
     /// process-wide lock profile (see [`lock_snapshot`]): every
     /// acquisition is counted per shard and contended waits are
-    /// histogrammed, unless `IDBOX_LOCK_PROFILE=0`.
+    /// histogrammed, unless [`set_lock_profiling`] turned profiling off.
     pub fn from_fn_named(name: &'static str, n: usize, init: impl FnMut(usize) -> T) -> Self {
         let mut s = Self::from_fn(n, init);
         s.profile = Some(DomainProfile::register(name, s.shards.len()));

@@ -9,10 +9,9 @@
 //! fails (real contention) do we take an `Instant` pair around the
 //! blocking acquisition and bucket the wait.
 //!
-//! `IDBOX_LOCK_PROFILE=0` (or `false`/`off`) disables profiling at
-//! startup; [`set_lock_profiling`] toggles it at runtime (used by the
-//! bench overhead gate). Disabled means a single relaxed atomic load
-//! per acquisition and nothing else.
+//! Profiling is on from startup; [`set_lock_profiling`] toggles it at
+//! runtime (used by the bench overhead gate). Disabled means a single
+//! relaxed atomic load per acquisition and nothing else.
 //!
 //! This crate sits below `idbox-obs` in the dependency order, so
 //! rendering (Prometheus, flight-recorder joining) lives upstream:
@@ -30,24 +29,17 @@ use std::time::Instant;
 /// beyond) catches pathological stalls.
 pub const LOCK_WAIT_BUCKETS: usize = 22;
 
-fn flag() -> &'static AtomicBool {
-    static F: OnceLock<AtomicBool> = OnceLock::new();
-    F.get_or_init(|| {
-        let on = std::env::var("IDBOX_LOCK_PROFILE")
-            .map(|v| !matches!(v.trim(), "0" | "false" | "off"))
-            .unwrap_or(true);
-        AtomicBool::new(on)
-    })
-}
+/// Whether profiled locks record; on from startup.
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Whether lock profiling is currently recording.
 pub fn lock_profiling_enabled() -> bool {
-    flag().load(Relaxed)
+    ENABLED.load(Relaxed)
 }
 
-/// Runtime override of the `IDBOX_LOCK_PROFILE` startup default.
+/// Turn lock profiling on or off at run time (it starts on).
 pub fn set_lock_profiling(on: bool) {
-    flag().store(on, Relaxed);
+    ENABLED.store(on, Relaxed);
 }
 
 /// Callback invoked on every profiled acquisition: `(domain, shard,

@@ -7,7 +7,7 @@
 //! [`ByteExtent`] window of an [`Arc<[u8]>`] buffer: a buffer of its
 //! own, or a piece of a write payload the file adopted instead of
 //! copying it. Readers that want the bytes wholesale — the kernel's
-//! extent read path, the Chirp server's `get` — receive cheap `Arc`
+//! read path, the Chirp server's `get` — receive cheap `Arc`
 //! clones wrapped in [`ByteExtent`]s instead of a copy, so a 64 MB
 //! read costs a handful of pointer bumps under the shard lock rather
 //! than a 64 MB memcpy.
@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// exactly one chunk per wire write.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
-/// Bounds on configurable chunk sizes (see `IDBOX_VFS_CHUNK_KIB`).
+/// Bounds on configurable chunk sizes (see `Vfs::set_chunk_size`).
 pub const MIN_CHUNK_SIZE: usize = 512;
 /// Upper bound on configurable chunk sizes.
 pub const MAX_CHUNK_SIZE: usize = 16 * 1024 * 1024;
@@ -41,7 +41,7 @@ pub const MAX_CHUNK_SIZE: usize = 16 * 1024 * 1024;
 /// Cloning is O(1) (an `Arc` bump); the bytes themselves are immutable
 /// for the extent's lifetime even if the file is concurrently written
 /// (writers copy-on-write shared chunks instead of mutating them).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ByteExtent {
     data: Arc<[u8]>,
     start: usize,
@@ -56,11 +56,6 @@ impl ByteExtent {
     pub fn new(data: Arc<[u8]>, start: usize, end: usize) -> ByteExtent {
         assert!(start <= end && end <= data.len(), "extent window out of bounds");
         ByteExtent { data, start, end }
-    }
-
-    /// An extent owning the whole of `data`.
-    pub fn from_vec(data: Vec<u8>) -> ByteExtent {
-        ByteExtent::whole(data.into())
     }
 
     /// An extent covering all of `data`.
@@ -82,6 +77,13 @@ impl ByteExtent {
     /// True when the extent covers no bytes.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
+    }
+}
+
+/// Extents print the bytes they cover, not the buffer behind them.
+impl std::fmt::Debug for ByteExtent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 
@@ -112,16 +114,16 @@ impl ExtentList {
         ExtentList::default()
     }
 
-    /// A list with a single extent (used by driver-backed reads, which
-    /// have no chunk structure to share).
-    pub fn single(data: Vec<u8>) -> ExtentList {
-        let total = data.len();
-        if total == 0 {
+    /// A list with a single extent owning all of `data` (driver-backed
+    /// and pipe reads, which have no chunk structure to share).
+    pub fn single(data: impl Into<Arc<[u8]>>) -> ExtentList {
+        let data = data.into();
+        if data.is_empty() {
             return ExtentList::empty();
         }
         ExtentList {
-            total,
-            parts: vec![ByteExtent::from_vec(data)],
+            total: data.len(),
+            parts: vec![ByteExtent::whole(data)],
         }
     }
 
@@ -180,25 +182,6 @@ impl FileContent {
     /// Logical length in bytes.
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Copy up to `out.len()` bytes starting at `off` into `out`;
-    /// returns the count copied (0 at or past EOF).
-    pub(crate) fn read_into(&self, off: usize, out: &mut [u8]) -> usize {
-        if off >= self.len || out.is_empty() {
-            return 0;
-        }
-        let n = out.len().min(self.len - off);
-        let mut done = 0;
-        while done < n {
-            let pos = off + done;
-            let chunk = self.chunks[pos / self.chunk].as_slice();
-            let co = pos % self.chunk;
-            let take = (chunk.len() - co).min(n - done);
-            out[done..done + take].copy_from_slice(&chunk[co..co + take]);
-            done += take;
-        }
-        n
     }
 
     /// Borrow `[off, off+want)` (clamped to EOF) as cheap `Arc` clones
@@ -440,8 +423,8 @@ mod tests {
         assert_eq!(f.len(), 1500);
         assert_eq!(f.chunk_count(), 3);
         assert_eq!(f.to_vec(), data);
-        let mut buf = vec![0u8; 700];
-        assert_eq!(f.read_into(400, &mut buf), 700);
+        let buf = f.extents(400, 700).to_vec();
+        assert_eq!(buf.len(), 700);
         assert_eq!(&buf[..], &data[400..1100]);
     }
 

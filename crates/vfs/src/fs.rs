@@ -54,7 +54,7 @@ use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Credentials used for Unix permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,34 +123,8 @@ enum EntryStep<'p> {
 /// with it, so no per-shard map grows past its slice.
 const DENTRY_CACHE_CAP: usize = 8192;
 
-/// Default shard count, overridable via `IDBOX_VFS_SHARDS` (clamped to
-/// 1..=1024). Read once; every `Vfs::new` in the process sees the same
-/// value.
-fn default_shard_count() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("IDBOX_VFS_SHARDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map_or(16, |n| n.clamp(1, 1024))
-    })
-}
-
-/// Default file chunk size, overridable via `IDBOX_VFS_CHUNK_KIB`
-/// (clamped to 1..=16384 KiB). Read once; every `Vfs::new` in the
-/// process sees the same value. Tests and benches that need a
-/// different granularity use [`Vfs::set_chunk_size`] instead.
-fn default_chunk_size() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("IDBOX_VFS_CHUNK_KIB")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map_or(DEFAULT_CHUNK_SIZE, |kib| {
-                (kib * 1024).clamp(MIN_CHUNK_SIZE, MAX_CHUNK_SIZE)
-            })
-    })
-}
+/// Shard count of [`Vfs::new`]; [`Vfs::with_shards`] picks another.
+const DEFAULT_SHARDS: usize = 16;
 
 /// A bounded positive+negative directory-entry cache for one shard.
 ///
@@ -447,10 +421,9 @@ impl Clone for Vfs {
 
 impl Vfs {
     /// A fresh filesystem containing only a root directory owned by root
-    /// with mode `0o755`, with the default shard count (overridable via
-    /// the `IDBOX_VFS_SHARDS` environment variable).
+    /// with mode `0o755`, with 16 shards.
     pub fn new() -> Self {
-        Vfs::with_shards(default_shard_count())
+        Vfs::with_shards(DEFAULT_SHARDS)
     }
 
     /// A fresh filesystem with an explicit shard count (clamped to
@@ -474,7 +447,7 @@ impl Vfs {
             rename_lock: Mutex::new(()),
             dcache_enabled: true,
             fault_hook: None,
-            chunk_size: default_chunk_size(),
+            chunk_size: DEFAULT_CHUNK_SIZE,
             wal: None,
         };
         let mut entries = BTreeMap::new();
@@ -560,7 +533,7 @@ impl Vfs {
     }
 
     /// Install (or clear, with `None`) the errno-injection hook consulted
-    /// by data operations ([`Vfs::read_into`], [`Vfs::write_at`]).
+    /// by data operations ([`Vfs::file_extents`], [`Vfs::write_at`]).
     pub fn set_fault_hook(&mut self, hook: Option<FaultHook>) {
         self.fault_hook = hook;
     }
@@ -1006,26 +979,6 @@ impl Vfs {
         }
     }
 
-    /// Read up to `out.len()` bytes at `off`; returns bytes read (0 at or
-    /// past EOF).
-    ///
-    /// Reads are "noatime": they leave the inode untouched and take only
-    /// the target's shard read lock, so concurrent readers — and writers
-    /// in other shards — proceed in parallel.
-    pub fn read_into(&self, ino: Ino, off: u64, out: &mut [u8]) -> SysResult<usize> {
-        if let Some(hook) = &self.fault_hook {
-            hook.check("read", ino)?;
-        }
-        let g = self.shards.read(self.shards.shard_of(ino.0));
-        let inode = g.get(&ino.0).ok_or(Errno::ENOENT)?;
-        let data = match &inode.payload {
-            Payload::File(data) => data,
-            Payload::Dir(_) => return Err(Errno::EISDIR),
-            Payload::Symlink(_) => return Err(Errno::EINVAL),
-        };
-        Ok(data.read_into(off as usize, out))
-    }
-
     /// A file's full contents, copied out (compat path for callers that
     /// need one contiguous buffer; the zero-copy path is
     /// [`Vfs::file_extents`]).
@@ -1043,8 +996,10 @@ impl Vfs {
     /// concurrent writers copy-on-write shared chunks, so the bytes
     /// behind the `Arc`s never change while the caller streams them.
     ///
-    /// Reads are "noatime", like [`Vfs::read_into`], and honour the
-    /// same `"read"` fault-hook point.
+    /// Reads are "noatime": they leave the inode untouched and take only
+    /// the target's shard read lock, so concurrent readers — and writers
+    /// in other shards — proceed in parallel. A `"read"` fault hook is
+    /// consulted first.
     pub fn file_extents(&self, ino: Ino, off: u64, want: usize) -> SysResult<ExtentList> {
         if let Some(hook) = &self.fault_hook {
             hook.check("read", ino)?;
@@ -2265,9 +2220,8 @@ mod tests {
         let v = fs();
         let ino = v.create(v.root(), "/hello", 0o644, &ROOT).unwrap();
         v.write_at(ino, 0, b"world").unwrap();
-        let mut buf = [0u8; 16];
-        let n = v.read_into(ino, 0, &mut buf).unwrap();
-        assert_eq!(&buf[..n], b"world");
+        let buf = v.file_extents(ino, 0, 16).unwrap().to_vec();
+        assert_eq!(&buf[..], b"world");
     }
 
     #[test]
@@ -2275,10 +2229,10 @@ mod tests {
         let v = fs();
         let ino = v.create(v.root(), "/f", 0o644, &ROOT).unwrap();
         v.write_at(ino, 0, b"abcdef").unwrap();
-        let mut buf = [0u8; 3];
-        assert_eq!(v.read_into(ino, 2, &mut buf).unwrap(), 3);
-        assert_eq!(&buf, b"cde");
-        assert_eq!(v.read_into(ino, 100, &mut buf).unwrap(), 0);
+        let buf = v.file_extents(ino, 2, 3).unwrap().to_vec();
+        assert_eq!(buf.len(), 3);
+        assert_eq!(&buf[..], b"cde");
+        assert_eq!(v.file_extents(ino, 100, 3).unwrap().to_vec().len(), 0);
     }
 
     #[test]
