@@ -98,42 +98,172 @@ impl RetryPolicy {
     }
 }
 
-/// Retry classification of a verb (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Retry classification of a verb (see the module docs), in order of
+/// how reluctantly it retries: a batch takes the `max` of its members.
+/// fd-based verbs never survive a reconnect, so they dominate
+/// everything; mutating dominates the idempotent classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Verb {
     /// Harmless to re-run any number of times.
     ReadOnly,
     /// A write whose re-execution converges to the same state.
     IdemWrite,
+    /// Re-execution may double-apply (`mkdir`, `rename`, `exec`, …).
+    Mutating,
     /// Reads a server-side fd: dies with the session.
     FdRead,
     /// Writes through a server-side fd: dies with the session.
     FdWrite,
-    /// Re-execution may double-apply (`mkdir`, `rename`, `exec`, …).
-    Mutating,
 }
 
-impl Verb {
-    /// How reluctantly this class retries, for composing a batch's
-    /// class from its members: fd-based verbs never survive a
-    /// reconnect, so they dominate everything; mutating dominates the
-    /// idempotent classes.
-    fn rank(self) -> u8 {
+/// One request, borrowing its arguments from the caller: the one place
+/// each verb's line, payload, reply-payload flag and retry class are
+/// written down. The one-shot methods, [`Pipeline`] and [`BatchOp`] all
+/// render through it. Paths live for `'s`; a payload lives for `'d`,
+/// which a pipeline holds until it runs.
+#[derive(Debug, Clone, Copy)]
+enum Req<'s, 'd> {
+    Whoami,
+    Stat(&'s str),
+    Open(&'s str, OpenFlags, u16),
+    Close(i64),
+    Pread(i64, usize, u64),
+    Pwrite(i64, &'d [u8], u64),
+    Fstat(i64),
+    Mkdir(&'s str, u16),
+    Rmdir(&'s str),
+    Unlink(&'s str),
+    Rename(&'s str, &'s str),
+    Truncate(&'s str, u64),
+    Readdir(&'s str),
+    Getacl(&'s str),
+    Setacl(&'s str, &'d [u8]),
+    Put(&'s str, &'d [u8], u16),
+    Get(&'s str),
+    /// A batch body, and the class of its most reluctant member.
+    Batch(&'d [u8], Verb),
+    Exec(&'s str, &'s [&'s str]),
+    Stats,
+    Audit(Option<u64>),
+    Metrics,
+    Walsnap,
+    Tracedump(Option<u64>),
+    Health,
+    Slowops,
+    Quit,
+}
+
+impl<'d> Req<'_, 'd> {
+    /// The verb, as the request line's first word and the client span's
+    /// name.
+    fn verb(&self) -> &'static str {
         match self {
-            Verb::ReadOnly => 0,
-            Verb::IdemWrite => 1,
-            Verb::Mutating => 2,
-            Verb::FdRead => 3,
-            Verb::FdWrite => 4,
+            Req::Whoami => "whoami",
+            Req::Stat(_) => "stat",
+            Req::Open(..) => "open",
+            Req::Close(_) => "close",
+            Req::Pread(..) => "pread",
+            Req::Pwrite(..) => "pwrite",
+            Req::Fstat(_) => "fstat",
+            Req::Mkdir(..) => "mkdir",
+            Req::Rmdir(_) => "rmdir",
+            Req::Unlink(_) => "unlink",
+            Req::Rename(..) => "rename",
+            Req::Truncate(..) => "truncate",
+            Req::Readdir(_) => "readdir",
+            Req::Getacl(_) => "getacl",
+            Req::Setacl(..) => "setacl",
+            Req::Put(..) => "put",
+            Req::Get(_) => "get",
+            Req::Batch(..) => "batch",
+            Req::Exec(..) => "exec",
+            Req::Stats => "stats",
+            Req::Audit(_) => "audit",
+            Req::Metrics => "metrics",
+            Req::Walsnap => "walsnap",
+            Req::Tracedump(_) => "tracedump",
+            Req::Health => "health",
+            Req::Slowops => "slowops",
+            Req::Quit => "quit",
         }
     }
 
-    /// The more conservative of two classes.
-    fn compose(self, other: Verb) -> Verb {
-        if other.rank() > self.rank() {
-            other
-        } else {
-            self
+    /// The request line, before the `id=`/`retry=`/`trace=` tokens.
+    fn line(&self) -> String {
+        let verb = self.verb();
+        match *self {
+            Req::Stat(p) | Req::Rmdir(p) | Req::Unlink(p) | Req::Readdir(p) | Req::Getacl(p)
+            | Req::Get(p) => format!("{verb} {}", encode_word(p)),
+            Req::Open(p, flags, mode) => {
+                format!("{verb} {} {} {mode}", encode_word(p), flags.to_bits())
+            }
+            Req::Close(fd) | Req::Fstat(fd) => format!("{verb} {fd}"),
+            Req::Pread(fd, len, off) => format!("{verb} {fd} {len} {off}"),
+            Req::Pwrite(fd, data, off) => format!("{verb} {fd} {off} {}", data.len()),
+            Req::Mkdir(p, mode) => format!("{verb} {} {mode}", encode_word(p)),
+            Req::Rename(old, new) => format!("{verb} {} {}", encode_word(old), encode_word(new)),
+            Req::Truncate(p, len) => format!("{verb} {} {len}", encode_word(p)),
+            Req::Setacl(p, text) => format!("{verb} {} {}", encode_word(p), text.len()),
+            Req::Put(p, data, mode) => format!("{verb} {} {} {mode}", encode_word(p), data.len()),
+            Req::Batch(body, _) => format!("{verb} {}", body.len()),
+            Req::Exec(p, args) => {
+                let mut line = format!("{verb} {}", encode_word(p));
+                for a in args {
+                    line.push(' ');
+                    line.push_str(&encode_word(a));
+                }
+                line
+            }
+            Req::Audit(Some(n)) | Req::Tracedump(Some(n)) => format!("{verb} {n}"),
+            _ => verb.to_string(),
+        }
+    }
+
+    /// The bytes sent after the line, for the verbs that announce them.
+    fn payload(&self) -> Option<&'d [u8]> {
+        match *self {
+            Req::Pwrite(_, data, _) | Req::Setacl(_, data) | Req::Put(_, data, _) => Some(data),
+            Req::Batch(body, _) => Some(body),
+            _ => None,
+        }
+    }
+
+    /// Whether an `ok` reply announces a payload (`ok <len>` + bytes)
+    /// that must be read to keep the stream framed.
+    fn wants_payload(&self) -> bool {
+        matches!(
+            self,
+            Req::Pread(..)
+                | Req::Readdir(_)
+                | Req::Getacl(_)
+                | Req::Get(_)
+                | Req::Batch(..)
+                | Req::Stats
+                | Req::Audit(_)
+                | Req::Metrics
+                | Req::Tracedump(_)
+                | Req::Slowops
+        )
+    }
+
+    /// Retry classification (see the module docs).
+    fn class(&self) -> Verb {
+        match *self {
+            // O_EXCL makes re-execution observable (the retry finds the
+            // file the first attempt created and fails EEXIST);
+            // everything else converges.
+            Req::Open(_, flags, _) if flags.excl => Verb::Mutating,
+            Req::Open(_, flags, _) if flags.write || flags.create || flags.trunc => {
+                Verb::IdemWrite
+            }
+            Req::Truncate(..) | Req::Setacl(..) | Req::Put(..) => Verb::IdemWrite,
+            Req::Pread(..) | Req::Fstat(_) => Verb::FdRead,
+            Req::Close(_) | Req::Pwrite(..) | Req::Quit => Verb::FdWrite,
+            Req::Mkdir(..) | Req::Rmdir(_) | Req::Unlink(_) | Req::Rename(..) | Req::Exec(..) => {
+                Verb::Mutating
+            }
+            Req::Batch(_, class) => class,
+            _ => Verb::ReadOnly,
         }
     }
 }
@@ -389,25 +519,24 @@ impl ChirpClient {
     /// policy (attempts or budget) is exhausted.
     fn rpc<T>(
         &mut self,
-        class: Verb,
-        line: &str,
-        payload: Option<&[u8]>,
+        req: Req<'_, '_>,
         mut parse: impl FnMut(&mut BufReader<TcpStream>, &[String]) -> SysResult<T>,
     ) -> SysResult<T> {
+        let (line, payload, class) = (req.line(), req.payload(), req.class());
         let trace = self.stamp();
         let start = Instant::now();
         let start_ns = idbox_obs::now_unix_ns();
         let mut attempt = 1u32;
         let mut prev = self.policy.base_delay;
         loop {
-            match self.try_once(line, payload, trace, attempt, &mut parse) {
+            match self.try_once(&line, payload, trace, attempt, &mut parse) {
                 Ok(v) => {
                     // The caller-side plane of the flight recorder:
                     // whole-RPC spans including retries and backoff,
                     // joined to the server planes by the trace id.
                     idbox_obs::flight::record_span(
                         "client",
-                        codec::verb_name(line.split(' ').next().unwrap_or("rpc")),
+                        req.verb(),
                         None,
                         Some(trace),
                         start_ns,
@@ -430,6 +559,20 @@ impl ChirpClient {
         }
     }
 
+    /// Take the live connection for one exchange, redialing (a new
+    /// generation) if the last one was poisoned. The caller puts it back
+    /// only if the exchange left the stream framed.
+    fn take_conn(&mut self) -> SysResult<Conn> {
+        if let Some(conn) = self.conn.take() {
+            return Ok(conn);
+        }
+        let (conn, principal) = dial(self.addr, &self.creds, &self.policy)?;
+        self.principal = principal;
+        self.generation += 1;
+        self.reconnects += 1;
+        Ok(conn)
+    }
+
     /// One attempt: reconnect if poisoned, send (re-stamping the same
     /// trace id, plus a `retry=<n>` token past the first attempt so the
     /// server can count retried requests), read and parse the reply.
@@ -442,15 +585,7 @@ impl ChirpClient {
         attempt: u32,
         parse: &mut impl FnMut(&mut BufReader<TcpStream>, &[String]) -> SysResult<T>,
     ) -> Result<T, Fail> {
-        if self.conn.is_none() {
-            let (conn, principal) =
-                dial(self.addr, &self.creds, &self.policy).map_err(Fail::Dial)?;
-            self.conn = Some(conn);
-            self.principal = principal;
-            self.generation += 1;
-            self.reconnects += 1;
-        }
-        let mut conn = self.conn.take().expect("just ensured a connection");
+        let mut conn = self.take_conn().map_err(Fail::Dial)?;
         let stamped = if attempt > 1 {
             codec::with_trace(&codec::with_retry(line, attempt - 1), trace)
         } else {
@@ -491,13 +626,6 @@ impl ChirpClient {
         }
     }
 
-    fn one_num(words: &[String]) -> SysResult<i64> {
-        words
-            .first()
-            .and_then(|w| w.parse().ok())
-            .ok_or(Errno::EPROTO)
-    }
-
     fn stat_words(words: &[String]) -> SysResult<StatBuf> {
         if words.len() != abi::STAT_WORDS {
             return Err(Errno::EPROTO);
@@ -515,7 +643,7 @@ impl ChirpClient {
 
     /// Who does the server think we are?
     pub fn whoami(&mut self) -> SysResult<Principal> {
-        self.rpc(Verb::ReadOnly, "whoami", None, |_, words| {
+        self.rpc(Req::Whoami, |_, words| {
             let s = words.first().ok_or(Errno::EPROTO)?;
             Principal::parse(s).map_err(|_| Errno::EPROTO)
         })
@@ -523,109 +651,79 @@ impl ChirpClient {
 
     /// Remote `stat`.
     pub fn stat(&mut self, path: &str) -> SysResult<StatBuf> {
-        let line = format!("stat {}", encode_word(path));
-        self.rpc(Verb::ReadOnly, &line, None, |_, words| {
-            Self::stat_words(words)
-        })
+        self.rpc(Req::Stat(path), |_, words| Self::stat_words(words))
     }
 
     /// Remote `open`; returns a server-side descriptor valid for the
     /// current [`ChirpClient::generation`] only.
     pub fn open(&mut self, path: &str, flags: OpenFlags, mode: u16) -> SysResult<i64> {
-        // O_EXCL makes re-execution observable (the retry finds the
-        // file the first attempt created and fails EEXIST); everything
-        // else converges.
-        let class = if flags.excl {
-            Verb::Mutating
-        } else if flags.write || flags.create || flags.trunc {
-            Verb::IdemWrite
-        } else {
-            Verb::ReadOnly
-        };
-        let line = format!("open {} {} {}", encode_word(path), flags.to_bits(), mode);
-        self.rpc(class, &line, None, |_, words| Self::one_num(words))
+        self.rpc(Req::Open(path, flags, mode), |_, words| num_word::<i64>(words, 0))
     }
 
     /// Remote `close`.
     pub fn close(&mut self, fd: i64) -> SysResult<()> {
-        let line = format!("close {fd}");
-        self.rpc(Verb::FdWrite, &line, None, |_, _| Ok(()))
+        self.rpc(Req::Close(fd), |_, _| Ok(()))
     }
 
     /// Remote positioned read.
     pub fn pread(&mut self, fd: i64, len: usize, off: u64) -> SysResult<Vec<u8>> {
-        let line = format!("pread {fd} {len} {off}");
-        self.rpc(Verb::FdRead, &line, None, read_reply_payload)
+        self.rpc(Req::Pread(fd, len, off), read_reply_payload)
     }
 
     /// Remote positioned write.
     pub fn pwrite(&mut self, fd: i64, data: &[u8], off: u64) -> SysResult<usize> {
-        let line = format!("pwrite {fd} {off} {}", data.len());
-        self.rpc(Verb::FdWrite, &line, Some(data), |_, words| {
-            Ok(Self::one_num(words)? as usize)
+        self.rpc(Req::Pwrite(fd, data, off), |_, words| {
+            Ok(num_word::<i64>(words, 0)? as usize)
         })
     }
 
     /// Remote `fstat`.
     pub fn fstat(&mut self, fd: i64) -> SysResult<StatBuf> {
-        let line = format!("fstat {fd}");
-        self.rpc(Verb::FdRead, &line, None, |_, words| {
-            Self::stat_words(words)
-        })
+        self.rpc(Req::Fstat(fd), |_, words| Self::stat_words(words))
     }
 
     /// Remote `mkdir` — subject to the reserve right exactly as local
     /// mkdir inside a box.
     pub fn mkdir(&mut self, path: &str, mode: u16) -> SysResult<()> {
-        let line = format!("mkdir {} {}", encode_word(path), mode);
-        self.rpc(Verb::Mutating, &line, None, |_, _| Ok(()))
+        self.rpc(Req::Mkdir(path, mode), |_, _| Ok(()))
     }
 
     /// Remote `rmdir`.
     pub fn rmdir(&mut self, path: &str) -> SysResult<()> {
-        let line = format!("rmdir {}", encode_word(path));
-        self.rpc(Verb::Mutating, &line, None, |_, _| Ok(()))
+        self.rpc(Req::Rmdir(path), |_, _| Ok(()))
     }
 
     /// Remote `unlink`.
     pub fn unlink(&mut self, path: &str) -> SysResult<()> {
-        let line = format!("unlink {}", encode_word(path));
-        self.rpc(Verb::Mutating, &line, None, |_, _| Ok(()))
+        self.rpc(Req::Unlink(path), |_, _| Ok(()))
     }
 
     /// Remote `rename`.
     pub fn rename(&mut self, old: &str, new: &str) -> SysResult<()> {
-        let line = format!("rename {} {}", encode_word(old), encode_word(new));
-        self.rpc(Verb::Mutating, &line, None, |_, _| Ok(()))
+        self.rpc(Req::Rename(old, new), |_, _| Ok(()))
     }
 
     /// Remote `truncate`.
     pub fn truncate(&mut self, path: &str, len: u64) -> SysResult<()> {
-        let line = format!("truncate {} {len}", encode_word(path));
-        self.rpc(Verb::IdemWrite, &line, None, |_, _| Ok(()))
+        self.rpc(Req::Truncate(path, len), |_, _| Ok(()))
     }
 
     /// Remote directory listing.
     pub fn readdir(&mut self, path: &str) -> SysResult<Vec<DirEntry>> {
-        let line = format!("readdir {}", encode_word(path));
-        let data = self.rpc(Verb::ReadOnly, &line, None, read_reply_payload)?;
-        let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
+        let text = self.rpc(Req::Readdir(path), read_reply_text)?;
         abi::decode_entries(&text)
     }
 
     /// Fetch a directory's ACL.
     pub fn getacl(&mut self, path: &str) -> SysResult<Acl> {
-        let line = format!("getacl {}", encode_word(path));
-        let data = self.rpc(Verb::ReadOnly, &line, None, read_reply_payload)?;
-        let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
+        let text = self.rpc(Req::Getacl(path), read_reply_text)?;
         Acl::parse(&text).map_err(|_| Errno::EPROTO)
     }
 
     /// Install a directory's ACL (requires the A right).
     pub fn setacl(&mut self, path: &str, acl: &Acl) -> SysResult<()> {
         let text = acl.to_text();
-        let line = format!("setacl {} {}", encode_word(path), text.len());
-        self.rpc(Verb::IdemWrite, &line, Some(text.as_bytes()), |_, _| Ok(()))
+        self.rpc(Req::Setacl(path, text.as_bytes()), |_, _| Ok(()))
     }
 
     /// Stage a whole file onto the server (mode 0644).
@@ -636,43 +734,31 @@ impl ChirpClient {
     /// Stage a whole file with an explicit creation mode (0755 for
     /// executables, as `chirp_put -m` would).
     pub fn put_mode(&mut self, path: &str, data: &[u8], mode: u16) -> SysResult<()> {
-        let line = format!("put {} {} {}", encode_word(path), data.len(), mode);
-        self.rpc(Verb::IdemWrite, &line, Some(data), |_, _| Ok(()))
+        self.rpc(Req::Put(path, data, mode), |_, _| Ok(()))
     }
 
     /// Retrieve a whole file from the server.
     pub fn get(&mut self, path: &str) -> SysResult<Vec<u8>> {
-        let line = format!("get {}", encode_word(path));
-        self.rpc(Verb::ReadOnly, &line, None, read_reply_payload)
+        self.rpc(Req::Get(path), read_reply_payload)
     }
 
     /// The paper's new call: run a staged program remotely, inside an
     /// identity box carrying our principal. Returns the exit code.
     pub fn exec(&mut self, path: &str, args: &[&str]) -> SysResult<i32> {
-        let mut line = format!("exec {}", encode_word(path));
-        for a in args {
-            line.push(' ');
-            line.push_str(&encode_word(a));
-        }
-        let words = self.rpc(Verb::Mutating, &line, None, |_, words| {
-            Ok(words.to_vec())
-        })?;
-        Ok(Self::one_num(&words)? as i32)
+        self.rpc(Req::Exec(path, args), |_, words| Ok(num_word::<i64>(words, 0)? as i32))
     }
 
     /// Per-syscall latency statistics from the server's histograms.
     /// Admin principals only — everyone else gets `EACCES`.
     pub fn stats(&mut self) -> SysResult<Vec<StatRow>> {
-        let data = self.rpc(Verb::ReadOnly, "stats", None, read_reply_payload)?;
-        let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
+        let text = self.rpc(Req::Stats, read_reply_text)?;
         parse_stat_rows(&text)
     }
 
     /// The server's recent policy decisions, oldest first. Admin
     /// principals only — everyone else gets `EACCES`.
     pub fn audit(&mut self) -> SysResult<Vec<AuditRow>> {
-        let data = self.rpc(Verb::ReadOnly, "audit", None, read_reply_payload)?;
-        let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
+        let text = self.rpc(Req::Audit(None), read_reply_text)?;
         parse_audit_rows(&text)
     }
 
@@ -681,27 +767,16 @@ impl ChirpClient {
     /// write head). A gap between `since` and the first returned seq
     /// means the ring dropped that much history. Admin principals only.
     pub fn audit_since(&mut self, since: u64) -> SysResult<(Vec<AuditRow>, u64)> {
-        let line = format!("audit {since}");
-        self.rpc(Verb::ReadOnly, &line, None, |r, words| {
-            let len: u64 = words
-                .first()
-                .and_then(|w| w.parse().ok())
-                .ok_or(Errno::EPROTO)?;
-            let cursor: u64 = words
-                .get(1)
-                .and_then(|w| w.parse().ok())
-                .ok_or(Errno::EPROTO)?;
-            let data = codec::read_payload(r, len)?;
-            let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
-            Ok((parse_audit_rows(&text)?, cursor))
+        self.rpc(Req::Audit(Some(since)), |r, words| {
+            let cursor = num_word(words, 1)?;
+            Ok((parse_audit_rows(&read_reply_text(r, words)?)?, cursor))
         })
     }
 
     /// The server's per-identity counters in Prometheus text exposition
     /// format. Admin principals only — everyone else gets `EACCES`.
     pub fn metrics(&mut self) -> SysResult<String> {
-        let data = self.rpc(Verb::ReadOnly, "metrics", None, read_reply_payload)?;
-        String::from_utf8(data).map_err(|_| Errno::EPROTO)
+        self.rpc(Req::Metrics, read_reply_text)
     }
 
     /// Force a durability snapshot on the server: the namespace and
@@ -709,9 +784,7 @@ impl ChirpClient {
     /// truncated. Returns the snapshot's LSN watermark. `ENOSYS` on a
     /// volatile (no-WAL) server; admin principals only.
     pub fn walsnap(&mut self) -> SysResult<u64> {
-        self.rpc(Verb::ReadOnly, "walsnap", None, |_, words| {
-            words.first().and_then(|w| w.parse().ok()).ok_or(Errno::EPROTO)
-        })
+        self.rpc(Req::Walsnap, |_, words| num_word(words, 0))
     }
 
     /// Dump the server's flight recorder as Chrome trace-viewer JSON
@@ -719,12 +792,7 @@ impl ChirpClient {
     /// the dump to events from the trailing `Some(seconds)`; `None`
     /// returns everything still buffered. Admin principals only.
     pub fn tracedump(&mut self, window: Option<u64>) -> SysResult<String> {
-        let line = match window {
-            Some(secs) => format!("tracedump {secs}"),
-            None => "tracedump".to_string(),
-        };
-        let data = self.rpc(Verb::ReadOnly, &line, None, read_reply_payload)?;
-        String::from_utf8(data).map_err(|_| Errno::EPROTO)
+        self.rpc(Req::Tracedump(window), read_reply_text)
     }
 
     /// One-line health rollup: event-loop lag p99, shard-lock wait p99,
@@ -732,16 +800,13 @@ impl ChirpClient {
     /// count. Percentiles are `None` while the underlying histograms
     /// are empty. Admin principals only.
     pub fn health(&mut self) -> SysResult<HealthRow> {
-        self.rpc(Verb::ReadOnly, "health", None, |_, words| {
-            parse_health_row(words)
-        })
+        self.rpc(Req::Health, |_, words| parse_health_row(words))
     }
 
     /// The server's recent slow operations, oldest first. Admin
     /// principals only — everyone else gets `EACCES`.
     pub fn slowops(&mut self) -> SysResult<Vec<SlowOpRow>> {
-        let data = self.rpc(Verb::ReadOnly, "slowops", None, read_reply_payload)?;
-        let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
+        let text = self.rpc(Req::Slowops, read_reply_text)?;
         parse_slowop_rows(&text)
     }
 
@@ -782,22 +847,13 @@ impl ChirpClient {
         }
         let mut body = String::new();
         for op in ops {
-            body.push_str(&op.line());
+            body.push_str(&op.req().line());
             body.push('\n');
         }
-        let class = ops
-            .iter()
-            .map(BatchOp::class)
-            .fold(Verb::ReadOnly, Verb::compose);
-        let line = format!("batch {}", body.len());
+        let class = ops.iter().map(|op| op.req().class()).fold(Verb::ReadOnly, Verb::max);
         let expected = ops.len();
-        self.rpc(class, &line, Some(body.as_bytes()), move |r, words| {
-            let len: u64 = words
-                .first()
-                .and_then(|w| w.parse().ok())
-                .ok_or(Errno::EPROTO)?;
-            let data = codec::read_payload(r, len)?;
-            let text = String::from_utf8(data).map_err(|_| Errno::EPROTO)?;
+        self.rpc(Req::Batch(body.as_bytes(), class), move |r, words| {
+            let text = read_reply_text(r, words)?;
             let replies: Vec<BatchReply> = text
                 .lines()
                 .map(parse_batch_line)
@@ -815,7 +871,7 @@ impl ChirpClient {
         if self.conn.is_none() {
             return Ok(());
         }
-        self.rpc(Verb::FdWrite, "quit", None, |_, _| Ok(()))
+        self.rpc(Req::Quit, |_, _| Ok(()))
     }
 }
 
@@ -843,11 +899,21 @@ fn run_attempt<T>(
 
 /// Reply parser for `ok <len>` + payload responses.
 fn read_reply_payload(r: &mut BufReader<TcpStream>, words: &[String]) -> SysResult<Vec<u8>> {
-    let len: u64 = words
-        .first()
+    codec::read_payload(r, num_word(words, 0)?)
+}
+
+/// Reply parser for `ok <len>` + a UTF-8 text payload.
+fn read_reply_text(r: &mut BufReader<TcpStream>, words: &[String]) -> SysResult<String> {
+    String::from_utf8(read_reply_payload(r, words)?).map_err(|_| Errno::EPROTO)
+}
+
+/// Reply word `i` parsed as a number; `EPROTO` when missing or
+/// malformed.
+fn num_word<T: std::str::FromStr>(words: &[String], i: usize) -> SysResult<T> {
+    words
+        .get(i)
         .and_then(|w| w.parse().ok())
-        .ok_or(Errno::EPROTO)?;
-    codec::read_payload(r, len)
+        .ok_or(Errno::EPROTO)
 }
 
 /// Slices per vectored write: Linux's `IOV_MAX`, above which
@@ -858,6 +924,7 @@ const IOV_MAX: usize = 1024;
 /// the caller until the pipeline runs.
 #[derive(Debug)]
 struct QueuedOp<'a> {
+    verb: &'static str,
     line: String,
     payload: Option<&'a [u8]>,
     trace: TraceId,
@@ -883,12 +950,7 @@ pub struct PipeReply {
 impl PipeReply {
     /// The first reply word parsed as a number (fd, byte count, …).
     pub fn num(&self) -> SysResult<i64> {
-        self.result
-            .as_ref()
-            .map_err(|e| *e)?
-            .first()
-            .and_then(|w| w.parse().ok())
-            .ok_or(Errno::EPROTO)
+        num_word(self.result.as_ref().map_err(|e| *e)?, 0)
     }
 }
 
@@ -903,13 +965,14 @@ pub struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    fn push(&mut self, line: String, payload: Option<&'a [u8]>, wants_payload: bool) -> usize {
+    fn push(&mut self, req: Req<'_, 'a>) -> usize {
         let trace = self.client.stamp();
         self.ops.push(QueuedOp {
-            line,
-            payload,
+            verb: req.verb(),
+            line: req.line(),
+            payload: req.payload(),
             trace,
-            wants_payload,
+            wants_payload: req.wants_payload(),
         });
         self.ops.len() - 1
     }
@@ -926,98 +989,82 @@ impl<'a> Pipeline<'a> {
 
     /// Queue a `whoami`.
     pub fn whoami(&mut self) -> usize {
-        self.push("whoami".to_string(), None, false)
+        self.push(Req::Whoami)
     }
 
     /// Queue a `stat`.
     pub fn stat(&mut self, path: &str) -> usize {
-        self.push(format!("stat {}", encode_word(path)), None, false)
+        self.push(Req::Stat(path))
     }
 
     /// Queue an `open`.
     pub fn open(&mut self, path: &str, flags: OpenFlags, mode: u16) -> usize {
-        self.push(
-            format!("open {} {} {}", encode_word(path), flags.to_bits(), mode),
-            None,
-            false,
-        )
+        self.push(Req::Open(path, flags, mode))
     }
 
     /// Queue a `close`.
     pub fn close(&mut self, fd: i64) -> usize {
-        self.push(format!("close {fd}"), None, false)
+        self.push(Req::Close(fd))
     }
 
     /// Queue an `fstat`.
     pub fn fstat(&mut self, fd: i64) -> usize {
-        self.push(format!("fstat {fd}"), None, false)
+        self.push(Req::Fstat(fd))
     }
 
     /// Queue a `pread`; the reply payload carries the bytes.
     pub fn pread(&mut self, fd: i64, len: usize, off: u64) -> usize {
-        self.push(format!("pread {fd} {len} {off}"), None, true)
+        self.push(Req::Pread(fd, len, off))
     }
 
     /// Queue a `pwrite`.
     pub fn pwrite(&mut self, fd: i64, data: &'a [u8], off: u64) -> usize {
-        self.push(
-            format!("pwrite {fd} {off} {}", data.len()),
-            Some(data),
-            false,
-        )
+        self.push(Req::Pwrite(fd, data, off))
     }
 
     /// Queue a `mkdir`.
     pub fn mkdir(&mut self, path: &str, mode: u16) -> usize {
-        self.push(format!("mkdir {} {}", encode_word(path), mode), None, false)
+        self.push(Req::Mkdir(path, mode))
     }
 
     /// Queue an `rmdir`.
     pub fn rmdir(&mut self, path: &str) -> usize {
-        self.push(format!("rmdir {}", encode_word(path)), None, false)
+        self.push(Req::Rmdir(path))
     }
 
     /// Queue an `unlink`.
     pub fn unlink(&mut self, path: &str) -> usize {
-        self.push(format!("unlink {}", encode_word(path)), None, false)
+        self.push(Req::Unlink(path))
     }
 
     /// Queue a `rename`.
     pub fn rename(&mut self, old: &str, new: &str) -> usize {
-        self.push(
-            format!("rename {} {}", encode_word(old), encode_word(new)),
-            None,
-            false,
-        )
+        self.push(Req::Rename(old, new))
     }
 
     /// Queue a `truncate`.
     pub fn truncate(&mut self, path: &str, len: u64) -> usize {
-        self.push(format!("truncate {} {len}", encode_word(path)), None, false)
+        self.push(Req::Truncate(path, len))
     }
 
     /// Queue a `readdir`; the reply payload carries the listing.
     pub fn readdir(&mut self, path: &str) -> usize {
-        self.push(format!("readdir {}", encode_word(path)), None, true)
+        self.push(Req::Readdir(path))
     }
 
     /// Queue a `getacl`; the reply payload carries the ACL text.
     pub fn getacl(&mut self, path: &str) -> usize {
-        self.push(format!("getacl {}", encode_word(path)), None, true)
+        self.push(Req::Getacl(path))
     }
 
     /// Queue a whole-file `get`; the reply payload carries the bytes.
     pub fn get(&mut self, path: &str) -> usize {
-        self.push(format!("get {}", encode_word(path)), None, true)
+        self.push(Req::Get(path))
     }
 
     /// Queue a whole-file `put` (mode 0644).
     pub fn put(&mut self, path: &str, data: &'a [u8]) -> usize {
-        self.push(
-            format!("put {} {} {}", encode_word(path), data.len(), 0o644),
-            Some(data),
-            false,
-        )
+        self.push(Req::Put(path, data, 0o644))
     }
 
     /// Send every queued request in one burst, then read the replies
@@ -1031,14 +1078,7 @@ impl<'a> Pipeline<'a> {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
-        if client.conn.is_none() {
-            let (conn, principal) = dial(client.addr, &client.creds, &client.policy)?;
-            client.conn = Some(conn);
-            client.principal = principal;
-            client.generation += 1;
-            client.reconnects += 1;
-        }
-        let mut conn = client.conn.take().expect("just ensured a connection");
+        let mut conn = client.take_conn()?;
         let start = Instant::now();
         let start_ns = idbox_obs::now_unix_ns();
         let res = run_pipeline(&mut conn, &ops);
@@ -1053,7 +1093,7 @@ impl<'a> Pipeline<'a> {
             for op in &ops {
                 idbox_obs::flight::record_span(
                     "client",
-                    codec::verb_name(op.line.split(' ').next().unwrap_or("rpc")),
+                    op.verb,
                     None,
                     Some(op.trace),
                     start_ns,
@@ -1116,13 +1156,7 @@ fn run_pipeline(conn: &mut Conn, ops: &[QueuedOp<'_>]) -> SysResult<Vec<PipeRepl
             Err(fail) => return Err(fail.errno()),
         };
         let payload = match (&result, op.wants_payload) {
-            (Ok(words), true) => {
-                let len: u64 = words
-                    .first()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or(Errno::EPROTO)?;
-                Some(codec::read_payload(&mut conn.reader, len)?)
-            }
+            (Ok(words), true) => Some(read_reply_payload(&mut conn.reader, words)?),
             _ => None,
         };
         replies.push(PipeReply {
@@ -1187,50 +1221,21 @@ pub enum BatchOp {
 }
 
 impl BatchOp {
-    /// Render the sub-operation's protocol line.
-    fn line(&self) -> String {
+    /// The request this sub-operation renders as.
+    fn req(&self) -> Req<'_, 'static> {
         match self {
-            BatchOp::Whoami => "whoami".to_string(),
-            BatchOp::Stat(p) => format!("stat {}", encode_word(p)),
-            BatchOp::Fstat(fd) => format!("fstat {fd}"),
-            BatchOp::Open { path, flags, mode } => {
-                format!("open {} {} {}", encode_word(path), flags.to_bits(), mode)
-            }
-            BatchOp::Close(fd) => format!("close {fd}"),
-            BatchOp::Readdir(p) => format!("readdir {}", encode_word(p)),
-            BatchOp::Getacl(p) => format!("getacl {}", encode_word(p)),
-            BatchOp::Mkdir { path, mode } => format!("mkdir {} {}", encode_word(path), mode),
-            BatchOp::Rmdir(p) => format!("rmdir {}", encode_word(p)),
-            BatchOp::Unlink(p) => format!("unlink {}", encode_word(p)),
-            BatchOp::Rename { old, new } => {
-                format!("rename {} {}", encode_word(old), encode_word(new))
-            }
-            BatchOp::Truncate { path, len } => format!("truncate {} {len}", encode_word(path)),
-        }
-    }
-
-    /// Retry classification (see [`Verb`]).
-    fn class(&self) -> Verb {
-        match self {
-            BatchOp::Whoami | BatchOp::Stat(_) | BatchOp::Readdir(_) | BatchOp::Getacl(_) => {
-                Verb::ReadOnly
-            }
-            BatchOp::Open { flags, .. } => {
-                if flags.excl {
-                    Verb::Mutating
-                } else if flags.write || flags.create || flags.trunc {
-                    Verb::IdemWrite
-                } else {
-                    Verb::ReadOnly
-                }
-            }
-            BatchOp::Fstat(_) => Verb::FdRead,
-            BatchOp::Close(_) => Verb::FdWrite,
-            BatchOp::Truncate { .. } => Verb::IdemWrite,
-            BatchOp::Mkdir { .. }
-            | BatchOp::Rmdir(_)
-            | BatchOp::Unlink(_)
-            | BatchOp::Rename { .. } => Verb::Mutating,
+            BatchOp::Whoami => Req::Whoami,
+            BatchOp::Stat(p) => Req::Stat(p),
+            BatchOp::Fstat(fd) => Req::Fstat(*fd),
+            BatchOp::Open { path, flags, mode } => Req::Open(path, *flags, *mode),
+            BatchOp::Close(fd) => Req::Close(*fd),
+            BatchOp::Readdir(p) => Req::Readdir(p),
+            BatchOp::Getacl(p) => Req::Getacl(p),
+            BatchOp::Mkdir { path, mode } => Req::Mkdir(path, *mode),
+            BatchOp::Rmdir(p) => Req::Rmdir(p),
+            BatchOp::Unlink(p) => Req::Unlink(p),
+            BatchOp::Rename { old, new } => Req::Rename(old, new),
+            BatchOp::Truncate { path, len } => Req::Truncate(path, *len),
         }
     }
 }
@@ -1247,12 +1252,7 @@ pub struct BatchReply {
 impl BatchReply {
     /// The first reply word parsed as a number (fd, size, exit code).
     pub fn num(&self) -> SysResult<i64> {
-        self.result
-            .as_ref()
-            .map_err(|e| *e)?
-            .first()
-            .and_then(|w| w.parse().ok())
-            .ok_or(Errno::EPROTO)
+        num_word(self.result.as_ref().map_err(|e| *e)?, 0)
     }
 
     /// The sub-reply's bulk text (empty when the reply carried none).
@@ -1300,7 +1300,7 @@ pub struct StatRow {
 
 /// The `health` RPC rollup: the numbers an operator reaches for first
 /// during an incident, in one line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthRow {
     /// 99th-percentile event-loop cycle lag in microseconds, merged
     /// across workers; `None` while no readiness cycle has been timed.
@@ -1362,58 +1362,49 @@ pub struct SlowOpRow {
     pub dur_ns: u64,
 }
 
+/// Parse a payload of whitespace-separated rows, one per line; a row
+/// `row` rejects makes the whole reply `EPROTO`.
+fn parse_rows<T>(
+    text: &str,
+    row: impl Fn(&mut std::str::SplitWhitespace<'_>) -> Option<T>,
+) -> SysResult<Vec<T>> {
+    text.lines()
+        .map(|line| row(&mut line.split_whitespace()).ok_or(Errno::EPROTO))
+        .collect()
+}
+
+/// A column where `-` means "none".
+fn dash<T: std::str::FromStr>(w: &str) -> Option<Option<T>> {
+    match w {
+        "-" => Some(None),
+        w => w.parse().ok().map(Some),
+    }
+}
+
 /// Parse `stats` payload lines. Trailing columns beyond the known four
 /// are ignored, so a newer server can append more without breaking old
 /// clients.
 fn parse_stat_rows(text: &str) -> SysResult<Vec<StatRow>> {
-    text.lines()
-        .map(|line| {
-            let mut f = line.split_whitespace();
-            let row = (|| {
-                let name = f.next()?.to_string();
-                let count = f.next()?.parse().ok()?;
-                let mut pct = || -> Option<Option<u64>> {
-                    match f.next()? {
-                        "-" => Some(None),
-                        w => Some(Some(w.parse().ok()?)),
-                    }
-                };
-                Some(StatRow {
-                    name,
-                    count,
-                    p50_ns: pct()?,
-                    p99_ns: pct()?,
-                })
-            })();
-            row.ok_or(Errno::EPROTO)
+    parse_rows(text, |f| {
+        Some(StatRow {
+            name: f.next()?.to_string(),
+            count: f.next()?.parse().ok()?,
+            p50_ns: dash(f.next()?)?,
+            p99_ns: dash(f.next()?)?,
         })
-        .collect()
+    })
 }
 
 /// Parse the `health` reply words (`key=value` pairs past the `ok`,
 /// already stripped). Unknown keys are ignored so a newer server can
 /// append more; `-` means "no data yet" for percentile fields.
 fn parse_health_row(words: &[String]) -> SysResult<HealthRow> {
-    let mut row = HealthRow {
-        loop_p99_us: None,
-        shard_wait_p99_us: None,
-        inflight: 0,
-        shed: 0,
-        conns: 0,
-        workers: 0,
-        stalls: 0,
-        snap_failures: 0,
-    };
+    let mut row = HealthRow::default();
     for w in words {
         let Some((key, val)) = w.split_once('=') else {
             return Err(Errno::EPROTO);
         };
-        let opt = || -> SysResult<Option<u64>> {
-            match val {
-                "-" => Ok(None),
-                v => v.parse().map(Some).map_err(|_| Errno::EPROTO),
-            }
-        };
+        let opt = || dash(val).ok_or(Errno::EPROTO);
         let num = || -> SysResult<u64> { val.parse().map_err(|_| Errno::EPROTO) };
         match key {
             "loop_p99_us" => row.loop_p99_us = opt()?,
@@ -1434,55 +1425,37 @@ fn parse_health_row(words: &[String]) -> SysResult<HealthRow> {
 /// the first release, so it is optional; columns beyond it are
 /// ignored, preserving the same forward compatibility for the future.
 fn parse_audit_rows(text: &str) -> SysResult<Vec<AuditRow>> {
-    text.lines()
-        .map(|line| {
-            let mut f = line.split_whitespace();
-            let row = (|| {
-                Some(AuditRow {
-                    seq: f.next()?.parse().ok()?,
-                    identity: codec::decode_word(f.next()?).ok()?,
-                    syscall: f.next()?.to_string(),
-                    path: match f.next()? {
-                        "-" => None,
-                        w => Some(codec::decode_word(w).ok()?),
-                    },
-                    verdict: f.next()?.to_string(),
-                    errno: match f.next()? {
-                        "-" => None,
-                        w => Some(Errno::from_code(w.parse().ok()?)?),
-                    },
-                    trace: match f.next() {
-                        None | Some("-") => None,
-                        Some(w) => Some(w.parse().ok()?),
-                    },
-                })
-            })();
-            row.ok_or(Errno::EPROTO)
+    parse_rows(text, |f| {
+        Some(AuditRow {
+            seq: f.next()?.parse().ok()?,
+            identity: codec::decode_word(f.next()?).ok()?,
+            syscall: f.next()?.to_string(),
+            path: match f.next()? {
+                "-" => None,
+                w => Some(codec::decode_word(w).ok()?),
+            },
+            verdict: f.next()?.to_string(),
+            errno: match dash(f.next()?)? {
+                None => None,
+                Some(code) => Some(Errno::from_code(code)?),
+            },
+            trace: dash(f.next().unwrap_or("-"))?,
         })
-        .collect()
+    })
 }
 
 /// Parse `slowops` payload lines; trailing unknown columns are ignored.
 fn parse_slowop_rows(text: &str) -> SysResult<Vec<SlowOpRow>> {
-    text.lines()
-        .map(|line| {
-            let mut f = line.split_whitespace();
-            let row = (|| {
-                Some(SlowOpRow {
-                    trace: match f.next()? {
-                        "-" => None,
-                        w => Some(w.parse().ok()?),
-                    },
-                    phase: f.next()?.to_string(),
-                    name: codec::decode_word(f.next()?).ok()?,
-                    identity: codec::decode_word(f.next()?).ok()?,
-                    start_ns: f.next()?.parse().ok()?,
-                    dur_ns: f.next()?.parse().ok()?,
-                })
-            })();
-            row.ok_or(Errno::EPROTO)
+    parse_rows(text, |f| {
+        Some(SlowOpRow {
+            trace: dash(f.next()?)?,
+            phase: f.next()?.to_string(),
+            name: codec::decode_word(f.next()?).ok()?,
+            identity: codec::decode_word(f.next()?).ok()?,
+            start_ns: f.next()?.parse().ok()?,
+            dur_ns: f.next()?.parse().ok()?,
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -1619,15 +1592,42 @@ mod tests {
                 new: "/y".to_string(),
             },
         ];
-        assert_eq!(ops[0].line(), "whoami");
-        assert_eq!(ops[1].line(), "stat /a%20dir/f");
-        assert_eq!(ops[2].line(), "rename /x /y");
+        assert_eq!(ops[0].req().line(), "whoami");
+        assert_eq!(ops[1].req().line(), "stat /a%20dir/f");
+        assert_eq!(ops[2].req().line(), "rename /x /y");
         // One mutating member makes the whole batch mutating…
-        let class = ops.iter().map(BatchOp::class).fold(Verb::ReadOnly, Verb::compose);
+        let class = ops.iter().map(|op| op.req().class()).fold(Verb::ReadOnly, Verb::max);
         assert_eq!(class, Verb::Mutating);
         // …and an fd-based member dominates even that.
-        assert_eq!(Verb::Mutating.compose(Verb::FdRead), Verb::FdRead);
-        assert_eq!(Verb::ReadOnly.compose(Verb::ReadOnly), Verb::ReadOnly);
+        assert_eq!(Verb::Mutating.max(Verb::FdRead), Verb::FdRead);
+        assert_eq!(Verb::FdRead.max(Verb::FdWrite), Verb::FdWrite);
+        assert_eq!(Verb::IdemWrite.max(Verb::Mutating), Verb::Mutating);
+    }
+
+    #[test]
+    fn requests_render_their_lines_payloads_and_classes() {
+        let data = b"xyz";
+        let rdonly = OpenFlags::rdonly();
+        let excl = OpenFlags { excl: true, ..OpenFlags::rdwr_create() };
+        let cases: [(Req<'_, '_>, &str, bool, Verb); 9] = [
+            (Req::Open("/a b", rdonly, 0o644), "open /a%20b 1 420", false, Verb::ReadOnly),
+            (Req::Open("/f", OpenFlags::rdwr_create(), 0), "open /f 7 0", false, Verb::IdemWrite),
+            (Req::Open("/f", excl, 0), "open /f 15 0", false, Verb::Mutating),
+            (Req::Pwrite(3, data, 7), "pwrite 3 7 3", false, Verb::FdWrite),
+            (Req::Put("/f", data, 0o755), "put /f 3 493", false, Verb::IdemWrite),
+            (Req::Pread(3, 10, 2), "pread 3 10 2", true, Verb::FdRead),
+            (Req::Exec("/bin/x", &["a b", "c"]), "exec /bin/x a%20b c", false, Verb::Mutating),
+            (Req::Audit(Some(9)), "audit 9", true, Verb::ReadOnly),
+            (Req::Tracedump(None), "tracedump", true, Verb::ReadOnly),
+        ];
+        for (req, line, wants_payload, class) in cases {
+            assert_eq!(req.line(), line);
+            assert_eq!(req.wants_payload(), wants_payload, "{line}");
+            assert_eq!(req.class(), class, "{line}");
+            assert!(line.starts_with(req.verb()));
+        }
+        assert_eq!(Req::Put("/f", data, 0).payload(), Some(&data[..]));
+        assert_eq!(Req::Get("/f").payload(), None);
     }
 
     #[test]

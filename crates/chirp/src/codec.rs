@@ -7,7 +7,6 @@
 
 use idbox_obs::TraceId;
 use idbox_types::{Errno, SysResult};
-use std::borrow::Cow;
 use std::io::{BufRead, Read, Write};
 
 /// Maximum accepted line length (matches PATH_MAX plus slack).
@@ -15,24 +14,6 @@ pub const LINE_MAX: usize = 8192;
 
 /// Maximum accepted payload (64 MiB).
 pub const PAYLOAD_MAX: u64 = 64 << 20;
-
-/// Every verb the server dispatches, plus `quit`: the names its
-/// flight-recorder spans borrow.
-const VERBS: &[&str] = &[
-    "whoami", "stat", "open", "close", "pread", "pwrite", "fstat", "mkdir", "rmdir", "unlink",
-    "rename", "truncate", "readdir", "getacl", "setacl", "put", "get", "batch", "exec", "stats",
-    "audit", "metrics", "walsnap", "tracedump", "health", "slowops", "quit",
-];
-
-/// A request verb as a flight-recorder span name: borrowed from
-/// [`VERBS`], so recording it copies nothing; an unknown verb is
-/// copied as sent.
-pub(crate) fn verb_name(verb: &str) -> Cow<'static, str> {
-    match VERBS.iter().find(|v| **v == verb) {
-        Some(v) => Cow::Borrowed(v),
-        None => Cow::Owned(verb.to_string()),
-    }
-}
 
 /// Percent-encode a word: `%`, whitespace, control bytes, and all
 /// non-ASCII bytes become `%XX`, so any UTF-8 string crosses the wire

@@ -20,7 +20,7 @@
 use crate::codec::{self, error_line};
 use crate::poll::{poll_fds, read_uninit, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::server::{
-    announced_payload, dispatch, record_span, ConnRegistry, GuestFn, Reply, SessionCtl,
+    announced_payload, dispatch, record_span, verb_name, ConnRegistry, GuestFn, Reply, SessionCtl,
     SessionGauge, SessionObs, InflightGuard,
 };
 use idbox_auth::{AuthOutcome, ServerAuthMachine, ServerVerifier};
@@ -1018,7 +1018,7 @@ impl Session {
             // fresh connection); count it so retry pressure is visible
             // per identity.
             self.counters.bump_rpc_retried();
-            idbox_obs::flight::record_instant("retry", codec::verb_name(&pf.words[0]), pf.trace);
+            idbox_obs::flight::record_instant("retry", verb_name(&pf.words[0]), pf.trace);
         }
         if pf.words[0] == "quit" {
             return (Some(Ok(Reply::Line("ok".to_string()))), true);
@@ -1070,7 +1070,7 @@ impl Session {
         );
         self.vm = Some(ctx.into_vm());
         drop(inflight);
-        record_span(&self.obs, "rpc", codec::verb_name(&pf.words[0]), t0.elapsed());
+        record_span(&self.obs, "rpc", verb_name(&pf.words[0]), t0.elapsed());
         (Some(result), false)
     }
 

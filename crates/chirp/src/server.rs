@@ -690,6 +690,75 @@ impl Drop for InflightGuard {
     }
 }
 
+/// What the server knows about a verb before it parses an argument.
+struct VerbSpec {
+    /// The verb, also the name its flight-recorder spans borrow.
+    name: &'static str,
+    /// For a verb that carries a payload: the index of the word that
+    /// announces its length, and the errno an announce past
+    /// [`codec::PAYLOAD_MAX`] is answered with.
+    payload: Option<(usize, Errno)>,
+    /// Allowed inside a `batch` frame: the small metadata ops whose
+    /// round-trip tax batching exists to amortize.
+    batchable: bool,
+    /// Restricted to the configured admin principals.
+    admin: bool,
+}
+
+const PLAIN: VerbSpec = VerbSpec {
+    name: "",
+    payload: None,
+    batchable: false,
+    admin: false,
+};
+
+/// Every verb the server dispatches, plus `quit`.
+const VERBS: &[VerbSpec] = &[
+    VerbSpec { name: "whoami", batchable: true, ..PLAIN },
+    VerbSpec { name: "stat", batchable: true, ..PLAIN },
+    VerbSpec { name: "open", batchable: true, ..PLAIN },
+    VerbSpec { name: "close", batchable: true, ..PLAIN },
+    VerbSpec { name: "pread", ..PLAIN },
+    VerbSpec { name: "pwrite", payload: Some((3, Errno::EPROTO)), ..PLAIN },
+    VerbSpec { name: "fstat", batchable: true, ..PLAIN },
+    VerbSpec { name: "mkdir", batchable: true, ..PLAIN },
+    VerbSpec { name: "rmdir", batchable: true, ..PLAIN },
+    VerbSpec { name: "unlink", batchable: true, ..PLAIN },
+    VerbSpec { name: "rename", batchable: true, ..PLAIN },
+    VerbSpec { name: "truncate", batchable: true, ..PLAIN },
+    VerbSpec { name: "readdir", batchable: true, ..PLAIN },
+    VerbSpec { name: "getacl", batchable: true, ..PLAIN },
+    VerbSpec { name: "setacl", payload: Some((2, Errno::EPROTO)), ..PLAIN },
+    // `put` historically refuses an oversized announce with EINVAL; the
+    // others surface the payload reader's EPROTO.
+    VerbSpec { name: "put", payload: Some((2, Errno::EINVAL)), ..PLAIN },
+    VerbSpec { name: "get", ..PLAIN },
+    VerbSpec { name: "batch", payload: Some((1, Errno::EPROTO)), ..PLAIN },
+    VerbSpec { name: "exec", ..PLAIN },
+    VerbSpec { name: "stats", admin: true, ..PLAIN },
+    VerbSpec { name: "audit", admin: true, ..PLAIN },
+    VerbSpec { name: "metrics", admin: true, ..PLAIN },
+    VerbSpec { name: "walsnap", admin: true, ..PLAIN },
+    VerbSpec { name: "tracedump", admin: true, ..PLAIN },
+    VerbSpec { name: "health", admin: true, ..PLAIN },
+    VerbSpec { name: "slowops", admin: true, ..PLAIN },
+    VerbSpec { name: "quit", ..PLAIN },
+];
+
+fn verb_spec(verb: &str) -> Option<&'static VerbSpec> {
+    VERBS.iter().find(|v| v.name == verb)
+}
+
+/// A request verb as a flight-recorder span name: borrowed from
+/// [`VERBS`], so recording it copies nothing; an unknown verb is
+/// copied as sent.
+pub(crate) fn verb_name(verb: &str) -> std::borrow::Cow<'static, str> {
+    match verb_spec(verb) {
+        Some(v) => v.name.into(),
+        None => verb.to_string().into(),
+    }
+}
+
 /// Payload length announced by a request line, for the verbs that carry
 /// a payload after it: `Ok(None)` for payload-less verbs, `Ok(Some(n))`
 /// for a valid announce, and the errno to answer with for a malformed
@@ -697,14 +766,8 @@ impl Drop for InflightGuard {
 /// payload bytes — no announce can make the server reserve more than
 /// [`codec::PAYLOAD_MAX`]).
 pub(crate) fn announced_payload(words: &[String]) -> Result<Option<u64>, Errno> {
-    let (idx, oversize) = match words[0].as_str() {
-        "pwrite" => (3, Errno::EPROTO),
-        // `put` historically refuses an oversized announce with EINVAL;
-        // the others surface the payload reader's EPROTO.
-        "put" => (2, Errno::EINVAL),
-        "setacl" => (2, Errno::EPROTO),
-        "batch" => (1, Errno::EPROTO),
-        _ => return Ok(None),
+    let Some((idx, oversize)) = verb_spec(&words[0]).and_then(|v| v.payload) else {
+        return Ok(None);
     };
     let len: u64 = words
         .get(idx)
@@ -743,6 +806,21 @@ pub(crate) enum Reply {
     /// scatter-gather segments and streams them with vectored writes;
     /// the file bytes are never copied into a connection buffer.
     Stream(String, ExtentList),
+}
+
+/// An `ok` line carrying an encoded stat record's words.
+fn stat_line(st: &idbox_vfs::StatBuf) -> String {
+    let mut line = "ok".to_string();
+    for w in abi::encode_stat(st) {
+        line.push(' ');
+        line.push_str(&w.to_string());
+    }
+    line
+}
+
+/// A reply column that may be empty: `-` for `None`.
+fn dash(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
 fn parse_num<T: std::str::FromStr>(w: Option<&String>) -> SysResult<T> {
@@ -787,6 +865,12 @@ pub(crate) fn dispatch(
     obs: &SessionObs,
 ) -> SysResult<Reply> {
     let cmd = words[0].as_str();
+    // Unknown verbs are refused, and so are the admin RPCs to everyone
+    // else, before any argument is parsed or any state touched.
+    let spec = verb_spec(cmd).ok_or(Errno::ENOSYS)?;
+    if spec.admin {
+        ctl.require_admin(principal)?;
+    }
     let arg = |i: usize| -> SysResult<&String> { words.get(i).ok_or(Errno::EPROTO) };
     match cmd {
         "whoami" => Ok(Reply::Line(format!(
@@ -794,14 +878,7 @@ pub(crate) fn dispatch(
             codec::encode_word(&principal.to_string())
         ))),
         "stat" => {
-            let st = ctx.stat(&export_path(arg(1)?))?;
-            let ws = abi::encode_stat(&st);
-            let mut line = "ok".to_string();
-            for w in ws {
-                line.push(' ');
-                line.push_str(&w.to_string());
-            }
-            Ok(Reply::Line(line))
+            Ok(Reply::Line(stat_line(&ctx.stat(&export_path(arg(1)?))?)))
         }
         "open" => {
             let flags = OpenFlags::from_bits(parse_num(words.get(2))?);
@@ -840,14 +917,7 @@ pub(crate) fn dispatch(
             Ok(Reply::Line(ok_num(n as i64)))
         }
         "fstat" => {
-            let st = ctx.fstat(parse_num(words.get(1))?)?;
-            let ws = abi::encode_stat(&st);
-            let mut line = "ok".to_string();
-            for w in ws {
-                line.push(' ');
-                line.push_str(&w.to_string());
-            }
-            Ok(Reply::Line(line))
+            Ok(Reply::Line(stat_line(&ctx.fstat(parse_num(words.get(1))?)?)))
         }
         "mkdir" => {
             ctx.mkdir(&export_path(arg(1)?), parse_num(words.get(2))?)?;
@@ -956,24 +1026,18 @@ pub(crate) fn dispatch(
             record_span(obs, "exec", path, t0.elapsed());
             Ok(Reply::Line(ok_num(result? as i64)))
         }
-        // Observability RPCs: restricted to configured admin
-        // principals; everyone else is refused before any state is
-        // touched.
+        // Observability RPCs (admin principals only, checked above).
         "stats" => {
-            ctl.require_admin(principal)?;
             let snap = ctl.kernel.read().latency().snapshot();
             let mut text = String::new();
             for (name, count, p50, p99) in snap.rows() {
                 // An empty histogram has no percentiles; emit `-` rather
                 // than a fake 0 ns that reads as "instant".
-                let p50 = p50.map_or_else(|| "-".to_string(), |v| v.to_string());
-                let p99 = p99.map_or_else(|| "-".to_string(), |v| v.to_string());
-                text.push_str(&format!("{name} {count} {p50} {p99}\n"));
+                text.push_str(&format!("{name} {count} {} {}\n", dash(p50), dash(p99)));
             }
             Ok(Reply::Payload(ok_num(text.len() as i64), text.into_bytes()))
         }
         "audit" => {
-            ctl.require_admin(principal)?;
             // Optional cursor: only events with seq >= since. The reply
             // head carries the next cursor (the ring's write head) as a
             // second word, which pre-cursor clients never read.
@@ -984,27 +1048,15 @@ pub(crate) fn dispatch(
             let next = ctl.audit.total_recorded();
             let mut text = String::new();
             for e in ctl.audit.snapshot_since(since) {
-                let path = match &e.path {
-                    Some(p) => codec::encode_word(p),
-                    None => "-".to_string(),
-                };
-                let errno = match e.errno {
-                    Some(err) => err.code().to_string(),
-                    None => "-".to_string(),
-                };
-                let trace = match e.trace {
-                    Some(t) => t.to_string(),
-                    None => "-".to_string(),
-                };
                 text.push_str(&format!(
                     "{} {} {} {} {} {} {}\n",
                     e.seq,
                     codec::encode_word(&e.identity),
                     e.syscall,
-                    path,
+                    dash(e.path.as_deref().map(codec::encode_word)),
                     e.verdict.as_str(),
-                    errno,
-                    trace
+                    dash(e.errno.map(Errno::code)),
+                    dash(e.trace)
                 ));
             }
             Ok(Reply::Payload(
@@ -1013,7 +1065,6 @@ pub(crate) fn dispatch(
             ))
         }
         "metrics" => {
-            ctl.require_admin(principal)?;
             let mut text = ctl.metrics.render_prometheus();
             text.push_str(&idbox_obs::render_lock_prometheus(
                 &parking_lot::lock_snapshot(),
@@ -1043,7 +1094,6 @@ pub(crate) fn dispatch(
         // a consistent point and truncates replayed history. `ENOSYS`
         // on a volatile (no-WAL) server, `EIO` when the disk fails.
         "walsnap" => {
-            ctl.require_admin(principal)?;
             match ctl.kernel.read().wal_snapshot() {
                 Ok(Some(watermark)) => Ok(Reply::Line(format!("ok {watermark}"))),
                 Ok(None) => Err(Errno::ENOSYS),
@@ -1055,7 +1105,6 @@ pub(crate) fn dispatch(
         // JSON, loadable in Perfetto / chrome://tracing. An optional
         // seconds argument restricts the dump to the trailing window.
         "tracedump" => {
-            ctl.require_admin(principal)?;
             let since_ns = match words.get(1) {
                 Some(w) => {
                     let secs: u64 = w.parse().map_err(|_| Errno::EPROTO)?;
@@ -1071,12 +1120,9 @@ pub(crate) fn dispatch(
         // first during an incident, without scraping full Prometheus
         // text. Percentiles are `-` while the histograms are empty.
         "health" => {
-            ctl.require_admin(principal)?;
-            let loop_p99 = parking_lot::histogram::percentile(&ctl.loop_stats.lag_buckets(), 99.0)
-                .map_or_else(|| "-".to_string(), |v| v.to_string());
+            let loop_p99 = parking_lot::histogram::percentile(&ctl.loop_stats.lag_buckets(), 99.0);
             let locks = parking_lot::lock_snapshot();
-            let shard_p99 = parking_lot::lock_wait_percentile_us(&locks, 99.0)
-                .map_or_else(|| "-".to_string(), |v| v.to_string());
+            let shard_p99 = parking_lot::lock_wait_percentile_us(&locks, 99.0);
             let mut inflight = 0u64;
             let mut shed = ctl.metrics.admission_shed();
             for (_, c) in ctl.metrics.snapshot() {
@@ -1092,8 +1138,8 @@ pub(crate) fn dispatch(
             Ok(Reply::Line(format!(
                 "ok loop_p99_us={} shard_wait_p99_us={} inflight={} shed={} conns={} \
                  workers={} stalls={} snap_failures={}",
-                loop_p99,
-                shard_p99,
+                dash(loop_p99),
+                dash(shard_p99),
                 inflight,
                 shed,
                 ctl.loop_stats.conns_total(),
@@ -1105,7 +1151,6 @@ pub(crate) fn dispatch(
         // The request phases in the flight recorder that took at least
         // `slow_op_threshold`, newest `SLOW_OPS_MAX` oldest first.
         "slowops" => {
-            ctl.require_admin(principal)?;
             let threshold = ctl.slow_op_threshold.as_nanos();
             let slow: Vec<_> = idbox_obs::flight::snapshot_since(0)
                 .into_iter()
@@ -1116,13 +1161,9 @@ pub(crate) fn dispatch(
                 .collect();
             let mut text = String::new();
             for e in &slow[slow.len().saturating_sub(SLOW_OPS_MAX)..] {
-                let trace = match e.trace {
-                    Some(t) => t.to_string(),
-                    None => "-".to_string(),
-                };
                 text.push_str(&format!(
                     "{} {} {} {} {} {}\n",
-                    trace,
+                    dash(e.trace),
                     e.plane,
                     codec::encode_word(&e.name),
                     codec::encode_word(e.identity.as_deref().unwrap_or("-")),
@@ -1139,15 +1180,6 @@ pub(crate) fn dispatch(
 /// Most rows one `slowops` reply carries.
 const SLOW_OPS_MAX: usize = 512;
 
-/// Verbs a `batch` frame may carry: the small metadata ops whose
-/// round-trip tax batching exists to amortize. Payload-bearing verbs,
-/// `exec`, the admin RPCs, and `batch` itself are excluded — they keep
-/// their own frames.
-const BATCH_VERBS: &[&str] = &[
-    "whoami", "stat", "fstat", "open", "close", "readdir", "getacl", "mkdir", "rmdir", "unlink",
-    "rename", "truncate",
-];
-
 /// Run one batch sub-op and render its reply line. Bulk replies
 /// (readdir listings, ACL text) are percent-encoded into a single word
 /// so every sub-reply stays a one-liner.
@@ -1163,7 +1195,9 @@ fn batch_sub_op(
         Ok(w) if !w.is_empty() => w,
         _ => return error_line(Errno::EPROTO),
     };
-    if !BATCH_VERBS.contains(&words[0].as_str()) {
+    // Payload-bearing verbs, `exec`, the admin RPCs and `batch` itself
+    // keep their own frames.
+    if !verb_spec(&words[0]).is_some_and(|v| v.batchable) {
         return error_line(Errno::ENOSYS);
     }
     match dispatch(&words, Arc::default(), ctx, principal, programs, ctl, obs) {
@@ -1260,4 +1294,32 @@ fn run_exec(
         return Err(e);
     }
     Ok(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::borrow::Cow;
+
+    #[test]
+    fn verb_table_rows_are_unique_and_consistent() {
+        for (i, v) in VERBS.iter().enumerate() {
+            assert!(VERBS[..i].iter().all(|u| u.name != v.name), "{} twice", v.name);
+            // A batch frame carries only payload-less, non-admin verbs.
+            assert!(!v.batchable || (v.payload.is_none() && !v.admin), "{}", v.name);
+        }
+        assert!(matches!(verb_name("stat"), Cow::Borrowed("stat")));
+        assert!(matches!(verb_name("nosuch"), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn announces_read_their_word_and_oversize_errno() {
+        let words = |l: &str| l.split(' ').map(String::from).collect::<Vec<_>>();
+        assert_eq!(announced_payload(&words("put /f 70000000 420")), Err(Errno::EINVAL));
+        assert_eq!(announced_payload(&words("pwrite 3 0 70000000")), Err(Errno::EPROTO));
+        assert_eq!(announced_payload(&words("setacl /d")), Err(Errno::EPROTO));
+        assert_eq!(announced_payload(&words("batch 12")), Ok(Some(12)));
+        assert_eq!(announced_payload(&words("get /f")), Ok(None));
+        assert_eq!(announced_payload(&words("nosuch 5")), Ok(None));
+    }
 }

@@ -103,7 +103,14 @@ impl AuditRing {
         errno: Option<Errno>,
         trace: Option<TraceId>,
     ) {
-        self.record_named(identity, call.name(), call_path(call), verdict, errno, trace);
+        // Two-path calls keep both names, arrow-joined, since either
+        // side can be what a reviewer is looking for.
+        let mut paths = call.paths();
+        let path = paths.next().map(|first| match paths.next() {
+            Some(second) => format!("{first} -> {second}"),
+            None => first.to_owned(),
+        });
+        self.record_named(identity, call.name(), path, verdict, errno, trace);
     }
 
     /// Append one decision that is not a syscall ruling — degradation
@@ -175,22 +182,6 @@ impl AuditRing {
     /// Total decisions ever recorded, including evicted ones.
     pub fn total_recorded(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
-    }
-}
-
-/// The path(s) a call names, for the audit record. Two-path calls keep
-/// both names, arrow-joined, since either side can be what a reviewer
-/// is looking for.
-fn call_path(call: &Syscall) -> Option<String> {
-    use Syscall::*;
-    match call {
-        Stat(p) | Lstat(p) | Open(p, ..) | Mkdir(p, _) | Rmdir(p) | Unlink(p)
-        | Readlink(p) | Truncate(p, _) | AccessCheck(p, _) | Readdir(p) | Chmod(p, _)
-        | Chown(p, ..) | Chdir(p) | Exec(p) => Some(p.clone()),
-        Link(old, new) | Symlink(old, new) | Rename(old, new) => {
-            Some(format!("{old} -> {new}"))
-        }
-        _ => None,
     }
 }
 
@@ -277,10 +268,10 @@ mod tests {
 
     #[test]
     fn two_path_calls_keep_both_names() {
-        assert_eq!(
-            call_path(&Syscall::Rename("/a".into(), "/b".into())).as_deref(),
-            Some("/a -> /b")
-        );
-        assert_eq!(call_path(&Syscall::Getpid), None);
+        let ring = AuditRing::default();
+        ring.record("fred", &Syscall::Rename("/a".into(), "/b".into()), Verdict::Allow, None, None);
+        ring.record("fred", &Syscall::Getpid, Verdict::Allow, None, None);
+        let paths: Vec<_> = ring.snapshot().into_iter().map(|e| e.path).collect();
+        assert_eq!(paths, [Some("/a -> /b".to_string()), None]);
     }
 }

@@ -6,7 +6,9 @@ use crate::policy::{AllowAll, PolicyDecision, SyscallPolicy};
 use crate::trace::TraceSink;
 use crate::vm::{reg, TraceeVm};
 use crate::{SharedKernel, SMALL_IO_MAX};
-use idbox_kernel::{ByteExtent, ExtentList, LatencyStats, OpenFlags, Pid, Signal, Syscall, SysRet};
+use idbox_kernel::{
+    ByteExtent, ExtentList, LatencyStats, OpenFlags, Pid, Signal, Syscall, SysRet, Whence,
+};
 use idbox_obs::{IdentityCounters, TraceCell};
 use idbox_types::{CostModel, Errno, SwitchEngine, SysResult, TrapCostReport};
 use idbox_vfs::Access;
@@ -100,38 +102,14 @@ pub struct Supervisor {
 impl Supervisor {
     /// A baseline supervisor: system calls go straight to the kernel.
     pub fn direct(kernel: SharedKernel) -> Self {
-        let latency = Arc::clone(kernel.read().latency());
-        Supervisor {
-            kernel,
-            mode: ExecMode::Direct,
-            policy: Box::new(AllowAll),
-            engine: SwitchEngine::new(CostModel::free_switches()),
-            channel: IoChannel::new(),
-            trace: None,
-            obs: None,
-            latency,
-            pending_extents: None,
-            pending_payload: None,
-        }
+        Self::new(kernel, ExecMode::Direct, Box::new(AllowAll), CostModel::free_switches())
     }
 
     /// A kernel-resident policy: the checks of `policy` run on every
     /// call, but at native cost — what Section 9 argues future operating
     /// systems should provide.
     pub fn in_kernel(kernel: SharedKernel, policy: Box<dyn SyscallPolicy>) -> Self {
-        let latency = Arc::clone(kernel.read().latency());
-        Supervisor {
-            kernel,
-            mode: ExecMode::InKernel,
-            policy,
-            engine: SwitchEngine::new(CostModel::free_switches()),
-            channel: IoChannel::new(),
-            trace: None,
-            obs: None,
-            latency,
-            pending_extents: None,
-            pending_payload: None,
-        }
+        Self::new(kernel, ExecMode::InKernel, policy, CostModel::free_switches())
     }
 
     /// An interposed supervisor with a policy and a cost model.
@@ -140,10 +118,19 @@ impl Supervisor {
         policy: Box<dyn SyscallPolicy>,
         model: CostModel,
     ) -> Self {
+        Self::new(kernel, ExecMode::Interposed, policy, model)
+    }
+
+    fn new(
+        kernel: SharedKernel,
+        mode: ExecMode,
+        policy: Box<dyn SyscallPolicy>,
+        model: CostModel,
+    ) -> Self {
         let latency = Arc::clone(kernel.read().latency());
         Supervisor {
             kernel,
-            mode: ExecMode::Interposed,
+            mode,
             policy,
             engine: SwitchEngine::new(model),
             channel: IoChannel::new(),
@@ -569,191 +556,165 @@ fn copy_parts(dst: &mut [u8], parts: &mut dyn Iterator<Item = &[u8]>) {
 // Decode / reply
 // ----------------------------------------------------------------------
 
-fn read_str(reader: &mut dyn ArgReader, vm: &TraceeVm, addr: u64, len: u64) -> SysResult<String> {
-    if len as usize > idbox_vfs::path::PATH_MAX {
-        return Err(Errno::ENAMETOOLONG);
+/// The argument registers of one trapped call, consumed in order
+/// (`A0` through `A3`). A number is one register. A path or a write
+/// payload is an (addr, len) pair whose bytes cross through the
+/// [`ArgReader`], which charges the transfer. A reply destination is the
+/// [`OutSpec`] its registers describe.
+struct Args<'a> {
+    vm: &'a TraceeVm,
+    reader: &'a mut dyn ArgReader,
+    parked: &'a mut Option<Arc<[u8]>>,
+    next: usize,
+}
+
+impl Args<'_> {
+    /// The next register, raw.
+    fn word(&mut self) -> u64 {
+        let w = self.vm.regs[reg::A0 + self.next];
+        self.next += 1;
+        w
     }
-    let bytes = reader.read_bytes(vm, addr, len as usize)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_owned)
-        .map_err(|_| Errno::EINVAL)
+
+    fn fd(&mut self) -> usize {
+        self.word() as usize
+    }
+
+    /// A length or capacity.
+    fn len(&mut self) -> usize {
+        self.word() as usize
+    }
+
+    /// Permission bits.
+    fn mode(&mut self) -> u16 {
+        self.word() as u16
+    }
+
+    /// A path: at most `PATH_MAX` bytes of UTF-8, checked before any
+    /// byte is transferred.
+    fn path(&mut self) -> SysResult<String> {
+        let (addr, len) = (self.word(), self.word() as usize);
+        if len > idbox_vfs::path::PATH_MAX {
+            return Err(Errno::ENAMETOOLONG);
+        }
+        let bytes = self.reader.read_bytes(self.vm, addr, len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| Errno::EINVAL)
+    }
+
+    /// A write payload, copied once into the buffer a file appended to
+    /// adopts as its chunks.
+    fn data(&mut self) -> SysResult<Arc<[u8]>> {
+        let (addr, len) = (self.word(), self.len());
+        Ok(Arc::from(self.reader.read_bytes(self.vm, addr, len)?))
+    }
+
+    /// The payload parked for `pwritex`, consumed whatever the outcome:
+    /// nothing is peeked or staged. A missing payload, or one whose
+    /// length disagrees with the register, is a bad buffer address as
+    /// far as the guest can tell.
+    fn parked(&mut self) -> SysResult<Arc<[u8]>> {
+        let len = self.word();
+        match self.parked.take() {
+            Some(data) if data.len() as u64 == len => Ok(data),
+            _ => Err(Errno::EFAULT),
+        }
+    }
+
+    fn whence(&mut self) -> SysResult<Whence> {
+        abi::whence_from_code(self.word())
+    }
+
+    fn signal(&mut self) -> SysResult<Signal> {
+        Signal::from_number(self.word() as u32).ok_or(Errno::EINVAL)
+    }
+
+    /// A byte buffer (addr, cap) for a text or data reply.
+    fn buf(&mut self) -> OutSpec {
+        OutSpec::Buf { addr: self.word(), cap: self.len() }
+    }
+
+    /// A data buffer (addr, len) whose length also sizes the read.
+    fn read_buf(&mut self) -> (usize, OutSpec) {
+        let (addr, len) = (self.word(), self.len());
+        (len, OutSpec::Buf { addr, cap: len })
+    }
+
+    fn stat_out(&mut self) -> OutSpec {
+        OutSpec::Stat { addr: self.word() }
+    }
+
+    fn status_out(&mut self) -> OutSpec {
+        OutSpec::Status { addr: self.word() }
+    }
+
+    fn sigs_out(&mut self) -> OutSpec {
+        OutSpec::Sigs { addr: self.word(), cap_words: self.len() }
+    }
+
+    fn pipe_out(&mut self) -> OutSpec {
+        OutSpec::PipeFds { addr: self.word() }
+    }
 }
 
 /// Decode the registers (and any memory-resident arguments) into a typed
-/// call plus the location where its reply payload belongs. A `pwritex`
-/// takes its data from `parked` instead of guest memory.
+/// call plus the location where its reply payload belongs: one row per
+/// ABI number, its arguments in register order. A `pwritex` takes its
+/// data from `parked` instead of guest memory.
 fn decode_call(
     vm: &TraceeVm,
     reader: &mut dyn ArgReader,
     parked: &mut Option<Arc<[u8]>>,
 ) -> SysResult<(Syscall, OutSpec)> {
-    let r = &vm.regs;
-    let (n, a0, a1, a2, a3) = (r[reg::NR], r[reg::A0], r[reg::A1], r[reg::A2], r[reg::A3]);
-    let call = match n {
-        nr::GETPID => (Syscall::Getpid, OutSpec::None),
-        nr::GETPPID => (Syscall::Getppid, OutSpec::None),
-        nr::GETUID => (Syscall::Getuid, OutSpec::None),
-        nr::OPEN => {
-            let path = read_str(reader, vm, a0, a1)?;
-            (
-                Syscall::Open(path, OpenFlags::from_bits(a2), a3 as u16),
-                OutSpec::None,
-            )
-        }
-        nr::CLOSE => (Syscall::Close(a0 as usize), OutSpec::None),
-        nr::READ => (
-            Syscall::Read(a0 as usize, a2 as usize),
-            OutSpec::Buf {
-                addr: a1,
-                cap: a2 as usize,
-            },
-        ),
-        nr::PREAD => (
-            Syscall::Pread(a0 as usize, a2 as usize, a3),
-            OutSpec::Buf {
-                addr: a1,
-                cap: a2 as usize,
-            },
-        ),
+    use OutSpec::{None as NoOut, Park};
+    use Syscall::*;
+    let a = &mut Args { vm, reader, parked, next: 0 };
+    Ok(match vm.regs[reg::NR] {
+        nr::GETPID => (Getpid, NoOut),
+        nr::GETPPID => (Getppid, NoOut),
+        nr::GETUID => (Getuid, NoOut),
+        nr::OPEN => (Open(a.path()?, OpenFlags::from_bits(a.word()), a.mode()), NoOut),
+        nr::CLOSE => (Close(a.fd()), NoOut),
+        nr::READ => { let (fd, (len, out)) = (a.fd(), a.read_buf()); (Read(fd, len), out) }
+        nr::PREAD => { let (fd, (len, out)) = (a.fd(), a.read_buf()); (Pread(fd, len, a.word()), out) }
         // Zero-copy read: the reply is held supervisor-side as borrowed
         // extents, so there is no output buffer to fill.
-        nr::PREADX => (Syscall::Preadx(a0 as usize, a1 as usize, a2), OutSpec::Park),
-        // One allocation per payload, the buffer a file appended to
-        // adopts as its chunks.
-        nr::WRITE => {
-            let data = Arc::from(reader.read_bytes(vm, a1, a2 as usize)?);
-            (Syscall::Write(a0 as usize, data), OutSpec::None)
-        }
-        nr::PWRITE => {
-            let data = Arc::from(reader.read_bytes(vm, a1, a2 as usize)?);
-            (Syscall::Pwrite(a0 as usize, data, a3), OutSpec::None)
-        }
-        // Owned-payload write: the data was parked supervisor-side, so
-        // nothing is peeked or staged through the channel. A missing
-        // payload, or one whose length disagrees with the register, is
-        // a bad buffer address as far as the guest can tell.
-        nr::PWRITEX => match parked.take() {
-            Some(data) if data.len() as u64 == a1 => {
-                (Syscall::Pwrite(a0 as usize, data, a2), OutSpec::None)
-            }
-            _ => return Err(Errno::EFAULT),
-        },
-        nr::LSEEK => (
-            Syscall::Lseek(a0 as usize, a1 as i64, abi::whence_from_code(a2)?),
-            OutSpec::None,
-        ),
-        nr::DUP => (Syscall::Dup(a0 as usize), OutSpec::None),
-        nr::STAT => (
-            Syscall::Stat(read_str(reader, vm, a0, a1)?),
-            OutSpec::Stat { addr: a2 },
-        ),
-        nr::LSTAT => (
-            Syscall::Lstat(read_str(reader, vm, a0, a1)?),
-            OutSpec::Stat { addr: a2 },
-        ),
-        nr::FSTAT => (
-            Syscall::Fstat(a0 as usize),
-            OutSpec::Stat { addr: a1 },
-        ),
-        nr::MKDIR => (
-            Syscall::Mkdir(read_str(reader, vm, a0, a1)?, a2 as u16),
-            OutSpec::None,
-        ),
-        nr::RMDIR => (Syscall::Rmdir(read_str(reader, vm, a0, a1)?), OutSpec::None),
-        nr::UNLINK => (Syscall::Unlink(read_str(reader, vm, a0, a1)?), OutSpec::None),
-        nr::LINK => (
-            Syscall::Link(
-                read_str(reader, vm, a0, a1)?,
-                read_str(reader, vm, a2, a3)?,
-            ),
-            OutSpec::None,
-        ),
-        nr::SYMLINK => (
-            Syscall::Symlink(
-                read_str(reader, vm, a0, a1)?,
-                read_str(reader, vm, a2, a3)?,
-            ),
-            OutSpec::None,
-        ),
-        nr::READLINK => (
-            Syscall::Readlink(read_str(reader, vm, a0, a1)?),
-            OutSpec::Buf {
-                addr: a2,
-                cap: a3 as usize,
-            },
-        ),
-        nr::RENAME => (
-            Syscall::Rename(
-                read_str(reader, vm, a0, a1)?,
-                read_str(reader, vm, a2, a3)?,
-            ),
-            OutSpec::None,
-        ),
-        nr::TRUNCATE => (
-            Syscall::Truncate(read_str(reader, vm, a0, a1)?, a2),
-            OutSpec::None,
-        ),
-        nr::ACCESS => (
-            Syscall::AccessCheck(read_str(reader, vm, a0, a1)?, Access(a2 as u8)),
-            OutSpec::None,
-        ),
-        nr::READDIR => (
-            Syscall::Readdir(read_str(reader, vm, a0, a1)?),
-            OutSpec::Buf {
-                addr: a2,
-                cap: a3 as usize,
-            },
-        ),
-        nr::CHMOD => (
-            Syscall::Chmod(read_str(reader, vm, a0, a1)?, a2 as u16),
-            OutSpec::None,
-        ),
-        nr::CHOWN => (
-            Syscall::Chown(read_str(reader, vm, a0, a1)?, a2 as u32, a3 as u32),
-            OutSpec::None,
-        ),
-        nr::CHDIR => (Syscall::Chdir(read_str(reader, vm, a0, a1)?), OutSpec::None),
-        nr::GETCWD => (
-            Syscall::Getcwd,
-            OutSpec::Buf {
-                addr: a0,
-                cap: a1 as usize,
-            },
-        ),
-        nr::UMASK => (Syscall::Umask(a0 as u16), OutSpec::None),
-        nr::FORK => (Syscall::Fork, OutSpec::None),
-        nr::EXEC => (Syscall::Exec(read_str(reader, vm, a0, a1)?), OutSpec::None),
-        nr::EXIT => (Syscall::Exit(a0 as i64 as i32), OutSpec::None),
-        nr::WAIT => (Syscall::Wait, OutSpec::Status { addr: a0 }),
-        nr::KILL => {
-            let sig = Signal::from_number(a1 as u32).ok_or(Errno::EINVAL)?;
-            (Syscall::Kill(Pid(a0 as u32), sig), OutSpec::None)
-        }
-        nr::PIPE => (Syscall::Pipe, OutSpec::PipeFds { addr: a0 }),
-        nr::SIGPENDING => (
-            Syscall::SigPending,
-            OutSpec::Sigs {
-                addr: a0,
-                cap_words: a1 as usize,
-            },
-        ),
-        nr::GET_USER_NAME => (
-            Syscall::GetUserName,
-            OutSpec::Buf {
-                addr: a0,
-                cap: a1 as usize,
-            },
-        ),
-        nr::GETENV => (
-            Syscall::Getenv(read_str(reader, vm, a0, a1)?),
-            OutSpec::Buf {
-                addr: a2,
-                cap: a3 as usize,
-            },
-        ),
+        nr::PREADX => (Preadx(a.fd(), a.len(), a.word()), Park),
+        nr::WRITE => (Write(a.fd(), a.data()?), NoOut),
+        nr::PWRITE => (Pwrite(a.fd(), a.data()?, a.word()), NoOut),
+        nr::PWRITEX => (Pwrite(a.fd(), a.parked()?, a.word()), NoOut),
+        nr::LSEEK => (Lseek(a.fd(), a.word() as i64, a.whence()?), NoOut),
+        nr::DUP => (Dup(a.fd()), NoOut),
+        nr::STAT => (Stat(a.path()?), a.stat_out()),
+        nr::LSTAT => (Lstat(a.path()?), a.stat_out()),
+        nr::FSTAT => (Fstat(a.fd()), a.stat_out()),
+        nr::MKDIR => (Mkdir(a.path()?, a.mode()), NoOut),
+        nr::RMDIR => (Rmdir(a.path()?), NoOut),
+        nr::UNLINK => (Unlink(a.path()?), NoOut),
+        nr::LINK => (Link(a.path()?, a.path()?), NoOut),
+        nr::SYMLINK => (Symlink(a.path()?, a.path()?), NoOut),
+        nr::READLINK => (Readlink(a.path()?), a.buf()),
+        nr::RENAME => (Rename(a.path()?, a.path()?), NoOut),
+        nr::TRUNCATE => (Truncate(a.path()?, a.word()), NoOut),
+        nr::ACCESS => (AccessCheck(a.path()?, Access(a.word() as u8)), NoOut),
+        nr::READDIR => (Readdir(a.path()?), a.buf()),
+        nr::CHMOD => (Chmod(a.path()?, a.mode()), NoOut),
+        nr::CHOWN => (Chown(a.path()?, a.word() as u32, a.word() as u32), NoOut),
+        nr::CHDIR => (Chdir(a.path()?), NoOut),
+        nr::GETCWD => (Getcwd, a.buf()),
+        nr::UMASK => (Umask(a.mode()), NoOut),
+        nr::FORK => (Fork, NoOut),
+        nr::EXEC => (Exec(a.path()?), NoOut),
+        nr::EXIT => (Exit(a.word() as i64 as i32), NoOut),
+        nr::WAIT => (Wait, a.status_out()),
+        nr::KILL => (Kill(Pid(a.word() as u32), a.signal()?), NoOut),
+        nr::PIPE => (Pipe, a.pipe_out()),
+        nr::SIGPENDING => (SigPending, a.sigs_out()),
+        nr::GET_USER_NAME => (GetUserName, a.buf()),
+        nr::GETENV => (Getenv(a.path()?), a.buf()),
         _ => return Err(Errno::ENOSYS),
-    };
-    Ok(call)
+    })
 }
 
 /// Materialize a kernel result into the tracee: return register plus any
@@ -832,4 +793,69 @@ fn write_text(
     }
     writer.write_bytes(vm, addr, text.len(), &mut std::iter::once(text.as_bytes()))?;
     Ok(text.len() as i64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::share;
+    use idbox_kernel::Kernel;
+    use idbox_vfs::Cred;
+
+    /// A boxed process and its registers.
+    struct Guest {
+        sup: Supervisor,
+        pid: Pid,
+        vm: TraceeVm,
+    }
+
+    impl Guest {
+        fn new() -> Self {
+            let kernel = share(Kernel::new());
+            let pid = kernel.lock().spawn(Cred::ROOT, "/tmp", "decode").unwrap();
+            let sup = Supervisor::interposed(kernel, Box::new(AllowAll), CostModel::free_switches());
+            Guest { sup, pid, vm: TraceeVm::new() }
+        }
+
+        /// Trap one call from raw registers: its return register and the
+        /// peek words it was charged.
+        fn trap(&mut self, n: u64, args: &[u64]) -> (i64, u64) {
+            let before = self.sup.cost_report().peeks;
+            self.vm.load_call(n, args);
+            self.sup.execute(self.pid, &mut self.vm);
+            (self.vm.ret(), self.sup.cost_report().peeks - before)
+        }
+    }
+
+    /// One case per class of malformed registers, each with the errno
+    /// the guest sees.
+    #[test]
+    fn malformed_registers_map_to_their_errno() {
+        let mut g = Guest::new();
+        assert_eq!(g.trap(9999, &[]).0, Errno::ENOSYS.as_ret());
+        assert_eq!(g.trap(nr::LSEEK, &[0, 0, 7]).0, Errno::EINVAL.as_ret());
+        assert_eq!(g.trap(nr::KILL, &[g.pid.0 as u64, 999]).0, Errno::EINVAL.as_ret());
+        // pwritex with nothing parked, then with a length that disagrees
+        // with the parked payload (which is consumed either way).
+        assert_eq!(g.trap(nr::PWRITEX, &[3, 4, 0]).0, Errno::EFAULT.as_ret());
+        g.sup.park_payload(Arc::from(&b"abc"[..]));
+        assert_eq!(g.trap(nr::PWRITEX, &[3, 4, 0]).0, Errno::EFAULT.as_ret());
+        assert_eq!(g.trap(nr::PWRITEX, &[3, 3, 0]).0, Errno::EFAULT.as_ret());
+        // An over-long path is refused before a word is peeked.
+        let over = idbox_vfs::path::PATH_MAX as u64 + 1;
+        assert_eq!(g.trap(nr::STAT, &[0x100, over, 0x2000]), (Errno::ENAMETOOLONG.as_ret(), 0));
+        g.vm.guest_write(0x100, &[b'/', 0xFF, 0xFE]).unwrap();
+        assert_eq!(g.trap(nr::UNLINK, &[0x100, 3]).0, Errno::EINVAL.as_ret());
+    }
+
+    /// A path argument is charged one peek per word it spans, for each
+    /// path a call names.
+    #[test]
+    fn path_arguments_are_charged_per_word() {
+        let mut g = Guest::new();
+        g.vm.guest_write(0x100, b"/tmp/abcdefghi").unwrap(); // 14 bytes: 2 words
+        g.vm.guest_write(0x200, b"/tmp/a").unwrap(); // 6 bytes: 1 word
+        assert_eq!(g.trap(nr::UNLINK, &[0x100, 14]), (Errno::ENOENT.as_ret(), 2));
+        assert_eq!(g.trap(nr::RENAME, &[0x200, 6, 0x100, 14]), (Errno::ENOENT.as_ret(), 3));
+    }
 }

@@ -78,7 +78,7 @@ impl SyscallPolicy for DenyAll {
     }
 
     fn check(&mut self, _: &Kernel, _: Pid, call: &Syscall) -> PolicyDecision {
-        if call.is_path_call() {
+        if call.paths().next().is_some() {
             PolicyDecision::Deny(Errno::EACCES)
         } else {
             PolicyDecision::Allow

@@ -21,8 +21,11 @@ pub struct TraceRecord {
     pub pid: Pid,
     /// Syscall name.
     pub name: &'static str,
-    /// The object(s) named by the call (paths, targets), if any.
+    /// The call's arguments as rendered: the paths it names, then any
+    /// other detail (open mode, fd and length...).
     pub detail: String,
+    /// The paths the call names ([`Syscall::paths`]), in order.
+    pub paths: Vec<String>,
     /// Rendered outcome: `ok`, `= <num>`, or the errno.
     pub outcome: String,
     /// True when the call failed (including policy denials).
@@ -79,22 +82,16 @@ impl TraceSink {
         self.inner.lock().iter().filter(|r| r.denied).cloned().collect()
     }
 
-    /// The distinct objects (paths) touched, in first-access order —
-    /// "recording the objects accessed".
+    /// The distinct absolute paths the calls named, in first-access
+    /// order — "recording the objects accessed".
     pub fn objects_accessed(&self) -> Vec<String> {
+        let log = self.inner.lock();
         let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for r in self.inner.lock().iter() {
-            for path in r.detail.split(" -> ") {
-                // Strip the open-mode annotation (`/a [r]` -> `/a`).
-                let path = path.split(" [").next().unwrap_or("").trim();
-                if !path.is_empty() && path.starts_with('/') && seen.insert(path.to_string())
-                {
-                    out.push(path.to_string());
-                }
-            }
-        }
-        out
+        log.iter()
+            .flat_map(|r| &r.paths)
+            .filter(|p| p.starts_with('/') && seen.insert(p.as_str()))
+            .cloned()
+            .collect()
     }
 
     /// Render the whole log, one line per record.
@@ -108,20 +105,14 @@ impl TraceSink {
     }
 }
 
-fn call_detail(call: &Syscall) -> String {
+/// The rendered arguments: the paths a call names, arrow-joined, plus
+/// what else identifies the operation.
+fn call_detail(call: &Syscall, paths: &[String]) -> String {
     use Syscall::*;
+    let named = paths.join(" -> ");
     match call {
-        Stat(p) | Lstat(p) | Rmdir(p) | Unlink(p) | Readlink(p) | Chdir(p)
-        | Readdir(p) | Exec(p) => p.clone(),
-        Open(p, flags, _) => {
-            let mut s = p.clone();
-            s.push_str(if flags.write { " [w]" } else { " [r]" });
-            s
-        }
-        Mkdir(p, _) | Truncate(p, _) | Chmod(p, _) => p.clone(),
-        Chown(p, uid, gid) => format!("{p} -> {uid}:{gid}"),
-        Link(a, b) | Symlink(a, b) | Rename(a, b) => format!("{a} -> {b}"),
-        AccessCheck(p, _) => p.clone(),
+        Open(_, flags, _) => format!("{named} [{}]", if flags.write { "w" } else { "r" }),
+        Chown(_, uid, gid) => format!("{named} -> {uid}:{gid}"),
         Read(fd, len) | Pread(fd, len, _) | Preadx(fd, len, _) => format!("fd{fd}, {len}b"),
         Write(fd, data) | Pwrite(fd, data, _) => format!("fd{fd}, {}b", data.len()),
         Close(fd) | Dup(fd) | Fstat(fd) => format!("fd{fd}"),
@@ -130,8 +121,7 @@ fn call_detail(call: &Syscall) -> String {
         Getenv(name) => name.clone(),
         Exit(code) => format!("{code}"),
         Umask(m) => format!("{m:o}"),
-        Getpid | Getppid | Getuid | Getcwd | Fork | Wait | SigPending | Pipe
-        | GetUserName => String::new(),
+        _ => named,
     }
 }
 
@@ -142,11 +132,13 @@ fn make_record(seq: u64, pid: Pid, call: &Syscall, result: &SysResult<SysRet>) -
         Err(e @ (Errno::EACCES | Errno::EPERM)) => (format!("= {e:?} DENIED"), true),
         Err(e) => (format!("= {e:?}"), false),
     };
+    let paths: Vec<String> = call.paths().map(str::to_owned).collect();
     TraceRecord {
         seq,
         pid,
         name: call.name(),
-        detail: call_detail(call),
+        detail: call_detail(call, &paths),
+        paths,
         outcome,
         denied,
     }
@@ -203,6 +195,26 @@ mod tests {
         assert_eq!(sink.objects_accessed(), ["/a", "/b", "/c"]);
         let text = sink.render();
         assert!(text.contains("open(/a [r]) = EACCES DENIED"), "{text}");
+    }
+
+    #[test]
+    fn objects_are_the_paths_a_call_names() {
+        // Names that contain the render's own separators.
+        let sink = TraceSink::new();
+        sink.record(
+            Pid(1),
+            &Syscall::Open("/tmp/a -> b".into(), OpenFlags::rdonly(), 0),
+            &Ok(SysRet::Num(3)),
+        );
+        sink.record(
+            Pid(1),
+            &Syscall::Rename("/tmp/x [1]".into(), "/tmp/y".into()),
+            &Ok(SysRet::Unit),
+        );
+        sink.record(Pid(1), &Syscall::Chown("/tmp/y".into(), 1, 2), &Ok(SysRet::Unit));
+        assert_eq!(sink.objects_accessed(), ["/tmp/a -> b", "/tmp/x [1]", "/tmp/y"]);
+        // The rendered line is unchanged.
+        assert!(sink.render().contains("open(/tmp/a -> b [r]) = 3"));
     }
 
     #[test]

@@ -10,21 +10,10 @@ pub const NREGS: usize = 27;
 pub mod reg {
     /// Syscall number on entry; result on exit.
     pub const NR: usize = 0;
-    /// First argument.
+    /// First argument; argument `i` is `A0 + i`, six in all (no
+    /// current call uses more than four, but the ABI transfers the
+    /// full register file).
     pub const A0: usize = 1;
-    /// Second argument.
-    pub const A1: usize = 2;
-    /// Third argument.
-    pub const A2: usize = 3;
-    /// Fourth argument.
-    pub const A3: usize = 4;
-    /// Fifth argument (reserved: no current call uses more than four
-    /// arguments, but the ABI transfers the full register file).
-    #[allow(dead_code)]
-    pub const A4: usize = 5;
-    /// Sixth argument (reserved, as above).
-    #[allow(dead_code)]
-    pub const A5: usize = 6;
     /// Return value.
     pub const RET: usize = 7;
 }
@@ -352,8 +341,8 @@ mod tests {
         vm.load_call(2, &[9]);
         assert_eq!(vm.regs[reg::NR], 2);
         assert_eq!(vm.regs[reg::A0], 9);
-        assert_eq!(vm.regs[reg::A1], 0);
-        assert_eq!(vm.regs[reg::A5], 0);
+        assert_eq!(vm.regs[reg::A0 + 1], 0);
+        assert_eq!(vm.regs[reg::A0 + 5], 0);
     }
 
     #[test]

@@ -209,73 +209,19 @@ impl Syscall {
         }
     }
 
-    /// True for calls that observe kernel state without changing it
-    /// (beyond a private fd offset), so concurrent supervisors may
-    /// dispatch them under a *shared* kernel lock.
-    ///
-    /// The classification is deliberately conservative:
-    ///
-    /// * identity reads (`getpid`, `getppid`, `getuid`, `getcwd`,
-    ///   `get_user_name`, `getenv`) only look at the process table;
-    /// * metadata reads (`stat`, `lstat`, `fstat`, `readlink`, `access`,
-    ///   `readdir`) only look at the VFS (reads are "noatime", so no
-    ///   inode is touched);
-    /// * data reads (`read`, `pread`) and `lseek` mutate nothing but the
-    ///   calling process's own fd offset, which the kernel keeps in an
-    ///   atomic so it can advance under the shared lock.
-    ///
-    /// Everything else — including `sigpending` (drains the queue),
-    /// `umask` (swaps the mask), and pipe reads (consume bytes) —
-    /// mutates shared state. Since the kernel went sharded, both kinds
-    /// dispatch through `Kernel::syscall_shared`; the classification
-    /// only describes what a call may touch.
-    pub fn is_read_only(&self) -> bool {
+    /// The paths this call names, first to last (zero to two): what the
+    /// identity box rules on, the audit ring records and a forensic
+    /// trace reports.
+    pub fn paths(&self) -> impl Iterator<Item = &str> {
         use Syscall::*;
-        matches!(
-            self,
-            Getpid
-                | Getppid
-                | Getuid
-                | Getcwd
-                | GetUserName
-                | Getenv(_)
-                | Stat(_)
-                | Lstat(_)
-                | Fstat(_)
-                | Readlink(_)
-                | AccessCheck(..)
-                | Readdir(_)
-                | Read(..)
-                | Pread(..)
-                | Preadx(..)
-                | Lseek(..)
-        )
-    }
-
-    /// True for calls that name a path (the ones the identity box must
-    /// run ACL checks for).
-    pub fn is_path_call(&self) -> bool {
-        use Syscall::*;
-        matches!(
-            self,
-            Stat(_)
-                | Lstat(_)
-                | Open(..)
-                | Mkdir(..)
-                | Rmdir(_)
-                | Unlink(_)
-                | Link(..)
-                | Symlink(..)
-                | Readlink(_)
-                | Rename(..)
-                | Truncate(..)
-                | AccessCheck(..)
-                | Readdir(_)
-                | Chmod(..)
-                | Chown(..)
-                | Chdir(_)
-                | Exec(_)
-        )
+        let (first, second) = match self {
+            Stat(p) | Lstat(p) | Open(p, ..) | Mkdir(p, _) | Rmdir(p) | Unlink(p)
+            | Readlink(p) | Truncate(p, _) | AccessCheck(p, _) | Readdir(p) | Chmod(p, _)
+            | Chown(p, ..) | Chdir(p) | Exec(p) => (Some(p), None),
+            Link(a, b) | Symlink(a, b) | Rename(a, b) => (Some(a), Some(b)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second).map(String::as_str)
     }
 }
 
@@ -337,40 +283,16 @@ mod tests {
     }
 
     #[test]
-    fn path_call_classification() {
-        assert!(Syscall::Open("/f".into(), OpenFlags::rdonly(), 0).is_path_call());
-        assert!(Syscall::Rename("/a".into(), "/b".into()).is_path_call());
-        assert!(!Syscall::Getpid.is_path_call());
-        assert!(!Syscall::Read(0, 10).is_path_call());
-        assert!(!Syscall::GetUserName.is_path_call());
-        assert!(!Syscall::Getenv("PATH".into()).is_path_call());
-    }
-
-    #[test]
-    fn read_only_classification() {
-        // The shared-lock class.
-        assert!(Syscall::Getpid.is_read_only());
-        assert!(Syscall::Getcwd.is_read_only());
-        assert!(Syscall::GetUserName.is_read_only());
-        assert!(Syscall::Getenv("PATH".into()).is_read_only());
-        assert!(Syscall::Stat("/x".into()).is_read_only());
-        assert!(Syscall::Lstat("/x".into()).is_read_only());
-        assert!(Syscall::Fstat(3).is_read_only());
-        assert!(Syscall::Readlink("/x".into()).is_read_only());
-        assert!(Syscall::AccessCheck("/x".into(), Access::R).is_read_only());
-        assert!(Syscall::Readdir("/".into()).is_read_only());
-        assert!(Syscall::Read(0, 16).is_read_only());
-        assert!(Syscall::Pread(0, 16, 0).is_read_only());
-        assert!(Syscall::Preadx(0, 16, 0).is_read_only());
-        assert!(Syscall::Lseek(0, 0, Whence::Set).is_read_only());
-        // Mutators must never be classified read-only.
-        assert!(!Syscall::Open("/f".into(), OpenFlags::rdonly(), 0).is_read_only());
-        assert!(!Syscall::Write(0, vec![1].into()).is_read_only());
-        assert!(!Syscall::Close(0).is_read_only());
-        assert!(!Syscall::Umask(0o022).is_read_only());
-        assert!(!Syscall::SigPending.is_read_only());
-        assert!(!Syscall::Fork.is_read_only());
-        assert!(!Syscall::Pipe.is_read_only());
+    fn paths_are_the_names_a_call_rules_on() {
+        let paths = |c: Syscall| c.paths().map(str::to_owned).collect::<Vec<_>>();
+        assert_eq!(paths(Syscall::Open("/f".into(), OpenFlags::rdonly(), 0)), ["/f"]);
+        assert_eq!(paths(Syscall::Chown("/f".into(), 1, 2)), ["/f"]);
+        assert_eq!(paths(Syscall::Rename("/a".into(), "/b".into())), ["/a", "/b"]);
+        assert_eq!(paths(Syscall::Symlink("t".into(), "/l".into())), ["t", "/l"]);
+        assert!(paths(Syscall::Getpid).is_empty());
+        assert!(paths(Syscall::Read(0, 10)).is_empty());
+        assert!(paths(Syscall::GetUserName).is_empty());
+        assert!(paths(Syscall::Getenv("PATH".into())).is_empty());
     }
 
     #[test]

@@ -1270,13 +1270,10 @@ fn open_segment(dir: &Path, start_lsn: u64) -> std::io::Result<File> {
     Ok(f)
 }
 
-/// Best-effort directory fsync so renames/creates of snapshot and
-/// segment files are themselves durable (ignored on platforms where
-/// directories cannot be opened).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Fsync a directory, so the creates, renames and removes of snapshot
+/// and segment files in it are themselves durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 impl Wal {
@@ -1295,7 +1292,7 @@ impl Wal {
         // old segments stay as replayable prefixes (any garbage past
         // the last good record was truncated by `replay_dir`).
         let file = open_segment(&cfg.dir, next_lsn)?;
-        sync_dir(&cfg.dir);
+        sync_dir(&cfg.dir)?;
         let seg_bytes = file.metadata()?.len();
         let wal = Wal {
             inner: Mutex::new(WalInner {
@@ -1572,7 +1569,14 @@ impl Wal {
         Self::sync_locked(&mut inner, &self.fsyncs, &self.errors);
         let watermark = inner.next_lsn;
         let file = open_segment(&self.cfg.dir, watermark)?;
-        sync_dir(&self.cfg.dir);
+        // A segment whose create is not durable could vanish after a
+        // crash with records acknowledged in it: the log is dead, as
+        // after a failed fdatasync.
+        if let Err(e) = sync_dir(&self.cfg.dir) {
+            inner.dead = true;
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         inner.seg_bytes = file.metadata()?.len();
         inner.file = file;
         inner.seg_start = watermark;
@@ -1613,11 +1617,18 @@ impl Wal {
             self.snapshot_failed();
             return Err(e);
         }
-        sync_dir(&self.cfg.dir);
+        // Until the rename is durable the segments are the only copy of
+        // what they hold: purge none of them.
+        if let Err(e) = sync_dir(&self.cfg.dir) {
+            self.snapshot_failed();
+            return Err(e);
+        }
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().snap_watermark = cut.watermark();
         // Older segments are now redundant; losing one early is safe
-        // (the snapshot covers it), so purge failures are ignored.
+        // (the snapshot covers it), and one that survives a crash is
+        // skipped by replay as below the watermark, so purge failures,
+        // the removes' dir-sync included, are ignored.
         if let Ok(entries) = fs::read_dir(&self.cfg.dir) {
             for e in entries.flatten() {
                 if let Some(start) = e.file_name().to_str().and_then(parse_seg_name) {
@@ -1627,7 +1638,7 @@ impl Wal {
                 }
             }
         }
-        sync_dir(&self.cfg.dir);
+        let _ = sync_dir(&self.cfg.dir);
         Ok(())
     }
 
@@ -1988,7 +1999,7 @@ fn truncate_file(path: &Path, len: u64) -> std::io::Result<()> {
         drop(f);
         let _ = fs::remove_file(path);
     } else if let Some(parent) = path.parent() {
-        sync_dir(parent);
+        sync_dir(parent)?;
     }
     Ok(())
 }
@@ -2011,6 +2022,18 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn sync_dir_of_a_missing_directory_is_an_error() {
+        let dir = tmpdir("nodir");
+        assert_eq!(
+            sync_dir(&dir).unwrap_err().kind(),
+            std::io::ErrorKind::NotFound
+        );
+        fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Open a sync-every-op WAL in `dir` and attach it to a fresh Vfs.
