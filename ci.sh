@@ -11,6 +11,9 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # Observability subsystem: tracing/metrics/flight-recorder units
 # (idbox-obs), latency-histogram/audit-ring units, and the e2e suite
 # covering the stats/audit/metrics/slowops RPCs and the trace-id join.
+# The kernel units include durable_accounts_agree_across_reboots: the
+# account database (uid allocator and admin counters included) a
+# log-only reboot and a snapshot reboot rebuild must equal the live one.
 cargo test -q -p idbox-obs -p idbox-kernel -p idbox-core
 cargo test -q -p idbox-chirp --test e2e
 # Self-observation plane: flight-recorder/tracedump e2e (Chrome-trace
@@ -22,8 +25,10 @@ cargo test -q -p idbox-chirp --test e2e
 cargo test -q -p idbox-chirp --test observability
 # idbox-sync units: the one Log2Histogram (bucket edges and the
 # top-bucket "at least" rule at 22 and 32 buckets, saturating diff,
-# merge), lock-profile snapshot diffs, and the enable/disable kill
-# switch.
+# merge), lock-profile snapshot diffs, the enable/disable kill switch,
+# and ShardSet::write_keys (0-4 keys lock their shards ascending, once
+# each, aliased keys share a guard, opposite-order writers never
+# deadlock).
 cargo test -q -p idbox-sync
 # Fast-path cache equivalence: the dentry cache and the ACL verdict
 # cache must be pure optimizations (cached and uncached resolution /
@@ -36,8 +41,10 @@ cargo test -q -p idbox-core --test cache_equivalence
 # directories, over-long components), pinned seed.
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_matches_reference_walker
 # Allocation budgets (a core-count-independent gate): a warm two-
-# component Vfs::stat allocates nothing, and a warm boxed stat stays
-# within its budget. Byte budgets for the durable path: snapshotting
+# component Vfs::stat allocates nothing, a warm create + unlink pair
+# and a warm same-directory rename allocate once each (the new name;
+# taking up to four shard locks allocates nothing), and a warm boxed
+# stat stays within its budget. Byte budgets for the durable path: snapshotting
 # 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB
 # (frames stream through one reusable payload buffer), a snapshot whose
 # Write frame claims the 1 GiB frame limit costs no more before it is
@@ -81,7 +88,11 @@ cargo test -q -p idbox-kernel --release concurrent_syscalls_across_shards_do_not
 # (truncation at any byte, write-side crash budgets with torn final
 # records, snapshots cut mid-stream). Replay must always land on a
 # prefix state with zero fail-open ACLs; the pinned seed makes a CI
-# failure reproduce exactly. The same step runs the record-codec
+# failure reproduce exactly. The random ops include directory renames
+# (between parents with the moved directory's entries and `..`, onto
+# an empty directory it replaces, within one parent) and writes to a
+# pinned file after its unlink, which replay must skip; the truncation
+# property fails if a run reaches none of one of these. The same step runs the record-codec
 # properties (`codec_*`: every record type round-trips; every strict
 # prefix, one-byte extension, out-of-range field, over-long varint,
 # unknown tag and invalid UTF-8 string is rejected; random bytes never

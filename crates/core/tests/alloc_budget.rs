@@ -7,6 +7,9 @@
 //!
 //! * A warm `Vfs::stat` of a two-component path allocates nothing: the
 //!   walk borrows its components, and a dentry-cache hit copies no name.
+//! * A warm `Vfs::create` + `unlink` pair, and a warm same-directory
+//!   `Vfs::rename`, allocate once each: the new entry's name. Taking
+//!   the shard locks allocates nothing.
 //! * A warm boxed `stat` through `IdentityBox::supervisor()` stays
 //!   within a fixed budget: the path argument copied out of the tracee
 //!   is the one allocation the Syscall itself needs; policy, dispatch
@@ -143,6 +146,26 @@ fn warm_vfs_stat_allocates_nothing() {
         assert_eq!(v.stat(root, "/src/main.c", true, &SUP), Ok(st));
     });
     assert_eq!(n, 0, "warm two-component Vfs::stat allocated {n} times");
+}
+
+#[test]
+fn warm_vfs_mutations_stay_within_budget() {
+    let v = Vfs::new();
+    let root = v.root();
+    v.mkdir(root, "/src", 0o755, &Cred::ROOT).unwrap();
+    v.chown(root, "/src", SUP.uid, SUP.gid, &Cred::ROOT).unwrap();
+    let create_unlink = || {
+        v.create(root, "/src/a.o", 0o644, &SUP).unwrap();
+        v.unlink(root, "/src/a.o", &SUP).unwrap();
+    };
+    create_unlink();
+    let pair = allocs_in(create_unlink);
+    assert!(pair <= 1, "warm create + unlink allocated {pair} times (budget 1)");
+    v.create(root, "/src/a", 0o644, &SUP).unwrap();
+    v.rename(root, "/src/a", "/src/b", &SUP).unwrap();
+    v.rename(root, "/src/b", "/src/a", &SUP).unwrap();
+    let rename = allocs_in(|| v.rename(root, "/src/a", "/src/b", &SUP).unwrap());
+    assert!(rename <= 1, "warm same-directory rename allocated {rename} times (budget 1)");
 }
 
 /// An identity box for Fred on a fresh volatile kernel, and its guest

@@ -112,13 +112,17 @@ impl AccountDb {
         self.by_name.insert(acct.name.clone(), acct);
     }
 
-    /// Add an account, counting the administrative action. Fails when the
-    /// name or uid is taken.
+    /// Add an account, counting the administrative action and keeping
+    /// the uid allocator past every ordinary uid ever added. Fails when
+    /// the name or uid is taken.
     pub fn add(&mut self, acct: Account) -> SysResult<()> {
         if self.by_name.contains_key(&acct.name) || self.lookup_uid(acct.uid).is_some() {
             return Err(Errno::EEXIST);
         }
         self.admin_creations += 1;
+        if acct.uid >= self.next_uid && acct.uid < 60000 {
+            self.next_uid = acct.uid + 1;
+        }
         self.insert_raw(acct);
         Ok(())
     }
@@ -236,30 +240,21 @@ impl AccountDb {
         Some(db)
     }
 
-    /// Redo one logged account creation. Tolerant by design — a replayed
-    /// record describes an operation that already succeeded, so a
-    /// malformed line or duplicate is skipped, never an error. Counts
-    /// the admin action (the live operation counted it too) and keeps
-    /// the uid allocator ahead of every replayed uid.
+    /// Redo one logged account creation with the same
+    /// [`AccountDb::add`] the live operation ran, so a replayed database
+    /// ends exactly where the live one did. Tolerant by design — a
+    /// replayed record describes an operation that already succeeded,
+    /// so a malformed line or duplicate is skipped, never an error.
     pub fn replay_add(&mut self, line: &str) {
         if let Some(a) = Account::parse_line(line) {
-            if self.by_name.contains_key(&a.name) {
-                return;
-            }
-            self.admin_creations += 1;
-            if a.uid >= self.next_uid && a.uid < 60000 {
-                self.next_uid = a.uid + 1;
-            }
-            self.insert_raw(a);
+            let _ = self.add(a);
         }
     }
 
-    /// Redo one logged account removal (tolerant, like
-    /// [`AccountDb::replay_add`]).
+    /// Redo one logged account removal with [`AccountDb::remove`]
+    /// (tolerant, like [`AccountDb::replay_add`]).
     pub fn replay_remove(&mut self, name: &str) {
-        if self.by_name.remove(name).is_some() {
-            self.admin_removals += 1;
-        }
+        let _ = self.remove(name);
     }
 }
 

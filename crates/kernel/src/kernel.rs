@@ -29,7 +29,7 @@
 //! Deadlock freedom rests on a strict domain hierarchy:
 //!
 //! 1. A syscall locks **one process shard at a time**, except through
-//!    `ShardSet`'s ordered batch helpers (`write_pair` in `fork`,
+//!    `ShardSet`'s ordered batch helpers (`write_keys` in `fork`,
 //!    ascending sweeps in `terminate`/`wait`), which always acquire in
 //!    ascending shard order.
 //! 2. While holding a process-shard guard, code may take **vfs**,
@@ -1347,12 +1347,11 @@ impl Kernel {
 
     fn do_fork(&self, pid: Pid) -> SysResult<SysRet> {
         let child_pid = self.alloc_pid()?;
-        let sp = self.procs.shard_of(pid);
-        let sc = self.procs.shard_of(child_pid);
         let forked = (|| -> SysResult<()> {
             // Parent and child shards, ascending (one guard if equal).
-            let (mut ga, mut gb) = self.procs.shards.write_pair(sp, sc);
-            let parent = ga.get(&pid.0).ok_or(Errno::ESRCH)?.clone();
+            let keys = [pid.0 as u64, child_pid.0 as u64];
+            let mut g = self.procs.shards.write_keys(&keys);
+            let parent = g.get(keys[0]).get(&pid.0).ok_or(Errno::ESRCH)?.clone();
             if !parent.is_alive() {
                 return Err(Errno::ESRCH);
             }
@@ -1385,10 +1384,7 @@ impl Kernel {
                 state: ProcState::Running,
                 ..parent
             };
-            match &mut gb {
-                Some(g) => g.insert(child_pid.0, child),
-                None => ga.insert(child_pid.0, child),
-            };
+            g.get_mut(keys[1]).insert(child_pid.0, child);
             Ok(())
         })();
         self.release_pid(child_pid);
@@ -1574,6 +1570,39 @@ mod tests {
         }
         drop(k);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_accounts_agree_across_reboots() {
+        // A reboot from the log alone, and one from a snapshot plus the
+        // log after it, must both rebuild the live account database,
+        // uid allocator and admin counters included.
+        for snapshot in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "idbox-kernel-accounts-{snapshot}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            // Sync-every-op: nothing is left in a flusher's batch at
+            // the drop.
+            let cfg = WalConfig::new(&dir).sync_every_op();
+            let (mut k, _) = Kernel::with_durability(cfg.clone()).unwrap();
+            k.account_add(Account::new("chirp", 1000, 1000)).unwrap();
+            if snapshot {
+                k.wal_snapshot().unwrap();
+            }
+            k.account_add(Account::new("x", 1005, 1005)).unwrap();
+            k.account_remove("x").unwrap();
+            let live = String::from_utf8(k.accounts().to_blob()).unwrap();
+            drop(k);
+            let (mut k, report) = Kernel::with_durability(cfg).unwrap();
+            assert_eq!(report.snapshot_loaded, snapshot);
+            let booted = String::from_utf8(k.accounts().to_blob()).unwrap();
+            assert_eq!(booted, live, "rebooted from a snapshot: {snapshot}");
+            assert_eq!(k.accounts_mut().next_free_uid(), 1006);
+            drop(k);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     fn kernel_with_user(name: &str) -> (Kernel, Pid, Cred) {

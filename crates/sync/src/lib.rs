@@ -168,10 +168,10 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
 /// 1. **One shard → one lock.** Operations touching a single shard use
 ///    [`ShardSet::read`] / [`ShardSet::write`] and hold nothing else.
 /// 2. **Multiple shards → ascending index order.** Operations that must
-///    hold several shards at once ([`ShardSet::write_pair`],
-///    [`ShardSet::write_many`], [`ShardSet::write_all`],
-///    [`ShardSet::read_all`]) always acquire in ascending shard index,
-///    which makes a deadlock cycle between them impossible.
+///    hold several shards at once ([`ShardSet::write_keys`],
+///    [`ShardSet::write_all`], [`ShardSet::read_all`]) always acquire
+///    in ascending shard index, which makes a deadlock cycle between
+///    them impossible.
 /// 3. **Never hold shard guards from two different `ShardSet`s** (or
 ///    other domain locks) at once; cross-domain work is sequenced as
 ///    acquire → release → acquire.
@@ -252,40 +252,37 @@ impl<T> ShardSet<T> {
         self.lock_write(idx)
     }
 
-    /// Exclusive guards for two shards, acquired in ascending index
-    /// order regardless of argument order. Returns `(guard_for_a,
-    /// guard_for_b)`; `b`'s slot is `None` when both indices name the
-    /// same shard (use `a`'s guard for both roles).
-    pub fn write_pair(
-        &self,
-        a: usize,
-        b: usize,
-    ) -> (RwLockWriteGuard<'_, T>, Option<RwLockWriteGuard<'_, T>>) {
-        if a == b {
-            (self.lock_write(a), None)
-        } else if a < b {
-            let ga = self.lock_write(a);
-            let gb = self.lock_write(b);
-            (ga, Some(gb))
-        } else {
-            let gb = self.lock_write(b);
-            let ga = self.lock_write(a);
-            (ga, Some(gb))
+    /// Exclusive guards for the shards of up to four keys, acquired in
+    /// ascending shard order, each shard once however many keys map to
+    /// it. The guards are held inline: taking them allocates nothing.
+    /// The result is addressed by key via [`ShardGuards::get_mut`].
+    ///
+    /// # Panics
+    /// Panics when given more than four keys.
+    pub fn write_keys(&self, keys: &[u64]) -> ShardGuards<'_, T> {
+        assert!(keys.len() <= 4, "write_keys locks at most four keys");
+        let mut idx = [0; 4];
+        for (slot, &key) in idx.iter_mut().zip(keys) {
+            *slot = self.shard_of(key);
         }
-    }
-
-    /// Exclusive guards for an arbitrary shard set, acquired in
-    /// ascending index order. Duplicates are collapsed; the result is
-    /// addressed by shard index via [`ShardMultiGuard::get_mut`].
-    pub fn write_many(&self, idxs: &[usize]) -> ShardMultiGuard<'_, T> {
-        let mut order: Vec<usize> = idxs.to_vec();
-        order.sort_unstable();
-        order.dedup();
-        let guards = order
-            .into_iter()
-            .map(|i| (i, self.lock_write(i)))
-            .collect();
-        ShardMultiGuard { guards }
+        idx[..keys.len()].sort_unstable();
+        let mut n = 0;
+        for i in 0..keys.len() {
+            if n == 0 || idx[n - 1] != idx[i] {
+                idx[n] = idx[i];
+                n += 1;
+            }
+        }
+        let mut guards = [None, None, None, None];
+        for (guard, &i) in guards.iter_mut().zip(&idx[..n]) {
+            *guard = Some(self.lock_write(i));
+        }
+        ShardGuards {
+            set: self,
+            idx,
+            n,
+            guards,
+        }
     }
 
     /// Exclusive guards for every shard, ascending.
@@ -311,36 +308,44 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ShardSet<T> {
     }
 }
 
-/// Guards held by [`ShardSet::write_many`], addressable by shard index.
-pub struct ShardMultiGuard<'a, T> {
-    guards: Vec<(usize, RwLockWriteGuard<'a, T>)>,
+/// Guards held by [`ShardSet::write_keys`], addressable by key.
+pub struct ShardGuards<'a, T> {
+    set: &'a ShardSet<T>,
+    idx: [usize; 4],
+    n: usize,
+    guards: [Option<RwLockWriteGuard<'a, T>>; 4],
 }
 
-impl<T> ShardMultiGuard<'_, T> {
-    /// Exclusive access to the shard locked under `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` was not part of the `write_many` request.
-    pub fn get_mut(&mut self, idx: usize) -> &mut T {
-        let pos = self
-            .guards
-            .iter()
-            .position(|(i, _)| *i == idx)
-            .expect("shard index not covered by write_many");
-        &mut self.guards[pos].1
+impl<T> ShardGuards<'_, T> {
+    /// The locked shard indices, in the ascending order they were
+    /// acquired.
+    pub fn indices(&self) -> &[usize] {
+        &self.idx[..self.n]
     }
 
-    /// Shared access to the shard locked under `idx`.
+    fn slot(&self, key: u64) -> usize {
+        let shard = self.set.shard_of(key);
+        self.indices()
+            .iter()
+            .position(|&i| i == shard)
+            .expect("key's shard not covered by write_keys")
+    }
+
+    /// Shared access to the shard holding `key`.
     ///
     /// # Panics
-    /// Panics if `idx` was not part of the `write_many` request.
-    pub fn get(&self, idx: usize) -> &T {
-        let pos = self
-            .guards
-            .iter()
-            .position(|(i, _)| *i == idx)
-            .expect("shard index not covered by write_many");
-        &self.guards[pos].1
+    /// Panics if no key of the `write_keys` request maps to that shard.
+    pub fn get(&self, key: u64) -> &T {
+        self.guards[self.slot(key)].as_deref().expect("locked")
+    }
+
+    /// Exclusive access to the shard holding `key`.
+    ///
+    /// # Panics
+    /// Panics if no key of the `write_keys` request maps to that shard.
+    pub fn get_mut(&mut self, key: u64) -> &mut T {
+        let slot = self.slot(key);
+        self.guards[slot].as_deref_mut().expect("locked")
     }
 }
 
@@ -405,48 +410,59 @@ mod tests {
     }
 
     #[test]
-    fn write_pair_handles_order_and_aliasing() {
-        let s: ShardSet<u32> = ShardSet::from_fn(4, |_| 0);
-        // Descending request still returns (guard_for_a, guard_for_b).
-        {
-            let (mut ga, gb) = s.write_pair(3, 1);
-            *ga = 3;
-            *gb.expect("distinct shards") = 1;
-        }
-        assert_eq!(*s.read(3), 3);
-        assert_eq!(*s.read(1), 1);
-        // Same shard twice: a single guard.
-        let (mut ga, gb) = s.write_pair(2, 2);
-        assert!(gb.is_none());
-        *ga = 2;
-    }
-
-    #[test]
-    fn write_many_dedups_and_addresses_by_index() {
+    fn write_keys_locks_ascending_once_and_addresses_by_key() {
         let s: ShardSet<u32> = ShardSet::from_fn(8, |_| 0);
-        let mut g = s.write_many(&[5, 2, 5, 7]);
+        // One key; no keys.
+        assert_eq!(s.write_keys(&[13]).indices(), &[5]);
+        assert!(s.write_keys(&[]).indices().is_empty());
+        // Descending keys lock ascending; keys sharing a shard (13 and
+        // 5, 10 and 2) lock it once and alias the same guard.
+        let mut g = s.write_keys(&[13, 10, 5, 2]);
+        assert_eq!(g.indices(), &[2, 5]);
+        *g.get_mut(13) += 1;
         *g.get_mut(5) += 1;
-        *g.get_mut(2) += 2;
-        *g.get_mut(7) += 3;
-        assert_eq!(*g.get(5), 1);
+        *g.get_mut(10) += 2;
+        assert_eq!(*g.get(2), 2);
+        assert_eq!(*g.get(21), 2);
         drop(g);
-        assert_eq!(*s.read(2), 2);
+        assert_eq!(*s.read(5), 2);
+        // Three keys, two of them sharing shard 6.
+        assert_eq!(s.write_keys(&[6, 14, 3]).indices(), &[3, 6]);
+        // Four distinct shards, any order.
+        let mut g = s.write_keys(&[7, 1, 6, 3]);
+        assert_eq!(g.indices(), &[1, 3, 6, 7]);
+        *g.get_mut(7) += 7;
+        drop(g);
+        assert_eq!(*s.read(7), 7);
     }
 
     #[test]
-    fn concurrent_pair_writers_do_not_deadlock() {
-        // Opposite-order pair requests from many threads: ascending
-        // acquisition must prevent the classic AB/BA deadlock.
-        let s: Arc<ShardSet<u64>> = Arc::new(ShardSet::from_fn(2, |_| 0));
-        let threads: Vec<_> = (0..8)
+    #[should_panic(expected = "not covered")]
+    fn write_keys_refuses_an_unlocked_shard() {
+        let s: ShardSet<u32> = ShardSet::from_fn(8, |_| 0);
+        let g = s.write_keys(&[1, 2]);
+        g.get(3);
+    }
+
+    #[test]
+    fn concurrent_key_writers_do_not_deadlock() {
+        // Overlapping four-key requests in opposite orders: ascending
+        // acquisition must prevent a lock-order cycle.
+        let s: Arc<ShardSet<u64>> = Arc::new(ShardSet::from_fn(4, |_| 0));
+        let threads: Vec<_> = (0..8u64)
             .map(|t| {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        let (a, b) = if t % 2 == 0 { (0, 1) } else { (1, 0) };
-                        let (mut ga, gb) = s.write_pair(a, b);
-                        *ga += 1;
-                        *gb.unwrap() += 1;
+                        let keys = if t % 2 == 0 {
+                            [0, 1, 2, 3]
+                        } else {
+                            [3, 2, 1, 0]
+                        };
+                        let mut g = s.write_keys(&keys);
+                        for k in keys {
+                            *g.get_mut(k) += 1;
+                        }
                     }
                 })
             })
@@ -454,6 +470,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(*s.read(0) + *s.read(1), 2 * 8 * 200);
+        assert_eq!((0..4).map(|i| *s.read(i)).sum::<u64>(), 4 * 8 * 200);
     }
 }

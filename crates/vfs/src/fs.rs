@@ -13,8 +13,10 @@
 //!    authoritative.
 //! 2. **Phase 2 (shard write locks, ascending):** lock the affected
 //!    shard(s), re-validate exactly the predicates phase 1 established,
-//!    and apply the mutation. If anything changed in between, drop the
-//!    locks and retry from phase 1.
+//!    and commit the mutation's redo record ([`Vfs::commit`]): log it,
+//!    then apply it with the same [`Vfs::apply`] replay runs. If
+//!    anything changed in between, drop the locks and retry from
+//!    phase 1.
 //!
 //! Single-threaded, re-validation can never fail, so the observable
 //! behaviour (results, errnos, timestamps, inode-number allocation
@@ -34,7 +36,7 @@
 //!   an owed link-count decrement) cannot vanish mid-operation.
 //!
 //! Lock ordering follows the `ShardSet` discipline: one shard → one
-//! lock; multiple shards → ascending index via the batch helpers; the
+//! lock; multiple shards → ascending index via `write_keys`; the
 //! inode-number allocator is a leaf mutex that may be taken under shard
 //! locks but never the reverse; and `rename` additionally serializes
 //! against other renames with an outermost mutex so its ancestry check
@@ -50,7 +52,7 @@ use crate::path::{self, NAME_MAX, PATH_MAX};
 use crate::wal::{self, Wal, WalRecordRef};
 use crate::{Access, ExtentList, FileKind, Ino, StatBuf};
 use idbox_types::{Errno, SysResult};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard, ShardSet};
+use parking_lot::{Mutex, RwLock, ShardGuards, ShardSet};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -298,40 +300,16 @@ struct AllocState {
     free: Vec<u64>,
 }
 
-/// Write guards for one or two shards, addressable by shard index.
-/// Acquired through `ShardSet::write_pair`, so the underlying locks are
-/// always taken in ascending order.
-struct PairGuard<'a> {
-    sa: usize,
-    ga: RwLockWriteGuard<'a, ShardMap>,
-    gb: Option<RwLockWriteGuard<'a, ShardMap>>,
+/// Write guards for the shards of up to four inodes, addressed by inode
+/// number; `ShardSet::write_keys` takes them in ascending shard order.
+type Guards<'a> = ShardGuards<'a, ShardMap>;
+
+fn inode<'g>(g: &'g Guards<'_>, ino: u64) -> Option<&'g Inode> {
+    g.get(ino).get(&ino)
 }
 
-impl<'a> PairGuard<'a> {
-    fn lock(shards: &'a ShardSet<ShardMap>, sa: usize, sb: usize) -> Self {
-        let (ga, gb) = shards.write_pair(sa, sb);
-        PairGuard { sa, ga, gb }
-    }
-
-    fn map(&mut self, s: usize) -> &mut ShardMap {
-        if s == self.sa {
-            &mut self.ga
-        } else {
-            self.gb
-                .as_deref_mut()
-                .expect("shard index not locked by this pair")
-        }
-    }
-
-    fn map_ref(&self, s: usize) -> &ShardMap {
-        if s == self.sa {
-            &self.ga
-        } else {
-            self.gb
-                .as_deref()
-                .expect("shard index not locked by this pair")
-        }
-    }
+fn inode_mut<'g>(g: &'g mut Guards<'_>, ino: u64) -> Option<&'g mut Inode> {
+    g.get_mut(ino).get_mut(&ino)
 }
 
 /// The in-memory filesystem.
@@ -552,15 +530,38 @@ impl Vfs {
         self.wal.as_ref()
     }
 
-    /// Append one redo record when a WAL is attached. Callers hold the
-    /// shard write locks that applied the mutation; the WAL's internal
-    /// mutex is a leaf below them (see the module docs), so the global
-    /// append order is a valid serialization of the sharded execution.
-    #[inline]
-    fn log<'a>(&self, rec: impl FnOnce() -> WalRecordRef<'a>) {
+    /// The one way the namespace changes. `rec` describes a mutation
+    /// whose preconditions the caller re-validated under `g`, which
+    /// holds the shard of every inode the record names. The record is
+    /// appended to the log when one is attached, then applied under
+    /// those same guards, exactly as replay applies it. The WAL's
+    /// internal mutex is a leaf below the shard locks (see the module
+    /// docs), so the global append order is a valid serialization of
+    /// the sharded execution.
+    fn commit(&self, g: &mut Guards<'_>, rec: WalRecordRef<'_>) {
         if let Some(wal) = &self.wal {
-            wal.append(rec());
+            wal.append(rec);
         }
+        self.apply(g, rec);
+    }
+
+    /// Phase 2 of a namespace mutation: lock the shards of the inodes
+    /// the record names, re-check what phase 1 concluded, and when it
+    /// still holds, tick the clock and commit the record built from the
+    /// tick. `false` sends the caller back to phase 1.
+    fn try_commit<'r>(
+        &self,
+        still_valid: impl FnOnce(&Guards<'_>) -> bool,
+        rec: impl Fn(u64) -> WalRecordRef<'r>,
+    ) -> bool {
+        let (inos, n) = record_inos(rec(0));
+        let mut g = self.shards.write_keys(&inos[..n]);
+        if !still_valid(&g) {
+            return false;
+        }
+        let now = self.tick();
+        self.commit(&mut g, rec(now));
+        true
     }
 
     /// The nominal chunk size new files are created with.
@@ -651,16 +652,15 @@ impl Vfs {
     }
 
     /// Free the inode's storage if it has no links and no pins. Runs
-    /// under the shard's write lock (`map` is that shard's map); bumps
-    /// the shard's dentry generation on an actual free so no stale
-    /// dentry can survive the number being recycled.
-    fn maybe_free_locked(&self, si: usize, map: &mut ShardMap, ino: Ino) {
-        if let Some(inode) = map.get(&ino.0) {
-            if inode.nlink == 0 && inode.pins == 0 {
-                map.remove(&ino.0);
-                self.alloc.lock().free.push(ino.0);
-                self.dcaches[si].bump();
-            }
+    /// under its shard's write lock; bumps the shard's dentry
+    /// generation on an actual free so no stale dentry can survive the
+    /// number being recycled.
+    fn free_if_unused(&self, g: &mut Guards<'_>, ino: u64) {
+        let map = g.get_mut(ino);
+        if map.get(&ino).is_some_and(|i| i.nlink == 0 && i.pins == 0) {
+            map.remove(&ino);
+            self.alloc.lock().free.push(ino);
+            self.dcaches[self.shards.shard_of(ino)].bump();
         }
     }
 
@@ -675,11 +675,10 @@ impl Vfs {
 
     /// Drop a pin; frees the inode if it is fully unlinked.
     pub fn unpin(&self, ino: Ino) -> SysResult<()> {
-        let si = self.shards.shard_of(ino.0);
-        let mut g = self.shards.write(si);
-        let inode = g.get_mut(&ino.0).ok_or(Errno::ENOENT)?;
+        let mut g = self.shards.write_keys(&[ino.0]);
+        let inode = inode_mut(&mut g, ino.0).ok_or(Errno::ENOENT)?;
         inode.pins = inode.pins.saturating_sub(1);
-        self.maybe_free_locked(si, &mut g, ino);
+        self.free_if_unused(&mut g, ino.0);
         Ok(())
     }
 
@@ -746,11 +745,11 @@ impl Vfs {
     /// Phase-2 helper: under the shard write lock, is `dir` still a
     /// directory the caller may write+search? Returns its entries.
     fn revalidate_dir<'m>(
-        map: &'m ShardMap,
+        g: &'m Guards<'_>,
         dir: Ino,
         cred: &Cred,
     ) -> Option<&'m BTreeMap<String, Ino>> {
-        let inode = map.get(&dir.0)?;
+        let inode = inode(g, dir.0)?;
         if Self::access_ok(inode, cred, Access::W.and(Access::X)).is_err() {
             return None;
         }
@@ -925,6 +924,28 @@ impl Vfs {
 
     /// Create a regular file. Fails with `EEXIST` when the name is taken.
     pub fn create(&self, start: Ino, p: &str, mode: u16, cred: &Cred) -> SysResult<Ino> {
+        self.new_entry(start, p, cred, |dir, name, ino, now| WalRecordRef::Create {
+            dir,
+            name,
+            ino,
+            mode: mode & 0o7777,
+            uid: cred.uid,
+            gid: cred.gid,
+            now,
+        })
+    }
+
+    /// Add a new inode under a name that must not exist yet: the shared
+    /// body of `create`, `mkdir` and `symlink`, which differ only in the
+    /// record `rec` builds from the parent, name, new inode number and
+    /// tick.
+    fn new_entry<'p>(
+        &self,
+        start: Ino,
+        p: &'p str,
+        cred: &Cred,
+        rec: impl Fn(u64, &'p str, u64, u64) -> WalRecordRef<'p>,
+    ) -> SysResult<Ino> {
         loop {
             let (dir, name) = self.resolve_parent(start, p, cred)?;
             if name == "." || name == ".." {
@@ -935,45 +956,11 @@ impl Vfs {
                 return Err(Errno::EEXIST);
             }
             let ino = self.reserve_ino();
-            let sd = self.shards.shard_of(dir.0);
-            let sc = self.shards.shard_of(ino.0);
-            {
-                let mut pair = PairGuard::lock(&self.shards, sd, sc);
-                let ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                    .is_some_and(|e| !e.contains_key(name));
-                if ok {
-                    let now = self.tick();
-                    self.log(|| WalRecordRef::Create {
-                        dir: dir.0,
-                        name,
-                        ino: ino.0,
-                        mode: mode & 0o7777,
-                        uid: cred.uid,
-                        gid: cred.gid,
-                        now,
-                    });
-                    pair.map(sc).insert(
-                        ino.0,
-                        Inode {
-                            payload: Payload::File(FileContent::new(self.chunk_size)),
-                            mode: mode & 0o7777,
-                            uid: cred.uid,
-                            gid: cred.gid,
-                            nlink: 1,
-                            pins: 0,
-                            atime: now,
-                            mtime: now,
-                            ctime: now,
-                        },
-                    );
-                    let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
-                    dinode.mtime = now;
-                    if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.insert(name.to_string(), ino);
-                    }
-                    self.dcaches[sd].bump();
-                    return Ok(ino);
-                }
+            let name_free = |g: &Guards<'_>| {
+                Self::revalidate_dir(g, dir, cred).is_some_and(|e| !e.contains_key(name))
+            };
+            if self.try_commit(name_free, |now| rec(dir.0, name, ino.0, now)) {
+                return Ok(ino);
             }
             self.unreserve_ino(ino);
         }
@@ -1085,22 +1072,21 @@ impl Vfs {
     /// Truncate (or extend with zeros) a file to `len`.
     pub fn truncate(&self, ino: Ino, len: u64) -> SysResult<()> {
         let now = self.tick();
-        let mut g = self.shards.write(self.shards.shard_of(ino.0));
-        let inode = g.get_mut(&ino.0).ok_or(Errno::ENOENT)?;
-        match &mut inode.payload {
-            Payload::File(file) => {
-                file.resize(len as usize);
-                inode.mtime = now;
-                self.log(|| WalRecordRef::Truncate {
-                    ino: ino.0,
-                    len,
-                    now,
-                });
-                Ok(())
-            }
-            Payload::Dir(_) => Err(Errno::EISDIR),
-            Payload::Symlink(_) => Err(Errno::EINVAL),
+        let mut g = self.shards.write_keys(&[ino.0]);
+        match inode(&g, ino.0).ok_or(Errno::ENOENT)?.payload.kind() {
+            FileKind::File => {}
+            FileKind::Dir => return Err(Errno::EISDIR),
+            FileKind::Symlink => return Err(Errno::EINVAL),
         }
+        self.commit(
+            &mut g,
+            WalRecordRef::Truncate {
+                ino: ino.0,
+                len,
+                now,
+            },
+        );
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1109,62 +1095,15 @@ impl Vfs {
 
     /// Create a directory.
     pub fn mkdir(&self, start: Ino, p: &str, mode: u16, cred: &Cred) -> SysResult<Ino> {
-        loop {
-            let (dir, name) = self.resolve_parent(start, p, cred)?;
-            if name == "." || name == ".." {
-                return Err(Errno::EEXIST);
-            }
-            self.check_access(dir, cred, Access::W.and(Access::X))?;
-            if self.entry_get(dir, name)?.is_some() {
-                return Err(Errno::EEXIST);
-            }
-            let ino = self.reserve_ino();
-            let sd = self.shards.shard_of(dir.0);
-            let sc = self.shards.shard_of(ino.0);
-            {
-                let mut pair = PairGuard::lock(&self.shards, sd, sc);
-                let ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                    .is_some_and(|e| !e.contains_key(name));
-                if ok {
-                    let now = self.tick();
-                    self.log(|| WalRecordRef::Mkdir {
-                        dir: dir.0,
-                        name,
-                        ino: ino.0,
-                        mode: mode & 0o7777,
-                        uid: cred.uid,
-                        gid: cred.gid,
-                        now,
-                    });
-                    let mut entries = BTreeMap::new();
-                    entries.insert(".".to_string(), ino);
-                    entries.insert("..".to_string(), dir);
-                    pair.map(sc).insert(
-                        ino.0,
-                        Inode {
-                            payload: Payload::Dir(entries),
-                            mode: mode & 0o7777,
-                            uid: cred.uid,
-                            gid: cred.gid,
-                            nlink: 2,
-                            pins: 0,
-                            atime: now,
-                            mtime: now,
-                            ctime: now,
-                        },
-                    );
-                    let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
-                    dinode.nlink += 1; // the new child's ".."
-                    dinode.mtime = now;
-                    if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.insert(name.to_string(), ino);
-                    }
-                    self.dcaches[sd].bump();
-                    return Ok(ino);
-                }
-            }
-            self.unreserve_ino(ino);
-        }
+        self.new_entry(start, p, cred, |dir, name, ino, now| WalRecordRef::Mkdir {
+            dir,
+            name,
+            ino,
+            mode: mode & 0o7777,
+            uid: cred.uid,
+            gid: cred.gid,
+            now,
+        })
     }
 
     /// Remove an empty directory.
@@ -1179,36 +1118,20 @@ impl Vfs {
             if self.dir_has_real_entries(target)? {
                 return Err(Errno::ENOTEMPTY);
             }
-            let sd = self.shards.shard_of(dir.0);
-            let st = self.shards.shard_of(target.0);
-            let mut pair = PairGuard::lock(&self.shards, sd, st);
-            let dir_ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                .is_some_and(|e| e.get(name) == Some(&target));
-            let tgt_ok = pair
-                .map_ref(st)
-                .get(&target.0)
-                .is_some_and(|t| match &t.payload {
-                    Payload::Dir(e) => !e.keys().any(|k| k != "." && k != ".."),
-                    _ => false,
-                });
-            if dir_ok && tgt_ok {
-                let now = self.tick();
-                self.log(|| WalRecordRef::Rmdir {
-                    dir: dir.0,
-                    name,
-                    target: target.0,
-                    now,
-                });
-                let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
-                if let Payload::Dir(entries) = &mut dinode.payload {
-                    entries.remove(name);
-                }
-                dinode.nlink -= 1;
-                dinode.mtime = now;
-                let t = pair.map(st).get_mut(&target.0).expect("revalidated");
-                t.nlink = 0;
-                self.maybe_free_locked(st, pair.map(st), target);
-                self.dcaches[sd].bump();
+            let still_valid = |g: &Guards<'_>| {
+                Self::revalidate_dir(g, dir, cred).is_some_and(|e| e.get(name) == Some(&target))
+                    && inode(g, target.0).is_some_and(|t| match &t.payload {
+                        Payload::Dir(e) => !e.keys().any(|k| k != "." && k != ".."),
+                        _ => false,
+                    })
+            };
+            let rec = |now| WalRecordRef::Rmdir {
+                dir: dir.0,
+                name,
+                target: target.0,
+                now,
+            };
+            if self.try_commit(still_valid, rec) {
                 return Ok(());
             }
         }
@@ -1226,33 +1149,17 @@ impl Vfs {
             if self.kind(target)? == FileKind::Dir {
                 return Err(Errno::EISDIR);
             }
-            let sd = self.shards.shard_of(dir.0);
-            let st = self.shards.shard_of(target.0);
-            let mut pair = PairGuard::lock(&self.shards, sd, st);
-            let dir_ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                .is_some_and(|e| e.get(name) == Some(&target));
-            let tgt_ok = pair
-                .map_ref(st)
-                .get(&target.0)
-                .is_some_and(|t| t.payload.kind() != FileKind::Dir);
-            if dir_ok && tgt_ok {
-                let now = self.tick();
-                self.log(|| WalRecordRef::Unlink {
-                    dir: dir.0,
-                    name,
-                    target: target.0,
-                    now,
-                });
-                let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
-                if let Payload::Dir(entries) = &mut dinode.payload {
-                    entries.remove(name);
-                }
-                dinode.mtime = now;
-                let t = pair.map(st).get_mut(&target.0).expect("revalidated");
-                t.nlink -= 1;
-                t.ctime = now;
-                self.maybe_free_locked(st, pair.map(st), target);
-                self.dcaches[sd].bump();
+            let still_valid = |g: &Guards<'_>| {
+                Self::revalidate_dir(g, dir, cred).is_some_and(|e| e.get(name) == Some(&target))
+                    && inode(g, target.0).is_some_and(|t| t.payload.kind() != FileKind::Dir)
+            };
+            let rec = |now| WalRecordRef::Unlink {
+                dir: dir.0,
+                name,
+                target: target.0,
+                now,
+            };
+            if self.try_commit(still_valid, rec) {
                 return Ok(());
             }
         }
@@ -1274,32 +1181,17 @@ impl Vfs {
             if self.entry_get(dir, name)?.is_some() {
                 return Err(Errno::EEXIST);
             }
-            let sd = self.shards.shard_of(dir.0);
-            let st = self.shards.shard_of(target.0);
-            let mut pair = PairGuard::lock(&self.shards, sd, st);
-            let dir_ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                .is_some_and(|e| !e.contains_key(name));
-            let tgt_ok = pair
-                .map_ref(st)
-                .get(&target.0)
-                .is_some_and(|t| t.payload.kind() != FileKind::Dir);
-            if dir_ok && tgt_ok {
-                let now = self.tick();
-                self.log(|| WalRecordRef::Link {
-                    dir: dir.0,
-                    name,
-                    target: target.0,
-                    now,
-                });
-                let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
-                dinode.mtime = now;
-                if let Payload::Dir(entries) = &mut dinode.payload {
-                    entries.insert(name.to_string(), target);
-                }
-                let t = pair.map(st).get_mut(&target.0).expect("revalidated");
-                t.nlink += 1;
-                t.ctime = now;
-                self.dcaches[sd].bump();
+            let still_valid = |g: &Guards<'_>| {
+                Self::revalidate_dir(g, dir, cred).is_some_and(|e| !e.contains_key(name))
+                    && inode(g, target.0).is_some_and(|t| t.payload.kind() != FileKind::Dir)
+            };
+            let rec = |now| WalRecordRef::Link {
+                dir: dir.0,
+                name,
+                target: target.0,
+                now,
+            };
+            if self.try_commit(still_valid, rec) {
                 return Ok(());
             }
         }
@@ -1311,58 +1203,17 @@ impl Vfs {
         if target.len() > PATH_MAX {
             return Err(Errno::ENAMETOOLONG);
         }
-        loop {
-            let (dir, name) = self.resolve_parent(start, linkp, cred)?;
-            if name == "." || name == ".." {
-                return Err(Errno::EEXIST);
+        self.new_entry(start, linkp, cred, |dir, name, ino, now| {
+            WalRecordRef::Symlink {
+                dir,
+                name,
+                ino,
+                target,
+                uid: cred.uid,
+                gid: cred.gid,
+                now,
             }
-            self.check_access(dir, cred, Access::W.and(Access::X))?;
-            if self.entry_get(dir, name)?.is_some() {
-                return Err(Errno::EEXIST);
-            }
-            let ino = self.reserve_ino();
-            let sd = self.shards.shard_of(dir.0);
-            let sc = self.shards.shard_of(ino.0);
-            {
-                let mut pair = PairGuard::lock(&self.shards, sd, sc);
-                let ok = Self::revalidate_dir(pair.map_ref(sd), dir, cred)
-                    .is_some_and(|e| !e.contains_key(name));
-                if ok {
-                    let now = self.tick();
-                    self.log(|| WalRecordRef::Symlink {
-                        dir: dir.0,
-                        name,
-                        ino: ino.0,
-                        target,
-                        uid: cred.uid,
-                        gid: cred.gid,
-                        now,
-                    });
-                    pair.map(sc).insert(
-                        ino.0,
-                        Inode {
-                            payload: Payload::Symlink(target.to_string()),
-                            mode: 0o777,
-                            uid: cred.uid,
-                            gid: cred.gid,
-                            nlink: 1,
-                            pins: 0,
-                            atime: now,
-                            mtime: now,
-                            ctime: now,
-                        },
-                    );
-                    let dinode = pair.map(sd).get_mut(&dir.0).expect("revalidated");
-                    dinode.mtime = now;
-                    if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.insert(name.to_string(), ino);
-                    }
-                    self.dcaches[sd].bump();
-                    return Ok(ino);
-                }
-            }
-            self.unreserve_ino(ino);
-        }
+        })
     }
 
     /// Read a symlink's target.
@@ -1418,31 +1269,21 @@ impl Vfs {
                 }
                 dst_plan = Some((dst, dst_is_dir));
             }
-            // Phase 2: lock every involved shard, ascending.
-            let so = self.shards.shard_of(odir.0);
-            let sn = self.shards.shard_of(ndir.0);
-            let ss = self.shards.shard_of(src.0);
-            let mut idxs = vec![so, sn, ss];
-            if let Some((dst, _)) = dst_plan {
-                idxs.push(self.shards.shard_of(dst.0));
-            }
-            let mut mg = self.shards.write_many(&idxs);
-            // Re-validate everything phase 1 concluded.
-            let still_valid = (|| {
-                let oe = Self::revalidate_dir(mg.get(so), odir, cred)?;
+            // Phase 2: re-validate everything phase 1 concluded.
+            let still_valid = |g: &Guards<'_>| {
+                let oe = Self::revalidate_dir(g, odir, cred)?;
                 if oe.get(oname) != Some(&src) {
                     return None;
                 }
-                let ne = Self::revalidate_dir(mg.get(sn), ndir, cred)?;
+                let ne = Self::revalidate_dir(g, ndir, cred)?;
                 if ne.get(nname).copied() != dst_slot {
                     return None;
                 }
-                let sk = mg.get(ss).get(&src.0)?.payload.kind();
-                if (sk == FileKind::Dir) != src_is_dir {
+                if (inode(g, src.0)?.payload.kind() == FileKind::Dir) != src_is_dir {
                     return None;
                 }
                 if let Some((dst, dst_is_dir)) = dst_plan {
-                    let d = mg.get(self.shards.shard_of(dst.0)).get(&dst.0)?;
+                    let d = inode(g, dst.0)?;
                     if (d.payload.kind() == FileKind::Dir) != dst_is_dir {
                         return None;
                     }
@@ -1453,33 +1294,8 @@ impl Vfs {
                     }
                 }
                 Some(())
-            })();
-            if still_valid.is_none() {
-                drop(mg);
-                continue;
-            }
-            // Replace an existing destination. These mutations precede
-            // the tick, matching the single-lock implementation.
-            if let Some((dst, dst_is_dir)) = dst_plan {
-                let sdst = self.shards.shard_of(dst.0);
-                let nd = mg.get_mut(sn).get_mut(&ndir.0).expect("revalidated");
-                if let Payload::Dir(entries) = &mut nd.payload {
-                    entries.remove(nname);
-                }
-                if dst_is_dir {
-                    nd.nlink -= 1;
-                }
-                let d = mg.get_mut(sdst).get_mut(&dst.0).expect("revalidated");
-                if dst_is_dir {
-                    d.nlink = 0;
-                } else {
-                    d.nlink -= 1;
-                }
-                self.maybe_free_locked(sdst, mg.get_mut(sdst), dst);
-                self.dcaches[sn].bump();
-            }
-            let now = self.tick();
-            self.log(|| WalRecordRef::Rename {
+            };
+            let rec = |now| WalRecordRef::Rename {
                 odir: odir.0,
                 oname,
                 ndir: ndir.0,
@@ -1489,30 +1305,10 @@ impl Vfs {
                 replaced_is_dir: dst_plan.is_some_and(|(_, is_dir)| is_dir),
                 src_is_dir,
                 now,
-            });
-            let od = mg.get_mut(so).get_mut(&odir.0).expect("revalidated");
-            if let Payload::Dir(entries) = &mut od.payload {
-                entries.remove(oname);
+            };
+            if self.try_commit(|g| still_valid(g).is_some(), rec) {
+                return Ok(());
             }
-            let nd = mg.get_mut(sn).get_mut(&ndir.0).expect("revalidated");
-            if let Payload::Dir(entries) = &mut nd.payload {
-                entries.insert(nname.to_string(), src);
-            }
-            if src_is_dir && odir != ndir {
-                // Fix the moved directory's ".." and the parents' link counts.
-                let s = mg.get_mut(ss).get_mut(&src.0).expect("revalidated");
-                if let Payload::Dir(entries) = &mut s.payload {
-                    entries.insert("..".to_string(), ndir);
-                }
-                mg.get_mut(so).get_mut(&odir.0).expect("revalidated").nlink -= 1;
-                mg.get_mut(sn).get_mut(&ndir.0).expect("revalidated").nlink += 1;
-                self.dcaches[ss].bump();
-            }
-            mg.get_mut(so).get_mut(&odir.0).expect("revalidated").mtime = now;
-            mg.get_mut(sn).get_mut(&ndir.0).expect("revalidated").mtime = now;
-            self.dcaches[so].bump();
-            self.dcaches[sn].bump();
-            return Ok(());
         }
     }
 
@@ -1574,18 +1370,20 @@ impl Vfs {
     pub fn chmod(&self, start: Ino, p: &str, mode: u16, cred: &Cred) -> SysResult<()> {
         let ino = self.resolve(start, p, true, cred)?;
         let now = self.tick();
-        let mut g = self.shards.write(self.shards.shard_of(ino.0));
-        let inode = g.get_mut(&ino.0).ok_or(Errno::ENOENT)?;
-        if cred.uid != 0 && cred.uid != inode.uid {
+        let mut g = self.shards.write_keys(&[ino.0]);
+        let owner = inode(&g, ino.0).ok_or(Errno::ENOENT)?.uid;
+        if cred.uid != 0 && cred.uid != owner {
             return Err(Errno::EPERM);
         }
-        inode.mode = mode & 0o7777;
-        inode.ctime = now;
-        self.log(|| WalRecordRef::Chmod {
-            ino: ino.0,
-            mode: mode & 0o7777,
-            now,
-        });
+        let mode = mode & 0o7777;
+        self.commit(
+            &mut g,
+            WalRecordRef::Chmod {
+                ino: ino.0,
+                mode,
+                now,
+            },
+        );
         Ok(())
     }
 
@@ -1594,18 +1392,20 @@ impl Vfs {
     pub fn chown(&self, start: Ino, p: &str, uid: u32, gid: u32, cred: &Cred) -> SysResult<()> {
         let ino = self.resolve(start, p, true, cred)?;
         let now = self.tick();
-        let mut g = self.shards.write(self.shards.shard_of(ino.0));
-        let inode = g.get_mut(&ino.0).ok_or(Errno::ENOENT)?;
-        if cred.uid != 0 {
-            let owner_chgrp = cred.uid == inode.uid && uid == inode.uid && gid == cred.gid;
-            if !owner_chgrp {
-                return Err(Errno::EPERM);
-            }
+        let mut g = self.shards.write_keys(&[ino.0]);
+        let owner = inode(&g, ino.0).ok_or(Errno::ENOENT)?.uid;
+        if cred.uid != 0 && !(cred.uid == owner && uid == owner && gid == cred.gid) {
+            return Err(Errno::EPERM);
         }
-        inode.uid = uid;
-        inode.gid = gid;
-        inode.ctime = now;
-        self.log(|| WalRecordRef::Chown { ino: ino.0, uid, gid, now });
+        self.commit(
+            &mut g,
+            WalRecordRef::Chown {
+                ino: ino.0,
+                uid,
+                gid,
+                now,
+            },
+        );
         Ok(())
     }
 
@@ -1657,7 +1457,11 @@ impl Vfs {
 
     /// `mkdir -p`: create every missing directory along `p`.
     pub fn mkdir_all(&self, start: Ino, p: &str, mode: u16, cred: &Cred) -> SysResult<Ino> {
-        let mut cur = if path::is_absolute(p) { self.root } else { start };
+        let mut cur = if path::is_absolute(p) {
+            self.root
+        } else {
+            start
+        };
         for comp in path::components(p) {
             // Bounded for the same reason as `write_file`: the retry only
             // exists to absorb a create race, never to spin.
@@ -1733,18 +1537,46 @@ impl Vfs {
         })
     }
 
-    /// Redo one logged mutation during replay. Records are *physical*:
-    /// they carry the inode number and timestamp the live operation
-    /// used, so no permission check, allocation, or clock tick happens
-    /// here — the record installs exactly what the live operation
-    /// installed. A record naming an inode that no longer exists is
-    /// skipped silently: the only way that happens is a write to an
-    /// unlinked-but-pinned file, which was already invisible in the
-    /// namespace the log describes. A snapshot's records rebuild the
-    /// namespace the same way: an `Inode` image (replacing the root the
-    /// constructor seeded), its `Entry` records and `Write`s, then the
-    /// `Trailer`'s clock and change generation.
+    /// Redo one logged mutation during replay: lock the shards the
+    /// record names and run the same [`Vfs::apply`] the live operation
+    /// ran through [`Vfs::commit`]. Records are *physical*: they carry
+    /// the inode number and timestamp the live operation used, so no
+    /// permission check, allocation, or clock tick happens here. A
+    /// snapshot's records rebuild the namespace the same way: an
+    /// `Inode` image (replacing the root the constructor seeded), its
+    /// `Entry` records and `Write`s, then the `Trailer`'s clock and
+    /// change generation.
     pub(crate) fn apply_record(&self, rec: WalRecordRef<'_>) {
+        if let WalRecordRef::Trailer {
+            clock, change_gen, ..
+        } = rec
+        {
+            self.clock.store(clock, Ordering::Relaxed);
+            self.change_gen.store(change_gen, Ordering::Relaxed);
+            return;
+        }
+        let (inos, n) = record_inos(rec);
+        self.apply(&mut self.shards.write_keys(&inos[..n]), rec);
+        // Advance the logical clock past the record's timestamp so
+        // post-recovery mutations stamp strictly later times. (The live
+        // clock may have been further ahead — failed operations tick
+        // without logging — but per-inode times are restored verbatim,
+        // so the lag is invisible in the namespace.)
+        if let Some(now) = record_now(rec) {
+            self.clock.fetch_max(now, Ordering::Relaxed);
+            self.change_gen.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The effect of one record, under `g`, which holds the shard of
+    /// every inode [`record_inos`] names; the one place any namespace
+    /// mutation is carried out. Also bumps the dentry generation of
+    /// every shard whose directory entries change. An inode the record
+    /// names that no longer exists is skipped: on replay that is a
+    /// write to a file unlinked while pinned, already invisible in the
+    /// namespace the log describes. (Live callers re-validated under
+    /// `g`, so for them everything exists.)
+    fn apply(&self, g: &mut Guards<'_>, rec: WalRecordRef<'_>) {
         match rec {
             WalRecordRef::Create {
                 dir,
@@ -1754,18 +1586,10 @@ impl Vfs {
                 uid,
                 gid,
                 now,
-            } => self.apply_new_inode(
-                dir,
-                name,
-                ino,
-                Payload::File(FileContent::new(self.chunk_size)),
-                mode,
-                uid,
-                gid,
-                now,
-                1,
-                false,
-            ),
+            } => {
+                let file = Payload::File(FileContent::new(self.chunk_size));
+                self.apply_new_inode(g, dir, name, ino, file, mode, uid, gid, now);
+            }
             WalRecordRef::Mkdir {
                 dir,
                 name,
@@ -1775,21 +1599,9 @@ impl Vfs {
                 gid,
                 now,
             } => {
-                let mut entries = BTreeMap::new();
-                entries.insert(".".to_string(), Ino(ino));
-                entries.insert("..".to_string(), Ino(dir));
-                self.apply_new_inode(
-                    dir,
-                    name,
-                    ino,
-                    Payload::Dir(entries),
-                    mode,
-                    uid,
-                    gid,
-                    now,
-                    2,
-                    true,
-                );
+                let dots = [(".".to_string(), Ino(ino)), ("..".to_string(), Ino(dir))];
+                let payload = Payload::Dir(BTreeMap::from(dots));
+                self.apply_new_inode(g, dir, name, ino, payload, mode, uid, gid, now);
             }
             WalRecordRef::Symlink {
                 dir,
@@ -1799,37 +1611,25 @@ impl Vfs {
                 uid,
                 gid,
                 now,
-            } => self.apply_new_inode(
-                dir,
-                name,
-                ino,
-                Payload::Symlink(target.to_string()),
-                0o777,
-                uid,
-                gid,
-                now,
-                1,
-                false,
-            ),
+            } => {
+                let link = Payload::Symlink(target.to_string());
+                self.apply_new_inode(g, dir, name, ino, link, 0o777, uid, gid, now);
+            }
             WalRecordRef::Link {
                 dir,
                 name,
                 target,
                 now,
             } => {
-                let sd = self.shards.shard_of(dir);
-                let st = self.shards.shard_of(target);
-                let mut pair = PairGuard::lock(&self.shards, sd, st);
-                if pair.map_ref(st).contains_key(&target) {
-                    if let Some(dinode) = pair.map(sd).get_mut(&dir) {
-                        dinode.mtime = now;
-                        if let Payload::Dir(entries) = &mut dinode.payload {
-                            entries.insert(name.to_string(), Ino(target));
-                        }
-                        let t = pair.map(st).get_mut(&target).expect("checked");
-                        t.nlink += 1;
-                        t.ctime = now;
-                    }
+                if inode(g, target).is_some()
+                    && self.edit_dir(g, dir, now, |d| {
+                        d.entries_mut()?.insert(name.to_string(), Ino(target));
+                        Some(())
+                    })
+                {
+                    let t = inode_mut(g, target).expect("checked above");
+                    t.nlink += 1;
+                    t.ctime = now;
                 }
             }
             WalRecordRef::Unlink {
@@ -1838,20 +1638,12 @@ impl Vfs {
                 target,
                 now,
             } => {
-                let sd = self.shards.shard_of(dir);
-                let st = self.shards.shard_of(target);
-                let mut pair = PairGuard::lock(&self.shards, sd, st);
-                if let Some(dinode) = pair.map(sd).get_mut(&dir) {
-                    if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.remove(name);
-                    }
-                    dinode.mtime = now;
-                }
-                if let Some(t) = pair.map(st).get_mut(&target) {
+                self.edit_dir(g, dir, now, |d| d.entries_mut()?.remove(name).map(drop));
+                if let Some(t) = inode_mut(g, target) {
                     t.nlink = t.nlink.saturating_sub(1);
                     t.ctime = now;
-                    self.maybe_free_locked(st, pair.map(st), Ino(target));
                 }
+                self.free_if_unused(g, target);
             }
             WalRecordRef::Rmdir {
                 dir,
@@ -1859,20 +1651,15 @@ impl Vfs {
                 target,
                 now,
             } => {
-                let sd = self.shards.shard_of(dir);
-                let st = self.shards.shard_of(target);
-                let mut pair = PairGuard::lock(&self.shards, sd, st);
-                if let Some(dinode) = pair.map(sd).get_mut(&dir) {
-                    if let Payload::Dir(entries) = &mut dinode.payload {
-                        entries.remove(name);
-                    }
-                    dinode.nlink = dinode.nlink.saturating_sub(1);
-                    dinode.mtime = now;
-                }
-                if let Some(t) = pair.map(st).get_mut(&target) {
+                self.edit_dir(g, dir, now, |d| {
+                    d.entries_mut()?.remove(name)?;
+                    d.nlink = d.nlink.saturating_sub(1);
+                    Some(())
+                });
+                if let Some(t) = inode_mut(g, target) {
                     t.nlink = 0;
-                    self.maybe_free_locked(st, pair.map(st), Ino(target));
                 }
+                self.free_if_unused(g, target);
             }
             WalRecordRef::Rename {
                 odir,
@@ -1885,57 +1672,40 @@ impl Vfs {
                 src_is_dir,
                 now,
             } => {
-                let so = self.shards.shard_of(odir);
-                let sn = self.shards.shard_of(ndir);
-                let ss = self.shards.shard_of(src);
-                let mut idxs = vec![so, sn, ss];
-                if replaced != 0 {
-                    idxs.push(self.shards.shard_of(replaced));
-                }
-                let mut mg = self.shards.write_many(&idxs);
-                if mg.get(so).get(&odir).is_none()
-                    || mg.get(sn).get(&ndir).is_none()
-                    || mg.get(ss).get(&src).is_none()
-                {
+                if [odir, ndir, src].iter().any(|&i| inode(g, i).is_none()) {
                     return;
                 }
                 if replaced != 0 {
-                    let sdst = self.shards.shard_of(replaced);
-                    let nd = mg.get_mut(sn).get_mut(&ndir).expect("checked");
-                    if let Payload::Dir(entries) = &mut nd.payload {
-                        entries.remove(nname);
-                    }
-                    if replaced_is_dir {
-                        nd.nlink = nd.nlink.saturating_sub(1);
-                    }
-                    if let Some(d) = mg.get_mut(sdst).get_mut(&replaced) {
-                        if replaced_is_dir {
-                            d.nlink = 0;
+                    if let Some(d) = inode_mut(g, replaced) {
+                        d.nlink = if replaced_is_dir {
+                            0
                         } else {
-                            d.nlink = d.nlink.saturating_sub(1);
-                        }
-                        self.maybe_free_locked(sdst, mg.get_mut(sdst), Ino(replaced));
+                            d.nlink.saturating_sub(1)
+                        };
+                        self.free_if_unused(g, replaced);
                     }
                 }
-                let od = mg.get_mut(so).get_mut(&odir).expect("checked");
-                if let Payload::Dir(entries) = &mut od.payload {
-                    entries.remove(oname);
-                }
-                let nd = mg.get_mut(sn).get_mut(&ndir).expect("checked");
-                if let Payload::Dir(entries) = &mut nd.payload {
-                    entries.insert(nname.to_string(), Ino(src));
-                }
-                if src_is_dir && odir != ndir {
-                    let s = mg.get_mut(ss).get_mut(&src).expect("checked");
-                    if let Payload::Dir(entries) = &mut s.payload {
+                // A directory moving between parents takes a link from
+                // the old parent to the new one and repoints its "..";
+                // a replaced directory's ".." link leaves with it.
+                let moved_dir = src_is_dir && odir != ndir;
+                if moved_dir {
+                    let moved = inode_mut(g, src).and_then(Inode::entries_mut);
+                    if let Some(entries) = moved {
                         entries.insert("..".to_string(), Ino(ndir));
                     }
-                    let od = mg.get_mut(so).get_mut(&odir).expect("checked");
-                    od.nlink = od.nlink.saturating_sub(1);
-                    mg.get_mut(sn).get_mut(&ndir).expect("checked").nlink += 1;
+                    self.dcaches[self.shards.shard_of(src)].bump();
                 }
-                mg.get_mut(so).get_mut(&odir).expect("checked").mtime = now;
-                mg.get_mut(sn).get_mut(&ndir).expect("checked").mtime = now;
+                self.edit_dir(g, odir, now, |d| {
+                    d.entries_mut()?.remove(oname)?;
+                    d.nlink = d.nlink.saturating_sub(moved_dir as u32);
+                    Some(())
+                });
+                self.edit_dir(g, ndir, now, |d| {
+                    d.entries_mut()?.insert(nname.to_string(), Ino(src));
+                    d.nlink = (d.nlink + moved_dir as u32).saturating_sub(replaced_is_dir as u32);
+                    Some(())
+                });
             }
             WalRecordRef::Write {
                 ino,
@@ -1943,8 +1713,7 @@ impl Vfs {
                 data,
                 now,
             } => {
-                let mut g = self.shards.write(self.shards.shard_of(ino));
-                if let Some(inode) = g.get_mut(&ino) {
+                if let Some(inode) = inode_mut(g, ino) {
                     if let Payload::File(file) = &mut inode.payload {
                         file.write_at(off as usize, data);
                         inode.mtime = now;
@@ -1952,8 +1721,7 @@ impl Vfs {
                 }
             }
             WalRecordRef::Truncate { ino, len, now } => {
-                let mut g = self.shards.write(self.shards.shard_of(ino));
-                if let Some(inode) = g.get_mut(&ino) {
+                if let Some(inode) = inode_mut(g, ino) {
                     if let Payload::File(file) = &mut inode.payload {
                         file.resize(len as usize);
                         inode.mtime = now;
@@ -1961,15 +1729,13 @@ impl Vfs {
                 }
             }
             WalRecordRef::Chmod { ino, mode, now } => {
-                let mut g = self.shards.write(self.shards.shard_of(ino));
-                if let Some(inode) = g.get_mut(&ino) {
+                if let Some(inode) = inode_mut(g, ino) {
                     inode.mode = mode & 0o7777;
                     inode.ctime = now;
                 }
             }
             WalRecordRef::Chown { ino, uid, gid, now } => {
-                let mut g = self.shards.write(self.shards.shard_of(ino));
-                if let Some(inode) = g.get_mut(&ino) {
+                if let Some(inode) = inode_mut(g, ino) {
                     inode.uid = uid;
                     inode.gid = gid;
                     inode.ctime = now;
@@ -2003,43 +1769,50 @@ impl Vfs {
                     mtime,
                     ctime,
                 };
-                self.shards.write(self.shards.shard_of(ino)).insert(ino, inode);
+                g.get_mut(ino).insert(ino, inode);
             }
             WalRecordRef::Entry { dir, name, ino } => {
-                let mut g = self.shards.write(self.shards.shard_of(dir));
-                if let Some(Inode {
-                    payload: Payload::Dir(entries),
-                    ..
-                }) = g.get_mut(&dir)
-                {
+                if let Some(entries) = inode_mut(g, dir).and_then(Inode::entries_mut) {
                     entries.insert(name.to_string(), Ino(ino));
                 }
             }
-            WalRecordRef::Trailer {
-                clock, change_gen, ..
-            } => {
-                self.clock.store(clock, Ordering::Relaxed);
-                self.change_gen.store(change_gen, Ordering::Relaxed);
-            }
-            // Account records are interpreted by the kernel crate, not
-            // the filesystem.
-            WalRecordRef::AccountAdd { .. } | WalRecordRef::AccountRemove { .. } => {}
-        }
-        // Advance the logical clock past the record's timestamp so
-        // post-recovery mutations stamp strictly later times. (The live
-        // clock may have been further ahead — failed operations tick
-        // without logging — but per-inode times are restored verbatim
-        // above, so the lag is invisible in the namespace.)
-        if let Some(now) = record_now(rec) {
-            self.clock.fetch_max(now, Ordering::Relaxed);
-            self.change_gen.fetch_add(1, Ordering::Relaxed);
+            // The trailer sets the clock ([`Vfs::apply_record`]); account
+            // records are interpreted by the kernel crate.
+            WalRecordRef::Trailer { .. }
+            | WalRecordRef::AccountAdd { .. }
+            | WalRecordRef::AccountRemove { .. } => {}
         }
     }
 
-    /// Shared redo path for the three inode-creating records.
+    /// Change directory `dir`'s entries with `edit`; when it succeeds,
+    /// stamp the directory's mtime and bump its shard's dentry
+    /// generation. False when `dir` is missing or `edit` found nothing
+    /// to change.
+    fn edit_dir(
+        &self,
+        g: &mut Guards<'_>,
+        dir: u64,
+        now: u64,
+        edit: impl FnOnce(&mut Inode) -> Option<()>,
+    ) -> bool {
+        let Some(d) = inode_mut(g, dir) else {
+            return false;
+        };
+        if edit(d).is_none() {
+            return false;
+        }
+        d.mtime = now;
+        self.dcaches[self.shards.shard_of(dir)].bump();
+        true
+    }
+
+    /// The effect of the three inode-creating records: the new inode
+    /// and its entry in `dir`, whose link count a new directory's ".."
+    /// raises.
     #[allow(clippy::too_many_arguments)]
     fn apply_new_inode(
         &self,
+        g: &mut Guards<'_>,
         dir: u64,
         name: &str,
         ino: u64,
@@ -2048,40 +1821,26 @@ impl Vfs {
         uid: u32,
         gid: u32,
         now: u64,
-        nlink: u32,
-        parent_gains_link: bool,
     ) {
-        let sd = self.shards.shard_of(dir);
-        let sc = self.shards.shard_of(ino);
-        let mut pair = PairGuard::lock(&self.shards, sd, sc);
-        let parent_is_dir = pair
-            .map_ref(sd)
-            .get(&dir)
-            .is_some_and(|i| matches!(i.payload, Payload::Dir(_)));
-        if !parent_is_dir {
-            return;
-        }
-        pair.map(sc).insert(
-            ino,
-            Inode {
+        let is_dir = payload.kind() == FileKind::Dir;
+        let added = self.edit_dir(g, dir, now, |d| {
+            d.entries_mut()?.insert(name.to_string(), Ino(ino));
+            d.nlink += is_dir as u32;
+            Some(())
+        });
+        if added {
+            let inode = Inode {
                 payload,
                 mode: mode & 0o7777,
                 uid,
                 gid,
-                nlink,
+                nlink: 1 + is_dir as u32,
                 pins: 0,
                 atime: now,
                 mtime: now,
                 ctime: now,
-            },
-        );
-        let dinode = pair.map(sd).get_mut(&dir).expect("checked");
-        if parent_gains_link {
-            dinode.nlink += 1;
-        }
-        dinode.mtime = now;
-        if let Payload::Dir(entries) = &mut dinode.payload {
-            entries.insert(name.to_string(), Ino(ino));
+            };
+            g.get_mut(ino).insert(ino, inode);
         }
     }
 
@@ -2107,7 +1866,8 @@ impl Vfs {
     /// namespace makes visible: one line per reachable object (walked
     /// depth-first in sorted entry order) with path, inode number,
     /// kind, permissions, ownership, link count, timestamps, and
-    /// content (CRC for files, target for symlinks). Two filesystems
+    /// content (CRC for files, target for symlinks, the `..` entry for
+    /// directories). Two filesystems
     /// with equal fingerprints are indistinguishable to every syscall;
     /// the crash-recovery suite compares a recovered namespace against
     /// a prefix twin with this.
@@ -2124,7 +1884,7 @@ impl Vfs {
                     let data = f.to_vec();
                     format!("file len={} crc={:08x}", data.len(), wal::crc32(&data))
                 }
-                Payload::Dir(_) => "dir".to_string(),
+                Payload::Dir(e) => format!("dir .. {}", e.get("..").map_or(0, |p| p.0)),
                 Payload::Symlink(t) => format!("symlink -> {t}"),
             };
             let children: Vec<(String, Ino)> = match &i.payload {
@@ -2177,6 +1937,41 @@ fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
         | WalRecordRef::Inode { .. }
         | WalRecordRef::Entry { .. }
         | WalRecordRef::Trailer { .. } => None,
+    }
+}
+
+/// The inodes a record names, whose shards [`Vfs::apply`] must hold:
+/// the first `n` of the array.
+fn record_inos(rec: WalRecordRef<'_>) -> ([u64; 4], usize) {
+    match rec {
+        WalRecordRef::Create { dir, ino, .. }
+        | WalRecordRef::Mkdir { dir, ino, .. }
+        | WalRecordRef::Symlink { dir, ino, .. }
+        | WalRecordRef::Link {
+            dir, target: ino, ..
+        }
+        | WalRecordRef::Unlink {
+            dir, target: ino, ..
+        }
+        | WalRecordRef::Rmdir {
+            dir, target: ino, ..
+        } => ([dir, ino, 0, 0], 2),
+        WalRecordRef::Rename {
+            odir,
+            ndir,
+            src,
+            replaced,
+            ..
+        } => ([odir, ndir, src, replaced], 3 + (replaced != 0) as usize),
+        WalRecordRef::Write { ino, .. }
+        | WalRecordRef::Truncate { ino, .. }
+        | WalRecordRef::Chmod { ino, .. }
+        | WalRecordRef::Chown { ino, .. }
+        | WalRecordRef::Inode { ino, .. }
+        | WalRecordRef::Entry { dir: ino, .. } => ([ino, 0, 0, 0], 1),
+        WalRecordRef::AccountAdd { .. }
+        | WalRecordRef::AccountRemove { .. }
+        | WalRecordRef::Trailer { .. } => ([0; 4], 0),
     }
 }
 

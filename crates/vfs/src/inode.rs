@@ -115,6 +115,14 @@ pub(crate) struct Inode {
 }
 
 impl Inode {
+    /// A directory's entries; `None` for files and symlinks.
+    pub(crate) fn entries_mut(&mut self) -> Option<&mut BTreeMap<String, Ino>> {
+        match &mut self.payload {
+            Payload::Dir(entries) => Some(entries),
+            _ => None,
+        }
+    }
+
     pub(crate) fn stat(&self, ino: Ino) -> StatBuf {
         StatBuf {
             ino,

@@ -14,7 +14,11 @@
 //! folds every path, inode number, mode, owner, link count, timestamp,
 //! and file CRC into one deterministic string. Each generated op emits
 //! at most one WAL record, so the fingerprint after each op enumerates
-//! every legal recovery target.
+//! every legal recovery target. The ops reach every replay arm:
+//! directory renames between parents, onto an empty directory and
+//! within one parent, and writes to pinned files that were unlinked,
+//! which replay must skip; the truncation property fails if a run
+//! reaches none of one of these.
 //!
 //! The snapshot properties check the same contract for the snapshot
 //! file, a compacted segment: a round trip and a cut isolated from
@@ -51,7 +55,7 @@ use std::sync::Arc;
 const ROOT: Cred = Cred { uid: 0, gid: 0 };
 const NDIRS: u64 = 3;
 const NFILES: u64 = 5;
-const OPS_PER_CASE: u64 = 28;
+const OPS_PER_CASE: u64 = 40;
 
 static SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -70,63 +74,223 @@ fn dir_path(i: u64) -> String {
     format!("/d{i}")
 }
 
+/// A top-level directory `/dN` or one of its subdirectories `/dN/sK`.
+fn any_dir(rng: &mut TestRng) -> String {
+    let top = dir_path(rng.below(NDIRS));
+    if rng.bool() {
+        top
+    } else {
+        format!("{top}/s{}", rng.below(2))
+    }
+}
+
 fn file_path(rng: &mut TestRng) -> String {
     let f = rng.below(NFILES);
-    if rng.bool() {
-        format!("/f{f}")
-    } else {
-        format!("/d{}/f{f}", rng.below(NDIRS))
+    match rng.below(3) {
+        0 => format!("/f{f}"),
+        1 => format!("/d{}/f{f}", rng.below(NDIRS)),
+        _ => format!("/d{}/s{}/f{f}", rng.below(NDIRS), rng.below(2)),
     }
+}
+
+/// What the rarer arms of [`random_op`] reached, counted over the whole
+/// test binary: a directory moved between parents with entries in it,
+/// a directory that replaced an empty one, a directory renamed within
+/// its parent, and a write to a pinned file no name reaches any more.
+static REACHED: [AtomicU32; 4] = [const { AtomicU32::new(0) }; 4];
+const MOVED_FULL_DIR: usize = 0;
+const REPLACED_DIR: usize = 1;
+const RENAMED_DIR_IN_PLACE: usize = 2;
+const WROTE_UNLINKED: usize = 3;
+
+fn reached(arm: usize) {
+    REACHED[arm].fetch_add(1, Ordering::Relaxed);
+}
+
+/// Every path [`any_dir`] draws from.
+fn all_dirs() -> impl Iterator<Item = String> {
+    (0..NDIRS).flat_map(|i| [dir_path(i), format!("/d{i}/s0"), format!("/d{i}/s1")])
+}
+
+/// The directories of [`any_dir`]'s range that exist now.
+fn live_dirs(vfs: &Vfs) -> Vec<String> {
+    all_dirs()
+        .filter(|d| vfs.stat(vfs.root(), d, false, &ROOT).is_ok_and(|s| s.is_dir()))
+        .collect()
+}
+
+/// Every path [`file_path`] draws from.
+fn all_files() -> impl Iterator<Item = String> {
+    (0..NFILES).flat_map(|f| {
+        std::iter::once(format!("/f{f}")).chain(all_dirs().map(move |d| format!("{d}/f{f}")))
+    })
+}
+
+fn pick<'a, T>(rng: &mut TestRng, from: &'a [T]) -> Option<&'a T> {
+    (!from.is_empty()).then(|| &from[rng.below(from.len() as u64) as usize])
+}
+
+fn parent(path: &str) -> &str {
+    path.rsplit_once('/').map_or("", |(parent, _)| parent)
 }
 
 /// Apply one random namespace op. Every arm issues at most one WAL
 /// record when it succeeds (that is why `write_file`, which logs
 /// create + write, is not drawn here); failures log nothing. The
 /// `.__acl` arm stands in for idbox-core ACL storage: those are the
-/// files whose recovered bytes the fail-open check pins.
-fn random_op(vfs: &Vfs, rng: &mut TestRng) {
+/// files whose recovered bytes the fail-open check pins. `pinned`
+/// holds the files an earlier draw pinned, with the path it pinned
+/// them by.
+fn random_op(vfs: &Vfs, rng: &mut TestRng, pinned: &mut Vec<(String, Ino)>) {
     let root = vfs.root();
-    match rng.below(12) {
-        0 => {
-            let _ = vfs.mkdir(root, &dir_path(rng.below(NDIRS)), 0o755, &ROOT);
+    match rng.below(20) {
+        0..=2 => {
+            let _ = vfs.mkdir(root, &any_dir(rng), 0o755, &ROOT);
         }
-        1 => {
+        3..=4 => {
             let _ = vfs.create(root, &file_path(rng), 0o644, &ROOT);
         }
-        2 => {
+        5 => {
             if let Ok(ino) = vfs.resolve(root, &file_path(rng), true, &ROOT) {
                 let byte = rng.below(256) as u8;
                 let n = rng.in_range(1, 48) as usize;
                 let _ = vfs.write_at(ino, rng.below(64), &vec![byte; n]);
             }
         }
-        3 => {
+        6 => {
             if let Ok(ino) = vfs.resolve(root, &file_path(rng), true, &ROOT) {
                 let _ = vfs.truncate(ino, rng.below(40));
             }
         }
-        4 => {
+        7 => {
             let _ = vfs.chmod(root, &file_path(rng), rng.below(0o7777) as u16, &ROOT);
         }
-        5 => {
+        8 => {
             let id = rng.in_range(1000, 1004) as u32;
             let _ = vfs.chown(root, &file_path(rng), id, id, &ROOT);
         }
-        6 => {
+        9 => {
             let target = file_path(rng);
             let _ = vfs.symlink(root, &target, &format!("/ln{}", rng.below(NFILES)), &ROOT);
         }
-        7 => {
+        10 => {
             let _ = vfs.link(root, &file_path(rng), &file_path(rng), &ROOT);
         }
-        8 => {
+        11 => {
             let _ = vfs.unlink(root, &file_path(rng), &ROOT);
         }
-        9 => {
-            let _ = vfs.rmdir(root, &dir_path(rng.below(NDIRS)), &ROOT);
+        12 => {
+            let _ = vfs.rmdir(root, &any_dir(rng), &ROOT);
         }
-        10 => {
+        13 => {
             let _ = vfs.rename(root, &file_path(rng), &file_path(rng), &ROOT);
+        }
+        14..=15 => {
+            // Directory renames: between parents (the moved directory's
+            // `..` and both parents' link counts change), onto another
+            // directory, which it replaces when that one is empty, and
+            // within one parent. Drawn among the moves the namespace
+            // allows, so that most draws succeed.
+            let dirs = live_dirs(vfs);
+            let full: Vec<String> = dirs
+                .iter()
+                .filter(|d| vfs.readdir(root, d, &ROOT).is_ok_and(|e| e.len() > 2))
+                .cloned()
+                .collect();
+            let from = if rng.bool() { pick(rng, &full) } else { pick(rng, &dirs) };
+            let Some(from) = from.cloned() else {
+                return;
+            };
+            let kind = rng.below(3);
+            let targets: Vec<String> = all_dirs()
+                .filter(|to| {
+                    *to != from
+                        && !to.starts_with(&format!("{from}/"))
+                        && (parent(to).is_empty() || dirs.iter().any(|d| d == parent(to)))
+                        && match kind {
+                            0 => parent(to) != parent(&from),
+                            1 => dirs.contains(to),
+                            _ => parent(to) == parent(&from),
+                        }
+                })
+                .collect();
+            let Some(to) = pick(rng, &targets).cloned() else {
+                return;
+            };
+            let was_full = full.contains(&from);
+            let replaces = vfs.stat(root, &to, false, &ROOT).is_ok_and(|s| s.is_dir());
+            if vfs.rename(root, &from, &to, &ROOT).is_ok() {
+                let across = parent(&from) != parent(&to);
+                if across && was_full {
+                    reached(MOVED_FULL_DIR);
+                }
+                if replaces {
+                    reached(REPLACED_DIR);
+                }
+                if !across {
+                    reached(RENAMED_DIR_IN_PLACE);
+                }
+            }
+        }
+        16..=17 => {
+            // A pinned file, as an open descriptor holds one: pin a
+            // live file, which logs nothing; unlink a pinned file while
+            // its path still names it; or write to a pinned file. Once
+            // the file is unlinked, that write is logged against an
+            // inode the namespace no longer holds, and replay must skip
+            // it.
+            let which = if pinned.is_empty() { 0 } else { rng.below(3) };
+            match which {
+                0 => {
+                    // A live file, or a new top-level one (its create
+                    // is then the draw's one record).
+                    let files: Vec<(String, Ino)> = all_files()
+                        .filter_map(|f| Some((vfs.resolve(root, &f, false, &ROOT).ok()?, f)))
+                        .filter(|(ino, _)| vfs.fstat(*ino).is_ok_and(|s| s.is_file()))
+                        .map(|(ino, f)| (f, ino))
+                        .collect();
+                    let file = match pick(rng, &files) {
+                        Some(file) => Some(file.clone()),
+                        None => {
+                            let path = format!("/f{}", rng.below(NFILES));
+                            vfs.create(root, &path, 0o644, &ROOT).ok().map(|ino| (path, ino))
+                        }
+                    };
+                    if let Some((path, ino)) = file {
+                        vfs.pin(ino).unwrap();
+                        pinned.push((path, ino));
+                    }
+                }
+                1 => {
+                    let named: Vec<&String> = pinned
+                        .iter()
+                        .filter(|(path, ino)| vfs.resolve(root, path, false, &ROOT) == Ok(*ino))
+                        .map(|(path, _)| path)
+                        .collect();
+                    if let Some(path) = pick(rng, &named) {
+                        vfs.unlink(root, path, &ROOT).unwrap();
+                    }
+                }
+                _ => {
+                    // Mostly the unlinked ones, when there are any.
+                    let unlinked: Vec<Ino> = pinned
+                        .iter()
+                        .map(|&(_, ino)| ino)
+                        .filter(|&ino| vfs.fstat(ino).unwrap().nlink == 0)
+                        .collect();
+                    let ino = match pick(rng, &unlinked) {
+                        Some(&ino) if rng.below(4) > 0 => Some(ino),
+                        _ => pick(rng, pinned).map(|&(_, ino)| ino),
+                    };
+                    if let Some(ino) = ino {
+                        let data = vec![rng.below(256) as u8; rng.in_range(1, 48) as usize];
+                        vfs.write_at(ino, rng.below(64), &data).unwrap();
+                        if unlinked.contains(&ino) {
+                            reached(WROTE_UNLINKED);
+                        }
+                    }
+                }
+            }
         }
         _ => {
             // ACL mutation, one record per draw so every intermediate
@@ -187,8 +351,9 @@ fn assert_no_fail_open(recovered: &str, matched_prefix: &str) -> Result<(), Prop
 /// enumerates exactly the states some record prefix reaches.
 fn run_script(vfs: &Vfs, rng: &mut TestRng) -> Vec<String> {
     let mut states = vec![vfs.namespace_fingerprint()];
+    let mut pinned = Vec::new();
     for _ in 0..OPS_PER_CASE {
-        random_op(vfs, rng);
+        random_op(vfs, rng, &mut pinned);
         states.push(vfs.namespace_fingerprint());
     }
     states
@@ -259,6 +424,11 @@ fn truncation_at_any_byte_recovers_a_prefix() {
             Ok(())
         },
     );
+    let reached = REACHED.each_ref().map(|n| n.load(Ordering::Relaxed));
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "a directory-rename or pinned-write arm was never reached: {reached:?}"
+    );
 }
 
 #[test]
@@ -315,8 +485,9 @@ fn snapshot_mid_stream_keeps_prefix_equivalence() {
             let cut_at = rng.in_range(4, OPS_PER_CASE);
             let mut states = vec![vfs.namespace_fingerprint()];
             let mut snap_index = 0usize;
+            let mut pinned = Vec::new();
             for i in 0..OPS_PER_CASE {
-                random_op(&vfs, rng);
+                random_op(&vfs, rng, &mut pinned);
                 states.push(vfs.namespace_fingerprint());
                 if i == cut_at {
                     // Snapshot + truncate mid-stream, like the server's
@@ -391,8 +562,9 @@ fn build_namespace(vfs: &Vfs, rng: &mut TestRng) -> idbox_vfs::Ino {
     let pinned = vfs.write_file(root, "/a/pinned", b"open but gone", &ROOT).unwrap();
     vfs.pin(pinned).unwrap();
     vfs.unlink(root, "/a/pinned", &ROOT).unwrap();
+    let mut pinned = vec![("/a/pinned".to_string(), pinned)];
     for _ in 0..12 {
-        random_op(vfs, rng);
+        random_op(vfs, rng, &mut pinned);
     }
     vfs.resolve(root, "/z/sub/big", true, &ROOT).unwrap()
 }
