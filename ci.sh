@@ -11,9 +11,10 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # Observability subsystem: tracing/metrics/flight-recorder units
 # (idbox-obs), latency-histogram/audit-ring units, and the e2e suite
 # covering the stats/audit/metrics/slowops RPCs and the trace-id join.
-# The kernel units include durable_accounts_agree_across_reboots: the
-# account database (uid allocator and admin counters included) a
-# log-only reboot and a snapshot reboot rebuild must equal the live one.
+# The kernel units include durable_accounts_agree_across_reboots: under
+# group commit, the account database (uid allocator included) that a
+# log-only reboot and a snapshot reboot read back from /etc/passwd must
+# equal the live one, and the file's bytes must equal its rendering.
 cargo test -q -p idbox-obs -p idbox-kernel -p idbox-core
 cargo test -q -p idbox-chirp --test e2e
 # Self-observation plane: flight-recorder/tracedump e2e (Chrome-trace
@@ -106,8 +107,8 @@ cargo test -q -p idbox-kernel --release concurrent_syscalls_across_shards_do_not
 IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test wal_props
 # Snapshots, a compacted log segment: the streamed snapshot file must
 # be byte-identical to frames built one at a time by the record encoder
-# on random namespaces (hard links, symlinks, chunk-boundary lengths,
-# account blobs) and boot back alone; a failed install and a frame over
+# on random namespaces (hard links, symlinks, chunk-boundary lengths)
+# and boot back alone; a failed install and a frame over
 # the 1 GiB limit must purge no segment; a snapshot in the older
 # fixed-width format must fail the boot. Pinned seed. The round-trip,
 # isolation and damaged-file properties (every truncation, every frame

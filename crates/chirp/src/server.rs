@@ -229,7 +229,7 @@ impl ChirpServer {
         // `setacl`) are preserved rather than clobbered with the
         // config's bootstrap values.
         if k.accounts().lookup("chirp").is_none() {
-            k.account_add(Account::new("chirp", 1000, 1000))?;
+            k.accounts_mut().add(Account::new("chirp", 1000, 1000))?;
         }
         let sup_cred = Cred::new(1000, 1000);
         let root = k.vfs().root();
@@ -596,6 +596,11 @@ impl ChirpServerHandle {
         // sets; one more wake covers workers sleeping on an empty set.
         for w in &self.wakers {
             w.notify();
+        }
+        // Detached workers may hold the kernel, and with it the log,
+        // past this call: sync what the drained RPCs appended now.
+        if let Some(wal) = self.kernel.read().vfs().wal() {
+            wal.sync();
         }
     }
 }

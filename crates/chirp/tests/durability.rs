@@ -8,12 +8,18 @@
 //! third boots from snapshot + log suffix and must see every lifetime's
 //! writes. A volatile control server answers `walsnap` with `ENOSYS`,
 //! and a server whose snapshots keep failing retries once per cadence.
+//! Under group commit, a clean shutdown makes every acknowledged put
+//! durable and releases the log; a restarted server's `/etc/passwd`
+//! lists its `chirp` account.
 
 use idbox_acl::{Acl, Rights};
 use idbox_auth::{CertificateAuthority, ClientCredential, ServerVerifier};
 use idbox_chirp::{ChirpClient, ChirpServer, ServerConfig};
 use idbox_types::{AuthMethod, Errno};
+use idbox_vfs::Cred;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn gsi_setup() -> (CertificateAuthority, ServerVerifier) {
     let ca = CertificateAuthority::new("/O=UnivNowhere CA", 0xCA11AB1E);
@@ -134,6 +140,59 @@ fn export_space_survives_restarts_and_acls_stay_closed() {
         assert_eq!(helen.get("/work/data").unwrap_err(), Errno::EACCES);
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A clean shutdown under group commit loses no acknowledged put. The
+/// flusher's tick is a minute, so only the shutdown's own sync can make
+/// the put durable before the reopen. Afterwards nothing holds the log:
+/// its flusher keeps only a weak reference, so dropping the server's
+/// kernel drops the log, its segment file and its thread.
+#[test]
+fn group_commit_put_survives_a_clean_shutdown() {
+    let dir = tmpdir("groupput");
+    let (ca, _) = gsi_setup();
+    let config = || ServerConfig {
+        wal_sync_ops: None,
+        wal_sync_ms: Some(60_000),
+        ..durable_config(&dir)
+    };
+    let handle = ChirpServer::new(config()).unwrap().spawn().unwrap();
+    let wal = Arc::downgrade(handle.kernel().read().vfs().wal().unwrap());
+    let mut fred = ChirpClient::connect(handle.addr(), &creds(&ca, "Fred")).unwrap();
+    fred.mkdir("/g", 0o755).unwrap();
+    fred.put("/g/data", b"acknowledged under group commit").unwrap();
+    drop(fred);
+    handle.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while wal.upgrade().is_some() {
+        assert!(Instant::now() < deadline, "a shut-down server's log is never dropped");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let handle = ChirpServer::new(config()).unwrap().spawn().unwrap();
+    let mut fred = ChirpClient::connect(handle.addr(), &creds(&ca, "Fred")).unwrap();
+    assert_eq!(fred.get("/g/data").unwrap(), b"acknowledged under group commit");
+    drop(fred);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The server's `chirp` account is in `/etc/passwd`, the account
+/// database's only durable form, so a restarted server reads it back.
+#[test]
+fn restarted_server_lists_chirp_in_etc_passwd() {
+    let dir = tmpdir("passwd");
+    drop(ChirpServer::new(durable_config(&dir)).unwrap());
+    let server = ChirpServer::new(durable_config(&dir)).unwrap();
+    assert!(server.recovery().unwrap().restored);
+    let k = server.kernel().read();
+    let v = k.vfs();
+    let passwd = String::from_utf8(v.read_file(v.root(), "/etc/passwd", &Cred::ROOT).unwrap())
+        .unwrap();
+    assert!(passwd.lines().any(|l| l.starts_with("chirp:x:1000:1000:")), "{passwd}");
+    assert_eq!(passwd, k.accounts().passwd_file());
+    drop(k);
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

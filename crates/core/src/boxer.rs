@@ -270,7 +270,6 @@ mod tests {
         k.vfs_mut()
             .chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT)
             .unwrap();
-        k.sync_passwd_file();
         (idbox_interpose::share(k), Cred::new(1000, 1000))
     }
 

@@ -320,9 +320,11 @@ impl IdentityBoxPolicy {
         PolicyStats::bump(&self.stats.checks);
         let (dir, name, target) = match self.locate(kernel, pid, path) {
             Ok(x) => x,
-            // Unresolvable paths flow through: the kernel produces the
-            // natural error (ENOENT, ELOOP, ...) with no rights leaked.
-            Err(_) => return PolicyDecision::Allow,
+            // An unresolvable path is denied with its resolve's errno
+            // (ENOENT, ELOOP, ...), the one the kernel would give: an
+            // Allow would let the call run on whatever the path names
+            // by the time the kernel resolves it again.
+            Err(e) => return PolicyDecision::Deny(e),
         };
         // The ACL file itself is special: reads need LIST, any mutation
         // needs ADMIN (otherwise a visitor with `w` could grant
@@ -420,8 +422,10 @@ impl IdentityBoxPolicy {
         PolicyStats::bump(&self.stats.checks);
         let target = match self.locate(kernel, pid, path) {
             Ok((_, _, Some(ino))) => ino,
-            // Missing or unresolvable: the kernel produces the error.
-            _ => return PolicyDecision::Allow,
+            // Missing or unresolvable: denied with the errno the kernel
+            // would give, as in `permit`.
+            Ok((_, _, None)) => return PolicyDecision::Deny(Errno::ENOENT),
+            Err(e) => return PolicyDecision::Deny(e),
         };
         let is_dir = kernel
             .vfs()
@@ -502,7 +506,7 @@ impl IdentityBoxPolicy {
         PolicyStats::bump(&self.stats.checks);
         let (dir, _name, _target) = match self.locate(kernel, pid, path) {
             Ok(x) => x,
-            Err(_) => return PolicyDecision::Allow,
+            Err(e) => return PolicyDecision::Deny(e),
         };
         let er = match self.rights_in(kernel, dir) {
             Ok(er) => er,
@@ -880,6 +884,41 @@ mod tests {
         // But nobody cannot create anywhere non-world-writable.
         assert_eq!(
             pol.check(&k, pid, &open_w("/home/newfile")),
+            PolicyDecision::Deny(Errno::EACCES)
+        );
+    }
+
+    /// Check and use must judge the same object: a path that does not
+    /// resolve at the check is denied then, so a symlink planted before
+    /// the kernel resolves it again cannot reach the supervisor's
+    /// private file.
+    #[test]
+    fn unresolvable_path_is_denied_at_the_check() {
+        let (mut k, pid, mut pol) = setup();
+        let root = k.vfs().root();
+        let dthain = Cred::new(1000, 1000);
+        k.vfs().mkdir(root, "/home/dthain", 0o700, &Cred::ROOT).unwrap();
+        k.vfs().chown(root, "/home/dthain", 1000, 1000, &Cred::ROOT).unwrap();
+        k.vfs()
+            .write_file(root, "/home/dthain/secret", b"private", &dthain)
+            .unwrap();
+        let open = open_r("/box/sub/secret");
+        let decision = pol.check(&k, pid, &open);
+        assert_eq!(decision, PolicyDecision::Deny(Errno::ENOENT));
+        assert_eq!(
+            pol.check(&k, pid, &Syscall::Readdir("/box/sub".into())),
+            PolicyDecision::Deny(Errno::ENOENT)
+        );
+        k.vfs().symlink(root, "/home/dthain", "/box/sub", &dthain).unwrap();
+        let used = match decision {
+            PolicyDecision::Allow => k.syscall(pid, open).map(|_| ()),
+            PolicyDecision::Rewrite(call) => k.syscall(pid, call).map(|_| ()),
+            PolicyDecision::Deny(e) => Err(e),
+        };
+        assert_eq!(used, Err(Errno::ENOENT), "the planted link was followed");
+        // Through the link, the same open is judged, and denied.
+        assert_eq!(
+            pol.check(&k, pid, &open_r("/box/sub/secret")),
             PolicyDecision::Deny(Errno::EACCES)
         );
     }

@@ -7,8 +7,14 @@
 //! visiting identity (paper, Section 3).
 
 use idbox_types::{Errno, SysResult};
+use idbox_vfs::{Cred, Vfs};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The account database's file, and the name its next version is
+/// written under before it replaces it.
+pub(crate) const PASSWD: &str = "/etc/passwd";
+const PASSWD_NEW: &str = "/etc/passwd.new";
 
 /// One `/etc/passwd` entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,18 +84,19 @@ impl fmt::Display for Account {
 
 /// The account database.
 ///
-/// Mutations that would require root on a real system (`add`, `remove`)
-/// are *counted*: the mapping-method evaluation (Figure 1) uses these
-/// counters to measure the administrative burden of each scheme.
+/// Its one durable form is `/etc/passwd` itself: [`AccountDb::passwd_file`]
+/// renders it with a closing `#next_uid N` line, so the uid allocator
+/// survives a reboot too, and [`AccountDb::parse_passwd`] reads it back.
+/// [`crate::Kernel::accounts_mut`] is the only writer of a kernel's
+/// database and of its file.
 #[derive(Debug, Clone, Default)]
 pub struct AccountDb {
     by_name: BTreeMap<String, Account>,
     next_uid: u32,
-    /// Number of account creations (root-only administrative actions).
-    pub admin_creations: u64,
-    /// Number of account removals (root-only administrative actions).
-    pub admin_removals: u64,
 }
+
+/// The comment line that carries the uid allocator in `/etc/passwd`.
+const NEXT_UID: &str = "#next_uid ";
 
 impl AccountDb {
     /// A database pre-seeded with `root` (uid 0) and `nobody` (uid 65534).
@@ -112,14 +119,12 @@ impl AccountDb {
         self.by_name.insert(acct.name.clone(), acct);
     }
 
-    /// Add an account, counting the administrative action and keeping
-    /// the uid allocator past every ordinary uid ever added. Fails when
-    /// the name or uid is taken.
+    /// Add an account, keeping the uid allocator past every ordinary
+    /// uid ever added. Fails when the name or uid is taken.
     pub fn add(&mut self, acct: Account) -> SysResult<()> {
         if self.by_name.contains_key(&acct.name) || self.lookup_uid(acct.uid).is_some() {
             return Err(Errno::EEXIST);
         }
-        self.admin_creations += 1;
         if acct.uid >= self.next_uid && acct.uid < 60000 {
             self.next_uid = acct.uid + 1;
         }
@@ -127,11 +132,9 @@ impl AccountDb {
         Ok(())
     }
 
-    /// Remove an account by name, counting the administrative action.
+    /// Remove an account by name. Its uid is not issued again.
     pub fn remove(&mut self, name: &str) -> SysResult<Account> {
-        let acct = self.by_name.remove(name).ok_or(Errno::ENOENT)?;
-        self.admin_removals += 1;
-        Ok(acct)
+        self.by_name.remove(name).ok_or(Errno::ENOENT)
     }
 
     /// Find by name.
@@ -170,91 +173,83 @@ impl AccountDb {
         self.by_name.values()
     }
 
-    /// Render the whole database as an `/etc/passwd` file.
+    /// Render the whole database as an `/etc/passwd` file, closed by
+    /// the `#next_uid N` line that carries the uid allocator.
     pub fn passwd_file(&self) -> String {
         let mut s = String::new();
         for a in self.by_name.values() {
             s.push_str(&a.passwd_line());
             s.push('\n');
         }
+        s.push_str(&format!("{NEXT_UID}{}\n", self.next_uid));
         s
     }
 
-    /// Parse an `/etc/passwd` file into a database (no admin actions are
-    /// counted; this is bootstrap, not administration).
+    /// Parse an `/etc/passwd` file into a database. The uid allocator
+    /// resumes at the file's `#next_uid` line, and never below an
+    /// ordinary uid the file lists.
     pub fn parse_passwd(text: &str) -> Self {
-        let mut db = AccountDb::default();
-        let mut max_uid = 999;
+        let mut db = AccountDb {
+            next_uid: 1000,
+            ..Default::default()
+        };
         for line in text.lines() {
-            if let Some(a) = Account::parse_line(line) {
-                if a.uid > max_uid && a.uid < 60000 {
-                    max_uid = a.uid;
+            if let Some(uid) = line.strip_prefix(NEXT_UID).and_then(|n| n.parse().ok()) {
+                db.next_uid = db.next_uid.max(uid);
+            } else if let Some(a) = Account::parse_line(line) {
+                if a.uid >= db.next_uid && a.uid < 60000 {
+                    db.next_uid = a.uid + 1;
                 }
                 db.insert_raw(a);
             }
         }
-        db.next_uid = max_uid + 1;
         db
     }
+}
 
-    // ------------------------------------------------------------------
-    // Durability (WAL snapshot blob + record replay)
-    // ------------------------------------------------------------------
+/// The one writer of a kernel's accounts, from
+/// [`crate::Kernel::accounts_mut`]. Each change edits the in-memory
+/// database and rewrites `/etc/passwd` through the vfs, so the file is
+/// logged like any other and is the database's only durable form.
+pub struct AccountsMut<'k> {
+    pub(crate) db: &'k mut AccountDb,
+    pub(crate) vfs: &'k Vfs,
+}
 
-    /// Serialize the full database — accounts *and* allocator/counter
-    /// state, which `passwd_file` does not carry — for the WAL snapshot.
-    pub fn to_blob(&self) -> Vec<u8> {
-        let mut s = String::from("idbox-accounts v1\n");
-        s.push_str(&format!("next_uid {}\n", self.next_uid));
-        s.push_str(&format!("creations {}\n", self.admin_creations));
-        s.push_str(&format!("removals {}\n", self.admin_removals));
-        s.push_str(&self.passwd_file());
-        s.into_bytes()
+impl AccountsMut<'_> {
+    /// Add an account (see [`AccountDb::add`]) and rewrite the file.
+    pub fn add(&mut self, acct: Account) -> SysResult<()> {
+        let mut db = self.db.clone();
+        db.add(acct)?;
+        self.commit(db)
     }
 
-    /// Rebuild a database from a [`AccountDb::to_blob`] image. `None`
-    /// when the header does not parse (a corrupt snapshot).
-    pub fn from_blob(blob: &[u8]) -> Option<Self> {
-        let text = std::str::from_utf8(blob).ok()?;
-        let mut lines = text.lines();
-        if lines.next()? != "idbox-accounts v1" {
-            return None;
-        }
-        let field = |line: &str, key: &str| -> Option<u64> {
-            line.strip_prefix(key)?.trim().parse().ok()
-        };
-        let next_uid = field(lines.next()?, "next_uid ")? as u32;
-        let admin_creations = field(lines.next()?, "creations ")?;
-        let admin_removals = field(lines.next()?, "removals ")?;
-        let mut db = AccountDb {
-            next_uid,
-            admin_creations,
-            admin_removals,
-            ..Default::default()
-        };
-        for line in lines {
-            if let Some(a) = Account::parse_line(line) {
-                db.insert_raw(a);
-            }
-        }
-        Some(db)
+    /// Remove an account by name (see [`AccountDb::remove`]) and
+    /// rewrite the file.
+    pub fn remove(&mut self, name: &str) -> SysResult<Account> {
+        let mut db = self.db.clone();
+        let acct = db.remove(name)?;
+        self.commit(db)?;
+        Ok(acct)
     }
 
-    /// Redo one logged account creation with the same
-    /// [`AccountDb::add`] the live operation ran, so a replayed database
-    /// ends exactly where the live one did. Tolerant by design — a
-    /// replayed record describes an operation that already succeeded,
-    /// so a malformed line or duplicate is skipped, never an error.
-    pub fn replay_add(&mut self, line: &str) {
-        if let Some(a) = Account::parse_line(line) {
-            let _ = self.add(a);
-        }
+    /// Allocate the next free ordinary uid (see
+    /// [`AccountDb::next_free_uid`]). It reaches the file with the
+    /// account [`AccountsMut::add`] creates for it.
+    pub fn next_free_uid(&mut self) -> u32 {
+        self.db.next_free_uid()
     }
 
-    /// Redo one logged account removal with [`AccountDb::remove`]
-    /// (tolerant, like [`AccountDb::replay_add`]).
-    pub fn replay_remove(&mut self, name: &str) {
-        let _ = self.remove(name);
+    /// Write `db` to `/etc/passwd.new` as root and rename it over
+    /// `/etc/passwd`, so a log torn anywhere in between boots the old
+    /// file or the new one, never half of one; then adopt `db`.
+    fn commit(&mut self, db: AccountDb) -> SysResult<()> {
+        let root = self.vfs.root();
+        self.vfs
+            .write_file(root, PASSWD_NEW, db.passwd_file().as_bytes(), &Cred::ROOT)?;
+        self.vfs.rename(root, PASSWD_NEW, PASSWD, &Cred::ROOT)?;
+        *self.db = db;
+        Ok(())
     }
 }
 
@@ -279,13 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn add_counts_admin_burden() {
+    fn removed_uid_is_not_issued_again_after_a_reparse() {
         let mut db = AccountDb::with_system_accounts();
         db.add(Account::new("fred", 1000, 1000)).unwrap();
         db.add(Account::new("george", 1001, 1001)).unwrap();
-        assert_eq!(db.admin_creations, 2);
-        db.remove("fred").unwrap();
-        assert_eq!(db.admin_removals, 1);
+        db.remove("george").unwrap();
+        assert_eq!(db.remove("george"), Err(Errno::ENOENT));
+        let text = db.passwd_file();
+        assert!(text.ends_with("#next_uid 1002\n"), "{text}");
+        let mut back = AccountDb::parse_passwd(&text);
+        assert_eq!(back.passwd_file(), text);
+        assert_eq!(back.next_free_uid(), 1002);
     }
 
     #[test]

@@ -52,16 +52,15 @@
 //!    before the cut's shard locks, and nothing takes it while holding
 //!    another lock.
 
-use crate::accounts::AccountDb;
+use crate::accounts::{AccountDb, AccountsMut, PASSWD};
 use crate::driver::{FsDriver, MountTable};
 use crate::process::{
     FileBacking, OpenFile, OpenFlags, Pid, PipeEnd, ProcState, Process, Signal,
 };
 use crate::stats::{LatencyStats, SyscallStats};
 use crate::syscall::{SysRet, Syscall, Whence};
-use crate::accounts::Account;
 use idbox_types::{Errno, Identity, SysResult};
-use idbox_vfs::wal::{AccountOp, RecoveryReport, Wal, WalConfig, WalRecordRef};
+use idbox_vfs::wal::{RecoveryReport, Wal, WalConfig};
 use idbox_vfs::{path as vpath, Access, Cred, ExtentList, FileKind, Ino, Vfs};
 use parking_lot::{ProfiledMutex, ProfiledRwLock, ShardSet};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -214,7 +213,8 @@ impl Kernel {
     /// standard layout as [`Kernel::new`] — with every operation logged,
     /// so the log alone can always rebuild the namespace — while a
     /// directory holding a previous incarnation's snapshot/log restores
-    /// that namespace (files, ACL files, accounts) and resumes logging
+    /// that namespace (files, ACL files, `/etc/passwd`), reads the
+    /// account database back from `/etc/passwd`, and resumes logging
     /// after it. Process table, pipes, and mounts are volatile by
     /// design: processes do not survive a restart. Returns the kernel
     /// plus the replay report ([`RecoveryReport::restored`]
@@ -225,23 +225,18 @@ impl Kernel {
         let report = recovered.report;
         let kernel = match recovered.vfs {
             Some(mut vfs) => {
-                let mut accounts = match recovered.accounts.as_deref() {
-                    Some(blob) => {
-                        AccountDb::from_blob(blob).ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                "corrupt account blob in WAL snapshot",
-                            )
-                        })?
+                let accounts = match vfs.read_file(vfs.root(), PASSWD, &Cred::ROOT) {
+                    Ok(text) => AccountDb::parse_passwd(&String::from_utf8_lossy(&text)),
+                    // A log torn inside the first boot's layout: no
+                    // account was ever added.
+                    Err(Errno::ENOENT) => AccountDb::with_system_accounts(),
+                    Err(e) => {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!("unreadable {PASSWD} in the WAL: {e:?}"),
+                        ))
                     }
-                    None => AccountDb::with_system_accounts(),
                 };
-                for op in &recovered.account_ops {
-                    match op {
-                        AccountOp::Add(line) => accounts.replay_add(line),
-                        AccountOp::Remove(name) => accounts.replay_remove(name),
-                    }
-                }
                 // Resume logging on the restored namespace.
                 vfs.set_wal(Some(Arc::clone(&wal)));
                 Self::assemble(vfs, accounts, DEFAULT_PROC_SHARDS)
@@ -280,7 +275,7 @@ impl Kernel {
             vfs.write_at(ino, 0, b"#!simulated\n").unwrap();
         }
         let accounts = AccountDb::with_system_accounts();
-        vfs.write_file(root, "/etc/passwd", accounts.passwd_file().as_bytes(), r)
+        vfs.write_file(root, PASSWD, accounts.passwd_file().as_bytes(), r)
             .unwrap();
         accounts
     }
@@ -354,57 +349,24 @@ impl Kernel {
         self.accounts.read()
     }
 
-    /// Mutably borrow the account database (administrative action).
-    pub fn accounts_mut(&mut self) -> &mut AccountDb {
-        self.accounts.get_mut()
-    }
-
-    /// Rewrite `/etc/passwd` from the account database.
-    pub fn sync_passwd_file(&self) {
-        let text = self.accounts.read().passwd_file();
-        let root = self.vfs.root();
-        self.vfs
-            .write_file(root, "/etc/passwd", text.as_bytes(), &Cred::ROOT)
-            .expect("passwd file is always writable by root");
-    }
-
-    /// Add an account, logging it to the WAL when one is attached. Use
-    /// this (not `accounts_mut().add(..)` directly) for any account
-    /// creation that must survive a restart. Exclusive access (`&mut
-    /// self`) orders the database change and its log record against
-    /// concurrent snapshots, which hold the shared side of the kernel
-    /// lock.
-    pub fn account_add(&mut self, account: Account) -> SysResult<()> {
-        let line = account.passwd_line();
-        self.accounts.get_mut().add(account)?;
-        if let Some(wal) = self.vfs.wal() {
-            wal.append(WalRecordRef::AccountAdd { line: &line });
+    /// The account writer (administrative action): every change also
+    /// rewrites `/etc/passwd`, the database's only durable form, which
+    /// the log and snapshots carry like any other file.
+    pub fn accounts_mut(&mut self) -> AccountsMut<'_> {
+        AccountsMut {
+            db: self.accounts.get_mut(),
+            vfs: &self.vfs,
         }
-        Ok(())
     }
 
-    /// Remove an account by name, logging it to the WAL when one is
-    /// attached (the durable counterpart of `accounts_mut().remove(..)`).
-    pub fn account_remove(&mut self, name: &str) -> SysResult<Account> {
-        let removed = self.accounts.get_mut().remove(name)?;
-        if let Some(wal) = self.vfs.wal() {
-            wal.append(WalRecordRef::AccountRemove { name });
-        }
-        Ok(removed)
-    }
-
-    /// Snapshot the durable state (namespace + accounts) and truncate
-    /// the log. `Ok(None)` when no WAL is attached; otherwise the
-    /// snapshot's LSN watermark.
+    /// Snapshot the durable namespace, `/etc/passwd` included, and
+    /// truncate the log. `Ok(None)` when no WAL is attached; otherwise
+    /// the snapshot's LSN watermark.
     ///
     /// Safe against concurrent syscalls: the namespace is captured
     /// under every vfs shard read lock, at a log rotation point taken
     /// under those same locks, and streamed to disk after they are
-    /// released (see [`Vfs::snapshot_cut`]). The account blob is
-    /// captured just before — account *mutations* go through `&mut
-    /// self` ([`Kernel::account_add`] / [`Kernel::account_remove`]), so
-    /// a shared borrow cannot race one, and reads of the blob stay
-    /// consistent with the rotation.
+    /// released (see [`Vfs::snapshot_cut`]).
     ///
     /// Concurrent calls (the server's auto-snapshot thread, the
     /// `walsnap` RPC, an embedder) run one at a time. Two installs at
@@ -416,9 +378,8 @@ impl Kernel {
             return Ok(None);
         };
         let _one_at_a_time = self.snapshot_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let accounts_blob = self.accounts.read().to_blob();
         let cut = self.vfs.snapshot_cut()?;
-        wal.install_snapshot(&cut, &accounts_blob)?;
+        wal.install_snapshot(&cut)?;
         Ok(Some(cut.watermark()))
     }
 
@@ -1531,6 +1492,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Account;
 
     #[test]
     fn concurrent_snapshots_run_one_at_a_time() {
@@ -1572,37 +1534,85 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `/etc/passwd` as the vfs holds it.
+    fn passwd_bytes(k: &Kernel) -> String {
+        let v = k.vfs();
+        String::from_utf8(v.read_file(v.root(), PASSWD, &Cred::ROOT).unwrap()).unwrap()
+    }
+
     #[test]
     fn durable_accounts_agree_across_reboots() {
         // A reboot from the log alone, and one from a snapshot plus the
-        // log after it, must both rebuild the live account database,
-        // uid allocator and admin counters included.
+        // log after it, must both read back the live account database
+        // from `/etc/passwd`, uid allocator included, under group commit.
         for snapshot in [false, true] {
             let dir = std::env::temp_dir().join(format!(
                 "idbox-kernel-accounts-{snapshot}-{}",
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            // Sync-every-op: nothing is left in a flusher's batch at
-            // the drop.
-            let cfg = WalConfig::new(&dir).sync_every_op();
+            // A one-minute tick: only the drop's own sync can make the
+            // last records durable before the reboot.
+            let cfg = WalConfig {
+                sync_ms: 60_000,
+                ..WalConfig::new(&dir)
+            };
             let (mut k, _) = Kernel::with_durability(cfg.clone()).unwrap();
-            k.account_add(Account::new("chirp", 1000, 1000)).unwrap();
+            k.accounts_mut().add(Account::new("chirp", 1000, 1000)).unwrap();
             if snapshot {
                 k.wal_snapshot().unwrap();
             }
-            k.account_add(Account::new("x", 1005, 1005)).unwrap();
-            k.account_remove("x").unwrap();
-            let live = String::from_utf8(k.accounts().to_blob()).unwrap();
+            k.accounts_mut().add(Account::new("x", 1005, 1005)).unwrap();
+            k.accounts_mut().remove("x").unwrap();
+            let live = k.accounts().passwd_file();
+            assert_eq!(passwd_bytes(&k), live);
             drop(k);
             let (mut k, report) = Kernel::with_durability(cfg).unwrap();
             assert_eq!(report.snapshot_loaded, snapshot);
-            let booted = String::from_utf8(k.accounts().to_blob()).unwrap();
-            assert_eq!(booted, live, "rebooted from a snapshot: {snapshot}");
-            assert_eq!(k.accounts_mut().next_free_uid(), 1006);
+            assert_eq!(k.accounts().passwd_file(), live, "rebooted from a snapshot: {snapshot}");
+            assert_eq!(passwd_bytes(&k), live);
+            assert_eq!(k.accounts_mut().next_free_uid(), 1006, "uid 1005 was removed");
             drop(k);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn an_account_add_torn_anywhere_boots_the_old_or_the_new_file() {
+        let dir = |budget: u64| {
+            std::env::temp_dir().join(format!(
+                "idbox-kernel-torn-add-{budget}-{}",
+                std::process::id()
+            ))
+        };
+        let fred = || Account::new("fred", 1000, 1000);
+        // One untorn add measures the bytes its records log.
+        let (mut k, _) = Kernel::with_durability(WalConfig::new(dir(u64::MAX))).unwrap();
+        let old = k.accounts().passwd_file();
+        let wal = Arc::clone(k.vfs().wal().unwrap());
+        let before = wal.stats().append_bytes;
+        k.accounts_mut().add(fred()).unwrap();
+        let logged = wal.stats().append_bytes - before;
+        let new = k.accounts().passwd_file();
+        drop((k, wal));
+        let _ = std::fs::remove_dir_all(dir(u64::MAX));
+        let mut booted_new = 0;
+        for budget in 0..=logged {
+            let (mut k, _) = Kernel::with_durability(WalConfig::new(dir(budget))).unwrap();
+            let wal = Arc::clone(k.vfs().wal().unwrap());
+            wal.sync();
+            wal.set_crash_after_bytes(budget);
+            k.accounts_mut().add(fred()).unwrap();
+            drop((k, wal));
+            let (k, _) = Kernel::with_durability(WalConfig::new(dir(budget))).unwrap();
+            let got = k.accounts().passwd_file();
+            assert!(got == old || got == new, "budget {budget}: booted {got:?}");
+            assert_eq!(passwd_bytes(&k), got, "budget {budget}");
+            booted_new += usize::from(got == new);
+            drop(k);
+            let _ = std::fs::remove_dir_all(dir(budget));
+        }
+        assert_eq!(booted_new, 1, "only the whole log boots the new file");
     }
 
     fn kernel_with_user(name: &str) -> (Kernel, Pid, Cred) {
@@ -1611,7 +1621,6 @@ mod tests {
         k.accounts_mut()
             .add(crate::Account::new(name, uid, uid))
             .unwrap();
-        k.sync_passwd_file();
         let cred = Cred::new(uid, uid);
         let root = k.vfs().root();
         k.vfs()

@@ -23,7 +23,7 @@ mod process;
 mod stats;
 mod syscall;
 
-pub use accounts::{Account, AccountDb};
+pub use accounts::{Account, AccountDb, AccountsMut};
 pub use driver::{DriverFd, FsDriver, MountTable};
 pub use kernel::Kernel;
 pub use stats::{LatencySnapshot, LatencyStats, SyscallStats, LATENCY_BUCKETS};

@@ -32,11 +32,10 @@ pub(crate) fn create_account_with_home(
     let uid = k.accounts_mut().next_free_uid();
     let account = Account::new(name, uid, uid);
     let home = account.home.clone();
-    k.account_add(account)?;
+    k.accounts_mut().add(account)?;
     let root = k.vfs().root();
     k.vfs_mut().mkdir_all(root, &home, 0o700, &Cred::ROOT)?;
     k.vfs_mut().chown(root, &home, uid, uid, &Cred::ROOT)?;
-    k.sync_passwd_file();
     Ok((Cred::new(uid, uid), home))
 }
 
@@ -46,8 +45,7 @@ pub(crate) fn destroy_account_with_home(kernel: &SharedKernel, name: &str) -> Sy
     let Some(home) = k.accounts().lookup(name).map(|a| a.home.clone()) else {
         return Ok(());
     };
-    k.account_remove(name)?;
-    k.sync_passwd_file();
+    k.accounts_mut().remove(name)?;
     let root = k.vfs().root();
     remove_tree(&mut k, root, &home)?;
     Ok(())

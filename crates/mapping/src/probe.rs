@@ -113,7 +113,6 @@ pub fn scenario_kernel() -> SharedKernel {
     k.vfs_mut()
         .chmod(root, "/home/dthain/secret", 0o600, &dthain)
         .unwrap();
-    k.sync_passwd_file();
     idbox_interpose::share(k)
 }
 

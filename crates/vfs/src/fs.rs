@@ -1776,11 +1776,8 @@ impl Vfs {
                     entries.insert(name.to_string(), Ino(ino));
                 }
             }
-            // The trailer sets the clock ([`Vfs::apply_record`]); account
-            // records are interpreted by the kernel crate.
-            WalRecordRef::Trailer { .. }
-            | WalRecordRef::AccountAdd { .. }
-            | WalRecordRef::AccountRemove { .. } => {}
+            // The trailer sets the clock ([`Vfs::apply_record`]).
+            WalRecordRef::Trailer { .. } => {}
         }
     }
 
@@ -1916,9 +1913,8 @@ impl Vfs {
     }
 }
 
-/// The logical timestamp a record carries (`None` for account records,
-/// which do not touch the filesystem clock, and for a snapshot's
-/// images, whose trailer sets it).
+/// The logical timestamp a record carries (`None` for a snapshot's
+/// images, whose trailer sets the clock).
 fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
     match rec {
         WalRecordRef::Create { now, .. }
@@ -1932,11 +1928,9 @@ fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
         | WalRecordRef::Truncate { now, .. }
         | WalRecordRef::Chmod { now, .. }
         | WalRecordRef::Chown { now, .. } => Some(now),
-        WalRecordRef::AccountAdd { .. }
-        | WalRecordRef::AccountRemove { .. }
-        | WalRecordRef::Inode { .. }
-        | WalRecordRef::Entry { .. }
-        | WalRecordRef::Trailer { .. } => None,
+        WalRecordRef::Inode { .. } | WalRecordRef::Entry { .. } | WalRecordRef::Trailer { .. } => {
+            None
+        }
     }
 }
 
@@ -1969,9 +1963,7 @@ fn record_inos(rec: WalRecordRef<'_>) -> ([u64; 4], usize) {
         | WalRecordRef::Chown { ino, .. }
         | WalRecordRef::Inode { ino, .. }
         | WalRecordRef::Entry { dir: ino, .. } => ([ino, 0, 0, 0], 1),
-        WalRecordRef::AccountAdd { .. }
-        | WalRecordRef::AccountRemove { .. }
-        | WalRecordRef::Trailer { .. } => ([0; 4], 0),
+        WalRecordRef::Trailer { .. } => ([0; 4], 0),
     }
 }
 

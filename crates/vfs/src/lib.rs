@@ -30,7 +30,7 @@ pub mod wal;
 pub use extent::{ByteExtent, ExtentList};
 pub use fs::{Cred, DirEntry, FaultHook, SnapshotCut, Vfs};
 pub use inode::{FileKind, Ino, StatBuf};
-pub use wal::{AccountOp, Recovered, RecoveryReport, Wal, WalConfig, WalRecordRef, WalStats};
+pub use wal::{Recovered, RecoveryReport, Wal, WalConfig, WalRecordRef, WalStats};
 
 /// Access request bits used by permission checks (same encoding as the
 /// Unix `access(2)` masks).

@@ -1,8 +1,8 @@
 //! The durability plane: a write-ahead log plus namespace snapshots.
 //!
 //! The paper's storage servers are trusted with real data, so the
-//! namespace (files, directories, ACL files, accounts) must survive a
-//! server crash. The in-memory [`Vfs`] stays the hot path; durability is
+//! namespace (files, directories, ACL files, `/etc/passwd`) must survive
+//! a server crash. The in-memory [`Vfs`] stays the hot path; durability is
 //! layered *under* it:
 //!
 //! * Every mutating namespace operation appends one compact binary
@@ -270,17 +270,6 @@ pub enum WalRecordRef<'a> {
         /// Logical timestamp.
         now: u64,
     },
-    /// An account added to the kernel's account database, as its passwd
-    /// line (the vfs does not interpret it; the kernel replays it).
-    AccountAdd {
-        /// The account's `/etc/passwd` line.
-        line: &'a str,
-    },
-    /// An account removed from the kernel's account database.
-    AccountRemove {
-        /// The removed account's name.
-        name: &'a str,
-    },
     /// A snapshot's image of one live inode, with an empty payload: the
     /// directory's [`Entry`](WalRecordRef::Entry) records and the
     /// file's `Write` records that follow fill it in.
@@ -325,14 +314,16 @@ pub enum WalRecordRef<'a> {
         clock: u64,
         /// The namespace change generation at the cut.
         change_gen: u64,
-        /// The kernel's opaque account-database blob.
-        accounts: &'a [u8],
     },
 }
 
 /// The `Write` record's tag, shared by [`WalRecordRef::encode`] and
 /// [`Wal::append_write`].
 const WRITE_TAG: u8 = 8;
+/// Tags an older format used for account records. Accounts now live in
+/// `/etc/passwd`, so a log holding one was written by an older build:
+/// boot refuses it rather than truncate the log there.
+const RETIRED_TAGS: [u8; 2] = [12, 13];
 
 impl WalRecordRef<'_> {
     fn tag(self) -> u8 {
@@ -348,8 +339,6 @@ impl WalRecordRef<'_> {
             WalRecordRef::Truncate { .. } => 9,
             WalRecordRef::Chmod { .. } => 10,
             WalRecordRef::Chown { .. } => 11,
-            WalRecordRef::AccountAdd { .. } => 12,
-            WalRecordRef::AccountRemove { .. } => 13,
             WalRecordRef::Inode { .. } => 14,
             WalRecordRef::Entry { .. } => 15,
             WalRecordRef::Trailer { .. } => 16,
@@ -474,8 +463,6 @@ impl WalRecordRef<'_> {
                 put_vu64(out, u64::from(gid));
                 put_vu64(out, now);
             }
-            WalRecordRef::AccountAdd { line } => put_vstr(out, line),
-            WalRecordRef::AccountRemove { name } => put_vstr(out, name),
             WalRecordRef::Inode {
                 ino,
                 kind,
@@ -509,12 +496,10 @@ impl WalRecordRef<'_> {
                 root,
                 clock,
                 change_gen,
-                accounts,
             } => {
                 for v in [watermark, root, clock, change_gen] {
                     put_vu64(out, v);
                 }
-                put_vbytes(out, accounts);
             }
         }
     }
@@ -900,8 +885,6 @@ impl<'a> WalRecordRef<'a> {
                 gid: u32::try_from(c.vu64()?).ok()?,
                 now: c.vu64()?,
             },
-            12 => WalRecordRef::AccountAdd { line: c.vstr()? },
-            13 => WalRecordRef::AccountRemove { name: c.vstr()? },
             14 => {
                 let ino = c.vu64()?;
                 let kind = match c.u8()? {
@@ -942,7 +925,6 @@ impl<'a> WalRecordRef<'a> {
                 root: c.vu64()?,
                 clock: c.vu64()?,
                 change_gen: c.vu64()?,
-                accounts: c.vbytes()?,
             },
             _ => return None,
         };
@@ -998,22 +980,8 @@ pub struct Recovered {
     /// WAL attached; the caller attaches the log with [`Vfs::set_wal`]
     /// once it is ready to resume logging.
     pub vfs: Option<Vfs>,
-    /// The opaque account-database blob stored in the snapshot, if one
-    /// was restored (the kernel crate interprets it).
-    pub accounts: Option<Vec<u8>>,
-    /// Account records replayed from the log suffix, in order.
-    pub account_ops: Vec<AccountOp>,
     /// Replay statistics, also visible via [`Wal::stats`].
     pub report: RecoveryReport,
-}
-
-/// One replayed account mutation (interpreted by the kernel crate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccountOp {
-    /// An account was added; the payload is its passwd line.
-    Add(String),
-    /// The named account was removed.
-    Remove(String),
 }
 
 /// Replay statistics from one [`Wal::open`].
@@ -1210,8 +1178,9 @@ const IOV_BATCH: usize = 64;
 
 /// The write-ahead log. One instance per [`Vfs`]; shared behind an
 /// `Arc` between the filesystem (which appends), the kernel (which
-/// snapshots and logs account changes), and the server (which renders
-/// stats and drives auto-snapshots).
+/// snapshots), and the server (which renders stats and drives
+/// auto-snapshots). The group-commit flusher holds only a `Weak`, so
+/// dropping the last owner stops it and syncs what it had not.
 pub struct Wal {
     cfg: WalConfig,
     inner: Mutex<WalInner>,
@@ -1230,7 +1199,6 @@ pub struct Wal {
     /// Set when an appender has already asked for a flush this batch;
     /// throttles threshold wakeups to one unpark per flush cycle.
     flush_pending: AtomicBool,
-    flusher_stop: Arc<AtomicBool>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// The flusher's thread handle, for threshold wakeups. Unset until
     /// [`Wal::start_flusher`] runs; while unset, the threshold falls
@@ -1315,7 +1283,6 @@ impl Wal {
             report,
             flush_lock: Mutex::new(Pending::default()),
             flush_pending: AtomicBool::new(false),
-            flusher_stop: Arc::new(AtomicBool::new(false)),
             flusher: Mutex::new(None),
             flusher_thread: std::sync::OnceLock::new(),
             cfg,
@@ -1331,18 +1298,20 @@ impl Wal {
     /// at all: it buffers the frame and, at the `sync_ops` threshold,
     /// unparks this thread, which writes and fsyncs the batch. The
     /// thread also wakes itself every `sync_ms` so a quiet log still
-    /// drains promptly.
+    /// drains promptly. It holds the log by a `Weak` and exits once the
+    /// last owner has dropped it, so [`Wal`]'s drop still runs, joins it
+    /// and syncs the last batch.
     pub fn start_flusher(self: &Arc<Self>) {
         if self.cfg.sync_ops == 0 {
             return;
         }
         let period = Duration::from_millis(self.cfg.sync_ms.max(1));
-        let stop = Arc::clone(&self.flusher_stop);
-        let wal = Arc::clone(self);
-        let handle = std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::park_timeout(period);
-                wal.sync();
+        let wal = Arc::downgrade(self);
+        let handle = std::thread::spawn(move || loop {
+            std::thread::park_timeout(period);
+            match wal.upgrade() {
+                Some(wal) => wal.sync(),
+                None => return,
             }
         });
         let _ = self.flusher_thread.set(handle.thread().clone());
@@ -1390,9 +1359,8 @@ impl Wal {
     }
 
     /// Append one record; called by the vfs under the mutating shard
-    /// write locks (the WAL mutex is a leaf below them) and by the
-    /// kernel for account records. Assigns the next LSN; honours the
-    /// group-commit policy before returning.
+    /// write locks (the WAL mutex is a leaf below them). Assigns the
+    /// next LSN; honours the group-commit policy before returning.
     pub fn append(&self, rec: WalRecordRef<'_>) {
         self.append_frame(|out| rec.encode(&mut out.bytes));
     }
@@ -1598,19 +1566,14 @@ impl Wal {
     /// framer log appends use: per live inode (ascending) an `Inode`
     /// record, then a directory's `Entry` records or a file's `Write`
     /// records, one per chunk, each chunk spliced by reference from the
-    /// cut; then a `Trailer` with the watermark, the namespace counters
-    /// and `accounts_blob`. A record over the frame limit is refused
-    /// before the rename, so the segments it would have replaced are
-    /// never purged. Any failure is counted in
+    /// cut; then a `Trailer` with the watermark and the namespace
+    /// counters. A record over the frame limit is refused before the
+    /// rename, so the segments it would have replaced are never purged. Any failure is counted in
     /// [`WalStats::snapshot_failures`] and leaves the previous snapshot
     /// and the log authoritative.
-    pub fn install_snapshot(
-        &self,
-        cut: &SnapshotCut,
-        accounts_blob: &[u8],
-    ) -> std::io::Result<()> {
+    pub fn install_snapshot(&self, cut: &SnapshotCut) -> std::io::Result<()> {
         let tmp = self.cfg.dir.join("snapshot.tmp");
-        if let Err(e) = self.write_snapshot(&tmp, cut, accounts_blob) {
+        if let Err(e) = self.write_snapshot(&tmp, cut) {
             // Never leave a partial file behind (a directory squatting
             // on the name is not ours to remove, and fails harmlessly).
             let _ = fs::remove_file(&tmp);
@@ -1644,12 +1607,7 @@ impl Wal {
 
     /// Write, sync and rename the snapshot file: everything in
     /// [`Wal::install_snapshot`] that can fail.
-    fn write_snapshot(
-        &self,
-        tmp: &Path,
-        cut: &SnapshotCut,
-        accounts: &[u8],
-    ) -> std::io::Result<()> {
+    fn write_snapshot(&self, tmp: &Path, cut: &SnapshotCut) -> std::io::Result<()> {
         let mut w = SnapshotWriter {
             file: File::create(tmp)?,
             out: Pending::default(),
@@ -1701,7 +1659,6 @@ impl Wal {
             root: cut.root,
             clock: cut.clock,
             change_gen: cut.change_gen,
-            accounts,
         })?;
         w.flush()?;
         w.file.sync_data()?;
@@ -1752,12 +1709,15 @@ impl SnapshotWriter {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        self.flusher_stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.flusher_thread.get() {
             t.unpark();
         }
+        // The flusher may itself have held the last reference for the
+        // length of one `sync`; it is leaving, and cannot join itself.
         if let Some(h) = self.flusher.lock().take() {
-            let _ = h.join();
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
         let mut inner = self.inner.lock();
         Self::sync_locked(&mut inner, &self.fsyncs, &self.errors);
@@ -1779,7 +1739,8 @@ enum Frame<'a> {
     Torn,
     /// A fully present frame that claims an implausible length, fails
     /// its CRC or holds no decodable record: the bytes were durable and
-    /// are now wrong.
+    /// are now wrong. (A frame whose CRC holds but whose tag is retired
+    /// is an older format, and fails the read instead.)
     Corrupt,
 }
 
@@ -1848,10 +1809,20 @@ impl FrameReader {
         }
         self.pos += 8 + len as u64;
         let mut c = Cursor::new(payload);
-        let rec = c
-            .vu64()
-            .and_then(|lsn| WalRecordRef::decode(&payload[c.consumed()..]).map(|r| (lsn, r)));
-        Ok(rec.map_or(Frame::Corrupt, |(lsn, rec)| Frame::Record(lsn, rec)))
+        let Some(lsn) = c.vu64() else {
+            return Ok(Frame::Corrupt);
+        };
+        let body = &payload[c.consumed()..];
+        match WalRecordRef::decode(body) {
+            Some(rec) => Ok(Frame::Record(lsn, rec)),
+            None if body.first().is_some_and(|t| RETIRED_TAGS.contains(t)) => {
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "WAL record of a retired format (an account record)",
+                ))
+            }
+            None => Ok(Frame::Corrupt),
+        }
     }
 }
 
@@ -1859,8 +1830,6 @@ impl FrameReader {
 #[derive(Default)]
 struct Replay {
     vfs: Option<Vfs>,
-    accounts: Option<Vec<u8>>,
-    account_ops: Vec<AccountOp>,
     report: RecoveryReport,
     next_lsn: u64,
 }
@@ -1895,30 +1864,18 @@ impl Replay {
                 continue;
             }
             let v = self.vfs.get_or_insert_with(Vfs::new);
-            match rec {
-                WalRecordRef::AccountAdd { line } => {
-                    self.account_ops.push(AccountOp::Add(line.into()))
+            if let WalRecordRef::Trailer {
+                watermark, root, ..
+            } = rec
+            {
+                if !snapshot || root != v.root().0 {
+                    return Ok(Some((false, at)));
                 }
-                WalRecordRef::AccountRemove { name } => {
-                    self.account_ops.push(AccountOp::Remove(name.into()))
-                }
-                WalRecordRef::Trailer {
-                    watermark,
-                    root,
-                    accounts,
-                    ..
-                } => {
-                    if !snapshot || root != v.root().0 {
-                        return Ok(Some((false, at)));
-                    }
-                    v.apply_record(rec);
-                    self.report.snapshot_loaded = true;
-                    self.report.watermark = watermark;
-                    self.next_lsn = watermark;
-                    self.accounts = Some(accounts.to_vec());
-                }
-                other => v.apply_record(other),
+                self.report.snapshot_loaded = true;
+                self.report.watermark = watermark;
+                self.next_lsn = watermark;
             }
+            v.apply_record(rec);
             self.report.restored = true;
             if !snapshot {
                 self.report.replayed += 1;
@@ -1982,8 +1939,6 @@ fn replay_dir(dir: &Path) -> std::io::Result<(Recovered, u64)> {
     }
     let recovered = Recovered {
         vfs: r.vfs.filter(|_| r.report.restored),
-        accounts: r.accounts,
-        account_ops: r.account_ops,
         report: r.report,
     };
     Ok((recovered, r.next_lsn))
@@ -2225,10 +2180,6 @@ mod tests {
                 gid: 1000,
                 now: 17,
             },
-            WalRecordRef::AccountAdd {
-                line: "fred:x:1000:1000::/home/fred:/bin/sh",
-            },
-            WalRecordRef::AccountRemove { name: "fred" },
         ];
         for rec in records {
             let mut buf = Vec::new();
@@ -2248,6 +2199,12 @@ mod tests {
             assert_eq!(WalRecordRef::decode(&buf[..cut]), None, "cut at {cut}");
         }
         assert_eq!(WalRecordRef::decode(&[200]), None);
+        // The retired account tags decode to nothing, whatever follows.
+        for tag in RETIRED_TAGS {
+            let mut buf = vec![tag];
+            put_vstr(&mut buf, "fred:x:1000:1000::/home/fred:/bin/sh");
+            assert_eq!(WalRecordRef::decode(&buf), None, "tag {tag}");
+        }
     }
 
     #[test]
@@ -2328,7 +2285,7 @@ mod tests {
         let fps = scripted_ops(&vfs);
         let cut = vfs.snapshot_cut().unwrap();
         let watermark = cut.watermark();
-        wal.install_snapshot(&cut, b"accounts-opaque").unwrap();
+        wal.install_snapshot(&cut).unwrap();
         let live = vfs.namespace_fingerprint();
         assert_eq!(&live, fps.last().unwrap());
         drop(vfs);
@@ -2337,7 +2294,6 @@ mod tests {
         assert!(rec.report.snapshot_loaded);
         assert_eq!(rec.report.replayed, 0, "no suffix was written after the snapshot");
         assert_eq!(rec.report.watermark, watermark);
-        assert_eq!(rec.accounts.as_deref(), Some(&b"accounts-opaque"[..]));
         assert_eq!(rec.vfs.unwrap().namespace_fingerprint(), live);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -2348,7 +2304,7 @@ mod tests {
         let (vfs, wal) = fresh(&dir);
         scripted_ops(&vfs);
         let cut = vfs.snapshot_cut().unwrap();
-        wal.install_snapshot(&cut, b"").unwrap();
+        wal.install_snapshot(&cut).unwrap();
         // Mutations after the snapshot land in the post-watermark segment.
         vfs.mkdir(vfs.root(), "/post", 0o755, &ROOT).unwrap();
         vfs.write_file(vfs.root(), "/post/extra", b"suffix bytes", &ROOT)
@@ -2374,7 +2330,7 @@ mod tests {
         for i in 0..3 {
             vfs.mkdir(vfs.root(), &format!("/during{i}"), 0o755, &ROOT).unwrap();
         }
-        wal.install_snapshot(&cut, b"").unwrap();
+        wal.install_snapshot(&cut).unwrap();
         assert_eq!(wal.since_snapshot(), 3);
         vfs.mkdir(vfs.root(), "/after", 0o755, &ROOT).unwrap();
         assert_eq!(wal.stats().since_snapshot, 4);
@@ -2423,7 +2379,7 @@ mod tests {
             s.spawn(move || {
                 for _ in 0..5 {
                     let cut = vfs.snapshot_cut().unwrap();
-                    wal2.install_snapshot(&cut, b"").unwrap();
+                    wal2.install_snapshot(&cut).unwrap();
                     std::thread::sleep(Duration::from_millis(2));
                 }
             });
@@ -2445,7 +2401,7 @@ mod tests {
     /// The snapshot file the streamed writer must produce for `cut`:
     /// the segment magic, then one owned frame per record, each encoded
     /// alone by [`WalRecordRef::encode`] and numbered from 0.
-    fn snapshot_file_oracle(cut: &SnapshotCut, accounts: &[u8]) -> Vec<u8> {
+    fn snapshot_file_oracle(cut: &SnapshotCut) -> Vec<u8> {
         let mut records = Vec::new();
         let mut push = |rec: WalRecordRef<'_>| {
             let mut buf = Vec::new();
@@ -2499,7 +2455,6 @@ mod tests {
             root: cut.root,
             clock: cut.clock,
             change_gen: cut.change_gen,
-            accounts,
         });
         let mut file = SEG_MAGIC.to_vec();
         for (lsn, rec) in records.iter().enumerate() {
@@ -2536,11 +2491,10 @@ mod tests {
                         _ => drop(vfs.rename(root, &path, &format!("/d0/r{i}"), &ROOT)),
                     }
                 }
-                let accounts = vec![b'a'; rng.below(100) as usize];
                 let live = vfs.namespace_fingerprint();
                 let cut = vfs.snapshot_cut().unwrap();
-                let want = snapshot_file_oracle(&cut, &accounts);
-                wal.install_snapshot(&cut, &accounts).unwrap();
+                let want = snapshot_file_oracle(&cut);
+                wal.install_snapshot(&cut).unwrap();
                 let got = fs::read(dir.join(SNAP_NAME)).unwrap();
                 assert!(got == want, "streamed snapshot differs from the record encoder");
                 // The file alone boots back to the namespace it was cut from.
@@ -2552,7 +2506,6 @@ mod tests {
                     }
                 }
                 let rec = reopen(&dir);
-                assert_eq!(rec.accounts.as_deref(), Some(&accounts[..]));
                 assert_eq!(rec.vfs.unwrap().namespace_fingerprint(), live);
                 let _ = fs::remove_dir_all(&dir);
                 Ok(())
@@ -2570,7 +2523,7 @@ mod tests {
         fs::create_dir(dir.join("snapshot.tmp")).unwrap();
         let segs_before = fs::read_dir(&dir).unwrap().count();
         let cut = vfs.snapshot_cut().unwrap();
-        assert!(wal.install_snapshot(&cut, b"").is_err());
+        assert!(wal.install_snapshot(&cut).is_err());
         let stats = wal.stats();
         assert_eq!((stats.snapshots, stats.snapshot_failures), (0, 1));
         assert!(!dir.join(SNAP_NAME).exists());
@@ -2602,7 +2555,7 @@ mod tests {
         let huge = crate::extent::FileContent::repeated(chunk, 1);
         inode.payload = Payload::File(huge);
         cut.inodes.push((u64::MAX, inode));
-        let e = wal.install_snapshot(&cut, b"").unwrap_err();
+        let e = wal.install_snapshot(&cut).unwrap_err();
         assert_eq!(e.kind(), std::io::ErrorKind::FileTooLarge);
         drop(cut);
         let stats = wal.stats();
@@ -2697,34 +2650,84 @@ mod tests {
         let rec = reopen(&dir);
         assert!(!rec.report.restored);
         assert!(rec.vfs.is_none());
-        assert!(rec.accounts.is_none());
-        assert!(rec.account_ops.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The files in `dir`, each with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| (e.path(), fs::read(e.path()).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
-    fn account_records_replay_in_order() {
-        let dir = tmpdir("accounts");
-        let (wal, _) = Wal::open(WalConfig::new(&dir).sync_every_op()).unwrap();
-        wal.append(WalRecordRef::AccountAdd {
-            line: "fred:x:1000:1000::/home/fred:/bin/sh",
-        });
-        wal.append(WalRecordRef::AccountAdd {
-            line: "barney:x:1001:1001::/home/barney:/bin/sh",
-        });
-        wal.append(WalRecordRef::AccountRemove {
-            name: "fred",
-        });
+    fn retired_account_records_fail_the_boot() {
+        // A log an older build wrote: its account records (tags 12 and
+        // 13), framed with valid CRCs, between ordinary records.
+        for tag in RETIRED_TAGS {
+            let dir = tmpdir(&format!("retired-{tag}"));
+            let (vfs, wal) = fresh(&dir);
+            vfs.mkdir(vfs.root(), "/before", 0o755, &ROOT).unwrap();
+            wal.append_frame(|out| {
+                out.bytes.push(tag);
+                put_vstr(&mut out.bytes, "chirp:x:1000:1000::/home/chirp:/bin/sh");
+            });
+            vfs.mkdir(vfs.root(), "/after", 0o755, &ROOT).unwrap();
+            drop(vfs);
+            drop(wal);
+            let files = dir_bytes(&dir);
+            let err = Wal::open(WalConfig::new(&dir)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "tag {tag}");
+            // Refused, not truncated at the record: every byte stays.
+            assert_eq!(dir_bytes(&dir), files, "tag {tag}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn snapshot_trailer_with_an_account_blob_fails_the_boot() {
+        let dir = tmpdir("trailer-blob");
+        let (vfs, wal) = fresh(&dir);
+        scripted_ops(&vfs);
+        let cut = vfs.snapshot_cut().unwrap();
+        wal.install_snapshot(&cut).unwrap();
+        vfs.mkdir(vfs.root(), "/later", 0o755, &ROOT).unwrap();
+        drop(vfs);
         drop(wal);
-        let rec = reopen(&dir);
-        assert_eq!(
-            rec.account_ops,
-            vec![
-                AccountOp::Add("fred:x:1000:1000::/home/fred:/bin/sh".into()),
-                AccountOp::Add("barney:x:1001:1001::/home/barney:/bin/sh".into()),
-                AccountOp::Remove("fred".into()),
-            ]
-        );
+        // Re-frame the trailer as an older build wrote it: an (empty)
+        // account blob after the namespace counters.
+        let snap = fs::read(dir.join(SNAP_NAME)).unwrap();
+        let mut frames = FrameReader::open(&dir.join(SNAP_NAME)).unwrap().unwrap();
+        let (at, lsn) = loop {
+            let at = frames.pos as usize;
+            match frames.next().unwrap() {
+                Frame::Record(lsn, WalRecordRef::Trailer { .. }) => break (at, lsn),
+                Frame::Record(..) => {}
+                _ => panic!("a snapshot without a trailer"),
+            }
+        };
+        let mut p = Pending::default();
+        p.frame(lsn, |out| {
+            WalRecordRef::Trailer {
+                watermark: cut.watermark(),
+                root: cut.root,
+                clock: cut.clock,
+                change_gen: cut.change_gen,
+            }
+            .encode(&mut out.bytes);
+            put_vbytes(&mut out.bytes, b"");
+        });
+        let mut old = snap[..at].to_vec();
+        p.write_to(&mut old, usize::MAX).unwrap();
+        fs::write(dir.join(SNAP_NAME), &old).unwrap();
+        let files = dir_bytes(&dir);
+        let err = Wal::open(WalConfig::new(&dir)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(dir_bytes(&dir), files, "nothing truncated or purged");
         let _ = fs::remove_dir_all(&dir);
     }
 }

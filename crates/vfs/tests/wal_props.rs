@@ -491,10 +491,9 @@ fn snapshot_mid_stream_keeps_prefix_equivalence() {
                 states.push(vfs.namespace_fingerprint());
                 if i == cut_at {
                     // Snapshot + truncate mid-stream, like the server's
-                    // auto-snapshot thread (empty account blob: this
-                    // test lives below the kernel).
+                    // auto-snapshot thread.
                     let cut = vfs.snapshot_cut().unwrap();
-                    wal.install_snapshot(&cut, &[]).unwrap();
+                    wal.install_snapshot(&cut).unwrap();
                     snap_index = states.len() - 1;
                 }
             }
@@ -594,7 +593,7 @@ fn snapshot_round_trip_preserves_the_namespace() {
             vfs.set_chunk_size(CHUNK);
             build_namespace(&vfs, rng);
             let cut = vfs.snapshot_cut().unwrap();
-            wal.install_snapshot(&cut, b"").unwrap();
+            wal.install_snapshot(&cut).unwrap();
             let live = vfs.namespace_fingerprint();
             drop(vfs);
             drop(wal);
@@ -647,7 +646,7 @@ fn snapshot_is_isolated_from_mutations_after_the_cut() {
             vfs.write_at(acl, 0, b"globus:/CN=User3 l\n").unwrap();
             let final_state = vfs.namespace_fingerprint();
             assert_ne!(at_cut, final_state);
-            wal.install_snapshot(&cut, b"").unwrap();
+            wal.install_snapshot(&cut).unwrap();
             drop(cut);
             drop(vfs);
             drop(wal);
@@ -663,8 +662,8 @@ fn snapshot_is_isolated_from_mutations_after_the_cut() {
 
 /// Byte offsets of the snapshot's length fields: every frame's `len`
 /// header, and the length prefix inside its record (of a `Write`'s
-/// data, an `Inode`'s symlink target, an `Entry`'s name, the
-/// `Trailer`'s accounts blob).
+/// data, an `Inode`'s symlink target, an `Entry`'s name); a `Trailer`
+/// holds none.
 fn snapshot_length_fields(bytes: &[u8]) -> Vec<usize> {
     let varint = |at: usize| at + bytes[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
     let varints = |at: usize, n: usize| (0..n).fold(at, |at, _| varint(at));
@@ -673,13 +672,13 @@ fn snapshot_length_fields(bytes: &[u8]) -> Vec<usize> {
     while pos < bytes.len() {
         fields.push(pos);
         let tag_at = varint(pos + 8); // past the LSN
-        fields.push(match bytes[tag_at] {
-            8 => varints(tag_at + 1, 2),          // ino, off
-            14 => varints(varint(tag_at + 1) + 1, 7), // ino, kind, 7 integers
-            15 => varints(tag_at + 1, 1),         // dir
-            16 => varints(tag_at + 1, 4),         // watermark, root, clock, change_gen
+        match bytes[tag_at] {
+            8 => fields.push(varints(tag_at + 1, 2)), // ino, off
+            14 => fields.push(varints(varint(tag_at + 1) + 1, 7)), // ino, kind, 7 integers
+            15 => fields.push(varints(tag_at + 1, 1)), // dir
+            16 => {}
             tag => panic!("tag {tag} in a snapshot"),
-        });
+        }
         pos += 8 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     }
     fields
@@ -696,7 +695,7 @@ fn damaged_snapshot_fails_closed() {
             vfs.set_chunk_size(CHUNK);
             build_namespace(&vfs, rng);
             let cut = vfs.snapshot_cut().unwrap();
-            wal.install_snapshot(&cut, b"accounts").unwrap();
+            wal.install_snapshot(&cut).unwrap();
             drop(vfs);
             drop(wal);
             let good = std::fs::read(dir.join("snapshot.bin")).unwrap();
@@ -744,7 +743,7 @@ fn damaged_snapshot_fails_closed() {
     );
 }
 
-/// A random name, target or passwd line: empty, ASCII, or multi-byte
+/// A random name or target: empty, ASCII, or multi-byte
 /// UTF-8 (two-, three- and four-byte sequences).
 fn random_text(rng: &mut TestRng) -> String {
     const PIECES: [&str; 6] = ["", "f", ".__acl", "é", "名前", "🦀"];
@@ -776,7 +775,7 @@ fn any_u16(rng: &mut TestRng) -> u16 {
     random_int(rng, u16::MAX.into()) as u16
 }
 
-/// A random record of `variant` (0..16, one per record type), borrowing
+/// A random record of `variant` (0..14, one per record type), borrowing
 /// its names from `text` and its bytes from `data`.
 fn random_record<'a>(
     rng: &mut TestRng,
@@ -864,9 +863,7 @@ fn random_record<'a>(
             gid: any_u32(rng),
             now: any_u64(rng),
         },
-        11 => WalRecordRef::AccountAdd { line: a },
-        12 => WalRecordRef::AccountRemove { name: a },
-        13 => {
+        11 => {
             let kind = [FileKind::File, FileKind::Dir, FileKind::Symlink][rng.below(3) as usize];
             WalRecordRef::Inode {
                 ino: any_u64(rng),
@@ -881,7 +878,7 @@ fn random_record<'a>(
                 target: if kind == FileKind::Symlink { b } else { "" },
             }
         }
-        14 => WalRecordRef::Entry {
+        12 => WalRecordRef::Entry {
             dir: any_u64(rng),
             name: a,
             ino: any_u64(rng),
@@ -891,7 +888,6 @@ fn random_record<'a>(
             root: any_u64(rng),
             clock: any_u64(rng),
             change_gen: any_u64(rng),
-            accounts: data,
         },
     }
 }
@@ -913,7 +909,7 @@ fn codec_round_trips_and_rejects_prefixes_and_extensions() {
                 0 => Vec::new(),
                 _ => (0..rng.below(300)).map(|_| rng.next_u64() as u8).collect(),
             };
-            for variant in 0..16 {
+            for variant in 0..14 {
                 let rec = random_record(rng, variant, &text, &data);
                 let buf = encoded(rec);
                 if WalRecordRef::decode(&buf) != Some(rec) {
@@ -980,9 +976,6 @@ fn codec_rejects_malformed_fields() {
         gid: 4,
         now: 5,
     };
-    let account = WalRecordRef::AccountAdd {
-        line: "NAME:x:1000:1000::/home/fred:/bin/sh",
-    };
     let inode = |kind, target| WalRecordRef::Inode {
         ino: 2,
         kind,
@@ -1000,7 +993,7 @@ fn codec_rejects_malformed_fields() {
         name: "NAME",
         ino: 2,
     };
-    for rec in [create, symlink, account, inode(FileKind::Symlink, "NAME"), entry] {
+    for rec in [create, symlink, inode(FileKind::Symlink, "NAME"), entry] {
         let bad = splice(encoded(rec), b"NAME", BAD_UTF8);
         assert_eq!(WalRecordRef::decode(&bad), None, "invalid UTF-8 in {rec:?}");
     }
@@ -1054,9 +1047,15 @@ fn codec_rejects_malformed_fields() {
     let mut targeted = encoded(inode(FileKind::Symlink, "NAME"));
     targeted[kind_at] = 0;
     assert_eq!(WalRecordRef::decode(&targeted), None, "a file with a target");
-    // Unknown tags, followed by bytes any known tag would accept.
+    // Unknown tags, followed by bytes any known tag would accept, and
+    // the retired account tags 12 and 13 over a passwd line.
     for tag in [0, 17, 200, 255] {
         assert_eq!(WalRecordRef::decode(&[tag, 1, 1, 1]), None, "tag {tag}");
+    }
+    const LINE: &[u8] = b"fred:x:1000:1000::/home/fred:/bin/sh";
+    for tag in [12, 13] {
+        let retired = [&[tag, LINE.len() as u8][..], LINE].concat();
+        assert_eq!(WalRecordRef::decode(&retired), None, "retired tag {tag}");
     }
     assert_eq!(WalRecordRef::decode(&[]), None);
 }

@@ -26,7 +26,6 @@ fn main() {
         k.vfs_mut()
             .write_file(root, "/home/dthain/secret", b"my private notes\n", &dthain)
             .unwrap();
-        k.sync_passwd_file();
     }
     let kernel = share(k);
 

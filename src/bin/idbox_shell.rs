@@ -39,7 +39,6 @@ fn main() {
                 &Cred::new(1000, 1000),
             )
             .unwrap();
-        k.sync_passwd_file();
     }
     let kernel = share(k);
     let ibox = idbox::core::IdentityBox::create(kernel, identity.as_str(), Cred::new(1000, 1000))

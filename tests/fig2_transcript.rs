@@ -20,7 +20,6 @@ fn figure2_session_transcript() {
         k.vfs_mut()
             .write_file(root, "/home/dthain/secret", b"private", &dthain)
             .unwrap();
-        k.sync_passwd_file();
     }
     let kernel = share(k);
 

@@ -117,11 +117,14 @@ fn pitfall3_no_interface_subsetting() {
     assert_eq!(code, 0);
 }
 
-/// Pitfall 4 — "race conditions" between check and use: the supervisor
-/// holds the kernel for the whole trapped call, so no other actor can
-/// swap the ACL between the policy check and the implementation. We
-/// verify the supervisor-side invariant directly: a syscall is one
-/// critical section.
+/// Pitfall 4 — "race conditions" between check and use. The supervisor
+/// holds only a *shared* kernel guard across a trapped call, which other
+/// boxed processes hold too, so this test does not show that a check and
+/// its use are one critical section. Its ACL flipper takes the exclusive
+/// `kernel.lock()`, so a flip never interleaves with a check: what it
+/// shows is that each read is judged consistently before or after a
+/// flip. Making check and use judge the same object under concurrent
+/// boxed processes is ROADMAP item 12, step 2.
 #[test]
 fn pitfall4_check_and_use_are_atomic() {
     let (kernel, sup_cred) = machine();
