@@ -15,8 +15,21 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # group commit, the account database (uid allocator included) that a
 # log-only reboot and a snapshot reboot read back from /etc/passwd must
 # equal the live one, and the file's bytes must equal its rendering.
+# The core suite includes judged_entry: the kernel acts on the entry the
+# policy judged (a swap right after the check does not redirect it), and
+# two boxes racing a directory swap never read the supervisor's file
+# over a counted minimum of overlapped opens.
 cargo test -q -p idbox-obs -p idbox-kernel -p idbox-core
 cargo test -q -p idbox-chirp --test e2e
+# Chirp durability e2e: restarts keep the namespace and its ACLs, group
+# commit survives a clean shutdown, auto-snapshot cadence, and a
+# directory an older build wrote refuses the boot with EINVAL, untouched.
+cargo test -q -p idbox-chirp --test durability
+# Check and use over Chirp: two clients of one identity, one swapping a
+# directory for a symlink out of the export while the other gets a file
+# through it; zero foreign bytes over a counted minimum of overlapped
+# gets. The pinned seed picks the file length and the swap batch.
+IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-chirp --test race
 # Self-observation plane: flight-recorder/tracedump e2e (Chrome-trace
 # JSON validity, admin gating, bounded rings under an RPC storm), the
 # loop-stall watchdog, the health roll-up, hostile-identity label
@@ -33,7 +46,9 @@ cargo test -q -p idbox-chirp --test observability
 cargo test -q -p idbox-sync
 # Fast-path cache equivalence: the dentry cache and the ACL verdict
 # cache must be pure optimizations (cached and uncached resolution /
-# rulings agree under random mutation interleavings).
+# rulings agree under random mutation interleavings). A verdict is
+# validated against the directory's ACL binding and the ACL file's
+# mtime, not against any global generation.
 cargo test -q -p idbox-vfs --test props
 cargo test -q -p idbox-core --test cache_equivalence
 # Path-resolution oracle: the borrowed, one-guard-per-step walk must
@@ -45,7 +60,8 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # component Vfs::stat allocates nothing, a warm create + unlink pair
 # and a warm same-directory rename allocate once each (the new name;
 # taking up to four shard locks allocates nothing), and a warm boxed
-# stat stays within its budget. Byte budgets for the durable path: snapshotting
+# stat and a warm boxed open + close allocate once each (the path; the
+# judged entry borrows it). Byte budgets for the durable path: snapshotting
 # 16 MiB of file data allocates < 1 MiB, booting it < data + 1 MiB
 # (frames stream through one reusable payload buffer), a snapshot whose
 # Write frame claims the 1 GiB frame limit costs no more before it is
@@ -60,8 +76,9 @@ IDBOX_PROP_SEED=0x1DB0F cargo test -q -p idbox-vfs --test props resolution_match
 # that chunk, and a second overwrite of it copies nothing. The read
 # path: a warm boxed 8 KiB pread allocates < 8 KiB and a 64 KiB read at
 # EOF < 64 KiB (every read answers with the file's extents, and no read
-# zero-fills a buffer of its length), and a finished read pins no chunk
-# a later overwrite would have to copy.
+# zero-fills a buffer of its length), a warm boxed 1-byte and 512-byte
+# pread allocate 0 B (a read within one chunk holds its extent inline),
+# and a finished read pins no chunk a later overwrite would have to copy.
 cargo test --release -q -p idbox-core --test alloc_budget
 # Zero-copy data plane: the chunked extent store must agree with a
 # flat-buffer model under random write/truncate/read interleavings

@@ -927,7 +927,7 @@ impl Conn {
             Some(Ok(data)) => self.out.push_owned_vec(data),
             Some(Err(extents)) => {
                 let start_ns = now_unix_ns();
-                for part in extents.parts {
+                for part in extents {
                     self.out.push_shared(part);
                 }
                 self.out.push_mark(trace, start_ns);

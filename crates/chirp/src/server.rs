@@ -184,6 +184,16 @@ pub struct ChirpServer {
     recovery: Option<idbox_vfs::RecoveryReport>,
 }
 
+/// Why a durable boot was refused: `EINVAL` for a directory whose
+/// contents are damaged or in an older build's format (`InvalidData`;
+/// the boot left it untouched), `EIO` for an I/O failure.
+fn boot_errno(e: std::io::Error) -> Errno {
+    match e.kind() {
+        std::io::ErrorKind::InvalidData => Errno::EINVAL,
+        _ => Errno::EIO,
+    }
+}
+
 /// The kernel's syscall name table, as the `'static` slice the metrics
 /// registry sizes and labels its per-syscall counters with.
 const SYSCALL_NAMES: &[&str] = &Syscall::NAMES;
@@ -212,7 +222,7 @@ impl ChirpServer {
                 let mut wal_cfg = idbox_vfs::WalConfig::new(dir.clone());
                 wal_cfg.sync_ops = config.wal_sync_ops.unwrap_or(wal_cfg.sync_ops);
                 wal_cfg.sync_ms = config.wal_sync_ms.unwrap_or(wal_cfg.sync_ms);
-                let (k, report) = Kernel::with_durability(wal_cfg).map_err(|_| Errno::EIO)?;
+                let (k, report) = Kernel::with_durability(wal_cfg).map_err(boot_errno)?;
                 (k, Some(report))
             }
             None => (Kernel::new(), None),

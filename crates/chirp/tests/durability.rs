@@ -321,6 +321,27 @@ fn auto_snapshot_cadence_counts_large_writes_by_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A directory an older build wrote (an `IDBXSNP1` snapshot) is
+/// refused with `EINVAL`, not `EIO`, and left as it was.
+#[test]
+fn old_format_directory_refuses_the_boot_with_einval() {
+    let dir = tmpdir("oldformat");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut old = b"IDBXSNP1".to_vec();
+    for field in [64u32, 0, 1] {
+        old.extend_from_slice(&field.to_le_bytes());
+    }
+    old.extend_from_slice(&[0; 60]);
+    let snap = dir.join("snapshot.bin");
+    std::fs::write(&snap, &old).unwrap();
+    let refused = ChirpServer::new(durable_config(&dir)).map(|_| ());
+    assert_eq!(refused, Err(Errno::EINVAL));
+    assert_eq!(std::fs::read(&snap).unwrap(), old, "the boot changed the snapshot");
+    let names: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names, ["snapshot.bin"], "the boot wrote into the directory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn volatile_server_reports_walsnap_unsupported() {
     let (ca, verifier) = gsi_setup();

@@ -28,15 +28,34 @@ pub enum EffectiveRights {
 /// (I/O error, loop, lookup refusal) propagates so callers fail closed
 /// instead of quietly dropping to Unix-as-nobody semantics.
 pub fn read_acl(vfs: &Vfs, dir: Ino, sup: &Cred) -> SysResult<Option<Acl>> {
-    let acl_ino = match vfs.resolve(dir, ACL_FILE_NAME, false, sup) {
+    Ok(read_acl_file(vfs, dir, sup)?.map(|file| file.acl))
+}
+
+/// A directory's ACL with the version of the file it was parsed from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AclFile {
+    /// The ACL file's inode.
+    pub ino: Ino,
+    /// Its mtime when its bytes were read (under the same guard): with
+    /// `ino`, it names this version of the bytes.
+    pub mtime: u64,
+    /// The parsed ACL.
+    pub acl: Acl,
+}
+
+/// [`read_acl`], also reporting which version of which file was read.
+pub fn read_acl_file(vfs: &Vfs, dir: Ino, sup: &Cred) -> SysResult<Option<AclFile>> {
+    let ino = match vfs.resolve(dir, ACL_FILE_NAME, false, sup) {
         Ok(ino) => ino,
         Err(Errno::ENOENT) => return Ok(None),
         Err(e) => return Err(e),
     };
-    let text = String::from_utf8(vfs.file_data(acl_ino)?).map_err(|_| Errno::EIO)?;
+    let (bytes, mtime) = vfs.file_data_and_mtime(ino)?;
+    let text = String::from_utf8(bytes).map_err(|_| Errno::EIO)?;
     // A malformed ACL file fails closed: treat as empty (deny everyone)
     // rather than falling back to Unix permissions.
-    Ok(Some(Acl::parse(&text).unwrap_or_default()))
+    let acl = Acl::parse(&text).unwrap_or_default();
+    Ok(Some(AclFile { ino, mtime, acl }))
 }
 
 /// Write (create or replace) the ACL of a directory.
@@ -52,16 +71,21 @@ pub fn effective_rights(
     identity: &Identity,
     sup: &Cred,
 ) -> SysResult<EffectiveRights> {
-    match read_acl(vfs, dir, sup)? {
-        Some(acl) => Ok(EffectiveRights::Acl(
-            acl.rights_for(identity),
-            acl.reserve_grant_for(identity),
-        )),
-        None => Ok(EffectiveRights::UnixAsNobody),
-    }
+    Ok(EffectiveRights::under(read_acl(vfs, dir, sup)?.as_ref(), identity))
 }
 
 impl EffectiveRights {
+    /// What `acl` (`None`: the directory has none) grants `identity`.
+    pub fn under(acl: Option<&Acl>, identity: &Identity) -> EffectiveRights {
+        match acl {
+            Some(acl) => EffectiveRights::Acl(
+                acl.rights_for(identity),
+                acl.reserve_grant_for(identity),
+            ),
+            None => EffectiveRights::UnixAsNobody,
+        }
+    }
+
     /// Does this grant permission for an operation needing `needed` ACL
     /// rights (ACL case) / `unix_want` access bits on `unix_target`
     /// (fallback case)?

@@ -10,10 +10,11 @@
 //! * A warm `Vfs::create` + `unlink` pair, and a warm same-directory
 //!   `Vfs::rename`, allocate once each: the new entry's name. Taking
 //!   the shard locks allocates nothing.
-//! * A warm boxed `stat` through `IdentityBox::supervisor()` stays
-//!   within a fixed budget: the path argument copied out of the tracee
-//!   is the one allocation the Syscall itself needs; policy, dispatch
-//!   and reply add no more than a few on top.
+//! * A warm boxed `stat`, and a warm boxed `open` + `close`, through
+//!   `IdentityBox::supervisor()` allocate once: the path argument copied
+//!   out of the tracee, which the Syscall itself needs. The policy's
+//!   walk, the entry it judged (which borrows the path), the verdict
+//!   cache and the kernel's action on that entry add nothing.
 //!
 //! The allocator also counts bytes, which gates the durable path's
 //! memory rather than its call count:
@@ -56,6 +57,9 @@
 //! * A warm boxed 8 KiB `pread` allocates less than 8 KiB, and a 64 KiB
 //!   `read` at EOF less than 64 KiB: no read builds a buffer of its
 //!   length, let alone zero-fills one.
+//! * A warm boxed 1-byte `pread` and a warm boxed 512-byte `pread`
+//!   allocate nothing: a read within one chunk holds its one extent
+//!   inline.
 //! * A finished read pins nothing: after a boxed read of a chunk the
 //!   file owns, a one-byte overwrite of it patches it in place.
 
@@ -196,7 +200,14 @@ fn warm_boxed_stat_stays_within_budget() {
     let n = allocs_in(|| {
         assert_eq!(ctx.stat("src/main.c"), Ok(st));
     });
-    assert!(n <= 8, "warm boxed stat allocated {n} times (budget 8)");
+    assert!(n <= 1, "warm boxed stat allocated {n} times (budget 1: the path)");
+    let fd = ctx.open("src/main.c", OpenFlags::rdonly(), 0).unwrap();
+    ctx.close(fd).unwrap();
+    let n = allocs_in(|| {
+        let fd = ctx.open("src/main.c", OpenFlags::rdonly(), 0).unwrap();
+        ctx.close(fd).unwrap();
+    });
+    assert!(n <= 1, "warm boxed open + close allocated {n} times (budget 1: the path)");
 }
 
 const MIB: u64 = 1 << 20;
@@ -306,7 +317,7 @@ fn file_is_windows_of(ctx: &mut GuestCtx<'_>, path: &str, buf: &Arc<[u8]>) -> bo
     let x = ctx.read_file_extents(path).unwrap();
     let inside = buf.as_ptr_range();
     x.total == buf.len()
-        && x.parts.iter().all(|p| {
+        && x.parts().all(|p| {
             let r = p.as_slice().as_ptr_range();
             inside.start <= r.start && r.end <= inside.end
         })
@@ -474,6 +485,26 @@ fn boxed_reads_allocate_less_than_their_length() {
         eof_bytes < big.len() as u64,
         "boxed 64 KiB read at EOF allocated {eof_bytes} bytes (budget < 65536)"
     );
+}
+
+#[test]
+fn warm_boxed_reads_within_one_chunk_allocate_nothing() {
+    let (b, pid) = fred_box();
+    let mut sup = b.supervisor();
+    let mut ctx = GuestCtx::new(&mut sup, pid);
+    let fd = boxed_mib_file(&mut ctx);
+    let mut one = [0u8; 1];
+    let mut small = [0u8; 512];
+    // Warm both sizes once: the guest buffers and the I/O channel.
+    assert_eq!(ctx.pread(fd, &mut one, 100), Ok(1));
+    assert_eq!(ctx.pread(fd, &mut small, 100), Ok(512));
+    let (one_bytes, r) = bytes_in(|| ctx.pread(fd, &mut one, 4096));
+    assert_eq!(r, Ok(1));
+    let (small_bytes, r) = bytes_in(|| ctx.pread(fd, &mut small, 4096));
+    assert_eq!(r, Ok(512));
+    assert!(one[0] == 7 && small.iter().all(|&b| b == 7));
+    assert_eq!(one_bytes, 0, "warm boxed 1-byte pread allocated {one_bytes} bytes");
+    assert_eq!(small_bytes, 0, "warm boxed 512-byte pread allocated {small_bytes} bytes");
 }
 
 #[test]

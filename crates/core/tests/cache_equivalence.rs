@@ -2,8 +2,9 @@
 //!
 //! A cached identity-box policy and an uncached one, asked about the
 //! same call against the same kernel state, must produce identical
-//! `PolicyDecision`s — across ACL rewrites (change-generation
-//! invalidation), ACL removal (ENOENT fallback), renames of the ACL
+//! `PolicyDecision`s (the entries they judged included) — across ACL
+//! rewrites (a fresh mtime on the ACL file), ACL removal (ENOENT
+//! fallback, a changed ACL binding), renames of the ACL
 //! file itself, symlinks pointing across directories, subdirectory
 //! creation and removal (inode recycling), permission flips on the
 //! containing directory (non-ENOENT lookup errors, which must fail

@@ -46,12 +46,12 @@ impl SyscallPolicy for HierPolicy {
         "hierarchical-identity-box"
     }
 
-    fn check(&mut self, kernel: &Kernel, pid: Pid, call: &Syscall) -> PolicyDecision {
+    fn check<'c>(&mut self, kernel: &Kernel, pid: Pid, call: &'c Syscall) -> PolicyDecision<'c> {
         if let Syscall::Kill(target, _) = call {
             let tree = self.tree.lock();
             return match tree.domain_of(*target) {
                 Some(target_dom) if self.domain.is_same_or_ancestor_of(target_dom) => {
-                    PolicyDecision::Allow
+                    PolicyDecision::ALLOW
                 }
                 Some(_) => PolicyDecision::Deny(Errno::EPERM),
                 // Unassigned processes are outside every box: opaque.
@@ -142,7 +142,7 @@ mod tests {
         // dthain may signal down into the visitor domain.
         assert_eq!(
             parent_pol.check(&k, dthain_pid, &Syscall::Kill(visitor_pid, Signal::Term)),
-            PolicyDecision::Allow
+            PolicyDecision::ALLOW
         );
         // The visitor may not signal up.
         assert_eq!(
@@ -152,7 +152,7 @@ mod tests {
         // The visitor may signal within its own domain.
         assert_eq!(
             child_pol.check(&k, visitor_pid, &Syscall::Kill(visitor_pid, Signal::Usr1)),
-            PolicyDecision::Allow
+            PolicyDecision::ALLOW
         );
     }
 

@@ -325,16 +325,30 @@ impl Supervisor {
         nullify: bool,
     ) -> SysResult<SysRet> {
         let kernel = self.kernel.read();
-        // The policy span is timed only when there is somewhere to put it.
-        let p0 = self.obs.as_ref().map(|_| Instant::now());
-        let decision = self.policy.check(&kernel, pid, call);
-        if let (Some(obs), Some(p0)) = (&self.obs, p0) {
-            Self::observe_span(obs, "policy", call.name(), p0.elapsed().as_nanos() as u64);
-        }
-        let mut result = match decision {
-            PolicyDecision::Allow => kernel.syscall_shared(pid, call),
-            PolicyDecision::Rewrite(replacement) => kernel.syscall_shared(pid, &replacement),
-            PolicyDecision::Deny(errno) => Err(errno),
+        // The kernel acts on the entry the policy judged; if that entry
+        // went stale first (its object changed, or a name appeared at
+        // its creation site), the call is judged again.
+        let mut result = loop {
+            // The policy span is timed only when there is somewhere to put it.
+            let p0 = self.obs.as_ref().map(|_| Instant::now());
+            let decision = self.policy.check(&kernel, pid, call);
+            if let (Some(obs), Some(p0)) = (&self.obs, p0) {
+                Self::observe_span(obs, "policy", call.name(), p0.elapsed().as_nanos() as u64);
+            }
+            let ran = match &decision {
+                PolicyDecision::Allow(None) => Ok(kernel.syscall_shared(pid, call)),
+                PolicyDecision::Allow(Some(judged)) => kernel.syscall_judged(pid, call, judged),
+                PolicyDecision::Rewrite(replacement, None) => {
+                    Ok(kernel.syscall_shared(pid, replacement))
+                }
+                PolicyDecision::Rewrite(replacement, Some(judged)) => {
+                    kernel.syscall_judged(pid, replacement, judged)
+                }
+                PolicyDecision::Deny(errno) => Ok(Err(*errno)),
+            };
+            if let Ok(result) = ran {
+                break result;
+            }
         };
         self.policy.post(&kernel, pid, call, &mut result);
         if nullify {
@@ -741,7 +755,7 @@ fn write_reply(
             if x.total > cap {
                 return Err(Errno::EINVAL);
             }
-            let mut parts = x.parts.iter().map(ByteExtent::as_slice);
+            let mut parts = x.parts().map(ByteExtent::as_slice);
             writer.write_bytes(vm, addr, x.total, &mut parts)?;
             x.total as i64
         }

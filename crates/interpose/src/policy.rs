@@ -8,6 +8,13 @@
 //! interface (Garfinkel's "incorrect subsetting" pitfall), and denial is
 //! always a clean error return (his "side effects of denying" pitfall).
 //!
+//! A policy that resolved a call's [`Syscall::judged_path`] to rule on
+//! it returns the entry it judged with its `Allow`; the supervisor hands
+//! that entry to [`Kernel::syscall_judged`], which acts on it instead of
+//! resolving the path again, so check and use see one resolution (the
+//! "race conditions" pitfall). A judged entry gone stale by the time the
+//! kernel acts is judged again; it never runs unjudged.
+//!
 //! Every policy entry point takes the kernel by **shared** borrow: since
 //! the kernel became internally sharded, all syscalls — mutating ones
 //! included — dispatch through `&Kernel`, and policies rule the same
@@ -15,18 +22,27 @@
 //! fresh directory's ACL in [`SyscallPolicy::post`]) goes through the
 //! kernel's own interior-locked operations.
 
-use idbox_kernel::{Kernel, Pid, Syscall, SysRet};
+use idbox_kernel::{JudgedEntry, Kernel, Pid, Syscall, SysRet};
 use idbox_types::{Errno, SysResult};
 
-/// The supervisor's decision about one trapped call.
+/// The supervisor's decision about one trapped call, borrowing from the
+/// call it rules on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PolicyDecision {
-    /// Execute the call as decoded.
-    Allow,
-    /// Execute a rewritten call instead (the guest never knows).
-    Rewrite(Syscall),
+pub enum PolicyDecision<'c> {
+    /// Execute the call as decoded: on the entry the policy judged for
+    /// its [`Syscall::judged_path`] when it resolved one, otherwise by
+    /// the kernel's own walk.
+    Allow(Option<JudgedEntry<'c>>),
+    /// Execute a rewritten call instead (the guest never knows), on the
+    /// entry judged for the rewritten call's path, if any.
+    Rewrite(Syscall, Option<JudgedEntry<'static>>),
     /// Refuse with this errno; the kernel is not entered.
     Deny(Errno),
+}
+
+impl PolicyDecision<'_> {
+    /// Allowed, with no judged entry: the kernel walks the path itself.
+    pub const ALLOW: PolicyDecision<'static> = PolicyDecision::Allow(None);
 }
 
 /// A policy consulted on every trapped system call.
@@ -35,7 +51,7 @@ pub trait SyscallPolicy: Send {
     fn name(&self) -> &str;
 
     /// Decide what to do with `call` before it reaches the kernel.
-    fn check(&mut self, kernel: &Kernel, pid: Pid, call: &Syscall) -> PolicyDecision;
+    fn check<'c>(&mut self, kernel: &Kernel, pid: Pid, call: &'c Syscall) -> PolicyDecision<'c>;
 
     /// Post-process a result (e.g. initialize the ACL of a directory
     /// created under the reserve right). May replace the result.
@@ -61,8 +77,8 @@ impl SyscallPolicy for AllowAll {
         "allow-all"
     }
 
-    fn check(&mut self, _: &Kernel, _: Pid, _: &Syscall) -> PolicyDecision {
-        PolicyDecision::Allow
+    fn check<'c>(&mut self, _: &Kernel, _: Pid, _: &'c Syscall) -> PolicyDecision<'c> {
+        PolicyDecision::ALLOW
     }
 }
 
@@ -77,11 +93,11 @@ impl SyscallPolicy for DenyAll {
         "deny-all"
     }
 
-    fn check(&mut self, _: &Kernel, _: Pid, call: &Syscall) -> PolicyDecision {
+    fn check<'c>(&mut self, _: &Kernel, _: Pid, call: &'c Syscall) -> PolicyDecision<'c> {
         if call.paths().next().is_some() {
             PolicyDecision::Deny(Errno::EACCES)
         } else {
-            PolicyDecision::Allow
+            PolicyDecision::ALLOW
         }
     }
 }
@@ -95,7 +111,7 @@ mod tests {
     fn allow_all_allows() {
         let k = Kernel::new();
         let mut p = AllowAll;
-        assert_eq!(p.check(&k, Pid(1), &Syscall::Getpid), PolicyDecision::Allow);
+        assert_eq!(p.check(&k, Pid(1), &Syscall::Getpid), PolicyDecision::ALLOW);
         assert_eq!(p.name(), "allow-all");
     }
 
@@ -111,6 +127,6 @@ mod tests {
             ),
             PolicyDecision::Deny(Errno::EACCES)
         );
-        assert_eq!(p.check(&k, Pid(1), &Syscall::Getpid), PolicyDecision::Allow);
+        assert_eq!(p.check(&k, Pid(1), &Syscall::Getpid), PolicyDecision::ALLOW);
     }
 }

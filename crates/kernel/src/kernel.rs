@@ -61,7 +61,9 @@ use crate::stats::{LatencyStats, SyscallStats};
 use crate::syscall::{SysRet, Syscall, Whence};
 use idbox_types::{Errno, Identity, SysResult};
 use idbox_vfs::wal::{RecoveryReport, Wal, WalConfig};
-use idbox_vfs::{path as vpath, Access, Cred, ExtentList, FileKind, Ino, Vfs};
+use idbox_vfs::{
+    path as vpath, Access, Cred, Entry, ExtentList, FileKind, Ino, Stale, StatBuf, Vfs,
+};
 use parking_lot::{ProfiledMutex, ProfiledRwLock, ShardSet};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -135,6 +137,38 @@ struct PipeSlot {
 /// compared to vfs traffic; a single leaf lock suffices).
 struct PipeTable {
     slots: ProfiledMutex<Vec<PipeSlot>>,
+}
+
+/// A path as a policy resolved it to rule on a call: the caller's
+/// credential, read once, and the [`Entry`] the walk from the caller's
+/// working directory reached with it. Only [`Kernel::locate`] makes
+/// one. [`Kernel::syscall_judged`] acts on this entry instead of
+/// walking the path again, so the call touches exactly the object that
+/// was judged, whatever the namespace has become since.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JudgedEntry<'p> {
+    cred: Cred,
+    entry: Entry<'p>,
+}
+
+impl<'p> JudgedEntry<'p> {
+    /// The entry the walk reached.
+    pub fn entry(&self) -> &Entry<'p> {
+        &self.entry
+    }
+
+    /// The credential the walk ran with: the caller's.
+    pub fn cred(&self) -> Cred {
+        self.cred
+    }
+
+    /// The same entry, owning its name.
+    pub fn into_owned(self) -> JudgedEntry<'static> {
+        JudgedEntry {
+            cred: self.cred,
+            entry: self.entry.into_owned(),
+        }
+    }
 }
 
 /// The simulated kernel.
@@ -618,6 +652,76 @@ impl Kernel {
         self.dispatch(pid, call)
     }
 
+    /// Resolve `path` for `pid` once, with the caller's credential from
+    /// its working directory, as a policy does before it rules; the
+    /// result is what [`Kernel::syscall_judged`] acts on.
+    pub fn locate<'p>(&self, pid: Pid, path: &'p str) -> SysResult<JudgedEntry<'p>> {
+        let (cred, cwd) = self.live_cred(pid)?;
+        let entry = self.vfs.resolve_entry(cwd, path, &cred)?;
+        Ok(JudgedEntry { cred, entry })
+    }
+
+    /// Dispatch `call`, whose [`Syscall::judged_path`] a policy resolved
+    /// to `judged` ([`Kernel::locate`]) and ruled on, acting on that
+    /// entry rather than walking the path again. [`Stale`] when the
+    /// judged object is gone or changed, or a name appeared where the
+    /// entry found none: nothing was done, and the caller judges the
+    /// call again. A call without a judged path, or whose path a driver
+    /// mount serves, is dispatched as [`Kernel::syscall_shared`] does.
+    pub fn syscall_judged(
+        &self,
+        pid: Pid,
+        call: &Syscall,
+        judged: &JudgedEntry<'_>,
+    ) -> Result<SysResult<SysRet>, Stale> {
+        let mounted = match call.judged_path() {
+            Some(p) => self.route(pid, p).map(|m| m.is_some()),
+            None => Ok(true),
+        };
+        let result = match mounted {
+            Ok(false) => self.dispatch_judged(pid, call, judged)?,
+            Ok(true) => self.dispatch(pid, call),
+            Err(e) => Err(e),
+        };
+        self.stats.bump(call);
+        Ok(result)
+    }
+
+    /// The judged forms of the calls [`Syscall::judged_path`] names.
+    /// Each reads the judged object through its handle, under the same
+    /// guard that answers the call, so a number recycled since the walk
+    /// is never mistaken for the object judged.
+    fn dispatch_judged(
+        &self,
+        pid: Pid,
+        call: &Syscall,
+        j: &JudgedEntry<'_>,
+    ) -> Result<SysResult<SysRet>, Stale> {
+        use Syscall::*;
+        let target = j.entry.target;
+        let stat = || target.map_or(Ok(Err(Errno::ENOENT)), |t| self.vfs.stat_handle(t).map(Ok));
+        Ok(match call {
+            Stat(_) => stat()?.map(SysRet::Stat),
+            Open(_, flags, mode) => return self.open_judged(pid, j, *flags, *mode),
+            AccessCheck(_, want) => stat()?
+                .and_then(|st| st.check_access(&j.cred, *want))
+                .map(|()| SysRet::Unit),
+            Readdir(_) => match target {
+                Some(t) => self.vfs.readdir_handle(t, &j.cred)?.map(SysRet::Entries),
+                None => Err(Errno::ENOENT),
+            },
+            Chdir(p) => match stat()? {
+                Ok(st) => self.chdir_to(pid, p, &st, &j.cred),
+                Err(e) => Err(e),
+            },
+            Exec(name) => match stat()? {
+                Ok(st) => self.exec_image(pid, name, &st, &j.cred),
+                Err(e) => Err(e),
+            },
+            _ => self.dispatch(pid, call),
+        })
+    }
+
     /// The single dispatcher: every call through `&self`.
     fn dispatch(&self, pid: Pid, call: &Syscall) -> SysResult<SysRet> {
         use Syscall::*;
@@ -878,52 +982,87 @@ impl Kernel {
                 .ok_or(Errno::EMFILE)?;
             return Ok(SysRet::Num(fd as i64));
         }
-        let (cred, cwd, umask) = self.with_proc(pid, |p| {
-            if p.is_alive() {
-                Ok((p.cred, p.cwd, p.umask))
-            } else {
-                Err(Errno::ESRCH)
+        // Walk once and open what the walk reached; a walk gone stale
+        // before the open (a raced create) walks again.
+        loop {
+            if let Ok(opened) = self.open_judged(pid, &self.locate(pid, p)?, flags, mode) {
+                return opened;
             }
-        })??;
-        let (dir, name, existing) = self.vfs.resolve_entry(cwd, p, &cred)?;
-        let ino = match existing {
-            Some(ino) => {
-                if flags.create && flags.excl {
-                    return Err(Errno::EEXIST);
-                }
-                let kind = self.vfs.fstat(ino)?.kind;
-                if kind == FileKind::Dir && flags.write {
-                    return Err(Errno::EISDIR);
-                }
-                if flags.read {
-                    self.vfs.check_access(ino, &cred, Access::R)?;
-                }
-                if flags.write {
-                    self.vfs.check_access(ino, &cred, Access::W)?;
-                }
-                if flags.trunc && kind == FileKind::File {
-                    self.vfs.truncate(ino, 0)?;
-                }
-                ino
+        }
+    }
+
+    /// `open` of a located entry: the object it names (pinned first, so
+    /// its number cannot be recycled while the checks run), or with
+    /// `O_CREAT` a new file at its creation site.
+    fn open_judged(
+        &self,
+        pid: Pid,
+        j: &JudgedEntry<'_>,
+        flags: OpenFlags,
+        mode: u16,
+    ) -> Result<SysResult<SysRet>, Stale> {
+        if !flags.read && !flags.write {
+            return Ok(Err(Errno::EINVAL));
+        }
+        let Some(target) = j.entry.target else {
+            if !flags.create {
+                return Ok(Err(Errno::ENOENT));
             }
-            None => {
-                if !flags.create {
-                    return Err(Errno::ENOENT);
-                }
-                self.vfs.create(dir, &name, mode & !umask, &cred)?
-            }
+            let umask = match self.with_proc(pid, |p| p.umask) {
+                Ok(umask) => umask,
+                Err(e) => return Ok(Err(e)),
+            };
+            let entry = &j.entry;
+            return Ok(self
+                .vfs
+                .create_at(entry.dir, &entry.name, mode & !umask, &j.cred)?
+                .and_then(|ino| {
+                    self.vfs.pin(ino)?;
+                    self.install_fd(pid, ino, flags)
+                }));
         };
-        self.vfs.pin(ino)?;
+        let st = self.vfs.pin_handle(target)?;
+        if let Err(e) = self.check_existing(&st, &j.cred, flags) {
+            let _ = self.vfs.unpin(st.ino);
+            return Ok(Err(e));
+        }
+        Ok(self.install_fd(pid, st.ino, flags))
+    }
+
+    /// The checks (and `O_TRUNC`) of an `open` that finds its file, which
+    /// `st` describes.
+    fn check_existing(&self, st: &StatBuf, cred: &Cred, flags: OpenFlags) -> SysResult<()> {
+        if flags.create && flags.excl {
+            return Err(Errno::EEXIST);
+        }
+        if st.kind == FileKind::Dir && flags.write {
+            return Err(Errno::EISDIR);
+        }
+        if flags.read {
+            st.check_access(cred, Access::R)?;
+        }
+        if flags.write {
+            st.check_access(cred, Access::W)?;
+        }
+        if flags.trunc && st.kind == FileKind::File {
+            self.vfs.truncate(st.ino, 0)?;
+        }
+        Ok(())
+    }
+
+    /// Give `pid` a descriptor for the pinned inode `ino`; on failure the
+    /// pin is dropped.
+    fn install_fd(&self, pid: Pid, ino: Ino, flags: OpenFlags) -> SysResult<SysRet> {
         let fd = self.with_proc_mut(pid, |proc| {
             proc.alloc_fd().inspect(|&fd| {
                 proc.fds[fd] = Some(OpenFile::new(FileBacking::Local(ino), flags));
             })
-        })?;
+        });
         match fd {
-            Some(fd) => Ok(SysRet::Num(fd as i64)),
-            None => {
+            Ok(Some(fd)) => Ok(SysRet::Num(fd as i64)),
+            Ok(None) | Err(_) => {
                 self.vfs.unpin(ino)?;
-                Err(Errno::EMFILE)
+                Err(fd.err().unwrap_or(Errno::EMFILE))
             }
         }
     }
@@ -1284,19 +1423,24 @@ impl Kernel {
     }
 
     fn do_chdir(&self, pid: Pid, p: &str) -> SysResult<SysRet> {
-        let abs = vpath::normalize_lexical(&self.absolutize(pid, p)?);
         if self.route(pid, p)?.is_some() {
             // cwd inside a mount is not supported; stay on the local fs.
             return Err(Errno::EXDEV);
         }
         let (cred, cwd) = self.live_cred(pid)?;
         let ino = self.vfs.resolve(cwd, p, true, &cred)?;
-        if self.vfs.fstat(ino)?.kind != FileKind::Dir {
+        self.chdir_to(pid, p, &self.vfs.fstat(ino)?, &cred)
+    }
+
+    /// Enter the directory `st` describes, which `p` named.
+    fn chdir_to(&self, pid: Pid, p: &str, st: &StatBuf, cred: &Cred) -> SysResult<SysRet> {
+        if st.kind != FileKind::Dir {
             return Err(Errno::ENOTDIR);
         }
-        self.vfs.check_access(ino, &cred, Access::X)?;
+        st.check_access(cred, Access::X)?;
+        let abs = vpath::normalize_lexical(&self.absolutize(pid, p)?);
         self.with_proc_mut(pid, |proc| {
-            proc.cwd = ino;
+            proc.cwd = st.ino;
             proc.cwd_path = abs;
         })?;
         Ok(SysRet::Unit)
@@ -1360,17 +1504,26 @@ impl Kernel {
     fn do_exec(&self, pid: Pid, name: &str) -> SysResult<SysRet> {
         if let Some((m, rel)) = self.route(pid, name)? {
             let id = self.driver_identity(pid)?;
-            let mut mounts = self.mounts.lock();
-            let d = mounts.driver_mut(m).ok_or(Errno::EIO)?;
-            d.stat(&rel, &id)?; // existence; rights are the remote's call
-        } else {
-            let (cred, cwd) = self.live_cred(pid)?;
-            let ino = self.vfs.resolve(cwd, name, true, &cred)?;
-            if self.vfs.fstat(ino)?.kind != FileKind::File {
-                return Err(Errno::EACCES);
+            {
+                let mut mounts = self.mounts.lock();
+                let d = mounts.driver_mut(m).ok_or(Errno::EIO)?;
+                d.stat(&rel, &id)?; // existence; rights are the remote's call
             }
-            self.vfs.check_access(ino, &cred, Access::X)?;
+            self.with_proc_mut(pid, |p| p.comm = name.to_string())?;
+            return Ok(SysRet::Unit);
         }
+        let (cred, cwd) = self.live_cred(pid)?;
+        let ino = self.vfs.resolve(cwd, name, true, &cred)?;
+        self.exec_image(pid, name, &self.vfs.fstat(ino)?, &cred)
+    }
+
+    /// Run the image `st` describes, which `name` named: it must be a
+    /// regular file the caller may execute.
+    fn exec_image(&self, pid: Pid, name: &str, st: &StatBuf, cred: &Cred) -> SysResult<SysRet> {
+        if st.kind != FileKind::File {
+            return Err(Errno::EACCES);
+        }
+        st.check_access(cred, Access::X)?;
         self.with_proc_mut(pid, |p| p.comm = name.to_string())?;
         Ok(SysRet::Unit)
     }
@@ -1631,6 +1784,42 @@ mod tests {
             .unwrap();
         let pid = k.spawn(cred, &format!("/home/{name}"), "sh").unwrap();
         (k, pid, cred)
+    }
+
+    /// The kernel acts on a located entry while it still names what the
+    /// walk reached, and reports it stale otherwise: a recycled number,
+    /// a changed mode, or a name that appeared at a creation site.
+    #[test]
+    fn judged_entries_act_on_what_was_judged_or_go_stale() {
+        let (k, pid, cred) = kernel_with_user("ann");
+        let root = k.vfs().root();
+        k.vfs().write_file(root, "/home/ann/a", b"judged", &cred).unwrap();
+        let stat = Syscall::Stat("a".into());
+        let judged = k.locate(pid, "a").unwrap();
+        let size = |r: SysResult<SysRet>| match r {
+            Ok(SysRet::Stat(st)) => st.size,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(k.syscall_judged(pid, &stat, &judged).map(size), Ok(6));
+        // Replaced by another file on the recycled inode number.
+        k.vfs().unlink(root, "/home/ann/a", &cred).unwrap();
+        k.vfs().write_file(root, "/home/ann/a", b"other!!", &cred).unwrap();
+        assert_eq!(k.locate(pid, "a").unwrap().entry().target.unwrap().ino,
+            judged.entry().target.unwrap().ino);
+        assert_eq!(k.syscall_judged(pid, &stat, &judged), Err(Stale));
+        // A chmod since the walk is a change too.
+        let judged = k.locate(pid, "a").unwrap();
+        k.vfs().chmod(root, "/home/ann/a", 0o600, &cred).unwrap();
+        assert_eq!(k.syscall_judged(pid, &stat, &judged), Err(Stale));
+        // A creating open whose name appeared meanwhile is judged again.
+        let create = Syscall::Open("new".into(), OpenFlags::wronly_create_trunc(), 0o644);
+        let judged = k.locate(pid, "new").unwrap();
+        k.vfs().write_file(root, "/home/ann/new", b"raced", &cred).unwrap();
+        assert_eq!(k.syscall_judged(pid, &create, &judged), Err(Stale));
+        let judged = k.locate(pid, "new").unwrap();
+        let fd = k.syscall_judged(pid, &create, &judged).unwrap().unwrap().num();
+        assert_eq!(k.vfs().read_file(root, "/home/ann/new", &cred).unwrap(), b"");
+        k.syscall_shared(pid, &Syscall::Close(fd as usize)).unwrap();
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod syscall;
 
 pub use accounts::{Account, AccountDb, AccountsMut};
 pub use driver::{DriverFd, FsDriver, MountTable};
-pub use kernel::Kernel;
+pub use kernel::{JudgedEntry, Kernel};
 pub use stats::{LatencySnapshot, LatencyStats, SyscallStats, LATENCY_BUCKETS};
 pub use process::{
     FileBacking, OpenFile, OpenFlags, Pid, PipeEnd, ProcState, Process, Signal, MAX_FDS,

@@ -213,15 +213,40 @@ impl Syscall {
     /// identity box rules on, the audit ring records and a forensic
     /// trace reports.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        use Syscall::*;
-        let (first, second) = match self {
-            Stat(p) | Lstat(p) | Open(p, ..) | Mkdir(p, _) | Rmdir(p) | Unlink(p)
-            | Readlink(p) | Truncate(p, _) | AccessCheck(p, _) | Readdir(p) | Chmod(p, _)
-            | Chown(p, ..) | Chdir(p) | Exec(p) => (Some(p), None),
-            Link(a, b) | Symlink(a, b) | Rename(a, b) => (Some(a), Some(b)),
-            _ => (None, None),
-        };
+        let (first, second, _) = self.path_args();
         first.into_iter().chain(second).map(String::as_str)
+    }
+
+    /// The path whose resolved entry is exactly the object the call
+    /// acts on, when it has one: the object a symlink-following walk
+    /// reaches, or its creation site for a creating `open`. A policy
+    /// that resolved this path to judge the call hands the kernel that
+    /// entry ([`crate::Kernel::syscall_judged`]), and the kernel acts on
+    /// it instead of walking the path again. `lstat` and `readlink` act
+    /// on a final symlink itself, and the namespace calls on a
+    /// directory entry rather than the object it names, so they walk
+    /// again.
+    pub fn judged_path(&self) -> Option<&str> {
+        match self.path_args() {
+            (Some(p), None, true) => Some(p),
+            _ => None,
+        }
+    }
+
+    /// The one table behind [`Syscall::paths`] and
+    /// [`Syscall::judged_path`]: the path arguments, and whether the
+    /// only one is judged.
+    fn path_args(&self) -> (Option<&String>, Option<&String>, bool) {
+        use Syscall::*;
+        match self {
+            Stat(p) | Open(p, ..) | AccessCheck(p, _) | Readdir(p) | Chdir(p) | Exec(p) => {
+                (Some(p), None, true)
+            }
+            Lstat(p) | Mkdir(p, _) | Rmdir(p) | Unlink(p) | Readlink(p) | Truncate(p, _)
+            | Chmod(p, _) | Chown(p, ..) => (Some(p), None, false),
+            Link(a, b) | Symlink(a, b) | Rename(a, b) => (Some(a), Some(b), false),
+            _ => (None, None, false),
+        }
     }
 }
 
@@ -293,6 +318,20 @@ mod tests {
         assert!(paths(Syscall::Read(0, 10)).is_empty());
         assert!(paths(Syscall::GetUserName).is_empty());
         assert!(paths(Syscall::Getenv("PATH".into())).is_empty());
+    }
+
+    #[test]
+    fn judged_paths_are_the_objects_the_call_acts_on() {
+        let judged = |c: Syscall| c.judged_path().map(str::to_owned);
+        let create = OpenFlags::wronly_create_trunc();
+        assert_eq!(judged(Syscall::Open("/f".into(), create, 0o644)).as_deref(), Some("/f"));
+        assert_eq!(judged(Syscall::Stat("/f".into())).as_deref(), Some("/f"));
+        assert_eq!(judged(Syscall::Exec("/bin/sh".into())).as_deref(), Some("/bin/sh"));
+        assert_eq!(judged(Syscall::Readdir("/d".into())).as_deref(), Some("/d"));
+        assert_eq!(judged(Syscall::Lstat("/f".into())), None);
+        assert_eq!(judged(Syscall::Unlink("/f".into())), None);
+        assert_eq!(judged(Syscall::Rename("/a".into(), "/b".into())), None);
+        assert_eq!(judged(Syscall::Getpid), None);
     }
 
     #[test]

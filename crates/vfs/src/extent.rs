@@ -100,12 +100,18 @@ impl Eq for ByteExtent {}
 
 /// An ordered list of extents describing one contiguous logical byte
 /// range (a read result). `total` is the sum of the parts' lengths.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The first extent is held inline, so a read that stays within one
+/// chunk (most small reads) allocates nothing; only a read spanning
+/// chunks allocates, for the extents after the first.
+#[derive(Debug, Clone, Default)]
 pub struct ExtentList {
     /// Total logical length in bytes.
     pub total: usize,
-    /// The extents, in logical order.
-    pub parts: Vec<ByteExtent>,
+    /// The first extent, `None` only when the list is empty.
+    first: Option<ByteExtent>,
+    /// The extents after the first, in logical order.
+    rest: Vec<ByteExtent>,
 }
 
 impl ExtentList {
@@ -123,15 +129,21 @@ impl ExtentList {
         }
         ExtentList {
             total: data.len(),
-            parts: vec![ByteExtent::whole(data)],
+            first: Some(ByteExtent::whole(data)),
+            rest: Vec::new(),
         }
+    }
+
+    /// The extents, in logical order.
+    pub fn parts(&self) -> impl Iterator<Item = &ByteExtent> {
+        self.first.iter().chain(&self.rest)
     }
 
     /// Flatten into one contiguous buffer (compat path; defeats the
     /// point of extents, so only borderlands like tests use it).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total);
-        for p in &self.parts {
+        for p in self.parts() {
             out.extend_from_slice(p.as_slice());
         }
         out
@@ -142,6 +154,29 @@ impl ExtentList {
         self.total == 0
     }
 }
+
+/// The extents, by value, in logical order.
+impl IntoIterator for ExtentList {
+    type Item = ByteExtent;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<ByteExtent>, std::vec::IntoIter<ByteExtent>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+/// Lists compare by the bytes they cover, however they are chunked.
+impl PartialEq for ExtentList {
+    fn eq(&self, other: &ExtentList) -> bool {
+        fn bytes(x: &ExtentList) -> impl Iterator<Item = &u8> {
+            x.parts().flat_map(ByteExtent::as_slice)
+        }
+        self.total == other.total && bytes(self).eq(bytes(other))
+    }
+}
+
+impl Eq for ExtentList {}
 
 /// A regular file's contents: exact-length immutable chunks of a fixed
 /// nominal size, copy-on-write per chunk.
@@ -192,9 +227,18 @@ impl FileContent {
             return ExtentList::empty();
         }
         let n = want.min(self.len - off);
-        let mut parts = Vec::with_capacity(n / self.chunk + 2);
-        parts.extend(self.extent_iter(off, n).map(|(part, _)| part));
-        ExtentList { total: n, parts }
+        let mut parts = self.extent_iter(off, n).map(|(part, _)| part);
+        let first = parts.next();
+        // The parts after the first start on chunk boundaries, and every
+        // chunk but the file's last is full: size their vector exactly,
+        // and allocate none for a read within one chunk.
+        let after = n - first.as_ref().map_or(0, ByteExtent::len);
+        let mut rest = Vec::new();
+        if after > 0 {
+            rest.reserve_exact(after.div_ceil(self.chunk));
+            rest.extend(parts);
+        }
+        ExtentList { total: n, first, rest }
     }
 
     /// The parts [`FileContent::extents`] returns, one at a time,
@@ -502,6 +546,13 @@ mod tests {
         f.write_at(0, b"hello world");
         let b = f.extents(0, 11);
         assert_eq!(a.to_vec(), b.to_vec());
+        // Split across two chunks, the same bytes still compare equal.
+        let mut g = FileContent::new(512);
+        g.write_at(0, &[7; 600]);
+        let split = g.extents(0, 600);
+        assert_eq!(split.parts().count(), 2);
+        assert_eq!(split, ExtentList::single(vec![7; 600]));
+        assert_ne!(split, ExtentList::single(vec![7; 599]));
     }
 
     fn buffer(n: usize) -> Arc<[u8]> {
@@ -521,14 +572,14 @@ mod tests {
         f.write_owned(0, &data);
         invariants(&f);
         assert_eq!(f.to_vec(), &data[..]);
-        assert!(f.extents(0, usize::MAX).parts.iter().all(|p| inside(p, &data)));
+        assert!(f.extents(0, usize::MAX).parts().all(|p| inside(p, &data)));
         assert_eq!(f.pinned_bytes(), data.len());
         // A second append tops up the 100-byte tail by copying, and
         // adopts the rest of its buffer.
         let more = buffer(1000);
         f.write_owned(f.len(), &more);
         invariants(&f);
-        let parts = f.extents(0, usize::MAX).parts;
+        let parts: Vec<ByteExtent> = f.extents(0, usize::MAX).into_iter().collect();
         assert!(parts[..3].iter().all(|p| inside(p, &data)));
         assert!(!inside(&parts[3], &data) && !inside(&parts[3], &more));
         assert!(parts[4..].iter().all(|p| inside(p, &more)));
@@ -540,7 +591,7 @@ mod tests {
         f.write_owned(1000, &patch);
         want[1000..1600].copy_from_slice(&patch);
         assert_eq!(f.to_vec(), want);
-        assert!(f.extents(0, usize::MAX).parts.iter().all(|p| !inside(p, &patch)));
+        assert!(f.extents(0, usize::MAX).parts().all(|p| !inside(p, &patch)));
     }
 
     #[test]
@@ -550,7 +601,7 @@ mod tests {
         f.write_owned(0, &data);
         f.write_at(700, b"xy");
         invariants(&f);
-        let parts = f.extents(0, usize::MAX).parts;
+        let parts: Vec<ByteExtent> = f.extents(0, usize::MAX).into_iter().collect();
         assert!(!inside(&parts[1], &data));
         assert!([0, 2, 3].iter().all(|&i| inside(&parts[i], &data)));
         // The caller's buffer itself is never written.
@@ -580,6 +631,6 @@ mod tests {
         h.write_owned(0, &buffer(1024));
         h.write_owned(1024, &data);
         h.resize(1024);
-        assert!(h.extents(0, usize::MAX).parts.iter().all(|p| p.data.len() == 1024));
+        assert!(h.extents(0, usize::MAX).parts().all(|p| p.data.len() == 1024));
     }
 }

@@ -47,11 +47,12 @@
 //! order a valid serialization of the sharded execution.
 
 use crate::extent::{FileContent, DEFAULT_CHUNK_SIZE, MAX_CHUNK_SIZE, MIN_CHUNK_SIZE};
+use crate::fxhash::IntMap;
 use crate::inode::{Inode, Payload};
 use crate::path::{self, NAME_MAX, PATH_MAX};
 use crate::wal::{self, Wal, WalRecordRef};
 use crate::{Access, ExtentList, FileKind, Ino, StatBuf};
-use idbox_types::{Errno, SysResult};
+use idbox_types::{Errno, SysResult, ACL_FILE_NAME};
 use parking_lot::{Mutex, RwLock, ShardGuards, ShardSet};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -115,8 +116,66 @@ impl Hop {
 /// A final entry located by [`Vfs::resolve_entry`]'s inner step, or the
 /// symlink that step must follow next.
 enum EntryStep<'p> {
-    Found(Ino, &'p str, Option<Ino>),
+    Found(Entry<'p>),
     Link(Ino, String),
+}
+
+/// What the final hop of [`Vfs::resolve_entry`] reached.
+enum Reached {
+    /// A symlink to follow: its target.
+    Link(String),
+    /// Anything else, named as it is now.
+    Object(Handle),
+}
+
+/// An object a walk reached, as it was then: its inode number and its
+/// ctime. Creating an inode stamps its ctime with a fresh tick of the
+/// logical clock, which never repeats, and so does each later change
+/// of its mode, owner or hard links. A number freed and recycled for
+/// another object therefore never carries the ctime it had, so an
+/// operation given a handle tells "the object the walk reached" apart
+/// from "whatever holds that number now", and refuses the second with
+/// [`Stale`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Handle {
+    /// The inode number.
+    pub ino: Ino,
+    ctime: u64,
+}
+
+/// A handle no longer names the object its walk reached (the object
+/// was freed and its number recycled, or its mode, owner or hard links
+/// changed), or a creation site is no longer empty. The caller resolves
+/// and judges the path again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stale;
+
+/// A path's final entry, as [`Vfs::resolve_entry`] found it: everything
+/// a caller needs to act on the object without walking the path again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Entry<'p> {
+    /// The directory that really holds the final name, after any final
+    /// symlinks were followed.
+    pub dir: Handle,
+    /// The final name within `dir`: borrowed from the path unless a
+    /// final symlink was followed.
+    pub name: Cow<'p, str>,
+    /// The object the name binds, or `None` when it does not exist (a
+    /// creation site).
+    pub target: Option<Handle>,
+    /// What `dir`'s ACL file name bound when the walk searched `dir`,
+    /// read under the same guard as its search permission.
+    pub acl: Option<Ino>,
+}
+
+impl Entry<'_> {
+    /// The same entry, owning its name.
+    pub fn into_owned(self) -> Entry<'static> {
+        Entry {
+            name: Cow::Owned(self.name.into_owned()),
+            ..self
+        }
+    }
 }
 
 /// Bound on cached dentries across the whole filesystem; each shard's
@@ -164,7 +223,9 @@ struct DentryCache {
 
 #[derive(Debug, Default)]
 struct DentryMap {
-    by_dir: HashMap<Ino, HashMap<String, (u64, Option<Ino>)>>,
+    /// Outer map by directory inode (vfs-assigned: Fx-hashed); inner
+    /// maps by entry name (client-chosen: SipHash, see [`crate::fxhash`]).
+    by_dir: IntMap<Ino, HashMap<String, (u64, Option<Ino>)>>,
     len: usize,
 }
 
@@ -288,7 +349,7 @@ impl std::fmt::Debug for FaultHook {
 }
 
 /// One shard's inodes, keyed by raw inode number.
-type ShardMap = HashMap<u64, Inode>;
+type ShardMap = IntMap<u64, Inode>;
 
 /// Inode-number allocator state, behind a leaf mutex.
 #[derive(Debug, Clone)]
@@ -331,11 +392,11 @@ pub struct Vfs {
     /// Inode-number allocator. Leaf lock: may be taken while holding
     /// shard write locks, never the other way around.
     alloc: Mutex<AllocState>,
-    /// Logical clock; every mutation advances it by one.
+    /// Logical clock; every mutation advances it by one, and stamps
+    /// what it changes (mtime for contents and entries, ctime for a new
+    /// inode and for mode, owner and hard-link changes) with the tick
+    /// it took.
     clock: AtomicU64,
-    /// Global change generation for caches *outside* the vfs (the
-    /// identity box's ACL caches); bumped by every mutation.
-    change_gen: AtomicU64,
     root: Ino,
     /// Outermost lock taken only by `rename`, keeping its ancestry walk
     /// stable against concurrent renames. Ordered before all shard
@@ -383,7 +444,6 @@ impl Clone for Vfs {
                 .into_boxed_slice(),
             alloc: Mutex::new(alloc.clone()),
             clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
-            change_gen: AtomicU64::new(self.change_gen.load(Ordering::Relaxed)),
             root: self.root,
             rename_lock: Mutex::new(()),
             dcache_enabled: self.dcache_enabled,
@@ -410,7 +470,7 @@ impl Vfs {
     pub fn with_shards(n: usize) -> Self {
         let n = n.clamp(1, 1024);
         let vfs = Vfs {
-            shards: ShardSet::from_fn_named("vfs", n, |_| ShardMap::new()),
+            shards: ShardSet::from_fn_named("vfs", n, |_| ShardMap::default()),
             dcaches: (0..n)
                 .map(|_| DentryCache::new((DENTRY_CACHE_CAP / n).max(64)))
                 .collect::<Vec<_>>()
@@ -420,7 +480,6 @@ impl Vfs {
                 free: Vec::new(),
             }),
             clock: AtomicU64::new(0),
-            change_gen: AtomicU64::new(0),
             root: Ino(1),
             rename_lock: Mutex::new(()),
             dcache_enabled: true,
@@ -460,24 +519,16 @@ impl Vfs {
     }
 
     /// Advance and return the logical clock. Every mutating operation
-    /// passes through here, so this is also where the global change
-    /// generation is bumped: after any write — namespace or content —
-    /// every generation-keyed cache outside the vfs is stale. The
-    /// per-shard dentry caches are *not* invalidated here; namespace
-    /// mutations bump their own shard's cache under that shard's write
-    /// lock, and content writes leave dentries alone (they cannot change
-    /// a name → inode binding).
+    /// passes through here, and no tick is handed out twice, so a
+    /// timestamp names the one mutation that set it: a file's
+    /// `(ino, mtime)` names one version of its bytes (a cache outside
+    /// the vfs validates against that), and a [`Handle`]'s ctime one
+    /// life of an inode number. The per-shard dentry caches are *not*
+    /// invalidated here; namespace mutations bump their own shard's
+    /// cache under that shard's write lock, and content writes leave
+    /// dentries alone (they cannot change a name → inode binding).
     fn tick(&self) -> u64 {
-        self.change_gen.fetch_add(1, Ordering::Relaxed);
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The filesystem change generation: a counter bumped by every
-    /// mutating operation. Caches keyed by `(generation, ...)` — the
-    /// identity box's ACL caches above — are automatically invalidated
-    /// by any change that could affect them.
-    pub fn change_generation(&self) -> u64 {
-        self.change_gen.load(Ordering::Relaxed)
     }
 
     /// Dentry-cache counters: `(hits, misses)` since creation, summed
@@ -720,21 +771,7 @@ impl Vfs {
     /// by the public [`Vfs::check_access`] and by phase-2 re-validation
     /// that already holds a shard guard.
     fn access_ok(inode: &Inode, cred: &Cred, want: Access) -> SysResult<()> {
-        if cred.uid == 0 {
-            return Ok(());
-        }
-        let triad = if cred.uid == inode.uid {
-            (inode.mode >> 6) & 7
-        } else if cred.gid == inode.gid {
-            (inode.mode >> 3) & 7
-        } else {
-            inode.mode & 7
-        };
-        if triad as u8 & want.0 == want.0 {
-            Ok(())
-        } else {
-            Err(Errno::EACCES)
-        }
+        triad_allows(inode.mode, inode.uid, inode.gid, cred, want)
     }
 
     /// Unix permission check on one inode.
@@ -865,18 +902,16 @@ impl Vfs {
     ///
     /// This is the primitive the identity box uses against the "indirect
     /// paths" pitfall: the ACL consulted must be the one in the directory
-    /// where the target actually lives, not where the link does. Returns
-    /// `(containing_dir, entry_name, Some(target_ino))`, or `None` as the
-    /// third element when the entry does not exist (creation case). The
-    /// name is borrowed from `p` unless a final symlink was followed.
-    pub fn resolve_entry<'p>(
-        &self,
-        start: Ino,
-        p: &'p str,
-        cred: &Cred,
-    ) -> SysResult<(Ino, Cow<'p, str>, Option<Ino>)> {
+    /// where the target actually lives, not where the link does. The
+    /// [`Entry`] names the containing directory, the final name and the
+    /// target (`None` when the entry does not exist: the creation case),
+    /// plus the directory's ACL binding; the name is borrowed from `p`
+    /// unless a final symlink was followed. The handles let a caller act
+    /// on exactly these objects later ([`Vfs::stat_handle`],
+    /// [`Vfs::pin_handle`], [`Vfs::readdir_handle`], [`Vfs::create_at`]).
+    pub fn resolve_entry<'p>(&self, start: Ino, p: &'p str, cred: &Cred) -> SysResult<Entry<'p>> {
         let (mut dir, mut target) = match self.entry_step(start, p, cred)? {
-            EntryStep::Found(dir, name, ino) => return Ok((dir, Cow::Borrowed(name), ino)),
+            EntryStep::Found(entry) => return Ok(entry),
             EntryStep::Link(dir, target) => (dir, target),
         };
         // Each final-component link followed costs one unit of this
@@ -888,9 +923,7 @@ impl Vfs {
             }
             budget -= 1;
             match self.entry_step(dir, &target, cred)? {
-                EntryStep::Found(d, name, ino) => {
-                    return Ok((d, Cow::Owned(name.to_string()), ino))
-                }
+                EntryStep::Found(entry) => return Ok(entry.into_owned()),
                 EntryStep::Link(d, t) => (dir, target) = (d, t),
             }
         }
@@ -903,19 +936,146 @@ impl Vfs {
         let (dir, name) = self.parent_of(start, p, cred)?;
         // Looking up the final entry is a search of `dir`: the caller
         // needs execute permission on it, same as mid-path traversal.
-        self.hop(dir, cred, false)?.search()?;
+        let (dir, acl) = self.search_final_dir(dir, cred)?;
+        let found = |target| {
+            let name = Cow::Borrowed(name);
+            EntryStep::Found(Entry { dir, name, target, acl })
+        };
         if name == "." || name == ".." {
             // Resolve fully; the entry certainly exists.
             let ino = self.resolve(start, p, true, cred)?;
-            return Ok(EntryStep::Found(dir, name, Some(ino)));
+            return Ok(found(Some(self.handle(ino)?)));
         }
-        let Some(ino) = self.lookup_entry(dir, name)? else {
-            return Ok(EntryStep::Found(dir, name, None));
+        let Some(ino) = self.lookup_entry(dir.ino, name)? else {
+            return Ok(found(None));
         };
-        Ok(match self.hop(ino, cred, true)? {
-            Hop::Link(target) => EntryStep::Link(dir, target),
-            _ => EntryStep::Found(dir, name, Some(ino)),
+        Ok(match self.reach(ino)? {
+            Reached::Link(target) => EntryStep::Link(dir.ino, target),
+            Reached::Object(target) => found(Some(target)),
         })
+    }
+
+    /// The directory a walk's final name is looked up in, under one
+    /// guard: `cred`'s search permission on it, its handle, and what
+    /// its ACL file name binds. Errors as a mid-walk hop would.
+    fn search_final_dir(&self, dir: Ino, cred: &Cred) -> SysResult<(Handle, Option<Ino>)> {
+        self.try_with_inode(dir, |i| match &i.payload {
+            Payload::Dir(entries) => {
+                Self::access_ok(i, cred, Access::X)?;
+                let handle = Handle { ino: dir, ctime: i.ctime };
+                Ok((handle, entries.get(ACL_FILE_NAME).copied()))
+            }
+            _ => Err(Errno::ENOTDIR),
+        })
+    }
+
+    /// What `dir`'s ACL file name binds, looked up as `cred` (who needs
+    /// search permission on `dir`, exactly as for resolving the name).
+    pub fn acl_binding(&self, dir: Ino, cred: &Cred) -> SysResult<Option<Ino>> {
+        self.search_final_dir(dir, cred).map(|(_, acl)| acl)
+    }
+
+    /// The last hop of [`Vfs::resolve_entry`]: a symlink to follow, or
+    /// the object reached, under one guard.
+    fn reach(&self, ino: Ino) -> SysResult<Reached> {
+        self.with_inode(ino, |i| match &i.payload {
+            Payload::Symlink(target) => Reached::Link(target.clone()),
+            _ => Reached::Object(Handle { ino, ctime: i.ctime }),
+        })
+    }
+
+    /// A handle on the object `ino` names now.
+    fn handle(&self, ino: Ino) -> SysResult<Handle> {
+        self.with_inode(ino, |i| Handle { ino, ctime: i.ctime })
+    }
+
+    /// Run `f` on the inode `h` names if it is still the object its walk
+    /// reached, under its shard's read guard.
+    fn with_handle<R>(&self, h: Handle, f: impl FnOnce(&Inode) -> R) -> Result<R, Stale> {
+        let g = self.shards.read(self.shards.shard_of(h.ino.0));
+        match g.get(&h.ino.0) {
+            Some(i) if i.ctime == h.ctime => Ok(f(i)),
+            _ => Err(Stale),
+        }
+    }
+
+    /// `fstat` of the object a walk reached.
+    pub fn stat_handle(&self, h: Handle) -> Result<StatBuf, Stale> {
+        self.with_handle(h, |i| i.stat(h.ino))
+    }
+
+    /// [`Vfs::pin`] the object a walk reached, and `fstat` it under the
+    /// same guard. A pinned inode is never freed, so its number cannot
+    /// be recycled until the pin is dropped.
+    pub fn pin_handle(&self, h: Handle) -> Result<StatBuf, Stale> {
+        let mut g = self.shards.write(self.shards.shard_of(h.ino.0));
+        match g.get_mut(&h.ino.0) {
+            Some(i) if i.ctime == h.ctime => {
+                i.pins += 1;
+                Ok(i.stat(h.ino))
+            }
+            _ => Err(Stale),
+        }
+    }
+
+    /// [`Vfs::readdir`] of the directory a walk reached.
+    pub fn readdir_handle(
+        &self,
+        h: Handle,
+        cred: &Cred,
+    ) -> Result<SysResult<Vec<DirEntry>>, Stale> {
+        let snapshot = self.with_handle(h, |i| {
+            Self::access_ok(i, cred, Access::R)?;
+            Self::dir_snapshot(i)
+        })?;
+        Ok(snapshot.map(|s| self.entry_kinds(s)))
+    }
+
+    /// [`Vfs::create`] of `name` in the directory a walk reached, when
+    /// the walk found the name absent. [`Stale`] when the directory is
+    /// no longer that object or the name now exists: the caller judges
+    /// the path again rather than open what appeared. The absence is
+    /// re-validated under the directory's shard lock, with the rest of
+    /// phase 1, before the create commits.
+    pub fn create_at(
+        &self,
+        dir: Handle,
+        name: &str,
+        mode: u16,
+        cred: &Cred,
+    ) -> Result<SysResult<Ino>, Stale> {
+        loop {
+            let writable = self.with_handle(dir, |i| match &i.payload {
+                Payload::Dir(e) => Self::access_ok(i, cred, Access::W.and(Access::X))
+                    .map(|()| e.contains_key(name)),
+                _ => Err(Errno::ENOTDIR),
+            })?;
+            match writable {
+                Ok(false) => {}
+                Ok(true) => return Err(Stale),
+                Err(e) => return Ok(Err(e)),
+            }
+            let ino = self.reserve_ino();
+            let name_free = |g: &Guards<'_>| {
+                let same_dir = inode(g, dir.ino.0).is_some_and(|d| d.ctime == dir.ctime);
+                same_dir
+                    && Self::revalidate_dir(g, dir.ino, cred)
+                        .is_some_and(|e| !e.contains_key(name))
+            };
+            let rec = |now| WalRecordRef::Create {
+                dir: dir.ino.0,
+                name,
+                ino: ino.0,
+                mode: mode & 0o7777,
+                uid: cred.uid,
+                gid: cred.gid,
+                now,
+            };
+            if self.try_commit(name_free, rec) {
+                return Ok(Ok(ino));
+            }
+            self.unreserve_ino(ino);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -970,8 +1130,17 @@ impl Vfs {
     /// need one contiguous buffer; the zero-copy path is
     /// [`Vfs::file_extents`]).
     pub fn file_data(&self, ino: Ino) -> SysResult<Vec<u8>> {
+        self.file_data_and_mtime(ino).map(|(data, _)| data)
+    }
+
+    /// [`Vfs::file_data`] and the file's mtime, read under one guard:
+    /// the mtime names this version of the bytes (no tick of the
+    /// logical clock is handed out twice), so
+    /// a cache of something derived from them stays valid while the
+    /// file's `(ino, mtime)` is unchanged.
+    pub fn file_data_and_mtime(&self, ino: Ino) -> SysResult<(Vec<u8>, u64)> {
         self.try_with_inode(ino, |i| match &i.payload {
-            Payload::File(data) => Ok(data.to_vec()),
+            Payload::File(data) => Ok((data.to_vec(), i.mtime)),
             Payload::Dir(_) => Err(Errno::EISDIR),
             Payload::Symlink(_) => Err(Errno::EINVAL),
         })
@@ -1338,17 +1507,28 @@ impl Vfs {
     pub fn readdir(&self, start: Ino, p: &str, cred: &Cred) -> SysResult<Vec<DirEntry>> {
         let dir = self.resolve(start, p, true, cred)?;
         self.check_access(dir, cred, Access::R)?;
-        let snapshot: Vec<(String, Ino)> = self.try_with_inode(dir, |i| match &i.payload {
+        let snapshot = self.try_with_inode(dir, Self::dir_snapshot)?;
+        Ok(self.entry_kinds(snapshot))
+    }
+
+    /// A directory's entries, copied out under its guard.
+    fn dir_snapshot(i: &Inode) -> SysResult<Vec<(String, Ino)>> {
+        match &i.payload {
             Payload::Dir(e) => Ok(e.iter().map(|(n, &ino)| (n.clone(), ino)).collect()),
             _ => Err(Errno::ENOTDIR),
-        })?;
+        }
+    }
+
+    /// Each snapshotted entry with its kind, read from its own shard;
+    /// an entry freed since the snapshot is skipped.
+    fn entry_kinds(&self, snapshot: Vec<(String, Ino)>) -> Vec<DirEntry> {
         let mut out = Vec::with_capacity(snapshot.len());
         for (name, ino) in snapshot {
             if let Ok(kind) = self.kind(ino) {
                 out.push(DirEntry { name, ino, kind });
             }
         }
-        Ok(out)
+        out
     }
 
     // ------------------------------------------------------------------
@@ -1521,10 +1701,7 @@ impl Vfs {
             .filter(|(_, inode)| inode.nlink > 0)
             .map(|(ino, inode)| (*ino, inode.clone()))
             .collect();
-        let (clock, change_gen) = (
-            self.clock.load(Ordering::Relaxed),
-            self.change_gen.load(Ordering::Relaxed),
-        );
+        let clock = self.clock.load(Ordering::Relaxed);
         drop(guards);
         // Sorted for a deterministic file.
         inodes.sort_unstable_by_key(|(ino, _)| *ino);
@@ -1532,7 +1709,6 @@ impl Vfs {
             watermark,
             root: self.root.0,
             clock,
-            change_gen,
             inodes,
         })
     }
@@ -1544,15 +1720,10 @@ impl Vfs {
     /// permission check, allocation, or clock tick happens here. A
     /// snapshot's records rebuild the namespace the same way: an
     /// `Inode` image (replacing the root the constructor seeded), its
-    /// `Entry` records and `Write`s, then the `Trailer`'s clock and
-    /// change generation.
+    /// `Entry` records and `Write`s, then the `Trailer`'s clock.
     pub(crate) fn apply_record(&self, rec: WalRecordRef<'_>) {
-        if let WalRecordRef::Trailer {
-            clock, change_gen, ..
-        } = rec
-        {
+        if let WalRecordRef::Trailer { clock, .. } = rec {
             self.clock.store(clock, Ordering::Relaxed);
-            self.change_gen.store(change_gen, Ordering::Relaxed);
             return;
         }
         let (inos, n) = record_inos(rec);
@@ -1564,7 +1735,6 @@ impl Vfs {
         // so the lag is invisible in the namespace.)
         if let Some(now) = record_now(rec) {
             self.clock.fetch_max(now, Ordering::Relaxed);
-            self.change_gen.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1913,6 +2083,35 @@ impl Vfs {
     }
 }
 
+/// The Unix permission rule: uid 0 passes; otherwise the owner, group
+/// or other triad of `mode`, whichever applies to `cred`, must hold every
+/// bit of `want`.
+fn triad_allows(mode: u16, uid: u32, gid: u32, cred: &Cred, want: Access) -> SysResult<()> {
+    if cred.uid == 0 {
+        return Ok(());
+    }
+    let triad = if cred.uid == uid {
+        (mode >> 6) & 7
+    } else if cred.gid == gid {
+        (mode >> 3) & 7
+    } else {
+        mode & 7
+    };
+    if triad as u8 & want.0 == want.0 {
+        Ok(())
+    } else {
+        Err(Errno::EACCES)
+    }
+}
+
+impl StatBuf {
+    /// The check [`Vfs::check_access`] makes, against this snapshot of
+    /// an inode's metadata.
+    pub fn check_access(&self, cred: &Cred, want: Access) -> SysResult<()> {
+        triad_allows(self.mode, self.uid, self.gid, cred, want)
+    }
+}
+
 /// The logical timestamp a record carries (`None` for a snapshot's
 /// images, whose trailer sets the clock).
 fn record_now(rec: WalRecordRef<'_>) -> Option<u64> {
@@ -1978,7 +2177,6 @@ pub struct SnapshotCut {
     watermark: u64,
     pub(crate) root: u64,
     pub(crate) clock: u64,
-    pub(crate) change_gen: u64,
     /// Live inodes, ascending by number.
     pub(crate) inodes: Vec<(u64, Inode)>,
 }
@@ -2329,21 +2527,21 @@ mod tests {
         v.mkdir(v.root(), "/public", 0o755, &ROOT).unwrap();
         v.symlink(v.root(), "/private/real", "/public/alias", &ROOT)
             .unwrap();
-        let (dir, name, ino) = v.resolve_entry(v.root(), "/public/alias", &ROOT).unwrap();
+        let e = v.resolve_entry(v.root(), "/public/alias", &ROOT).unwrap();
         let private = v.resolve(v.root(), "/private", true, &ROOT).unwrap();
-        assert_eq!(dir, private, "must land in the target's directory");
-        assert_eq!(name, "real");
-        assert!(ino.is_some());
+        assert_eq!(e.dir.ino, private, "must land in the target's directory");
+        assert_eq!(e.name, "real");
+        assert!(e.target.is_some());
     }
 
     #[test]
     fn resolve_entry_missing_final() {
         let v = fs();
         v.mkdir(v.root(), "/d", 0o755, &ROOT).unwrap();
-        let (dir, name, ino) = v.resolve_entry(v.root(), "/d/newfile", &ROOT).unwrap();
-        assert_eq!(dir, v.resolve(v.root(), "/d", true, &ROOT).unwrap());
-        assert_eq!(name, "newfile");
-        assert!(ino.is_none());
+        let e = v.resolve_entry(v.root(), "/d/newfile", &ROOT).unwrap();
+        assert_eq!(e.dir.ino, v.resolve(v.root(), "/d", true, &ROOT).unwrap());
+        assert_eq!(e.name, "newfile");
+        assert!(e.target.is_none());
     }
 
     #[test]
@@ -2351,10 +2549,10 @@ mod tests {
         let v = fs();
         v.mkdir(v.root(), "/d", 0o755, &ROOT).unwrap();
         v.symlink(v.root(), "/d/missing", "/lnk", &ROOT).unwrap();
-        let (dir, name, ino) = v.resolve_entry(v.root(), "/lnk", &ROOT).unwrap();
-        assert_eq!(dir, v.resolve(v.root(), "/d", true, &ROOT).unwrap());
-        assert_eq!(name, "missing");
-        assert!(ino.is_none());
+        let e = v.resolve_entry(v.root(), "/lnk", &ROOT).unwrap();
+        assert_eq!(e.dir.ino, v.resolve(v.root(), "/d", true, &ROOT).unwrap());
+        assert_eq!(e.name, "missing");
+        assert!(e.target.is_none());
     }
 
     #[test]
@@ -2407,37 +2605,106 @@ mod tests {
         assert!(h1 > h0, "second walk must hit the cache ({h0} -> {h1})");
     }
 
+    /// Every mutation stamps what it changed with a tick no earlier
+    /// stamp carries: contents and entries in mtime; creation, mode,
+    /// owner and hard links in ctime. A file's `(ino, mtime)` therefore names one
+    /// version of its bytes, and a handle's ctime one life of a number.
     #[test]
-    fn every_mutation_bumps_the_generation() {
+    fn every_mutation_stamps_a_fresh_tick() {
         let v = fs();
-        let mut last = v.change_generation();
-        let mut expect_bump = |v: &Vfs, what: &str| {
-            let g = v.change_generation();
-            assert!(g > last, "{what} must bump the generation");
-            last = g;
+        let mut last = 0;
+        let mut expect_fresh = |v: &Vfs, p: &str, ctime: bool, what: &str| {
+            let st = v.stat(v.root(), p, false, &ROOT).unwrap();
+            let stamp = if ctime { st.ctime } else { st.mtime };
+            assert!(stamp > last, "{what} must stamp {p} with a fresh tick");
+            last = stamp;
         };
         let f = v.create(v.root(), "/f", 0o644, &ROOT).unwrap();
-        expect_bump(&v, "create");
+        expect_fresh(&v, "/f", true, "create");
         v.write_at(f, 0, b"x").unwrap();
-        expect_bump(&v, "write_at");
+        expect_fresh(&v, "/f", false, "write_at");
+        v.write_owned(f, 0, &Arc::from(&b"y"[..])).unwrap();
+        expect_fresh(&v, "/f", false, "write_owned");
         v.truncate(f, 0).unwrap();
-        expect_bump(&v, "truncate");
+        expect_fresh(&v, "/f", false, "truncate");
         v.mkdir(v.root(), "/d", 0o755, &ROOT).unwrap();
-        expect_bump(&v, "mkdir");
+        expect_fresh(&v, "/", false, "mkdir");
         v.link(v.root(), "/f", "/g", &ROOT).unwrap();
-        expect_bump(&v, "link");
+        expect_fresh(&v, "/f", true, "link");
         v.symlink(v.root(), "/f", "/l", &ROOT).unwrap();
-        expect_bump(&v, "symlink");
+        expect_fresh(&v, "/l", true, "symlink");
         v.rename(v.root(), "/g", "/h", &ROOT).unwrap();
-        expect_bump(&v, "rename");
+        expect_fresh(&v, "/", false, "rename");
         v.chmod(v.root(), "/f", 0o600, &ROOT).unwrap();
-        expect_bump(&v, "chmod");
+        expect_fresh(&v, "/f", true, "chmod");
         v.chown(v.root(), "/f", 1, 1, &ROOT).unwrap();
-        expect_bump(&v, "chown");
+        expect_fresh(&v, "/f", true, "chown");
         v.unlink(v.root(), "/h", &ROOT).unwrap();
-        expect_bump(&v, "unlink");
+        expect_fresh(&v, "/f", true, "unlink");
         v.rmdir(v.root(), "/d", &ROOT).unwrap();
-        expect_bump(&v, "rmdir");
+        expect_fresh(&v, "/", false, "rmdir");
+    }
+
+    #[test]
+    fn resolve_entry_reports_the_directorys_acl_binding() {
+        let v = fs();
+        v.mkdir(v.root(), "/d", 0o755, &ROOT).unwrap();
+        let e = v.resolve_entry(v.root(), "/d/x", &ROOT).unwrap();
+        assert_eq!(e.acl, None);
+        let acl = v.write_file(v.root(), "/d/.__acl", b"fred rl\n", &ROOT).unwrap();
+        let e = v.resolve_entry(v.root(), "/d/x", &ROOT).unwrap();
+        assert_eq!(e.acl, Some(acl));
+        assert_eq!(v.acl_binding(e.dir.ino, &ROOT), Ok(Some(acl)));
+        // Searching the directory takes the same permission as walking it.
+        v.chmod(v.root(), "/d", 0o700, &ROOT).unwrap();
+        assert_eq!(v.acl_binding(e.dir.ino, &Cred::new(5, 5)), Err(Errno::EACCES));
+        let (bytes, mtime) = v.file_data_and_mtime(acl).unwrap();
+        assert_eq!(bytes, b"fred rl\n");
+        assert_eq!(mtime, v.fstat(acl).unwrap().mtime);
+    }
+
+    #[test]
+    fn a_handle_goes_stale_when_its_number_is_recycled() {
+        let v = fs();
+        v.mkdir(v.root(), "/d", 0o755, &ROOT).unwrap();
+        v.write_file(v.root(), "/d/a", b"judged", &ROOT).unwrap();
+        let e = v.resolve_entry(v.root(), "/d/a", &ROOT).unwrap();
+        let a = e.target.unwrap();
+        assert_eq!(v.stat_handle(a).unwrap().size, 6);
+        v.unlink(v.root(), "/d/a", &ROOT).unwrap();
+        assert_eq!(v.stat_handle(a), Err(Stale));
+        let b = v.write_file(v.root(), "/d/b", b"other", &ROOT).unwrap();
+        assert_eq!(a.ino, b, "the number must be recycled for this test to bite");
+        assert_eq!(v.stat_handle(a), Err(Stale));
+        assert_eq!(v.pin_handle(a), Err(Stale));
+        // A pinned handle keeps its number alive across an unlink.
+        let e = v.resolve_entry(v.root(), "/d/b", &ROOT).unwrap();
+        v.pin_handle(e.target.unwrap()).unwrap();
+        v.unlink(v.root(), "/d/b", &ROOT).unwrap();
+        assert_eq!(v.file_data(b).unwrap(), b"other");
+        v.unpin(b).unwrap();
+    }
+
+    #[test]
+    fn create_at_is_stale_when_the_name_appeared() {
+        let v = fs();
+        v.mkdir(v.root(), "/d", 0o755, &ROOT).unwrap();
+        let e = v.resolve_entry(v.root(), "/d/new", &ROOT).unwrap();
+        assert_eq!(e.target, None);
+        v.write_file(v.root(), "/d/new", b"raced", &ROOT).unwrap();
+        assert_eq!(v.create_at(e.dir, &e.name, 0o644, &ROOT), Err(Stale));
+        v.unlink(v.root(), "/d/new", &ROOT).unwrap();
+        let ino = v.create_at(e.dir, &e.name, 0o644, &ROOT).unwrap().unwrap();
+        assert_eq!(v.resolve(v.root(), "/d/new", true, &ROOT), Ok(ino));
+        let nobody = Cred::new(65534, 65534);
+        let e = v.resolve_entry(v.root(), "/d/other", &nobody).unwrap();
+        assert_eq!(v.create_at(e.dir, &e.name, 0o644, &nobody), Ok(Err(Errno::EACCES)));
+        // A recycled directory number is not the directory judged.
+        v.unlink(v.root(), "/d/new", &ROOT).unwrap();
+        v.rmdir(v.root(), "/d", &ROOT).unwrap();
+        let d2 = v.mkdir(v.root(), "/e", 0o777, &ROOT).unwrap();
+        assert_eq!(d2, e.dir.ino, "the number must be recycled for this test to bite");
+        assert_eq!(v.create_at(e.dir, &e.name, 0o644, &ROOT), Err(Stale));
     }
 
     #[test]
@@ -2493,7 +2760,6 @@ mod tests {
         v.resolve(v.root(), "/f", true, &ROOT).unwrap();
         let c = v.clone();
         assert_eq!(c.dentry_stats(), (0, 0));
-        assert_eq!(c.change_generation(), v.change_generation());
         assert_eq!(c.read_file(c.root(), "/f", &ROOT).unwrap(), b"x");
     }
 

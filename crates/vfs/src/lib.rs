@@ -23,12 +23,14 @@
 
 pub mod extent;
 mod fs;
+pub mod fxhash;
 mod inode;
 pub mod path;
 pub mod wal;
 
 pub use extent::{ByteExtent, ExtentList};
-pub use fs::{Cred, DirEntry, FaultHook, SnapshotCut, Vfs};
+pub use fs::{Cred, DirEntry, Entry, FaultHook, Handle, SnapshotCut, Stale, Vfs};
+pub use fxhash::{FxBuildHasher, IntMap};
 pub use inode::{FileKind, Ino, StatBuf};
 pub use wal::{Recovered, RecoveryReport, Wal, WalConfig, WalRecordRef, WalStats};
 

@@ -312,7 +312,9 @@ pub enum WalRecordRef<'a> {
         root: u64,
         /// The logical clock at the cut.
         clock: u64,
-        /// The namespace change generation at the cut.
+        /// Unused: written as 0 and ignored at boot. The filesystem no
+        /// longer keeps a global change generation; the field stays so
+        /// that snapshots keep one format.
         change_gen: u64,
     },
 }
@@ -1658,7 +1660,7 @@ impl Wal {
             watermark: cut.watermark(),
             root: cut.root,
             clock: cut.clock,
-            change_gen: cut.change_gen,
+            change_gen: 0,
         })?;
         w.flush()?;
         w.file.sync_data()?;
@@ -2454,7 +2456,7 @@ mod tests {
             watermark: cut.watermark(),
             root: cut.root,
             clock: cut.clock,
-            change_gen: cut.change_gen,
+            change_gen: 0,
         });
         let mut file = SEG_MAGIC.to_vec();
         for (lsn, rec) in records.iter().enumerate() {
@@ -2716,7 +2718,7 @@ mod tests {
                 watermark: cut.watermark(),
                 root: cut.root,
                 clock: cut.clock,
-                change_gen: cut.change_gen,
+                change_gen: 0,
             }
             .encode(&mut out.bytes);
             put_vbytes(&mut out.bytes, b"");

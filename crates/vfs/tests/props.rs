@@ -635,7 +635,8 @@ proptest! {
                         "resolve_parent({:?}, {:?}, uid={})", start, p, cred.uid
                     );
                     prop_assert_eq!(
-                        v.resolve_entry(*start, p, cred).map(|(d, n, i)| (d, n.into_owned(), i)),
+                        v.resolve_entry(*start, p, cred)
+                            .map(|e| (e.dir.ino, e.name.into_owned(), e.target.map(|t| t.ino))),
                         model.resolve_entry(*start, p, cred),
                         "resolve_entry({:?}, {:?}, uid={})", start, p, cred.uid
                     );

@@ -119,67 +119,86 @@ fn pitfall3_no_interface_subsetting() {
 
 /// Pitfall 4 — "race conditions" between check and use. The supervisor
 /// holds only a *shared* kernel guard across a trapped call, which other
-/// boxed processes hold too, so this test does not show that a check and
-/// its use are one critical section. Its ACL flipper takes the exclusive
-/// `kernel.lock()`, so a flip never interleaves with a check: what it
-/// shows is that each read is judged consistently before or after a
-/// flip. Making check and use judge the same object under concurrent
-/// boxed processes is ROADMAP item 12, step 2.
+/// boxed processes hold too, so a check and its use are not one
+/// critical section. What makes them judge the same object is that the
+/// kernel acts on the entry the policy resolved and ruled on, instead
+/// of resolving the path again (`crates/core/tests/judged_entry.rs`
+/// races a namespace swap against that). Here the flipper is itself a
+/// boxed process, an administrator of the visitor's home rewriting its
+/// ACL through its own supervisor (`syscall_shared` under the shared
+/// guard), so its flips interleave with the reader's checks. Every read
+/// must be judged consistently before or after a flip: either the open
+/// is allowed and the whole read path works on the judged file, or it
+/// is a clean `EACCES`. Both outcomes must occur, over a counted minimum
+/// of opens that a flip overlapped.
 #[test]
 fn pitfall4_check_and_use_are_atomic() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
     let (kernel, sup_cred) = machine();
     let b = IdentityBox::create(kernel.clone(), "Freddy", sup_cred).unwrap();
     let home = b.home().to_string();
-    // A background thread continually flips the ACL between permissive
-    // and empty while the guest hammers reads. Every read must be
-    // *consistently* judged: either full success or clean EACCES — never
-    // a half-executed state (e.g. an opened fd that then fails fstat).
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let path = format!("{home}/data");
+    let (with_freddy, without) = ("Freddy rl\nAdmin rwlax\n", "Admin rwlax\n");
+    {
+        let k = kernel.read();
+        let root = k.vfs().root();
+        k.vfs().write_file(root, &path, b"payload", &sup_cred).unwrap();
+        let acl = format!("{home}/.__acl");
+        k.vfs().write_file(root, &acl, with_freddy.as_bytes(), &sup_cred).unwrap();
+    }
+    let admin = IdentityBox::create(kernel.clone(), "Admin", sup_cred).unwrap();
+    let flips = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
     let flipper = {
-        let kernel = kernel.clone();
-        let home = home.clone();
-        let stop = stop.clone();
+        let (flips, stop, home) = (flips.clone(), stop.clone(), home.clone());
         std::thread::spawn(move || {
-            let mut on = false;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let mut k = kernel.lock();
-                let root = k.vfs().root();
-                let dir = k.vfs().resolve(root, &home, true, &Cred::ROOT).unwrap();
-                let acl = if on {
-                    idbox::acl::Acl::owner(&idbox::types::Identity::new("Freddy"))
-                } else {
-                    idbox::acl::Acl::empty()
-                };
-                idbox::core::write_acl(k.vfs_mut(), dir, &acl, &Cred::ROOT).unwrap();
-                on = !on;
-            }
+            admin.run("flipper", |ctx| {
+                let acl = format!("{home}/.__acl");
+                let mut on = false;
+                while !stop.load(Ordering::Relaxed) {
+                    let text = if on { with_freddy } else { without };
+                    ctx.write_file(&acl, text.as_bytes()).unwrap();
+                    flips.fetch_add(1, Ordering::SeqCst);
+                    on = !on;
+                }
+                0
+            })
         })
     };
-    let path = format!("{home}/data");
-    {
-        let mut k = kernel.lock();
-        let root = k.vfs().root();
-        k.vfs_mut().write_file(root, &path, b"payload", &sup_cred).unwrap();
-    }
+    const MIN_OVERLAPPED: u64 = 100;
+    const MAX_OPENS: u64 = 1_000_000;
+    let (mut opens, mut overlapped, mut allowed, mut denied) = (0u64, 0u64, 0u64, 0u64);
     let p = path.clone();
-    b.run("racer", move |ctx| {
-        for _ in 0..300 {
+    b.run("racer", |ctx| {
+        while (overlapped < MIN_OVERLAPPED || allowed == 0 || denied == 0) && opens < MAX_OPENS {
+            let before = flips.load(Ordering::SeqCst);
+            opens += 1;
             match ctx.open(&p, OpenFlags::rdonly(), 0) {
                 Ok(fd) => {
                     // Once opened, the whole read path works.
                     let mut buf = [0u8; 7];
                     assert_eq!(ctx.pread(fd, &mut buf, 0).unwrap(), 7);
+                    assert_eq!(&buf, b"payload");
                     ctx.close(fd).unwrap();
+                    allowed += 1;
                 }
-                Err(Errno::EACCES) => {}
+                Err(Errno::EACCES) => denied += 1,
                 Err(e) => panic!("unexpected errno {e}"),
+            }
+            if flips.load(Ordering::SeqCst) != before {
+                overlapped += 1;
             }
         }
         0
     })
     .unwrap();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    flipper.join().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    flipper.join().unwrap().unwrap();
+    assert!(
+        overlapped >= MIN_OVERLAPPED && allowed > 0 && denied > 0,
+        "{opens} opens: {overlapped} overlapped a flip, {allowed} allowed, {denied} denied"
+    );
 }
 
 /// Pitfall 5 — "side effects of denying system calls": the supervisor
